@@ -10,21 +10,23 @@ Selection precedence (first hit wins):
 2. the innermost active :func:`use` context;
 3. the ``REPRO_BACKEND`` environment variable;
 4. the process default set by :func:`set_default`;
-5. the ``numpy`` reference backend.
+5. the ``native`` backend when its kernel library compiles and loads
+   on this host, else the ``numpy`` reference backend (silently — a
+   host without a C compiler is a supported configuration).
 
 Explicit selections (1, 2) of an unknown or unavailable backend raise
 :class:`~repro.errors.BackendError`; ambient selections (3, 4) warn
 once and degrade to the reference backend, so e.g. inheriting
-``REPRO_BACKEND=numba`` in an environment without Numba never breaks a
+``REPRO_BACKEND=native`` on a host without a C compiler never breaks a
 run.  When the selected backend lacks a kernel for a specific
 ``(format, op)`` pair the registry silently serves it from the
 reference backend instead — recorded, like every dispatch, in the
 telemetry counters exposed by :func:`kernel_stats`.
 
-Shipped backends: ``numpy`` (reference, always available), ``native``
-(JIT-compiled C via ctypes, available wherever a C compiler is), and
-``numba`` (``@njit``, available when the optional ``repro[native]``
-extra is installed).
+Shipped backends: ``numpy`` (the reference every parity test compares
+against, always available) and ``native`` (JIT-compiled C via ctypes,
+available wherever a C compiler is; bitwise-identical to the
+reference).
 """
 
 from __future__ import annotations
@@ -180,14 +182,23 @@ def resolve(backend=None) -> KernelBackend:
     if ctx is not None:
         return get_backend(ctx)
     env = os.environ.get(ENV_VAR)
+    degraded = False
     if env:
         inst = _ambient(env, f"{ENV_VAR} environment variable")
         if inst is not None:
             return inst
+        degraded = True
     if _default_name is not None:
         inst = _ambient(_default_name, "the process default backend")
         if inst is not None:
             return inst
+        degraded = True
+    # A failed ambient selection degrades to the reference, as its
+    # warning says; with no selection at all, native is preferred.
+    if not degraded:
+        native = _REGISTRY.get("native")
+        if native is not None and native.available():
+            return get_backend("native")
     return get_backend("numpy")
 
 
@@ -221,19 +232,12 @@ def reset_kernel_stats() -> None:
 
 
 def _register_builtin() -> None:
+    # The native module imports only the standard library and NumPy/SciPy
+    # and compiles nothing until first use; availability is probed lazily.
+    from repro.backends.native import NativeBackend
+
     register_backend("numpy", NumpyBackend)
-    # Import errors here would take the whole package down; the heavy
-    # backends are registered defensively and report availability lazily.
-    try:
-        from repro.backends.native import NativeBackend
-        register_backend("native", NativeBackend)
-    except Exception:  # pragma: no cover - defensive
-        pass
-    try:
-        from repro.backends.numba_backend import NumbaBackend
-        register_backend("numba", NumbaBackend)
-    except Exception:  # pragma: no cover - defensive
-        pass
+    register_backend("native", NativeBackend)
 
 
 _register_builtin()

@@ -273,10 +273,11 @@ void dia_spmm(int64_t n_rows, int64_t n_cols, int64_t ndiag, int64_t kr,
 
 /* out = (1-damping)*X + damping * (D*X - A X) / D, column-wise over a
  * row-major (n, kr) block.  out must not alias X. */
-void csr_jacobi_sweep(int64_t n, int64_t kr, const int64_t *indptr,
-                      const int32_t *cols, const double *vals,
-                      const double *diag, const double *X,
-                      double damping, double *out)
+static void csr_jacobi_sweep_once(int64_t n, int64_t kr,
+                                  const int64_t *indptr,
+                                  const int32_t *cols, const double *vals,
+                                  const double *diag, const double *X,
+                                  double damping, double *out)
 {
     const double om = 1.0 - damping;
     int64_t i;
@@ -323,6 +324,27 @@ void csr_jacobi_sweep(int64_t n, int64_t kr, const int64_t *indptr,
                 yr[kk] = om * xi[kk] + damping * t;
             }
         }
+    }
+}
+
+/* `sweeps` consecutive sweeps in one call, ping-ponging between out and
+ * scratch (same shape as X; unused when sweeps == 1) so that the last
+ * sweep lands in out.  X is only read.  Each sweep is the single-sweep
+ * kernel above, so k sweeps here are bit-identical to k calls. */
+void csr_jacobi_sweep(int64_t n, int64_t kr, const int64_t *indptr,
+                      const int32_t *cols, const double *vals,
+                      const double *diag, const double *X,
+                      double damping, double *out, double *scratch,
+                      int64_t sweeps)
+{
+    const double *src = X;
+    double *dst = (sweeps % 2) ? out : scratch;
+    int64_t s;
+    for (s = 0; s < sweeps; ++s) {
+        csr_jacobi_sweep_once(n, kr, indptr, cols, vals, diag, src,
+                              damping, dst);
+        src = dst;
+        dst = dst == out ? scratch : out;
     }
 }
 
@@ -373,12 +395,15 @@ void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
  * every system sits in one contiguous m-wide run.  Each matrix entry
  * then touches one cache line instead of m strided ones, and the
  * per-entry multiply-accumulate across systems becomes a unit-stride
- * SIMD operation.  The __AVX512F__/__AVX2__ paths below (enabled when
- * the library is compiled with -march=native) vectorize the m == 8
- * sweep lane-parallel: each lane performs the same round-to-nearest
- * multiply, then add, as the scalar loop, so results stay bitwise
- * identical — vectorizing across SYSTEMS never reassociates any
- * single system's accumulation.
+ * SIMD operation.  Every width 1 <= m <= REPRO_MAX_STACK runs
+ * vectorized when the library is compiled with -march=native: a row
+ * is walked once per chunk of lanes — 8-lane zmm chunks under
+ * __AVX512F__, 4-lane ymm chunks under __AVX2__ — and the last chunk
+ * is masked to the lanes below m, so masked-off lanes neither load
+ * nor store.  m == 1 takes a scalar loop.  Each lane performs the same
+ * round-to-nearest multiply, then add, as the scalar loop, so results
+ * stay bitwise identical — vectorizing across SYSTEMS never
+ * reassociates any single system's accumulation.
  *
  * Per system the terms accumulate in column order with the exact
  * values the per-system matrices hold, so results are bit-identical
@@ -390,127 +415,262 @@ void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
 #include <immintrin.h>
 #endif
 
-void csr_jacobi_sweep_stacked(int64_t n, int64_t m, const int64_t *indptr,
-                              const int32_t *cols, const double *vstream,
-                              const int64_t *vofs, const double *diag,
-                              const double *X, double damping, double *out)
+/* Width 1: every entry is uniform (one stream value, untagged column). */
+static double stacked_row_1(int64_t i, const int64_t *indptr,
+                            const int32_t *cols, const double *vstream,
+                            const int64_t *vofs, const double *X)
+{
+    double sum = 0.0;
+    int64_t jj, vp = vofs[i];
+    for (jj = indptr[i]; jj < indptr[i + 1]; ++jj)
+        sum += vstream[vp++] * X[cols[jj] & 0x7fffffff];
+    return sum;
+}
+
+#if defined(__AVX512F__)
+
+static inline __mmask8 lanes_512(int64_t left)
+{
+    return (__mmask8)((1u << left) - 1u);
+}
+
+/* Full chunks use plain loads, the tail chunk masked ones; `full` is a
+ * constant at every call site, so each inlined copy keeps one kind. */
+static inline __m512d load_512(const double *p, __mmask8 k, int full)
+{
+    return full ? _mm512_loadu_pd(p) : _mm512_maskz_loadu_pd(k, p);
+}
+
+static inline void store_512(double *p, __mmask8 k, int full, __m512d v)
+{
+    if (full)
+        _mm512_storeu_pd(p, v);
+    else
+        _mm512_mask_storeu_pd(p, k, v);
+}
+
+/* Lanes [c0, c0 + 8) of row i's stacked product. */
+static inline __m512d stacked_row_512(int64_t i, int64_t m, int64_t c0,
+                                      __mmask8 k, int full,
+                                      const int64_t *indptr,
+                                      const int32_t *cols,
+                                      const double *vstream,
+                                      const int64_t *vofs, const double *X)
+{
+    __m512d sum = _mm512_setzero_pd();
+    int64_t jj, vp = vofs[i];
+    for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+        const int32_t ct = cols[jj];
+        __m512d v;
+        int64_t col;
+        if (ct >= 0) {
+            v = _mm512_set1_pd(vstream[vp]);
+            col = ct;
+            vp += 1;
+        } else {
+            v = load_512(vstream + vp + c0, k, full);
+            col = ct & 0x7fffffff;
+            vp += m;
+        }
+        sum = _mm512_add_pd(sum, _mm512_mul_pd(
+            v, load_512(X + col * m + c0, k, full)));
+    }
+    return sum;
+}
+
+static inline void stacked_sweep_512(int64_t i, int64_t m, int64_t c0,
+                                     __mmask8 k, int full,
+                                     const int64_t *indptr,
+                                     const int32_t *cols,
+                                     const double *vstream,
+                                     const int64_t *vofs,
+                                     const double *diag, const double *X,
+                                     double damping, double *out)
+{
+    const __m512d sum = stacked_row_512(i, m, c0, k, full, indptr, cols,
+                                        vstream, vofs, X);
+    const __m512d d = load_512(diag + i * m + c0, k, full);
+    const __m512d xi = load_512(X + i * m + c0, k, full);
+    __m512d t = _mm512_div_pd(_mm512_sub_pd(_mm512_mul_pd(d, xi), sum), d);
+    if (damping != 1.0)
+        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping), xi),
+                          _mm512_mul_pd(_mm512_set1_pd(damping), t));
+    store_512(out + i * m + c0, k, full, t);
+}
+
+#elif defined(__AVX2__)
+
+static inline __m256i lanes_256(int64_t left)
+{
+    return _mm256_set_epi64x(left > 3 ? -1 : 0, left > 2 ? -1 : 0,
+                             left > 1 ? -1 : 0, -1);
+}
+
+/* As load_512/store_512: plain for full chunks, masked for the tail. */
+static inline __m256d load_256(const double *p, __m256i k, int full)
+{
+    return full ? _mm256_loadu_pd(p) : _mm256_maskload_pd(p, k);
+}
+
+static inline void store_256(double *p, __m256i k, int full, __m256d v)
+{
+    if (full)
+        _mm256_storeu_pd(p, v);
+    else
+        _mm256_maskstore_pd(p, k, v);
+}
+
+static inline __m256d stacked_row_256(int64_t i, int64_t m, int64_t c0,
+                                      __m256i k, int full,
+                                      const int64_t *indptr,
+                                      const int32_t *cols,
+                                      const double *vstream,
+                                      const int64_t *vofs, const double *X)
+{
+    __m256d sum = _mm256_setzero_pd();
+    int64_t jj, vp = vofs[i];
+    for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+        const int32_t ct = cols[jj];
+        __m256d v;
+        int64_t col;
+        if (ct >= 0) {
+            v = _mm256_set1_pd(vstream[vp]);
+            col = ct;
+            vp += 1;
+        } else {
+            v = load_256(vstream + vp + c0, k, full);
+            col = ct & 0x7fffffff;
+            vp += m;
+        }
+        sum = _mm256_add_pd(sum, _mm256_mul_pd(
+            v, load_256(X + col * m + c0, k, full)));
+    }
+    return sum;
+}
+
+static inline void stacked_sweep_256(int64_t i, int64_t m, int64_t c0,
+                                     __m256i k, int full,
+                                     const int64_t *indptr,
+                                     const int32_t *cols,
+                                     const double *vstream,
+                                     const int64_t *vofs,
+                                     const double *diag, const double *X,
+                                     double damping, double *out)
+{
+    const __m256d sum = stacked_row_256(i, m, c0, k, full, indptr, cols,
+                                        vstream, vofs, X);
+    const __m256d d = load_256(diag + i * m + c0, k, full);
+    const __m256d xi = load_256(X + i * m + c0, k, full);
+    __m256d t = _mm256_div_pd(_mm256_sub_pd(_mm256_mul_pd(d, xi), sum), d);
+    if (damping != 1.0)
+        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping), xi),
+                          _mm256_mul_pd(_mm256_set1_pd(damping), t));
+    store_256(out + i * m + c0, k, full, t);
+}
+
+#else
+
+/* Portable build: all m lanes of row i, one system at a time per entry. */
+static void stacked_row_generic(int64_t i, int64_t m, const int64_t *indptr,
+                                const int32_t *cols, const double *vstream,
+                                const int64_t *vofs, const double *X,
+                                double *sum)
+{
+    int64_t jj, s, vp = vofs[i];
+    for (s = 0; s < m; ++s)
+        sum[s] = 0.0;
+    for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+        const int32_t ct = cols[jj];
+        if (ct >= 0) {
+            const double v = vstream[vp++];
+            const double *xc = X + (int64_t)ct * m;
+            for (s = 0; s < m; ++s)
+                sum[s] += v * xc[s];
+        } else {
+            const double *vr = vstream + vp;
+            const double *xc = X + (int64_t)(ct & 0x7fffffff) * m;
+            vp += m;
+            for (s = 0; s < m; ++s)
+                sum[s] += vr[s] * xc[s];
+        }
+    }
+}
+
+#endif
+
+static void stacked_sweep_once(int64_t n, int64_t m, const int64_t *indptr,
+                               const int32_t *cols, const double *vstream,
+                               const int64_t *vofs, const double *diag,
+                               const double *X, double damping, double *out)
 {
     const double om = 1.0 - damping;
     int64_t i;
-#if defined(__AVX512F__)
-    if (m == 8) {
-        /* One zmm register holds all eight systems' lanes. */
-        const __m512d vom = _mm512_set1_pd(om);
-        const __m512d vdamp = _mm512_set1_pd(damping);
+    if (m == 1) {
         #pragma omp parallel for schedule(static)
         for (i = 0; i < n; ++i) {
-            __m512d sum = _mm512_setzero_pd();
-            int64_t jj, vp = vofs[i];
-            for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-                const int32_t ct = cols[jj];
-                __m512d v, x;
-                if (ct >= 0) {
-                    v = _mm512_set1_pd(vstream[vp++]);
-                    x = _mm512_loadu_pd(X + (int64_t)ct * 8);
-                } else {
-                    v = _mm512_loadu_pd(vstream + vp);
-                    x = _mm512_loadu_pd(X + (int64_t)(ct & 0x7fffffff) * 8);
-                    vp += 8;
-                }
-                sum = _mm512_add_pd(sum, _mm512_mul_pd(v, x));
-            }
-            {
-                const __m512d d = _mm512_loadu_pd(diag + i * 8);
-                const __m512d xi = _mm512_loadu_pd(X + i * 8);
-                __m512d t = _mm512_div_pd(
-                    _mm512_sub_pd(_mm512_mul_pd(d, xi), sum), d);
-                if (damping != 1.0)
-                    t = _mm512_add_pd(_mm512_mul_pd(vom, xi),
-                                      _mm512_mul_pd(vdamp, t));
-                _mm512_storeu_pd(out + i * 8, t);
-            }
+            const double sum = stacked_row_1(i, indptr, cols, vstream,
+                                             vofs, X);
+            const double t = (diag[i] * X[i] - sum) / diag[i];
+            out[i] = damping == 1.0 ? t : om * X[i] + damping * t;
         }
         return;
+    }
+#if defined(__AVX512F__)
+    #pragma omp parallel for schedule(static)
+    for (i = 0; i < n; ++i) {
+        int64_t c0;
+        for (c0 = 0; c0 + 8 <= m; c0 += 8)
+            stacked_sweep_512(i, m, c0, 0xff, 1, indptr, cols, vstream, vofs,
+                              diag, X, damping, out);
+        if (c0 < m)
+            stacked_sweep_512(i, m, c0, lanes_512(m - c0), 0, indptr, cols,
+                              vstream, vofs, diag, X, damping, out);
     }
 #elif defined(__AVX2__)
-    if (m == 8) {
-        /* Two ymm registers cover the eight lanes. */
-        const __m256d vom = _mm256_set1_pd(om);
-        const __m256d vdamp = _mm256_set1_pd(damping);
-        #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i) {
-            __m256d s0 = _mm256_setzero_pd();
-            __m256d s1 = _mm256_setzero_pd();
-            int64_t jj, vp = vofs[i];
-            for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-                const int32_t ct = cols[jj];
-                __m256d v0, v1;
-                const double *xc;
-                if (ct >= 0) {
-                    v0 = v1 = _mm256_set1_pd(vstream[vp++]);
-                    xc = X + (int64_t)ct * 8;
-                } else {
-                    v0 = _mm256_loadu_pd(vstream + vp);
-                    v1 = _mm256_loadu_pd(vstream + vp + 4);
-                    xc = X + (int64_t)(ct & 0x7fffffff) * 8;
-                    vp += 8;
-                }
-                s0 = _mm256_add_pd(s0, _mm256_mul_pd(v0, _mm256_loadu_pd(xc)));
-                s1 = _mm256_add_pd(s1, _mm256_mul_pd(v1,
-                                                     _mm256_loadu_pd(xc + 4)));
-            }
-            {
-                const __m256d d0 = _mm256_loadu_pd(diag + i * 8);
-                const __m256d d1 = _mm256_loadu_pd(diag + i * 8 + 4);
-                const __m256d x0 = _mm256_loadu_pd(X + i * 8);
-                const __m256d x1 = _mm256_loadu_pd(X + i * 8 + 4);
-                __m256d t0 = _mm256_div_pd(
-                    _mm256_sub_pd(_mm256_mul_pd(d0, x0), s0), d0);
-                __m256d t1 = _mm256_div_pd(
-                    _mm256_sub_pd(_mm256_mul_pd(d1, x1), s1), d1);
-                if (damping != 1.0) {
-                    t0 = _mm256_add_pd(_mm256_mul_pd(vom, x0),
-                                       _mm256_mul_pd(vdamp, t0));
-                    t1 = _mm256_add_pd(_mm256_mul_pd(vom, x1),
-                                       _mm256_mul_pd(vdamp, t1));
-                }
-                _mm256_storeu_pd(out + i * 8, t0);
-                _mm256_storeu_pd(out + i * 8 + 4, t1);
-            }
-        }
-        return;
+    #pragma omp parallel for schedule(static)
+    for (i = 0; i < n; ++i) {
+        const __m256i all = lanes_256(4);
+        int64_t c0;
+        for (c0 = 0; c0 + 4 <= m; c0 += 4)
+            stacked_sweep_256(i, m, c0, all, 1, indptr, cols, vstream, vofs,
+                              diag, X, damping, out);
+        if (c0 < m)
+            stacked_sweep_256(i, m, c0, lanes_256(m - c0), 0, indptr, cols,
+                              vstream, vofs, diag, X, damping, out);
     }
-#endif
+#else
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; ++i) {
         double sum[REPRO_MAX_STACK];
-        int64_t jj, s, vp = vofs[i];
-        for (s = 0; s < m; ++s)
-            sum[s] = 0.0;
-        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-            const int32_t ct = cols[jj];
-            if (ct >= 0) {
-                const double v = vstream[vp++];
-                const double *xc = X + (int64_t)ct * m;
-                for (s = 0; s < m; ++s)
-                    sum[s] += v * xc[s];
-            } else {
-                const double *vr = vstream + vp;
-                const double *xc = X + (int64_t)(ct & 0x7fffffff) * m;
-                vp += m;
-                for (s = 0; s < m; ++s)
-                    sum[s] += vr[s] * xc[s];
-            }
+        const double *dr = diag + i * m;
+        const double *xr = X + i * m;
+        double *orow = out + i * m;
+        int64_t s;
+        stacked_row_generic(i, m, indptr, cols, vstream, vofs, X, sum);
+        for (s = 0; s < m; ++s) {
+            const double t = (dr[s] * xr[s] - sum[s]) / dr[s];
+            orow[s] = damping == 1.0 ? t : om * xr[s] + damping * t;
         }
-        {
-            const double *dr = diag + i * m;
-            const double *xr = X + i * m;
-            double *orow = out + i * m;
-            for (s = 0; s < m; ++s) {
-                const double t = (dr[s] * xr[s] - sum[s]) / dr[s];
-                orow[s] = damping == 1.0 ? t : om * xr[s] + damping * t;
-            }
-        }
+    }
+#endif
+}
+
+/* `sweeps` stacked sweeps in one call, ping-ponging between out and
+ * scratch like csr_jacobi_sweep. */
+void csr_jacobi_sweep_stacked(int64_t n, int64_t m, const int64_t *indptr,
+                              const int32_t *cols, const double *vstream,
+                              const int64_t *vofs, const double *diag,
+                              const double *X, double damping, double *out,
+                              double *scratch, int64_t sweeps)
+{
+    const double *src = X;
+    double *dst = (sweeps % 2) ? out : scratch;
+    int64_t s;
+    for (s = 0; s < sweeps; ++s) {
+        stacked_sweep_once(n, m, indptr, cols, vstream, vofs, diag, src,
+                           damping, dst);
+        src = dst;
+        dst = dst == out ? scratch : out;
     }
 }
 
@@ -519,86 +679,54 @@ void csr_spmv_stacked(int64_t n, int64_t m, const int64_t *indptr,
                       const int64_t *vofs, const double *X, double *Y)
 {
     int64_t i;
-#if defined(__AVX512F__)
-    if (m == 8) {
+    if (m == 1) {
         #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i) {
-            __m512d sum = _mm512_setzero_pd();
-            int64_t jj, vp = vofs[i];
-            for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-                const int32_t ct = cols[jj];
-                __m512d v, x;
-                if (ct >= 0) {
-                    v = _mm512_set1_pd(vstream[vp++]);
-                    x = _mm512_loadu_pd(X + (int64_t)ct * 8);
-                } else {
-                    v = _mm512_loadu_pd(vstream + vp);
-                    x = _mm512_loadu_pd(X + (int64_t)(ct & 0x7fffffff) * 8);
-                    vp += 8;
-                }
-                sum = _mm512_add_pd(sum, _mm512_mul_pd(v, x));
-            }
-            _mm512_storeu_pd(Y + i * 8, sum);
-        }
+        for (i = 0; i < n; ++i)
+            Y[i] = stacked_row_1(i, indptr, cols, vstream, vofs, X);
         return;
+    }
+#if defined(__AVX512F__)
+    #pragma omp parallel for schedule(static)
+    for (i = 0; i < n; ++i) {
+        int64_t c0;
+        for (c0 = 0; c0 + 8 <= m; c0 += 8)
+            store_512(Y + i * m + c0, 0xff, 1,
+                      stacked_row_512(i, m, c0, 0xff, 1, indptr, cols,
+                                      vstream, vofs, X));
+        if (c0 < m) {
+            const __mmask8 k = lanes_512(m - c0);
+            store_512(Y + i * m + c0, k, 0,
+                      stacked_row_512(i, m, c0, k, 0, indptr, cols,
+                                      vstream, vofs, X));
+        }
     }
 #elif defined(__AVX2__)
-    if (m == 8) {
-        #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i) {
-            __m256d s0 = _mm256_setzero_pd();
-            __m256d s1 = _mm256_setzero_pd();
-            int64_t jj, vp = vofs[i];
-            for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-                const int32_t ct = cols[jj];
-                __m256d v0, v1;
-                const double *xc;
-                if (ct >= 0) {
-                    v0 = v1 = _mm256_set1_pd(vstream[vp++]);
-                    xc = X + (int64_t)ct * 8;
-                } else {
-                    v0 = _mm256_loadu_pd(vstream + vp);
-                    v1 = _mm256_loadu_pd(vstream + vp + 4);
-                    xc = X + (int64_t)(ct & 0x7fffffff) * 8;
-                    vp += 8;
-                }
-                s0 = _mm256_add_pd(s0, _mm256_mul_pd(v0, _mm256_loadu_pd(xc)));
-                s1 = _mm256_add_pd(s1, _mm256_mul_pd(v1,
-                                                     _mm256_loadu_pd(xc + 4)));
-            }
-            _mm256_storeu_pd(Y + i * 8, s0);
-            _mm256_storeu_pd(Y + i * 8 + 4, s1);
+    #pragma omp parallel for schedule(static)
+    for (i = 0; i < n; ++i) {
+        const __m256i all = lanes_256(4);
+        int64_t c0;
+        for (c0 = 0; c0 + 4 <= m; c0 += 4)
+            store_256(Y + i * m + c0, all, 1,
+                      stacked_row_256(i, m, c0, all, 1, indptr, cols,
+                                      vstream, vofs, X));
+        if (c0 < m) {
+            const __m256i k = lanes_256(m - c0);
+            store_256(Y + i * m + c0, k, 0,
+                      stacked_row_256(i, m, c0, k, 0, indptr, cols,
+                                      vstream, vofs, X));
         }
-        return;
     }
-#endif
+#else
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; ++i) {
         double sum[REPRO_MAX_STACK];
-        int64_t jj, s, vp = vofs[i];
+        double *yr = Y + i * m;
+        int64_t s;
+        stacked_row_generic(i, m, indptr, cols, vstream, vofs, X, sum);
         for (s = 0; s < m; ++s)
-            sum[s] = 0.0;
-        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-            const int32_t ct = cols[jj];
-            if (ct >= 0) {
-                const double v = vstream[vp++];
-                const double *xc = X + (int64_t)ct * m;
-                for (s = 0; s < m; ++s)
-                    sum[s] += v * xc[s];
-            } else {
-                const double *vr = vstream + vp;
-                const double *xc = X + (int64_t)(ct & 0x7fffffff) * m;
-                vp += m;
-                for (s = 0; s < m; ++s)
-                    sum[s] += vr[s] * xc[s];
-            }
-        }
-        {
-            double *yr = Y + i * m;
-            for (s = 0; s < m; ++s)
-                yr[s] = sum[s];
-        }
+            yr[s] = sum[s];
     }
+#endif
 }
 
 /* ---- vector primitives ---------------------------------------------- */
@@ -683,10 +811,37 @@ def _host_cpu_tag() -> str:
     return hashlib.sha256(probe.encode()).hexdigest()[:8]
 
 
-def _compile_library() -> str:
+def build_library(sopath: str, arch: tuple[str, ...] = ()) -> None:
+    """Compile :data:`_C_SOURCE` with *arch* flags into *sopath*.
+
+    OpenMP is tried first, then a serial build for toolchains without
+    libgomp (the pragmas are then simply ignored).  *arch* picks which
+    SIMD paths the preprocessor keeps: ``("-march=native",)`` on an
+    AVX-512 host keeps the ``__AVX512F__`` paths, ``("-mavx2",
+    "-mno-avx512f")`` the ``__AVX2__`` ones, ``()`` only the scalar
+    loops.  Raises :class:`NativeCompileError` when every attempt fails.
+    """
     cc = _find_compiler()
     if cc is None:
         raise NativeCompileError("no C compiler found (cc/gcc/clang)")
+    with tempfile.TemporaryDirectory(
+            dir=os.path.dirname(os.path.abspath(sopath))) as tmp:
+        csrc = os.path.join(tmp, "kernels.c")
+        with open(csrc, "w") as fh:
+            fh.write(_C_SOURCE)
+        tmpso = os.path.join(tmp, "kernels.so")
+        last = None
+        for extra in (("-fopenmp",), ()):
+            cmd = [cc, *_BASE_FLAGS, *arch, *extra, csrc, "-o", tmpso, "-lm"]
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            if proc.returncode == 0:
+                os.replace(tmpso, sopath)
+                return
+            last = proc.stderr.strip()
+    raise NativeCompileError(f"kernel compilation failed with {cc}: {last}")
+
+
+def _compile_library() -> str:
     cache = _cache_dir()
     # Preference order: host-tuned build first — the JIT compiles on the
     # machine it runs on, so -march=native is safe and unlocks the SIMD
@@ -713,25 +868,15 @@ def _compile_library() -> str:
         cache = tempfile.mkdtemp(prefix="repro-native-")
         variants = [(arch, os.path.join(cache, os.path.basename(p)))
                     for arch, p in variants]
-    with tempfile.TemporaryDirectory(dir=cache) as tmp:
-        csrc = os.path.join(tmp, "kernels.c")
-        with open(csrc, "w") as fh:
-            fh.write(_C_SOURCE)
-        tmpso = os.path.join(tmp, "kernels.so")
-        last = None
-        for arch, sopath in variants:
-            # OpenMP first; fall back to a serial build on toolchains
-            # without libgomp (the pragmas are then simply ignored).
-            for extra in (("-fopenmp",), ()):
-                cmd = [cc, *_BASE_FLAGS, *arch, *extra, csrc,
-                       "-o", tmpso, "-lm"]
-                proc = subprocess.run(cmd, capture_output=True, text=True)
-                if proc.returncode == 0:
-                    os.replace(tmpso, sopath)
-                    return sopath
-                last = proc.stderr.strip()
-        raise NativeCompileError(
-            f"kernel compilation failed with {cc}: {last}")
+    last = None
+    for arch, sopath in variants:
+        try:
+            build_library(sopath, arch)
+        except NativeCompileError as exc:
+            last = exc
+        else:
+            return sopath
+    raise last
 
 
 def _bind(lib) -> None:
@@ -756,13 +901,14 @@ def _bind(lib) -> None:
                              ctypes.c_int64, _I64, _F64, _F64, _F64]
     lib.csr_jacobi_sweep.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64,
                                      _I32, _F64, _F64, _F64,
-                                     ctypes.c_double, _F64]
+                                     ctypes.c_double, _F64, _F64,
+                                     ctypes.c_int64]
     lib.csr_jacobi_sweep_block.argtypes = [ctypes.c_int64, ctypes.c_int64,
                                            _I64, _I32, _F64, _F64, _F64,
                                            ctypes.c_double, _F64]
     lib.csr_jacobi_sweep_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
-        _F64, ctypes.c_double, _F64]
+        _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
     lib.csr_spmv_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
         _F64]
@@ -817,39 +963,33 @@ def _f64(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64)
 
 
-# Per-matrix cache of float64 vector pointers keyed by array identity.
-# Solvers sweep back and forth between a small, stable set of buffers
-# (iterate/scratch pairs, the diagonal), so after the first iteration
-# every lookup hits.  Entries hold a strong reference to the array, so
-# an ``id`` can never be recycled while its pointer is still cached —
-# the ``is`` check below is therefore exact, not heuristic.
+def _vec(a: np.ndarray):
+    """Pointer argument for a per-call float64 vector or block.
 
-_PTRS_ATTR = "_repro_native_vec_ptrs"
-_PTRS_MAX = 32
-
-
-def _vec_ptr_cache(A):
-    cache = getattr(A, _PTRS_ATTR, None)
-    if cache is None:
-        cache = {}
-        try:
-            setattr(A, _PTRS_ATTR, cache)
-        except (AttributeError, TypeError):
-            return None
-    return cache
-
-
-def _cached_p64(cache, a: np.ndarray):
-    if cache is None:
+    ``from_buffer`` takes about 1 µs where ``data_as`` takes about
+    4.6 µs, and it rejects non-contiguous buffers.  The pointer is
+    built per call and never cached: a cached pointer keeps its array
+    alive, so caching per-call buffers would keep every dead iterate
+    of a solve in memory.  Read-only and empty arrays (which
+    ``from_buffer`` refuses) take the ``data_as`` path.
+    """
+    try:
+        return ctypes.byref(ctypes.c_double.from_buffer(a))
+    except (TypeError, ValueError):
         return _p64(a)
-    hit = cache.get(id(a))
-    if hit is not None and hit[0] is a:
-        return hit[1]
-    p = _p64(a)
-    if len(cache) >= _PTRS_MAX:
-        cache.clear()
-    cache[id(a)] = (a, p)
-    return p
+
+
+def _check_sweeps(sweeps) -> int:
+    k = int(sweeps)
+    if k < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    return k
+
+
+def _misfit(out: np.ndarray, X: np.ndarray) -> bool:
+    """Whether *out* cannot take the row-major result for *X*."""
+    return (out.shape != X.shape or out.dtype != np.float64
+            or not out.flags["C_CONTIGUOUS"])
 
 
 # -- per-matrix prepared arrays -------------------------------------------
@@ -899,9 +1039,12 @@ def _csr_arrays(A):
 
 # Stacked-system preparation for the fused multi-system sweep: checked
 # shared structure plus the interleaved (nnz, m) value block, cached on
-# the first system keyed by the identity of the whole list (the cache
-# pins references to every system, so the ids cannot be recycled while
-# the entry is alive).  A cached ``None`` payload records "this list
+# the first system keyed by the ids of the whole list.  The entry pins
+# the other systems, so no id in the key can be recycled while it lives
+# (the head owns it).  It pins only the systems after the head: a
+# sweep's lists keep their order as columns retire, so entries form no
+# reference cycle and die with their matrices rather than waiting for
+# the cyclic collector.  A cached ``None`` payload records "this list
 # does not share structure" so the check runs once, not per sweep.
 
 _STACK_ATTR = "_repro_native_stacked"
@@ -910,18 +1053,9 @@ _STACK_MAX = 64
 
 def _stacked_arrays(systems):
     head = systems[0]
-    cached = getattr(head, _STACK_ATTR, None)
-    # Fast path: the exact list object we prepared for (callers hold a
-    # stable list across a batch of sweeps and must not mutate it in
-    # place — the contract documented on jacobi_sweep_many).
-    if cached is not None and cached[3] is systems:
-        return cached[1]
     key = tuple(map(id, systems))
+    cached = getattr(head, _STACK_ATTR, None)
     if cached is not None and cached[0] == key:
-        try:    # re-pin the fast path to the caller's current list
-            setattr(head, _STACK_ATTR, cached[:3] + (systems,))
-        except (AttributeError, TypeError):
-            pass
         return cached[1]
     payload = None
     if all(sp.issparse(A) and A.format == "csr" for A in systems):
@@ -953,7 +1087,7 @@ def _stacked_arrays(systems):
                        _pi64(indptr), _pi32(tagged), _p64(vstream),
                        _pi64(vofs))
     try:
-        setattr(head, _STACK_ATTR, (key, payload, tuple(systems), systems))
+        setattr(head, _STACK_ATTR, (key, payload, tuple(systems[1:])))
     except (AttributeError, TypeError):
         pass
     return payload
@@ -1193,28 +1327,40 @@ class NativeBackend:
 
     def jacobi_sweep(self, A, diag: np.ndarray, X: np.ndarray,
                      damping: float = 1.0,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     sweeps: int = 1) -> np.ndarray:
+        """Fused sweep on a CSR generator; ``sweeps=k`` runs k sweeps in
+        one C call over two ping-pong buffers, bit-identical to k
+        single calls.  *X* is only read."""
         if not (sp.issparse(A) and A.format == "csr"):
             # Non-CSR generators (dense test doubles, format objects)
             # take the reference formula; the protocol only promises
             # acceleration for the canonical CSR system matrix.
             from repro.backends.reference import NumpyBackend
-            return NumpyBackend().jacobi_sweep(A, diag, X, damping, out)
+            return NumpyBackend().jacobi_sweep(A, diag, X, damping, out,
+                                               sweeps=sweeps)
+        k = _check_sweeps(sweeps)
         lib = get_library()
         _, _, _, pi, pc, pv = _csr_arrays(A)
+        n = A.shape[0]
         diag = _f64(diag)
         X = _f64(X)
+        if diag.shape != (n,) or X.ndim not in (1, 2) or X.shape[0] != n:
+            raise ValueError(
+                f"jacobi_sweep needs diag ({n},) and X ({n},) or ({n}, k); "
+                f"got {diag.shape} and {X.shape}")
         kr = 1 if X.ndim == 1 else X.shape[1]
         if out is None:
             out = np.empty_like(X)
+        elif _misfit(out, X):
+            raise ValueError(
+                f"jacobi_sweep out must be a C-contiguous float64 array "
+                f"of shape {X.shape}, got {out.dtype} {out.shape}")
         elif np.shares_memory(out, X):
             raise ValueError("jacobi_sweep out must not alias X")
-        ptrs = _vec_ptr_cache(A)
-        lib.csr_jacobi_sweep(A.shape[0], kr, pi, pc, pv,
-                             _cached_p64(ptrs, diag),
-                             _cached_p64(ptrs, X),
-                             float(damping),
-                             _cached_p64(ptrs, out))
+        scratch = _vec(np.empty_like(X)) if k > 1 else None
+        lib.csr_jacobi_sweep(n, kr, pi, pc, pv, _vec(diag), _vec(X),
+                             float(damping), _vec(out), scratch, k)
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,
@@ -1236,12 +1382,9 @@ class NativeBackend:
         diag = _f64(diag)
         x = _f64(x)
         out = np.empty(local.shape[0], dtype=np.float64)
-        ptrs = _vec_ptr_cache(local)
         lib.csr_jacobi_sweep_block(local.shape[0], int(row_start),
-                                   pi, pc, pv,
-                                   _cached_p64(ptrs, diag),
-                                   _cached_p64(ptrs, x),
-                                   float(damping), _p64(out))
+                                   pi, pc, pv, _vec(diag), _vec(x),
+                                   float(damping), _vec(out))
         return out
 
     def can_stack(self, systems) -> bool:
@@ -1255,20 +1398,22 @@ class NativeBackend:
 
     def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
                           damping: float = 1.0,
-                          out: np.ndarray | None = None):
+                          out: np.ndarray | None = None,
+                          sweeps: int = 1):
         """Fused sweep over stacked systems with shared sparsity.
 
         ``diag``/``X``/``out`` are ``(n, m)`` system-interleaved blocks:
         column ``s`` belongs to ``systems[s]``, so element ``i`` of all
         ``m`` systems occupies one contiguous run — the layout the SIMD
-        kernels vectorize across.  Returns ``out`` (bit-identical to
+        kernels vectorize across.  ``sweeps=k`` runs k sweeps in one C
+        call (*X* is only read).  Returns ``out`` (bit-identical to
         ``m`` independent :meth:`jacobi_sweep` calls), or ``None`` when
         the fused path does not apply — systems that do not share one
-        sparsity pattern, non-CSR inputs, or more than ``_STACK_MAX``
-        systems.  Callers must treat ``None`` as "fall back to
-        per-system sweeps", never as an error, and must not mutate the
-        ``systems`` list in place between calls (pass a fresh list
-        instead — preparation is cached against the list's contents).
+        sparsity pattern, non-CSR inputs, more than ``_STACK_MAX``
+        systems, or blocks of the wrong shape or layout (``out`` must
+        be C-contiguous float64).  Callers that confirmed the systems
+        with :meth:`can_stack` and pass well-formed blocks never see
+        ``None``.
         """
         m = len(systems)
         if not 1 <= m <= _STACK_MAX:
@@ -1276,6 +1421,7 @@ class NativeBackend:
         prep = _stacked_arrays(systems)
         if prep is None:
             return None
+        k = _check_sweeps(sweeps)
         lib = get_library()
         pi, pc, pv, po = prep[4:]
         n = systems[0].shape[0]
@@ -1285,17 +1431,14 @@ class NativeBackend:
             return None
         if out is None:
             out = np.empty_like(X)
-        elif (out.shape != X.shape or out.dtype != np.float64
-                or not out.flags["C_CONTIGUOUS"]):
+        elif _misfit(out, X):
             return None
         elif np.shares_memory(out, X):
             raise ValueError("jacobi_sweep_many out must not alias X")
-        ptrs = _vec_ptr_cache(systems[0])
-        lib.csr_jacobi_sweep_stacked(n, m, pi, pc, pv, po,
-                                     _cached_p64(ptrs, diag),
-                                     _cached_p64(ptrs, X),
-                                     float(damping),
-                                     _cached_p64(ptrs, out))
+        scratch = _vec(np.empty_like(X)) if k > 1 else None
+        lib.csr_jacobi_sweep_stacked(n, m, pi, pc, pv, po, _vec(diag),
+                                     _vec(X), float(damping), _vec(out),
+                                     scratch, k)
         return out
 
     def spmv_many(self, systems, X: np.ndarray,
@@ -1321,13 +1464,9 @@ class NativeBackend:
             return None
         if out is None:
             out = np.empty_like(X)
-        elif (out.shape != X.shape or out.dtype != np.float64
-                or not out.flags["C_CONTIGUOUS"]):
+        elif _misfit(out, X):
             return None
-        ptrs = _vec_ptr_cache(systems[0])
-        lib.csr_spmv_stacked(n, m, pi, pc, pv, po,
-                             _cached_p64(ptrs, X),
-                             _cached_p64(ptrs, out))
+        lib.csr_spmv_stacked(n, m, pi, pc, pv, po, _vec(X), _vec(out))
         return out
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,

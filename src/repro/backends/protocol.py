@@ -3,20 +3,19 @@
 Every hot numeric operation in the reproduction (format-faithful SpMV,
 multi-RHS SpMM, the fused Jacobi sweep, and the small vector primitives
 the solver loop is made of) goes through a *kernel backend*.  A backend
-is an object implementing this protocol; the package ships three:
+is an object implementing this protocol; the package ships two:
 
 ``numpy``
     The reference backend (:mod:`repro.backends.reference`): the exact
     per-format NumPy kernels the formats have always used, extracted
-    into one place.  It supports every format and op and is the
-    fallback target whenever another backend lacks a kernel.
+    into one place.  It supports every format and op, is the fallback
+    target whenever another backend lacks a kernel, and is what every
+    parity test compares against.
 ``native``
     A JIT-compiled C backend (:mod:`repro.backends.native`): the kernel
     source is compiled with the system C compiler on first use and
-    loaded through :mod:`ctypes`.  Available wherever ``cc`` is.
-``numba``
-    ``@njit`` kernels (:mod:`repro.backends.numba_backend`); registered
-    only when Numba is importable (the ``repro[native]`` extra).
+    loaded through :mod:`ctypes`.  Available wherever ``cc`` is, and
+    the default whenever it is available.
 
 Operations
 ----------
@@ -26,11 +25,14 @@ Operations
     float64, contiguous, right shape) by the
     :class:`~repro.sparse.base.SparseFormat` entry points; backends may
     rely on that.
-``jacobi_sweep(A, diag, X, damping=1.0, out=None)``
+``jacobi_sweep(A, diag, X, damping=1.0, out=None, sweeps=1)``
     One fused weighted-Jacobi sweep for ``A x = 0`` on a SciPy CSR
     generator: ``X' = (D∘X - A X) / D`` blended with ``damping``.
     ``X`` is ``(n,)`` or a C-contiguous ``(n, k)`` block (the batched
     multi-RHS path).  ``out``, when given, must not alias ``X``.
+    ``sweeps=k`` applies k sweeps and returns the last, bitwise equal
+    to k single calls (the solver loops pass one renormalization
+    interval, so a backend can amortize its call overhead).
 ``axpy(alpha, x, y, beta=1.0, out=None)``
     The blend primitive ``alpha*x + beta*y`` (the damping update).
 ``residual(y, x)``
@@ -78,7 +80,7 @@ CORE_FORMATS = ("csr", "ell", "ellr", "sell", "sell-c-sigma",
 class KernelBackend(Protocol):
     """Structural protocol of a compute-kernel backend."""
 
-    #: Registry name (``"numpy"``, ``"native"``, ``"numba"``, ...).
+    #: Registry name (``"numpy"``, ``"native"``, ...).
     name: str
 
     #: True only for the reference backend — the fallback target.
@@ -94,7 +96,8 @@ class KernelBackend(Protocol):
 
     def jacobi_sweep(self, A, diag: np.ndarray, X: np.ndarray,
                      damping: float = 1.0,
-                     out: np.ndarray | None = None) -> np.ndarray: ...
+                     out: np.ndarray | None = None,
+                     sweeps: int = 1) -> np.ndarray: ...
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,
              beta: float = 1.0,

@@ -44,15 +44,25 @@ class NumpyBackend:
 
     def jacobi_sweep(self, A, diag: np.ndarray, X: np.ndarray,
                      damping: float = 1.0,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     sweeps: int = 1) -> np.ndarray:
         """``X' = (D∘X - A X) / D``, optionally damping-blended.
 
         The 1-D path is :class:`~repro.solvers.jacobi.JacobiSolver`'s
         historical fast step (``-(y - d∘x)/d``); the 2-D path is the
         in-place ufunc chain from :mod:`repro.solvers.batched` —
         bitwise identical formulas (IEEE rounding is symmetric under
-        the sign flip), one temporary instead of four.
+        the sign flip), one temporary instead of four.  ``sweeps=k``
+        applies the sweep k times; only the last lands in *out*.
         """
+        if int(sweeps) < 1:
+            raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        for _ in range(int(sweeps) - 1):
+            X = self._sweep_once(A, diag, X, damping, None)
+        return self._sweep_once(A, diag, X, damping, out)
+
+    @staticmethod
+    def _sweep_once(A, diag, X, damping, out):
         Y = A @ X
         if X.ndim == 1:
             new = -(Y - diag * X) / diag

@@ -448,9 +448,10 @@ def make_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
         "--backend", default=None, metavar="NAME",
-        help="kernel backend for sparse/solver hot paths (e.g. numpy, "
-             "native, numba); becomes the process default, overriding "
-             "REPRO_BACKEND.  Must precede the subcommand.")
+        help="kernel backend for sparse/solver hot paths (numpy or "
+             "native; native is used when it compiles); becomes the "
+             "process default, overriding REPRO_BACKEND.  Must precede "
+             "the subcommand.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a model's steady state")

@@ -10,7 +10,8 @@ code (:func:`repro.solve_steady_state`, the serve layer, the sweep)
 programs against; :class:`IterativeSolverBase` is the shared
 batch-iterate / renormalize / residual-check loop from Section IV that
 Jacobi, Gauss-Seidel and power iteration all run — each subclass only
-supplies :meth:`~IterativeSolverBase.step_once` and its constructor.
+supplies :meth:`~IterativeSolverBase.step_once` and its constructor
+(and may override :meth:`~IterativeSolverBase.advance` to fuse sweeps).
 
 Centralizing the loop means every solver gets, identically:
 
@@ -19,8 +20,10 @@ Centralizing the loop means every solver gets, identically:
 * the instrumentation hook protocol
   (:class:`repro.telemetry.hooks.SolverHooks`) — ``on_iteration`` fires
   exactly once per iteration, ``on_stop`` exactly once per solve, and
-  the ``hooks=None`` default runs the original uninstrumented inner
-  loop (zero added work);
+  the ``hooks=None`` default runs the uninstrumented inner loop, which
+  advances a whole renormalization interval per
+  :meth:`~IterativeSolverBase.advance` call (one kernel call on a
+  fused backend);
 * a tracing span per solve
   (:func:`repro.telemetry.tracing.span`, a no-op unless a recorder is
   installed);
@@ -214,6 +217,18 @@ class IterativeSolverBase:
         """One iteration of the method (no renormalization)."""
         raise NotImplementedError
 
+    def advance(self, x: np.ndarray, k: int) -> np.ndarray:
+        """*k* iterations (no renormalization) — the uninstrumented
+        loop's unit of work, one renormalization interval at most.
+
+        Loops :meth:`step_once`; solvers whose kernel backend can run
+        several sweeps in one call override it.  Must be numerically
+        identical to *k* :meth:`step_once` calls.
+        """
+        for _ in range(k):
+            x = self.step_once(x)
+        return x
+
     def step_from_product(self, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
         """One iteration reusing ``y = A @ x`` (already computed).
@@ -382,7 +397,7 @@ class IterativeSolverBase:
         pending_y = None
         reuse = self.supports_product_step
 
-        def advance(x: np.ndarray) -> np.ndarray:
+        def step(x: np.ndarray) -> np.ndarray:
             nonlocal pending_y
             if pending_y is not None:
                 y, pending_y = pending_y, None
@@ -452,10 +467,22 @@ class IterativeSolverBase:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
                 if hooks is None and not inject and not sweep_guard:
-                    # The original uninstrumented inner loop, unchanged.
-                    for _ in range(budget):
-                        x = advance(x)
-                        iteration += 1
+                    # Uninstrumented: one advance() call per
+                    # renormalization interval (a fused backend runs
+                    # the whole interval in one kernel call); the first
+                    # sweep after a check consumes the check's product.
+                    done = 0
+                    while done < budget:
+                        if pending_y is not None:
+                            k = 1
+                            x = step(x)
+                        else:
+                            k = budget - done
+                            if norm_every is not None:
+                                k = min(k, norm_every - iteration % norm_every)
+                            x = self.advance(x, k)
+                        iteration += k
+                        done += k
                         if (norm_every is not None
                                 and iteration % norm_every == 0):
                             x = renormalize(x)
@@ -464,7 +491,7 @@ class IterativeSolverBase:
                     # residual check below, so its on_iteration call can
                     # carry the measured residual.
                     for i in range(budget):
-                        x = advance(x)
+                        x = step(x)
                         iteration += 1
                         renorm = (norm_every is not None
                                   and iteration % norm_every == 0)
@@ -479,7 +506,7 @@ class IterativeSolverBase:
                     # renormalization is skipped for corrupt iterates
                     # (renormalize raises on non-finite input).
                     for i in range(budget):
-                        x = advance(x)
+                        x = step(x)
                         iteration += 1
                         if inject:
                             x, spec = injector.corrupt(

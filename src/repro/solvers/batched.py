@@ -18,9 +18,21 @@ Two batching modes:
 
 *stacked* (:meth:`BatchedJacobiSolver.stacked`)
     K same-shaped generators (a sweep's rate conditions over one state
-    space), mounted on the block diagonal of one large CSR; the sweep
-    is a single SpMV on the stacked system.  When a column retires the
-    stack is rebuilt without it (at most K rebuilds per solve).
+    space).  When the kernel backend has fused stacked kernels and the
+    systems share one sparsity pattern (its ``can_stack`` probe), the
+    block is kept system-interleaved and each renormalization interval
+    is one ``jacobi_sweep_many(..., sweeps=k)`` call.  Otherwise the
+    systems are mounted on the block diagonal of one large CSR and the
+    sweep is a single SpMV on the stacked system (the reference), or
+    each system's row is swept in its own fused call (a backend
+    without a usable stacked kernel).  When a column retires the block
+    is compacted — kept C-contiguous, so the fused kernels keep
+    serving it — and the block diagonal is rebuilt without it.
+
+With a fused backend the uninstrumented sweep loop advances one
+renormalization interval per kernel call (the first sweep after a
+residual check still consumes the check's product); the reference
+backend sweeps one step at a time, as the parity baseline.
 
 Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion` (and optionally its
@@ -43,6 +55,7 @@ import scipy.sparse as sp
 
 from repro import backends
 from repro.errors import (
+    BackendError,
     CheckpointError,
     IterateSizeError,
     SingularSystemError,
@@ -283,14 +296,12 @@ class BatchedJacobiSolver:
         # pattern.  Discovered by name and confirmed up front via the
         # backend's ``can_stack`` probe, because the fused kernels want
         # the system-interleaved block layout chosen below — deciding
-        # here keeps the layout fixed for the whole solve.
-        sweep_many = getattr(be, "jacobi_sweep_many", None) if fused else None
-        if sweep_many is not None and self.mode == "stacked":
-            probe = getattr(be, "can_stack", None)
-            if probe is None or not probe(self._systems):
-                sweep_many = None
-        else:
-            sweep_many = None
+        # here keeps the layout fixed for the whole solve, and a kernel
+        # refusing a block later is a bug, raised as BackendError.
+        interleaved = (fused and self.mode == "stacked"
+                       and all(hasattr(be, op) for op in (
+                           "jacobi_sweep_many", "spmv_many", "can_stack"))
+                       and be.can_stack(self._systems))
 
         criteria = [StoppingCriterion(
             inf_norm(j),
@@ -310,13 +321,15 @@ class BatchedJacobiSolver:
         # SYSTEM-INTERLEAVED — element i of all k systems adjacent —
         # which is the layout those kernels vectorize across.
         # ``col``/``take`` abstract the orientation; the arithmetic is
-        # identical in all three.
-        interleaved = sweep_many is not None
+        # identical in all three.  Every block stays C-contiguous:
+        # compacting columns with ``M[:, idx]`` alone would return an
+        # F-ordered copy, which the fused kernels cannot take.
         if shared or interleaved:
             D = (self._diagonal[:, None] if shared
                  else np.ascontiguousarray(self._diagonal))
             col = lambda M, c: M[:, c]              # noqa: E731
-            take = lambda M, idx: M[:, idx]         # noqa: E731
+            take = lambda M, idx: np.ascontiguousarray(  # noqa: E731
+                M[:, idx])
             reduce_axis = 0
         else:
             X = np.ascontiguousarray(X.T)
@@ -329,27 +342,19 @@ class BatchedJacobiSolver:
         # (possibly large) block_diag build is skipped entirely.  A
         # ``None`` stack means "rebuild before the next scipy product".
         stack = None
-        spmv_many = (getattr(be, "spmv_many", None)
-                     if interleaved else None)
 
         def block_product(Xb):
-            nonlocal stack, spmv_many
-            if spmv_many is not None:
-                Yb = spmv_many([self._systems[j] for j in active], Xb)
-                if Yb is not None:
-                    self.products += 1
-                    return Yb
-                spmv_many = None
+            nonlocal stack
+            if interleaved:
+                Yb = be.spmv_many([self._systems[j] for j in active], Xb)
+                if Yb is None:
+                    raise BackendError(
+                        f"backend {be.name!r} refused a stacked product "
+                        f"after can_stack accepted the systems")
+                self.products += 1
+                return Yb
             if stack is None and self.mode == "stacked":
                 stack = self._stack_for(active)
-            if interleaved:
-                # Defensive path only: the fused product bailed, but
-                # the block is already interleaved — run the scipy
-                # stacked product on a transposed copy.  The returned
-                # transpose view keeps per-system columns contiguous.
-                self.products += 1
-                flat = stack @ np.ascontiguousarray(Xb.T).ravel()
-                return flat.reshape(len(active), self.n).T
             return self._product(Xb, stack)
         t0 = time.perf_counter()
         iteration = 0
@@ -480,51 +485,41 @@ class BatchedJacobiSolver:
                 # temporary instead of four.
                 S = np.empty_like(X)
                 B = np.empty_like(X) if self.damping != 1.0 else None
-                if fused and not shared:
-                    live = [self._systems[j] for j in active]
-                    if not interleaved:
-                        # Materialize the row views once per batch: the
-                        # native backend caches ctypes pointers by
-                        # array identity, so handing it the *same* view
-                        # objects every sweep keeps the per-system call
-                        # overhead flat instead of re-deriving pointers
-                        # each time.
-                        X_rows, S_rows = list(X), list(S)
-                        D_rows = list(D)
-                for _ in range(budget):
+                live = (None if shared
+                        else [self._systems[j] for j in active])
+                done = 0
+                while done < budget:
                     if pending_Y is None and fused:
-                        # Fused backend sweep: the product never
-                        # materializes in Python, but it happened —
-                        # count it so the amortization accounting
+                        # Fused backend sweeps, one renormalization
+                        # interval per kernel call: the products never
+                        # materialize in Python, but they happened —
+                        # count them so the amortization accounting
                         # (products per sweep) stays truthful.
-                        self.products += 1
+                        k = budget - done
+                        if norm_every is not None:
+                            k = min(k, norm_every - iteration % norm_every)
+                        self.products += k
                         if shared:
                             be.jacobi_sweep(self.A, self._diagonal, X,
-                                            damping=self.damping, out=S)
+                                            damping=self.damping, out=S,
+                                            sweeps=k)
                         elif interleaved:
-                            swept = sweep_many(live, D, X,
-                                               damping=self.damping,
-                                               out=S)
-                            if swept is None:
-                                # Unreachable after the construction-
-                                # time probe; stay correct regardless
-                                # via contiguous per-system copies.
-                                for c, j in enumerate(active):
-                                    xc = np.ascontiguousarray(X[:, c])
-                                    dc = np.ascontiguousarray(D[:, c])
-                                    sc = np.empty_like(xc)
-                                    be.jacobi_sweep(self._systems[j],
-                                                    dc, xc,
-                                                    damping=self.damping,
-                                                    out=sc)
-                                    S[:, c] = sc
+                            if be.jacobi_sweep_many(
+                                    live, D, X, damping=self.damping,
+                                    out=S, sweeps=k) is None:
+                                raise BackendError(
+                                    f"backend {be.name!r} refused a "
+                                    f"stacked sweep after can_stack "
+                                    f"accepted the systems")
                         else:
-                            for c, j in enumerate(active):
-                                be.jacobi_sweep(self._systems[j],
-                                                D_rows[c], X_rows[c],
+                            # Systems without a shared pattern: each
+                            # row's interval in one call per system.
+                            for c, A_c in enumerate(live):
+                                be.jacobi_sweep(A_c, D[c], X[c],
                                                 damping=self.damping,
-                                                out=S_rows[c])
+                                                out=S[c], sweeps=k)
                     else:
+                        k = 1
                         if pending_Y is not None:
                             Y, pending_Y = pending_Y, None
                         else:
@@ -537,10 +532,9 @@ class BatchedJacobiSolver:
                             np.multiply(S, self.damping, out=S)
                             np.add(B, S, out=S)
                     X, S = S, X
-                    if fused and not shared and not interleaved:
-                        X_rows, S_rows = S_rows, X_rows
-                    iteration += 1
-                    self.sweeps += 1
+                    iteration += k
+                    self.sweeps += k
+                    done += k
                     if norm_every is not None and iteration % norm_every == 0:
                         if shared or interleaved:
                             # renormalize's own validation (isfinite

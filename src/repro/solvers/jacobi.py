@@ -160,6 +160,17 @@ class JacobiSolver(IterativeSolverBase):
             return (1.0 - self.damping) * x + self.damping * new
         return new
 
+    def advance(self, x: np.ndarray, k: int) -> np.ndarray:
+        """*k* Jacobi iterations; a non-reference backend runs all of
+        them in one fused ``jacobi_sweep(sweeps=k)`` call, bitwise equal
+        to *k* :meth:`step_once` calls."""
+        be = self._active_backend
+        if (self.step_backend == "fast" and be is not None
+                and not be.is_reference):
+            return be.jacobi_sweep(self.A, self.diagonal, x,
+                                   damping=self.damping, sweeps=k)
+        return super().advance(x, k)
+
     def step_from_product(self, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
         """One fast-backend iteration from an existing ``y = A @ x``."""

@@ -98,8 +98,22 @@ def test_get_backend_unavailable_raises(missing):
         backends.get_backend(missing)
 
 
-def test_default_resolution_is_reference():
-    assert backends.resolve().name == "numpy"
+def _drop_native(monkeypatch):
+    """Make the registry look like a host where the kernels cannot build."""
+    class _NoCompiler(_MissingBackend):
+        name = "native"
+
+    monkeypatch.setitem(backends._REGISTRY, "native", _NoCompiler)
+    monkeypatch.delitem(backends._INSTANCES, "native", raising=False)
+
+
+def test_default_resolution_is_native_when_available(monkeypatch):
+    monkeypatch.delenv(backends.ENV_VAR, raising=False)
+    assert backends.resolve().name == "native"
+    _drop_native(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no warning without a compiler
+        assert backends.resolve().name == "numpy"
 
 
 def test_explicit_argument_wins_over_context(stub):
@@ -122,13 +136,18 @@ def test_env_wins_over_default(stub, monkeypatch):
         backends.set_default(None)
 
 
-def test_set_default_applies_and_clears(stub):
+def test_set_default_applies_and_clears(stub, monkeypatch):
+    monkeypatch.delenv(backends.ENV_VAR, raising=False)
     backends.set_default("stub")
     try:
         assert backends.resolve() is stub
     finally:
         backends.set_default(None)
-    assert backends.resolve().name == "numpy"
+    assert backends.resolve().name == "native"
+    _drop_native(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert backends.resolve().name == "numpy"
 
 
 def test_use_contexts_nest(stub):
@@ -180,15 +199,3 @@ def test_serving_counts_dispatches(stub):
     assert stats[("numpy", "coo", "spmv")] == 1
     backends.reset_kernel_stats()
     assert backends.kernel_stats() == {}
-
-
-def test_numba_gated_not_broken():
-    """The numba backend never breaks the package when numba is absent."""
-    assert "numba" in backends.list_backends()
-    import importlib.util
-    if importlib.util.find_spec("numba") is None:
-        assert "numba" not in backends.available_backends()
-        with pytest.raises(BackendError, match="not available"):
-            backends.get_backend("numba")
-    else:
-        assert "numba" in backends.available_backends()

@@ -25,7 +25,8 @@ from repro.sparse.base import SparseFormat, as_csr
 from repro.sparse.csr import CSRMatrix
 
 #: Every available non-reference backend — each must reproduce the
-#: reference solve bit for bit.
+#: reference solve bit for bit.  References pin ``backend="numpy"``:
+#: the ambient default is ``native`` wherever it compiles.
 NATIVE = [n for n in backends.available_backends()
           if not backends.get_backend(n).is_reference]
 
@@ -41,7 +42,7 @@ def test_jacobi_solve_bitwise_matches_reference(name):
     # trajectories, so the capped runs must match exactly too.
     A = small_generator()
     kw = dict(tol=1e-10, max_iterations=3000, stagnation_tol=None)
-    ref = JacobiSolver(A, **kw).solve()
+    ref = JacobiSolver(A, **kw, backend="numpy").solve()
     got = JacobiSolver(A, **kw, backend=name).solve()
     assert got.iterations == ref.iterations
     assert got.residual == ref.residual
@@ -51,7 +52,7 @@ def test_jacobi_solve_bitwise_matches_reference(name):
 @pytest.mark.parametrize("name", NATIVE)
 def test_jacobi_damped_solve_bitwise_matches_reference(name):
     A = small_generator()
-    ref = JacobiSolver(A, tol=1e-10, damping=0.9).solve()
+    ref = JacobiSolver(A, tol=1e-10, damping=0.9, backend="numpy").solve()
     got = JacobiSolver(A, tol=1e-10, damping=0.9, backend=name).solve()
     assert got.iterations == ref.iterations
     assert np.array_equal(got.x, ref.x)
@@ -72,7 +73,7 @@ def test_use_context_reaches_solver_sweeps(name):
 def test_batched_shared_matches_reference(name):
     A = small_generator()
     kw = dict(tol=1e-10, max_iterations=1000, stagnation_tol=None)
-    ref = BatchedJacobiSolver(A, **kw)
+    ref = BatchedJacobiSolver(A, **kw, backend="numpy")
     expected = ref.solve_many(k=3)
     nat = BatchedJacobiSolver(A, **kw, backend=name)
     got = nat.solve_many(k=3)
@@ -91,7 +92,8 @@ def test_batched_stacked_matches_reference(name):
     A = small_generator()
     systems = [A, A * 1.5]          # same steady state, distinct rates
     kw = dict(tol=1e-10, max_iterations=1000, stagnation_tol=None)
-    expected = BatchedJacobiSolver.stacked(systems, **kw).solve_many()
+    expected = BatchedJacobiSolver.stacked(
+        systems, **kw, backend="numpy").solve_many()
     got = BatchedJacobiSolver.stacked(
         systems, **kw, backend=name).solve_many()
     for a, b in zip(expected, got):
@@ -105,10 +107,46 @@ def test_gauss_seidel_accepts_backend(name):
     # residual primitive, which is rounding-free — results must be
     # bitwise independent of the selection.
     A = small_generator()
-    ref = GaussSeidelSolver(A, tol=1e-10).solve()
+    ref = GaussSeidelSolver(A, tol=1e-10, backend="numpy").solve()
     got = GaussSeidelSolver(A, tol=1e-10, backend=name).solve()
     assert got.iterations == ref.iterations
     assert np.array_equal(got.x, ref.x)
+
+
+@pytest.mark.skipif("native" not in backends.available_backends(),
+                    reason="native kernels do not build here")
+def test_native_solves_leave_no_dead_iterates_alive():
+    """Every iterate a native sweep hands back is collectable once the
+    solve returns — nothing (e.g. a pointer cache on the matrix) pins
+    them, while the solvers and their matrices stay alive."""
+    import gc
+    import weakref
+
+    from repro.backends.native import NativeBackend
+
+    refs = []
+
+    class Recording(NativeBackend):
+        def jacobi_sweep(self, *args, **kwargs):
+            out = super().jacobi_sweep(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+        def jacobi_sweep_many(self, *args, **kwargs):
+            out = super().jacobi_sweep_many(*args, **kwargs)
+            refs.append(weakref.ref(out))
+            return out
+
+    A = small_generator()
+    kw = dict(tol=1e-10, max_iterations=300, stagnation_tol=None,
+              backend=Recording())
+    single = JacobiSolver(A, **kw)
+    single.solve()
+    stacked = BatchedJacobiSolver.stacked([A, A * 1.5], **kw)
+    stacked.solve_many()
+    gc.collect()
+    assert len(refs) > 2
+    assert all(r() is None for r in refs)
 
 
 def test_unknown_backend_fails_at_construction():

@@ -2,22 +2,34 @@
 
 The stacked kernels operate on ``(n, m)`` system-interleaved blocks —
 column ``s`` belongs to ``systems[s]`` — and promise results bit-equal
-to ``m`` independent per-system calls.  These tests pin that contract
-for every backend that advertises the methods: SIMD-width batches
-(``m == 8``), generic widths, damped sweeps, the ``None`` fallback for
-inputs the fused path cannot serve, and the ``can_stack`` probe callers
-use to pick the interleaved layout up front.
+to ``m`` independent per-system calls, computed here by the ``numpy``
+reference.  These tests pin that contract for every backend that
+advertises the methods: every width from 1 to 16 plus 64 (whole SIMD
+chunks, masked tails, the scalar width-1 loop), damped sweeps, blocks
+compacted after a column retires, ``sweeps=k`` against k single calls,
+each SIMD path of the C source built separately, the ``None`` fallback
+for inputs the fused path cannot serve, and the ``can_stack`` probe
+callers use to pick the interleaved layout up front.
 """
+
+import subprocess
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import backends
+from repro.backends import native
 from repro.sparse.base import as_csr
 
 STACKED = [n for n in backends.available_backends()
            if hasattr(backends.get_backend(n), "jacobi_sweep_many")]
+
+#: Every width a SIMD path treats differently: whole 4- and 8-lane
+#: chunks, every tail length, two chunks, and the widest stack.
+WIDTHS = list(range(1, 17)) + [64]
+
+REFERENCE = backends.get_backend("numpy")
 
 
 @pytest.fixture(params=STACKED)
@@ -26,55 +38,231 @@ def backend(request):
 
 
 def shared_structure_systems(m, n=83, seed=7):
-    """``m`` CSR systems sharing one sparsity pattern, distinct values."""
+    """``m`` CSR systems sharing one sparsity pattern, distinct values.
+
+    Every other stored entry is scaled per system and the rest are
+    left alone, so the blocks carry both the uniform (stored once) and
+    the varying (stored m-wide) entries of the compressed value stream.
+    """
     rng = np.random.default_rng(seed)
     base = sp.random(n, n, density=0.08, random_state=seed, format="csr")
     base = as_csr(base + sp.diags(rng.random(n) + 1.0))
     systems = []
     for s in range(m):
         A = base.copy()
-        # Scaling every value keeps the pattern; a nonzero scale keeps
-        # eliminate_zeros from perturbing it.
-        A.data = A.data * (0.5 + 0.25 * s)
+        # A nonzero scale keeps the pattern (eliminate_zeros has
+        # nothing to drop).
+        A.data[::2] = A.data[::2] * (0.5 + 0.25 * s)
         systems.append(as_csr(A))
     return systems
 
 
-@pytest.mark.parametrize("m", [1, 5, 8])
-@pytest.mark.parametrize("damping", [1.0, 0.9])
-def test_sweep_many_bitwise_matches_per_system(backend, m, damping):
-    systems = shared_structure_systems(m)
+def interleaved(systems, seed):
     n = systems[0].shape[0]
-    rng = np.random.default_rng(13)
-    X = np.ascontiguousarray(rng.random((n, m)))
+    X = np.random.default_rng(seed).random((n, len(systems)))
     D = np.ascontiguousarray(np.stack(
         [np.asarray(A.diagonal(), dtype=np.float64) for A in systems],
         axis=1))
+    return D, X
+
+
+def reference_sweeps(systems, D, X, damping, sweeps=1):
+    """Per-system reference sweeps, stacked back into an (n, m) block."""
+    return np.stack([
+        REFERENCE.jacobi_sweep(A, np.ascontiguousarray(D[:, s]),
+                               np.ascontiguousarray(X[:, s]),
+                               damping=damping, sweeps=sweeps)
+        for s, A in enumerate(systems)], axis=1)
+
+
+def reference_products(systems, X):
+    # The documented contract: bit-equal to per-system products in
+    # scipy's CSR accumulation order.
+    return np.stack([A @ np.ascontiguousarray(X[:, s])
+                     for s, A in enumerate(systems)], axis=1)
+
+
+@pytest.mark.parametrize("m", WIDTHS)
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+def test_sweep_many_bitwise_matches_per_system(backend, m, damping):
+    systems = shared_structure_systems(m)
+    D, X = interleaved(systems, 13)
     got = backend.jacobi_sweep_many(systems, D, X, damping=damping)
     assert got is not None
-    assert got.shape == (n, m)
-    for s, A in enumerate(systems):
-        expected = np.empty(n)
-        backend.jacobi_sweep(A, np.ascontiguousarray(D[:, s]),
-                             np.ascontiguousarray(X[:, s]),
-                             damping=damping, out=expected)
-        assert np.array_equal(got[:, s], expected)
+    assert got.shape == X.shape
+    assert np.array_equal(got, reference_sweeps(systems, D, X, damping))
 
 
-@pytest.mark.parametrize("m", [1, 5, 8])
+@pytest.mark.parametrize("m", WIDTHS)
 def test_spmv_many_bitwise_matches_per_system(backend, m):
     systems = shared_structure_systems(m, seed=19)
-    n = systems[0].shape[0]
-    rng = np.random.default_rng(23)
-    X = np.ascontiguousarray(rng.random((n, m)))
+    _, X = interleaved(systems, 23)
     got = backend.spmv_many(systems, X)
     assert got is not None
-    assert got.shape == (n, m)
-    for s, A in enumerate(systems):
-        # The documented contract: bit-equal to per-system products in
-        # scipy's CSR accumulation order.
-        expected = A @ np.ascontiguousarray(X[:, s])
-        assert np.array_equal(got[:, s], expected)
+    assert got.shape == X.shape
+    assert np.array_equal(got, reference_products(systems, X))
+
+
+@pytest.mark.parametrize("m", [w for w in WIDTHS if w > 1])
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+def test_compacted_blocks_match_per_system(backend, m, damping):
+    """After retiring every third column, the compacted block (what
+    BatchedJacobiSolver carries on) still sweeps and multiplies
+    bitwise like the reference."""
+    systems = shared_structure_systems(m, seed=47)
+    D, X = interleaved(systems, 53)
+    keep = [c for c in range(m) if c % 3 != 1]
+    live = [systems[c] for c in keep]
+    Dk = np.ascontiguousarray(D[:, keep])
+    Xk = np.ascontiguousarray(X[:, keep])
+    got = backend.jacobi_sweep_many(live, Dk, Xk, damping=damping,
+                                    out=np.empty_like(Xk))
+    assert np.array_equal(got, reference_sweeps(live, Dk, Xk, damping))
+    assert np.array_equal(backend.spmv_many(live, Xk),
+                          reference_products(live, Xk))
+
+
+def test_f_ordered_out_is_refused(backend):
+    """``M[:, idx]`` compaction yields F-ordered blocks; the kernels
+    write row-major, so such an ``out`` must be refused, not filled."""
+    systems = shared_structure_systems(4)
+    D, X = interleaved(systems, 59)
+    f_out = np.empty((X.shape[1], X.shape[0])).T
+    assert backend.jacobi_sweep_many(systems, D, X, out=f_out) is None
+    assert backend.spmv_many(systems, X, out=f_out) is None
+    with pytest.raises(ValueError, match="C-contiguous"):
+        backend.jacobi_sweep(systems[0], D[:, 0].copy(), X, out=f_out)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 11])
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+@pytest.mark.parametrize("sweeps", [2, 5])
+def test_multi_sweep_many_matches_single_calls(backend, m, damping, sweeps):
+    systems = shared_structure_systems(m, seed=61)
+    D, X = interleaved(systems, 67)
+    expected = X
+    for _ in range(sweeps):
+        expected = backend.jacobi_sweep_many(systems, D, expected,
+                                             damping=damping)
+    X_before = X.copy()
+    got = backend.jacobi_sweep_many(systems, D, X, damping=damping,
+                                    sweeps=sweeps)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(X, X_before)      # the input is only read
+    assert np.array_equal(
+        got, reference_sweeps(systems, D, X, damping, sweeps=sweeps))
+
+
+@pytest.mark.parametrize("name", backends.available_backends())
+@pytest.mark.parametrize("kr", [None, 3])
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+@pytest.mark.parametrize("sweeps", [1, 2, 7])
+def test_multi_sweep_matches_single_calls(name, kr, damping, sweeps):
+    be = backends.get_backend(name)
+    A = shared_structure_systems(1, seed=71)[0]
+    n = A.shape[0]
+    diag = np.asarray(A.diagonal(), dtype=np.float64)
+    rng = np.random.default_rng(73)
+    X = rng.random(n) if kr is None else rng.random((n, kr))
+    expected = X
+    for _ in range(sweeps):
+        expected = be.jacobi_sweep(A, diag, expected, damping=damping)
+    out = np.empty_like(X)
+    got = be.jacobi_sweep(A, diag, X, damping=damping, out=out,
+                          sweeps=sweeps)
+    assert got is out
+    assert np.array_equal(got, expected)
+    assert np.array_equal(
+        got, REFERENCE.jacobi_sweep(A, diag, X, damping=damping,
+                                    sweeps=sweeps))
+
+
+@pytest.mark.parametrize("name", backends.available_backends())
+def test_sweeps_must_be_positive(name):
+    be = backends.get_backend(name)
+    A = shared_structure_systems(1)[0]
+    x = np.ones(A.shape[0])
+    with pytest.raises(ValueError, match="sweeps"):
+        be.jacobi_sweep(A, np.asarray(A.diagonal()), x, sweeps=0)
+
+
+# -- each SIMD path of the C source, built on its own -------------------------
+
+#: ``(label, flags, macro the build must define, cpu flag it needs)``:
+#: the host-tuned build keeps the AVX-512 paths on an AVX-512 host, the
+#: AVX2 build drops them for the 4-lane ones, and the bare build keeps
+#: only the scalar loops.
+SIMD_BUILDS = [
+    ("host", ("-march=native",), None, None),
+    ("avx2", ("-mavx2", "-mno-avx512f"), "__AVX2__", "avx2"),
+    ("scalar", (), None, None),
+]
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+def _defines(flags) -> str:
+    cc = native._find_compiler()
+    proc = subprocess.run([cc, *flags, "-dM", "-E", "-x", "c", "-"],
+                          input="", capture_output=True, text=True)
+    return proc.stdout if proc.returncode == 0 else ""
+
+
+@pytest.fixture(scope="module", params=SIMD_BUILDS, ids=lambda b: b[0])
+def simd_library(request, tmp_path_factory):
+    label, flags, macro, cpu_flag = request.param
+    if native._find_compiler() is None:
+        pytest.skip("no C compiler")
+    if cpu_flag is not None and cpu_flag not in _cpu_flags():
+        pytest.skip(f"host cannot run {cpu_flag} code")
+    defines = _defines(flags)
+    if macro is not None:
+        assert f"#define {macro} " in defines
+    if label == "host" and "avx512f" in _cpu_flags():
+        assert "#define __AVX512F__ " in defines
+    if label in ("avx2", "scalar"):
+        assert "#define __AVX512F__ " not in defines
+    if label == "scalar":
+        assert "#define __AVX2__ " not in defines
+    sopath = tmp_path_factory.mktemp(f"simd-{label}") / "kernels.so"
+    try:
+        native.build_library(str(sopath), flags)
+    except native.NativeCompileError as exc:
+        pytest.skip(f"{label} build failed: {exc}")
+    import ctypes
+    lib = ctypes.CDLL(str(sopath))
+    native._bind(lib)
+    return lib
+
+
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+def test_every_simd_build_matches_reference(simd_library, monkeypatch,
+                                            damping):
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    for m in WIDTHS:
+        systems = shared_structure_systems(m, seed=79)
+        D, X = interleaved(systems, 83)
+        assert np.array_equal(
+            be.jacobi_sweep_many(systems, D, X, damping=damping, sweeps=3),
+            reference_sweeps(systems, D, X, damping, sweeps=3)), m
+        assert np.array_equal(be.spmv_many(systems, X),
+                              reference_products(systems, X)), m
+    A = systems[0]
+    diag = np.asarray(A.diagonal(), dtype=np.float64)
+    for x in (X[:, 0].copy(), X[:, :5].copy()):
+        assert np.array_equal(
+            be.jacobi_sweep(A, diag, x, damping=damping, sweeps=3),
+            REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
 
 
 def test_sweep_many_out_is_returned_and_filled(backend):

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import backends
+from repro.backends.native import NativeBackend
 from repro.errors import ValidationError
 from repro.solvers import BatchedJacobiSolver, JacobiSolver
 from repro.solvers.result import StopReason
@@ -124,6 +126,40 @@ class TestStackedMode:
             assert b.residual == s.residual
             np.testing.assert_array_equal(b.x, s.x)
         assert solver.products == max(s.iterations for s in expected) + 1
+
+    @pytest.mark.skipif("native" not in backends.available_backends(),
+                        reason="native kernels do not build here")
+    def test_native_retirements_stay_on_stacked_kernel(self):
+        """Columns retiring at different sweeps compact the interleaved
+        block; every later sweep must stay on the fused stacked kernel
+        (zero single-system sweeps) and match the reference bitwise."""
+
+        class Counting(NativeBackend):
+            single = stacked = 0
+
+            def jacobi_sweep(self, *args, **kwargs):
+                self.single += 1
+                return super().jacobi_sweep(*args, **kwargs)
+
+            def jacobi_sweep_many(self, *args, **kwargs):
+                self.stacked += 1
+                return super().jacobi_sweep_many(*args, **kwargs)
+
+        be = Counting()
+        mats = [chain(death=d) for d in (0.8, 1.0, 1.3, 1.6)]
+        tols = [1e-5, 1e-7, 1e-9, 1e-11]
+        kw = dict(damping=DAMPING, check_interval=20)
+        got = BatchedJacobiSolver.stacked(
+            mats, backend=be, **kw).solve_many(tols=tols)
+        ref = BatchedJacobiSolver.stacked(
+            mats, backend="numpy", **kw).solve_many(tols=tols)
+        assert len({r.iterations for r in got}) == len(mats)
+        assert be.single == 0
+        assert be.stacked > 0
+        for a, b in zip(ref, got):
+            assert b.iterations == a.iterations
+            assert b.residual == a.residual
+            np.testing.assert_array_equal(b.x, a.x)
 
     def test_stacked_per_column_tols(self):
         mats = [chain(death=d) for d in (0.9, 1.1)]

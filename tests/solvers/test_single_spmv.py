@@ -6,11 +6,16 @@ every ``check_interval`` iterations.  With product reuse
 (:attr:`IterativeSolverBase.supports_product_step`), a solve of ``I``
 iterations performs exactly ``I + 1`` products: one per iteration plus
 the final check's product, whose iterate is never advanced again.
+
+The scipy ``@`` counts below pin the reference backend, whose sweeps
+are those products; the native counterpart counts its fused sweeps
+through the backend instead.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backends.native import NativeBackend
 from repro.sparse.base import as_csr
 from repro.solvers.base import matrix_derived
 from repro.solvers.jacobi import JacobiSolver
@@ -33,9 +38,22 @@ def birth_death_generator(n=80, birth=4.0, death=1.0):
     return as_csr(A)
 
 
-def counting_solver(**kwargs):
+class CountingNative(NativeBackend):
+    """The native backend, counting fused sweeps and kernel calls."""
+
+    def __init__(self):
+        self.sweeps = 0
+        self.calls = 0
+
+    def jacobi_sweep(self, A, diag, X, damping=1.0, out=None, sweeps=1):
+        self.sweeps += sweeps
+        self.calls += 1
+        return super().jacobi_sweep(A, diag, X, damping, out, sweeps)
+
+
+def counting_solver(backend="numpy", **kwargs):
     A = birth_death_generator()
-    solver = JacobiSolver(A, **kwargs)
+    solver = JacobiSolver(A, backend=backend, **kwargs)
     counted = CountingCSR(solver.A)
     counted.matmul_count = 0
     solver.A = counted
@@ -65,6 +83,22 @@ def test_one_spmv_per_iteration_with_damping():
                                       damping=0.8)
     result = solver.solve()
     assert counted.matmul_count == result.iterations + 1
+
+
+def test_one_product_per_iteration_native():
+    """Native: scipy products (checks) plus fused sweeps, one interval
+    per kernel call, still total one product per iteration."""
+    be = CountingNative()
+    solver, counted = counting_solver(backend=be, tol=1e-10,
+                                      check_interval=25, damping=0.6)
+    result = solver.solve(x0=np.random.default_rng(2).random(solver.n))
+    assert result.converged
+    assert result.iterations > 25
+    assert counted.matmul_count + be.sweeps == result.iterations + 1
+    # One kernel call per renormalization interval, split at most once
+    # more by each residual check.
+    intervals = -(-result.iterations // solver.normalize_interval)
+    assert 0 < be.calls <= intervals + len(result.residual_history)
 
 
 def test_product_reuse_matches_plain_loop():
