@@ -10,11 +10,12 @@ semantics), so serve workers overlap kernels across threads.
 
 Parity with the reference backend is structural, not accidental: each
 kernel walks the format's storage in exactly the order the NumPy
-reference does (per-row sequential accumulation for CSR, local-column
-order for the ELL family, offsets order for DIA), products are rounded
-before accumulation (``-ffp-contract=off`` forbids FMA contraction),
-and ``-ffast-math`` is never passed.  The conformance suite asserts
-bitwise agreement on every format.
+reference does (per-row sequential accumulation for CSR, also inside
+each SIMD lane of the one-column Jacobi sweep's 8-row slices;
+local-column order for the ELL family; offsets order for DIA),
+products are rounded before accumulation (``-ffp-contract=off``
+forbids FMA contraction), and ``-ffast-math`` is never passed.  The
+conformance suite asserts bitwise agreement on every format.
 
 OpenMP (``-fopenmp``) is attempted and silently dropped if the
 toolchain lacks it; row-parallel loops do not change any per-element
@@ -272,7 +273,8 @@ void dia_spmm(int64_t n_rows, int64_t n_cols, int64_t ndiag, int64_t kr,
 /* ---- fused Jacobi sweep on a CSR generator -------------------------- */
 
 /* out = (1-damping)*X + damping * (D*X - A X) / D, column-wise over a
- * row-major (n, kr) block.  out must not alias X. */
+ * row-major (n, kr) block with kr > 1 (one column takes the sliced
+ * sweep below).  out must not alias X. */
 static void csr_jacobi_sweep_once(int64_t n, int64_t kr,
                                   const int64_t *indptr,
                                   const int32_t *cols, const double *vals,
@@ -281,26 +283,6 @@ static void csr_jacobi_sweep_once(int64_t n, int64_t kr,
 {
     const double om = 1.0 - damping;
     int64_t i;
-    /* kr == 1 is the serial-solver hot path; the dedicated scalar loop
-     * (same accumulation order, so bit-identical) avoids the
-     * variable-trip-count inner loops, which cost ~8x at kr = 1. */
-    if (kr == 1) {
-        #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i) {
-            double sum = 0.0;
-            const double d = diag[i];
-            int64_t jj;
-            for (jj = indptr[i]; jj < indptr[i + 1]; ++jj)
-                sum += vals[jj] * X[cols[jj]];
-            if (damping == 1.0) {
-                out[i] = (d * X[i] - sum) / d;
-            } else {
-                const double t = (d * X[i] - sum) / d;
-                out[i] = om * X[i] + damping * t;
-            }
-        }
-        return;
-    }
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; ++i) {
         double *yr = out + i * kr;
@@ -348,12 +330,12 @@ void csr_jacobi_sweep(int64_t n, int64_t kr, const int64_t *indptr,
     }
 }
 
-/* Row-block variant of the scalar sweep for the sharded solver: the
- * caller owns rows [row0, row0 + m) of the global system as a
- * rectangular (m, n) CSR slice and reads the full-length x.  Same
- * accumulation order and update expression as csr_jacobi_sweep's
- * kr == 1 path, so the owned block stays bitwise equal to the
- * corresponding slice of a whole-matrix sweep. */
+/* Row-block sweep for the sharded solver: the caller owns rows
+ * [row0, row0 + m) of the global system as a rectangular (m, n) CSR
+ * slice and reads the full-length x.  Each row sums in CSR order with
+ * the same update expression as a lane of the sliced sweep below, so
+ * the owned block stays bitwise equal to the corresponding slice of a
+ * whole-matrix sweep. */
 void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
                             const int32_t *cols, const double *vals,
                             const double *diag, const double *x,
@@ -729,6 +711,215 @@ void csr_spmv_stacked(int64_t n, int64_t m, const int64_t *indptr,
 #endif
 }
 
+/* ---- sliced single-system Jacobi sweep ------------------------------ */
+
+/* The one-column sweep runs over a second copy of the generator laid
+ * out like the paper's sliced ELL: rows in their own order, cut into
+ * slices of SLICE_ROWS = 8, each slice as wide as its longest row, with
+ * cols (int32) and vals stored column-major inside the slice, so entry
+ * c of the slice's 8 rows is one contiguous 8-wide run, plus every
+ * row's length (rows past n have length 0).  Slice s starts at slot
+ * slice_ptr[s] and is (slice_ptr[s + 1] - slice_ptr[s]) / 8 entries
+ * wide; padding slots hold column 0 and value 0.0 and are never read.
+ *
+ * One lane walks one row: lane r adds row r's products in CSR order,
+ * each product rounded before the add, and once row r has ended its
+ * lane neither gathers nor adds, so a NaN or inf in x reaches only the
+ * rows that read it.  The rows of one Jacobi sweep are independent, so
+ * running 8 of them side by side changes no row's summation and the
+ * result is bitwise the scalar CSR loop's. */
+
+#define SLICE_ROWS 8
+
+/* Fills slice_ptr[0 .. n_slices] and returns the slot count. */
+int64_t sliced_plan(int64_t n, const int64_t *indptr, int64_t *slice_ptr)
+{
+    const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
+    int64_t s, total = 0;
+    slice_ptr[0] = 0;
+    for (s = 0; s < n_slices; ++s) {
+        int64_t i, width = 0;
+        for (i = s * SLICE_ROWS; i < n && i < (s + 1) * SLICE_ROWS; ++i)
+            if (indptr[i + 1] - indptr[i] > width)
+                width = indptr[i + 1] - indptr[i];
+        total += width * SLICE_ROWS;
+        slice_ptr[s + 1] = total;
+    }
+    return total;
+}
+
+/* lens holds n_slices * SLICE_ROWS entries, scols/svals the planned
+ * slot count. */
+void sliced_fill(int64_t n, const int64_t *indptr, const int32_t *cols,
+                 const double *vals, const int64_t *slice_ptr,
+                 int32_t *lens, int32_t *scols, double *svals)
+{
+    const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
+    int64_t s;
+    for (s = 0; s < n_slices; ++s) {
+        const int64_t base = slice_ptr[s];
+        const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+        int64_t r, c;
+        for (r = 0; r < SLICE_ROWS; ++r) {
+            const int64_t i = s * SLICE_ROWS + r;
+            const int64_t start = i < n ? indptr[i] : 0;
+            const int64_t len = i < n ? indptr[i + 1] - start : 0;
+            lens[i] = (int32_t)len;
+            for (c = 0; c < width; ++c) {
+                const int64_t slot = base + c * SLICE_ROWS + r;
+                scols[slot] = c < len ? cols[start + c] : 0;
+                svals[slot] = c < len ? vals[start + c] : 0.0;
+            }
+        }
+    }
+}
+
+#if defined(__AVX512F__)
+
+/* One zmm lane per row of the slice. */
+static inline void sliced_slice(int64_t s, int64_t n,
+                                const int64_t *slice_ptr,
+                                const int32_t *lens, const int32_t *cols,
+                                const double *vals, const double *diag,
+                                const double *X, double damping,
+                                double *out)
+{
+    const int64_t base = slice_ptr[s];
+    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t i0 = s * SLICE_ROWS;
+    const __m512i len = _mm512_cvtepi32_epi64(
+        _mm256_loadu_si256((const __m256i *)(lens + i0)));
+    const __mmask8 rows = n - i0 >= SLICE_ROWS ? 0xff : lanes_512(n - i0);
+    __m512d sum = _mm512_setzero_pd(), t;
+    int64_t c;
+    for (c = 0; c < width; ++c) {
+        const int64_t at = base + c * SLICE_ROWS;
+        const __mmask8 live = _mm512_cmpgt_epi64_mask(
+            len, _mm512_set1_epi64(c));
+        const __m512d xv = _mm512_mask_i32gather_pd(
+            _mm512_setzero_pd(), live,
+            _mm256_loadu_si256((const __m256i *)(cols + at)), X, 8);
+        sum = _mm512_mask_add_pd(sum, live, sum,
+                                 _mm512_mul_pd(_mm512_loadu_pd(vals + at),
+                                               xv));
+    }
+    const __m512d d = _mm512_maskz_loadu_pd(rows, diag + i0);
+    const __m512d xi = _mm512_maskz_loadu_pd(rows, X + i0);
+    t = _mm512_div_pd(_mm512_sub_pd(_mm512_mul_pd(d, xi), sum), d);
+    if (damping != 1.0)
+        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping), xi),
+                          _mm512_mul_pd(_mm512_set1_pd(damping), t));
+    _mm512_mask_storeu_pd(out + i0, rows, t);
+}
+
+#elif defined(__AVX2__)
+
+/* The update of one 4-row half of a slice: rows i0 .. i0 + left - 1. */
+static inline void sliced_update_256(int64_t i0, int64_t left, __m256d sum,
+                                     const double *diag, const double *X,
+                                     double damping, double *out)
+{
+    const __m256i k = lanes_256(left);
+    const int full = left >= 4;
+    const __m256d d = load_256(diag + i0, k, full);
+    const __m256d xi = load_256(X + i0, k, full);
+    __m256d t = _mm256_div_pd(_mm256_sub_pd(_mm256_mul_pd(d, xi), sum), d);
+    if (damping != 1.0)
+        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping), xi),
+                          _mm256_mul_pd(_mm256_set1_pd(damping), t));
+    store_256(out + i0, k, full, t);
+}
+
+/* Two 4-lane halves per slice; ended rows keep their sum by blend. */
+static inline void sliced_slice(int64_t s, int64_t n,
+                                const int64_t *slice_ptr,
+                                const int32_t *lens, const int32_t *cols,
+                                const double *vals, const double *diag,
+                                const double *X, double damping,
+                                double *out)
+{
+    const int64_t base = slice_ptr[s];
+    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t i0 = s * SLICE_ROWS;
+    const __m256i len_lo = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128((const __m128i *)(lens + i0)));
+    const __m256i len_hi = _mm256_cvtepi32_epi64(
+        _mm_loadu_si128((const __m128i *)(lens + i0 + 4)));
+    __m256d sum_lo = _mm256_setzero_pd(), sum_hi = _mm256_setzero_pd();
+    int64_t c;
+    for (c = 0; c < width; ++c) {
+        const int64_t at = base + c * SLICE_ROWS;
+        const __m256i cc = _mm256_set1_epi64x(c);
+        const __m256d live_lo = _mm256_castsi256_pd(
+            _mm256_cmpgt_epi64(len_lo, cc));
+        const __m256d live_hi = _mm256_castsi256_pd(
+            _mm256_cmpgt_epi64(len_hi, cc));
+        const __m256d x_lo = _mm256_mask_i32gather_pd(
+            _mm256_setzero_pd(), X,
+            _mm_loadu_si128((const __m128i *)(cols + at)), live_lo, 8);
+        const __m256d x_hi = _mm256_mask_i32gather_pd(
+            _mm256_setzero_pd(), X,
+            _mm_loadu_si128((const __m128i *)(cols + at + 4)), live_hi, 8);
+        sum_lo = _mm256_blendv_pd(sum_lo, _mm256_add_pd(sum_lo,
+            _mm256_mul_pd(_mm256_loadu_pd(vals + at), x_lo)), live_lo);
+        sum_hi = _mm256_blendv_pd(sum_hi, _mm256_add_pd(sum_hi,
+            _mm256_mul_pd(_mm256_loadu_pd(vals + at + 4), x_hi)), live_hi);
+    }
+    sliced_update_256(i0, n - i0, sum_lo, diag, X, damping, out);
+    if (n - i0 > 4)
+        sliced_update_256(i0 + 4, n - i0 - 4, sum_hi, diag, X, damping, out);
+}
+
+#else
+
+/* Portable build: the same layout, one lane at a time per entry. */
+static void sliced_slice(int64_t s, int64_t n, const int64_t *slice_ptr,
+                         const int32_t *lens, const int32_t *cols,
+                         const double *vals, const double *diag,
+                         const double *X, double damping, double *out)
+{
+    const int64_t base = slice_ptr[s];
+    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t i0 = s * SLICE_ROWS;
+    double sum[SLICE_ROWS] = {0.0};
+    int64_t c, r;
+    for (c = 0; c < width; ++c) {
+        const int64_t at = base + c * SLICE_ROWS;
+        for (r = 0; r < SLICE_ROWS; ++r)
+            if (c < lens[i0 + r])
+                sum[r] += vals[at + r] * X[cols[at + r]];
+    }
+    for (r = 0; r < SLICE_ROWS && i0 + r < n; ++r) {
+        const int64_t i = i0 + r;
+        const double t = (diag[i] * X[i] - sum[r]) / diag[i];
+        out[i] = damping == 1.0 ? t : (1.0 - damping) * X[i] + damping * t;
+    }
+}
+
+#endif
+
+/* `sweeps` one-column sweeps over the sliced layout, ping-ponging
+ * between out and scratch like csr_jacobi_sweep. */
+void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
+                         const int32_t *lens, const int32_t *cols,
+                         const double *vals, const double *diag,
+                         const double *X, double damping, double *out,
+                         double *scratch, int64_t sweeps)
+{
+    const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
+    const double *src = X;
+    double *dst = (sweeps % 2) ? out : scratch;
+    int64_t k, s;
+    for (k = 0; k < sweeps; ++k) {
+        #pragma omp parallel for schedule(static)
+        for (s = 0; s < n_slices; ++s)
+            sliced_slice(s, n, slice_ptr, lens, cols, vals, diag, src,
+                         damping, dst);
+        src = dst;
+        dst = dst == out ? scratch : out;
+    }
+}
+
 /* ---- vector primitives ---------------------------------------------- */
 
 void axpby(int64_t n, double alpha, const double *x,
@@ -906,6 +1097,13 @@ def _bind(lib) -> None:
     lib.csr_jacobi_sweep_block.argtypes = [ctypes.c_int64, ctypes.c_int64,
                                            _I64, _I32, _F64, _F64, _F64,
                                            ctypes.c_double, _F64]
+    lib.sliced_plan.argtypes = [ctypes.c_int64, _I64, _I64]
+    lib.sliced_plan.restype = ctypes.c_int64
+    lib.sliced_fill.argtypes = [ctypes.c_int64, _I64, _I32, _F64, _I64,
+                                _I32, _I32, _F64]
+    lib.sliced_jacobi_sweep.argtypes = [ctypes.c_int64, _I64, _I32, _I32,
+                                        _F64, _F64, _F64, ctypes.c_double,
+                                        _F64, _F64, ctypes.c_int64]
     lib.csr_jacobi_sweep_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
         _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
@@ -919,8 +1117,9 @@ def _bind(lib) -> None:
     for name in ("csr_spmv", "csr_spmm", "ell_spmv", "ell_spmm",
                  "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
                  "dia_spmv", "dia_spmm", "csr_jacobi_sweep",
-                 "csr_jacobi_sweep_block",
-                 "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby"):
+                 "csr_jacobi_sweep_block", "sliced_fill",
+                 "sliced_jacobi_sweep", "csr_jacobi_sweep_stacked",
+                 "csr_spmv_stacked", "axpby"):
         getattr(lib, name).restype = None
 
 
@@ -1002,14 +1201,19 @@ def _misfit(out: np.ndarray, X: np.ndarray) -> bool:
 # treated as such.
 
 _PREP_ATTR = "_repro_native_prep"
+_SLICED_ATTR = "_repro_native_sliced"
+
+#: Rows per slice of the single-system sweep's layout (``SLICE_ROWS`` in
+#: the C source): one AVX-512 register of doubles.
+_SLICE_ROWS = 8
 
 
-def _prep(obj, build):
-    cached = getattr(obj, _PREP_ATTR, None)
+def _prep(obj, build, attr=_PREP_ATTR):
+    cached = getattr(obj, attr, None)
     if cached is None:
         cached = build()
         try:
-            setattr(obj, _PREP_ATTR, cached)
+            setattr(obj, attr, cached)
         except (AttributeError, TypeError):
             pass
     return cached
@@ -1035,6 +1239,31 @@ def _csr_arrays(A):
         return (indptr, cols, vals,
                 _pi64(indptr), _pi32(cols), _p64(vals))
     return _prep(A, build)
+
+
+def _build_sliced(A):
+    """The single-system sweep's 8-row sliced layout of CSR *A* (see
+    ``sliced_plan`` in the C source): one O(n) pass sizes it and one
+    pass over the slots fills it.  Returns ``(slice_ptr, lens, cols,
+    vals)`` followed by their four pointers."""
+    lib = get_library()
+    _, _, _, pi, pc, pv = _csr_arrays(A)
+    n = A.shape[0]
+    n_slices = -(-n // _SLICE_ROWS)
+    slice_ptr = np.empty(n_slices + 1, dtype=np.int64)
+    slots = lib.sliced_plan(n, pi, _pi64(slice_ptr))
+    lens = np.empty(n_slices * _SLICE_ROWS, dtype=np.int32)
+    cols = np.empty(slots, dtype=np.int32)
+    vals = np.empty(slots, dtype=np.float64)
+    arrays = (slice_ptr, lens, cols, vals)
+    ptrs = (_pi64(slice_ptr), _pi32(lens), _pi32(cols), _p64(vals))
+    lib.sliced_fill(n, pi, pc, pv, *ptrs)
+    return arrays + ptrs
+
+
+def _sliced_arrays(A):
+    """The cached sliced layout of *A*; it lives as long as *A*."""
+    return _prep(A, lambda: _build_sliced(A), _SLICED_ATTR)
 
 
 # Stacked-system preparation for the fused multi-system sweep: checked
@@ -1132,7 +1361,7 @@ def _csr_spmv(fmt, x):
     _, _, _, pi, pc, pv = _csr_arrays(fmt)
     x = _f64(x)
     y = np.empty(fmt.shape[0], dtype=np.float64)
-    lib.csr_spmv(fmt.shape[0], pi, pc, pv, _p64(x), _p64(y))
+    lib.csr_spmv(fmt.shape[0], pi, pc, pv, _vec(x), _vec(y))
     return y
 
 
@@ -1141,7 +1370,7 @@ def _csr_spmm(fmt, X):
     _, _, _, pi, pc, pv = _csr_arrays(fmt)
     X = _f64(X)
     Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    lib.csr_spmm(fmt.shape[0], X.shape[1], pi, pc, pv, _p64(X), _p64(Y))
+    lib.csr_spmm(fmt.shape[0], X.shape[1], pi, pc, pv, _vec(X), _vec(Y))
     return Y
 
 
@@ -1151,7 +1380,7 @@ def _ell_spmv(fmt, x):
     x = _f64(x)
     y = np.empty(fmt.shape[0], dtype=np.float64)
     lib.ell_spmv(fmt.shape[0], fmt.k, _pi32(cols), _p64(vals),
-                 _p64(x), _p64(y))
+                 _vec(x), _vec(y))
     return y
 
 
@@ -1161,7 +1390,7 @@ def _ell_spmm(fmt, X):
     X = _f64(X)
     Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
     lib.ell_spmm(fmt.shape[0], fmt.k, X.shape[1], _pi32(cols), _p64(vals),
-                 _p64(X), _p64(Y))
+                 _vec(X), _vec(Y))
     return Y
 
 
@@ -1171,7 +1400,7 @@ def _ellr_spmv(fmt, x):
     x = _f64(x)
     y = np.empty(fmt.shape[0], dtype=np.float64)
     lib.ellr_spmv(fmt.shape[0], fmt.k, _pi32(cols), _p64(vals), _pi32(rl),
-                  _p64(x), _p64(y))
+                  _vec(x), _vec(y))
     return y
 
 
@@ -1181,7 +1410,7 @@ def _ellr_spmm(fmt, X):
     X = _f64(X)
     Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
     lib.ellr_spmm(fmt.shape[0], fmt.k, X.shape[1], _pi32(cols), _p64(vals),
-                  _pi32(rl), _p64(X), _p64(Y))
+                  _pi32(rl), _vec(X), _vec(Y))
     return Y
 
 
@@ -1192,7 +1421,7 @@ def _sell_core_spmv(fmt, x):
     x = _f64(x)
     y = np.empty(fmt.n_padded, dtype=np.float64)
     lib.sell_spmv(fmt.n_slices, fmt.slice_size, _pi64(slice_ptr),
-                  _pi64(slice_k), _pi32(cols), _p64(vals), _p64(x), _p64(y))
+                  _pi64(slice_k), _pi32(cols), _p64(vals), _vec(x), _vec(y))
     return y
 
 
@@ -1203,7 +1432,7 @@ def _sell_core_spmm(fmt, X):
     Y = np.empty((fmt.n_padded, X.shape[1]), dtype=np.float64)
     lib.sell_spmm(fmt.n_slices, fmt.slice_size, X.shape[1],
                   _pi64(slice_ptr), _pi64(slice_k), _pi32(cols), _p64(vals),
-                  _p64(X), _p64(Y))
+                  _vec(X), _vec(Y))
     return Y
 
 
@@ -1242,7 +1471,7 @@ def _dia_spmv(fmt, x):
     x = _f64(x)
     y = np.empty(fmt.shape[0], dtype=np.float64)
     lib.dia_spmv(fmt.shape[0], fmt.shape[1], offsets.shape[0],
-                 _pi64(offsets), _p64(data), _p64(x), _p64(y))
+                 _pi64(offsets), _p64(data), _vec(x), _vec(y))
     return y
 
 
@@ -1252,7 +1481,7 @@ def _dia_spmm(fmt, X):
     X = _f64(X)
     Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
     lib.dia_spmm(fmt.shape[0], fmt.shape[1], offsets.shape[0], X.shape[1],
-                 _pi64(offsets), _p64(data), _p64(X), _p64(Y))
+                 _pi64(offsets), _p64(data), _vec(X), _vec(Y))
     return Y
 
 
@@ -1331,7 +1560,12 @@ class NativeBackend:
                      sweeps: int = 1) -> np.ndarray:
         """Fused sweep on a CSR generator; ``sweeps=k`` runs k sweeps in
         one C call over two ping-pong buffers, bit-identical to k
-        single calls.  *X* is only read."""
+        single calls.  *X* is only read.
+
+        A single column (``(n,)`` or ``(n, 1)``) runs over the matrix's
+        8-row sliced layout, built on the first sweep and cached on
+        *A*; wider blocks walk the CSR arrays.
+        """
         if not (sp.issparse(A) and A.format == "csr"):
             # Non-CSR generators (dense test doubles, format objects)
             # take the reference formula; the protocol only promises
@@ -1341,14 +1575,14 @@ class NativeBackend:
                                                sweeps=sweeps)
         k = _check_sweeps(sweeps)
         lib = get_library()
-        _, _, _, pi, pc, pv = _csr_arrays(A)
         n = A.shape[0]
         diag = _f64(diag)
         X = _f64(X)
-        if diag.shape != (n,) or X.ndim not in (1, 2) or X.shape[0] != n:
+        if (A.shape[1] != n or diag.shape != (n,) or X.ndim not in (1, 2)
+                or X.shape[0] != n):
             raise ValueError(
-                f"jacobi_sweep needs diag ({n},) and X ({n},) or ({n}, k); "
-                f"got {diag.shape} and {X.shape}")
+                f"jacobi_sweep needs a square A, diag ({n},) and X ({n},) "
+                f"or ({n}, k); got {A.shape}, {diag.shape} and {X.shape}")
         kr = 1 if X.ndim == 1 else X.shape[1]
         if out is None:
             out = np.empty_like(X)
@@ -1359,8 +1593,14 @@ class NativeBackend:
         elif np.shares_memory(out, X):
             raise ValueError("jacobi_sweep out must not alias X")
         scratch = _vec(np.empty_like(X)) if k > 1 else None
-        lib.csr_jacobi_sweep(n, kr, pi, pc, pv, _vec(diag), _vec(X),
-                             float(damping), _vec(out), scratch, k)
+        if kr == 1:
+            lib.sliced_jacobi_sweep(n, *_sliced_arrays(A)[4:], _vec(diag),
+                                    _vec(X), float(damping), _vec(out),
+                                    scratch, k)
+        else:
+            _, _, _, pi, pc, pv = _csr_arrays(A)
+            lib.csr_jacobi_sweep(n, kr, pi, pc, pv, _vec(diag), _vec(X),
+                                 float(damping), _vec(out), scratch, k)
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,
@@ -1475,10 +1715,17 @@ class NativeBackend:
         lib = get_library()
         x = _f64(x)
         y = _f64(y)
+        if x.shape != y.shape:
+            raise ValueError(f"axpy needs x and y of one shape, got "
+                             f"{x.shape} and {y.shape}")
         if out is None:
             out = np.empty_like(x)
-        lib.axpby(x.shape[0], float(alpha), _p64(x), float(beta),
-                  _p64(y), _p64(out))
+        elif _misfit(out, x):
+            raise ValueError(
+                f"axpy out must be a C-contiguous float64 array of shape "
+                f"{x.shape}, got {out.dtype} {out.shape}")
+        lib.axpby(x.size, float(alpha), _vec(x), float(beta), _vec(y),
+                  _vec(out))
         return out
 
     def residual(self, y: np.ndarray,
@@ -1486,6 +1733,6 @@ class NativeBackend:
         lib = get_library()
         y = _f64(y)
         x = _f64(x)
-        y_norm = float(lib.maxabs(y.shape[0], _p64(y))) if y.size else 0.0
-        x_norm = float(lib.maxabs(x.shape[0], _p64(x))) if x.size else 0.0
+        y_norm = float(lib.maxabs(y.size, _vec(y))) if y.size else 0.0
+        x_norm = float(lib.maxabs(x.size, _vec(x))) if x.size else 0.0
         return y_norm, x_norm

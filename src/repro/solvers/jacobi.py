@@ -16,8 +16,11 @@ both as prescribed in Section IV.
 Two step backends:
 
 ``"fast"``
-    A cached CSR product (``x' = -(A x - d∘x) / d``) — numerically
-    identical, used for long solves on this host.
+    The CSR sweep ``x' = -(A x - d∘x) / d``.  A non-reference kernel
+    backend runs it fused, one ``jacobi_sweep`` call per
+    renormalization interval (the native backend sweeps an 8-row
+    sliced copy of the matrix); the reference evaluates the NumPy
+    expression.  The iterates are bitwise identical either way.
 ``"format"``
     The format object's own ``jacobi_step`` — the exact arithmetic of
     the corresponding fused GPU/CPU kernel (ELL+DIA, warped ELL+DIA,

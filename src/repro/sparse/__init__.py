@@ -23,7 +23,7 @@ once and dispatching to the selected :mod:`repro.backends` kernel (the
 reference backend runs the format-faithful traversal — the exact
 arithmetic a GPU kernel would perform); ``matvec``/``matmat`` survive
 only as thin aliases of them (see :mod:`repro.sparse.base` for the
-alias and deprecation policy).  Every format also provides byte-exact
+alias policy).  Every format also provides byte-exact
 device ``footprint`` accounting and lossless conversion to/from
 :mod:`scipy.sparse`.
 """

@@ -23,10 +23,8 @@ point per multiply op**:
     traversal).  They add no third semantic — ``spmv`` is *the* seam.
 
 Subclasses implement ``_reference_spmv`` (and optionally a vectorized
-``_reference_spmm``); overriding ``spmv``/``spmm`` directly is
-deprecated — a shim adopts such legacy overrides as the reference
-kernel with a :class:`DeprecationWarning` so old format plug-ins keep
-working under the new dispatch.
+``_reference_spmm``); a subclass that overrides ``spmv``/``spmm``
+directly raises ``TypeError`` at class definition.
 
 Footprint accounting follows the paper: 8 bytes per double value, 4 bytes
 per (column) index, 4 bytes per pointer/offset entry.
@@ -35,7 +33,6 @@ per (column) index, 4 bytes per pointer/offset entry.
 from __future__ import annotations
 
 import abc
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,12 +45,6 @@ from repro.utils.validation import check_1d
 VALUE_BYTES = 8
 #: Bytes per column index / pointer entry on the device.
 INDEX_BYTES = 4
-
-
-def _entry_point(fn):
-    """Mark a method as the backend-dispatching kernel entry point."""
-    fn._kernel_entry_point = True
-    return fn
 
 
 class SparseFormat(abc.ABC):
@@ -70,36 +61,20 @@ class SparseFormat(abc.ABC):
     shape: tuple[int, int]
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Adopt legacy direct ``spmv``/``spmm`` overrides as reference kernels.
+        """Refuse direct ``spmv``/``spmm`` overrides at class definition.
 
-        Before the backend redesign, formats overrode :meth:`spmv` and
-        :meth:`spmm` directly.  Such overrides would now shadow the
-        dispatching entry points and silently bypass every backend, so
-        they are deprecated: the shim warns once per class, installs the
-        override as the class's reference kernel, and removes the
-        shadowing name so base-class dispatch wins again.
-
-        Removal policy: the shim is kept for two release cycles after
-        the backend redesign (through the 0.x series) and is then
-        deleted — at that point a direct ``spmv``/``spmm`` override
-        raises ``TypeError`` at class-definition time instead of being
-        adopted.  New formats must implement ``_reference_spmv`` (and
-        optionally ``_reference_spmm``) from the start.
+        Such an override would shadow the dispatching entry point and
+        bypass every backend; a format implements ``_reference_spmv``
+        (and optionally ``_reference_spmm``) instead.
         """
         super().__init_subclass__(**kwargs)
-        for legacy, target in (("spmv", "_reference_spmv"),
-                               ("spmm", "_reference_spmm")):
-            impl = cls.__dict__.get(legacy)
-            if impl is None or getattr(impl, "_kernel_entry_point", False):
-                continue
-            warnings.warn(
-                f"{cls.__name__} overrides {legacy}() directly; override "
-                f"{target}() instead — direct {legacy} overrides are "
-                f"deprecated and bypass kernel-backend dispatch. The "
-                f"override was adopted as {cls.__name__}.{target}.",
-                DeprecationWarning, stacklevel=3)
-            setattr(cls, target, impl)
-            delattr(cls, legacy)
+        for name in ("spmv", "spmm"):
+            if name in cls.__dict__:
+                raise TypeError(
+                    f"{cls.__name__} overrides {name}() directly; implement "
+                    f"_reference_{name}() instead, which the {name}() "
+                    f"entry point dispatches to through the kernel "
+                    f"backends")
 
     # -- core interface ----------------------------------------------------
 
@@ -130,7 +105,6 @@ class SparseFormat(abc.ABC):
         """Number of stored nonzeros (excluding padding)."""
         return int(self.to_scipy().nnz)
 
-    @_entry_point
     def spmv(self, x: np.ndarray, *, backend=None) -> np.ndarray:
         """Sparse matrix-vector product ``y = A @ x``.
 
@@ -144,7 +118,6 @@ class SparseFormat(abc.ABC):
         be = backends.serving(self.format_name, "spmv", backend)
         return be.spmv(self, x)
 
-    @_entry_point
     def spmm(self, X: np.ndarray, *, backend=None) -> np.ndarray:
         """Multi-RHS product ``Y = A @ X`` with ``X`` of shape ``(n, k)``.
 

@@ -12,6 +12,11 @@ Edge cases: empty rows, all-zero matrices, non-contiguous inputs, and
 the solver primitives (``jacobi_sweep``, ``axpy``, ``residual``).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -189,6 +194,13 @@ def test_jacobi_sweep_parity(backend, shape, damping):
     assert_bitwise_or_1ulp(out, ref)
 
 
+def test_jacobi_sweep_rejects_a_wider_generator(backend):
+    """Column 5 of a ``(5, 6)`` generator would index past ``x``."""
+    A = sp.csr_matrix(np.ones((5, 6)))
+    with pytest.raises(ValueError):
+        backend.jacobi_sweep(A, np.ones(5), np.ones(5))
+
+
 def test_axpy_parity(backend):
     rng = np.random.default_rng(12)
     x = rng.standard_normal(301)
@@ -197,6 +209,53 @@ def test_axpy_parity(backend):
     assert_bitwise_or_1ulp(backend.axpy(0.3, x, y), ref.axpy(0.3, x, y))
     assert_bitwise_or_1ulp(backend.axpy(-1.5, x, y, beta=0.25),
                            ref.axpy(-1.5, x, y, beta=0.25))
+
+
+def test_axpy_rejects_mismatched_operands(backend):
+    """A shorter ``y`` must raise, as NumPy's broadcasting does, not
+    read past its end."""
+    with pytest.raises(ValueError):
+        backend.axpy(2.0, np.arange(8.0), np.ones(3))
+
+
+#: Run in a child process: a kernel that wrote through a misfit ``out``
+#: would corrupt the heap of the interpreter running it.
+MISFIT_OUT_CHILD = """
+import numpy as np
+from repro.backends.native import NativeBackend
+
+be = NativeBackend()
+x, y = np.arange(4.0), np.ones(4)
+for out in (np.empty(4, dtype=np.float32), np.empty(3),
+            np.empty(8)[::2]):
+    try:
+        be.axpy(2.0, x, y, out=out)
+    except ValueError:
+        print("refused")
+"""
+
+
+@pytest.mark.skipif("native" not in BACKENDS,
+                    reason="native kernels do not build here")
+def test_native_axpy_refuses_a_misfit_out():
+    """A float32, short or strided ``out`` is refused before the
+    kernel writes 4 doubles into it."""
+    src = Path(backends.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", MISFIT_OUT_CHILD],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["refused"] * 3
+
+
+def test_residual_reduces_whole_blocks(backend):
+    """A ``(4, 3)`` block is reduced over all 12 entries, not its
+    first 4: the maximum sits in the last row."""
+    y = np.zeros((4, 3))
+    y[3, 2] = -7.0
+    assert backend.residual(y, y) == (7.0, 7.0)
 
 
 def test_residual_parity(backend):

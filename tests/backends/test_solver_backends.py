@@ -225,34 +225,15 @@ def test_matvec_is_a_thin_alias_of_spmv():
             assert np.array_equal(fmt.matmat(X), fmt.spmm(X))
 
 
-def test_direct_spmv_override_is_deprecated_and_adopted():
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        class LegacyDiag(SparseFormat):
-            format_name = "legacy-diag"
+def test_direct_spmv_override_is_refused():
+    """Overriding an entry point would bypass backend dispatch, so the
+    class statement itself raises, for ``spmv`` and ``spmm`` alike."""
+    def product(self, x):               # a direct override
+        return self.d * x
 
-            def __init__(self, d):
-                self.d = np.asarray(d, dtype=np.float64)
-                self.shape = (self.d.size, self.d.size)
-
-            def spmv(self, x):              # legacy direct override
-                return self.d * x
-
-            def to_scipy(self):
-                return sp.diags(self.d).tocsr()
-
-            def footprint(self):
-                return self.d.nbytes
-
-    m = LegacyDiag([1.0, 2.0, 3.0])
-    # The override became the reference kernel...
-    assert LegacyDiag._reference_spmv is LegacyDiag.__dict__["_reference_spmv"]
-    assert "spmv" not in LegacyDiag.__dict__
-    # ...and the base entry point still dispatches (with validation and
-    # the reference fallback, since no JIT backend knows this format).
-    got = m.spmv(np.array([1.0, 1.0, 1.0]))
-    assert np.array_equal(got, np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValidationError):
-        m.spmv(np.ones(5))
+    for name in ("spmv", "spmm"):
+        with pytest.raises(TypeError, match=f"_reference_{name}"):
+            type("LegacyDiag", (SparseFormat,), {name: product})
 
 
 def test_modern_subclass_does_not_warn():

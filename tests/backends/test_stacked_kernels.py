@@ -7,7 +7,8 @@ reference.  These tests pin that contract for every backend that
 advertises the methods: every width from 1 to 16 plus 64 (whole SIMD
 chunks, masked tails, the scalar width-1 loop), damped sweeps, blocks
 compacted after a column retires, ``sweeps=k`` against k single calls,
-each SIMD path of the C source built separately, the ``None`` fallback
+each SIMD path of the C source built separately (the stacked kernels
+and the single-system sliced sweep's cases), the ``None`` fallback
 for inputs the fused path cannot serve, and the ``can_stack`` probe
 callers use to pick the interleaved layout up front.
 """
@@ -21,6 +22,8 @@ import scipy.sparse as sp
 from repro import backends
 from repro.backends import native
 from repro.sparse.base import as_csr
+from tests.backends.test_sliced_sweep import (SLICED_CASES,
+                                              assert_sliced_case_matches)
 
 STACKED = [n for n in backends.available_backends()
            if hasattr(backends.get_backend(n), "jacobi_sweep_many")]
@@ -263,6 +266,8 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
         assert np.array_equal(
             be.jacobi_sweep(A, diag, x, damping=damping, sweeps=3),
             REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
+    for _, n, long_row in SLICED_CASES:
+        assert_sliced_case_matches(be, n, long_row, damping)
 
 
 def test_sweep_many_out_is_returned_and_filled(backend):
