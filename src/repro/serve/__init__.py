@@ -3,13 +3,12 @@
 Turns the paper's exploratory workload (Section I: thousands of rate
 conditions of one network) into a job-serving layer with
 content-addressed caching, nearest-neighbor warm starting, and a
-bounded, backpressured worker pool.  Production-traffic machinery —
-an asyncio front door (:class:`AsyncSolveService`), a multi-process
-solver pool (:class:`ProcessSolverPool`), weighted fair queuing and
-token-bucket admission control (:mod:`repro.serve.fairness`), and
-hash-sharded cache/warm-start state (:mod:`repro.serve.sharding`) —
-layers on top of the same :class:`SolveService`.  See DESIGN.md §8
-and §16 and :mod:`repro.serve.service` for the architecture.
+bounded, backpressured worker pool fed by one weighted fair queue
+(:mod:`repro.serve.fairness`, which also holds token-bucket admission
+control).  An asyncio front door (:class:`AsyncSolveService`) and a
+multi-process solver pool (:class:`ProcessSolverPool`) layer on top of
+the same :class:`SolveService`.  See DESIGN.md §8 and §16 and
+:mod:`repro.serve.service` for the architecture.
 """
 
 from repro.serve.async_service import AsyncSolveService
@@ -17,6 +16,7 @@ from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
 from repro.serve.fairness import (
     AdmissionController,
     FairPriorityQueue,
+    QueuePolicy,
     TokenBucket,
 )
 from repro.serve.jobs import (
@@ -27,27 +27,19 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import ProcessSolverPool
-from repro.serve.scheduler import (
-    BoundedPriorityQueue,
-    QueuePolicy,
-    SolveScheduler,
-)
+from repro.serve.scheduler import SolveScheduler
 from repro.serve.service import SolveService
-from repro.serve.sharding import ShardedSolutionCache, ShardedWarmStartIndex
 from repro.serve.warmstart import WarmStartHint, WarmStartIndex
 
 __all__ = [
     "AdmissionController",
     "AsyncSolveService",
-    "BoundedPriorityQueue",
     "CacheEntry",
     "FairPriorityQueue",
     "JobState",
     "ProcessSolverPool",
     "QueuePolicy",
     "ServiceMetrics",
-    "ShardedSolutionCache",
-    "ShardedWarmStartIndex",
     "SolutionCache",
     "SolveJob",
     "SolveOutcome",

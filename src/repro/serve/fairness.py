@@ -1,15 +1,13 @@
-"""Multi-tenant admission control and weighted fair queuing.
+"""Multi-tenant admission control and the service's fair queue.
 
-Two mechanisms sit in front of the scheduler when one service carries
-traffic for several tenants:
+Two mechanisms sit in front of the scheduler:
 
 *   :class:`AdmissionController` — per-tenant :class:`TokenBucket`
     rate limits at the front door.  A tenant over its configured rate
     sees :class:`~repro.errors.JobRejectedError` *before* any cache or
     queue work happens, so an abusive client cannot consume shared
     capacity it will be refused anyway.
-*   :class:`FairPriorityQueue` — a drop-in replacement for
-    :class:`~repro.serve.scheduler.BoundedPriorityQueue` running
+*   :class:`FairPriorityQueue` — the service's bounded queue, running
     deficit round robin (DRR) across per-tenant priority heaps.  Jobs
     have unit cost (one solve), so DRR reduces to weighted round
     robin with per-tenant credit counters: each scheduling round a
@@ -20,25 +18,42 @@ traffic for several tenants:
     matter how much load its neighbors offer — the starvation bound
     the fairness tests assert.
 
-Within a tenant, ordering is exactly the single-tenant queue's:
-lowest ``priority`` first, FIFO within a priority.  Capacity and the
-``reject``/``block`` backpressure policies are global (shared across
-tenants), matching the bounded queue's semantics.
+Within a tenant, ordering is lowest ``priority`` first, FIFO within a
+priority, so single-tenant traffic is a plain priority queue.  The
+queue is the service's admission-control point: it holds at most
+``capacity`` pending jobs across all tenants and applies one of two
+policies when full —
+
+``reject``
+    :meth:`FairPriorityQueue.put` raises
+    :class:`~repro.errors.JobRejectedError` immediately (load shedding;
+    the caller sees the failure and can back off).
+``block``
+    The submitting thread waits for space (producer-side throttling),
+    optionally bounded by ``put_timeout`` after which the submit is
+    rejected anyway.
 """
 
 from __future__ import annotations
 
+import enum
 import heapq
 import threading
 import time
-from collections import OrderedDict
 from typing import Mapping
 
 from repro.errors import JobRejectedError, ValidationError
 from repro.serve.jobs import JobState, SolveJob, _QueueItem
-from repro.serve.scheduler import QueuePolicy
 
-__all__ = ["AdmissionController", "FairPriorityQueue", "TokenBucket"]
+__all__ = ["AdmissionController", "FairPriorityQueue", "QueuePolicy",
+           "TokenBucket"]
+
+
+class QueuePolicy(enum.Enum):
+    """What a full queue does to new submissions."""
+
+    REJECT = "reject"
+    BLOCK = "block"
 
 
 class TokenBucket:
@@ -138,7 +153,11 @@ class AdmissionController:
 
 
 class _TenantLane:
-    """One tenant's backlog: a priority heap plus its DRR credit."""
+    """One tenant's backlog: a priority heap plus its DRR credit.
+
+    A lane starts with no credit: it gets its quantum at the next
+    round's re-credit, like every other backlogged lane.
+    """
 
     __slots__ = ("heap", "credit")
 
@@ -150,25 +169,25 @@ class _TenantLane:
 class FairPriorityQueue:
     """A bounded queue serving tenants by deficit round robin.
 
-    Interface-compatible with
-    :class:`~repro.serve.scheduler.BoundedPriorityQueue` (``put`` /
-    ``get`` / ``drain_matching`` / ``close`` / ``len``), so the
-    scheduler does not know it exists.  Jobs are routed to per-tenant
-    heaps by ``job.tenant``; ``get`` serves lanes in round-robin order,
-    up to ``weight`` jobs per lane per round (see module docstring).
+    The scheduler's queue (``put`` / ``get`` / ``drain_matching`` /
+    ``close`` / ``len``).  Jobs are routed to per-tenant heaps by
+    ``job.tenant``; ``get`` serves lanes in round-robin order, up to
+    ``weight`` jobs per lane per round (see module docstring).  Only
+    backlogged tenants hold a lane: a lane is dropped when its heap
+    empties, so the per-serve scan grows with the tenants that have
+    work queued, not with every tenant id ever submitted.
 
     ``weights`` maps tenant ids to integer weights ``>= 1``; unlisted
-    tenants get ``default_weight``.  Batch draining
-    (:meth:`drain_matching`) charges no credit: the companions are
-    answered by the primary's single solve, which already consumed one
-    serve from its tenant's quantum.
+    tenants get weight 1.  Batch draining (:meth:`drain_matching`)
+    charges no credit: the companions are answered by the primary's
+    single solve, which already consumed one serve from its tenant's
+    quantum.
     """
 
     def __init__(self, capacity: int = 1024,
                  policy: QueuePolicy | str = QueuePolicy.REJECT,
                  *, put_timeout: float | None = None,
-                 weights: Mapping[str, int] | None = None,
-                 default_weight: int = 1):
+                 weights: Mapping[str, int] | None = None):
         if capacity <= 0:
             raise ValidationError(
                 f"queue capacity must be positive, got {capacity}")
@@ -180,11 +199,8 @@ class FairPriorityQueue:
             if w < 1:
                 raise ValidationError(
                     f"tenant weight for {tenant!r} must be >= 1, got {w}")
-        if default_weight < 1:
-            raise ValidationError(
-                f"default_weight must be >= 1, got {default_weight}")
-        self.default_weight = int(default_weight)
-        self._lanes: OrderedDict[str, _TenantLane] = OrderedDict()
+        # Backlogged tenants only; _order is their round-robin order.
+        self._lanes: dict[str, _TenantLane] = {}
         self._order: list[str] = []
         self._cursor = 0
         self._size = 0
@@ -195,17 +211,11 @@ class FairPriorityQueue:
         self._closed = False
 
     def _weight(self, tenant: str) -> int:
-        return self.weights.get(tenant, self.default_weight)
+        return self.weights.get(tenant, 1)
 
     def __len__(self) -> int:
         with self._lock:
             return self._size
-
-    def depths(self) -> dict[str, int]:
-        """Queued jobs per tenant (diagnostics/metrics)."""
-        with self._lock:
-            return {t: len(lane.heap) for t, lane in self._lanes.items()
-                    if lane.heap}
 
     # -- producer side -------------------------------------------------------
 
@@ -235,7 +245,6 @@ class FairPriorityQueue:
             lane = self._lanes.get(tenant)
             if lane is None:
                 lane = _TenantLane()
-                lane.credit = self._weight(tenant)
                 self._lanes[tenant] = lane
                 self._order.append(tenant)
             self._seq += 1
@@ -246,6 +255,19 @@ class FairPriorityQueue:
 
     # -- consumer side -------------------------------------------------------
 
+    def _drop_lane(self, i: int) -> None:
+        """Forget the emptied lane in round-robin slot *i* (under lock).
+
+        DRR resets an idle flow's credit anyway; a tenant that queues
+        again gets a fresh lane, with no credit, at the end of the
+        round order.
+        """
+        del self._lanes[self._order.pop(i)]
+        if i < self._cursor:
+            self._cursor -= 1
+        if self._cursor >= len(self._order):
+            self._cursor = 0
+
     def _pop_locked(self) -> SolveJob | None:
         """One DRR serve: next backlogged lane with credit, under lock."""
         while self._size:
@@ -253,15 +275,18 @@ class FairPriorityQueue:
             for step in range(n):
                 i = (self._cursor + step) % n
                 lane = self._lanes[self._order[i]]
-                if not lane.heap or lane.credit <= 0:
+                if lane.credit <= 0:
                     continue
                 lane.credit -= 1
                 item = heapq.heappop(lane.heap)
                 self._size -= 1
                 # Serve a lane's whole quantum contiguously (DRR), then
                 # move on; an exhausted or drained lane yields the turn.
-                self._cursor = i if (lane.credit > 0 and lane.heap) \
-                    else (i + 1) % n
+                if not lane.heap:
+                    self._cursor = i
+                    self._drop_lane(i)
+                else:
+                    self._cursor = i if lane.credit > 0 else (i + 1) % n
                 return item.job
             # Every backlogged lane is out of credit: a new DRR round.
             for tenant, lane in self._lanes.items():
@@ -301,10 +326,12 @@ class FairPriorityQueue:
             if not self._size:
                 return matched
             n = len(self._order)
+            emptied: list[int] = []
             for step in range(n):
                 if len(matched) >= limit:
                     break
-                lane = self._lanes[self._order[(self._cursor + step) % n]]
+                i = (self._cursor + step) % n
+                lane = self._lanes[self._order[i]]
                 kept: list[_QueueItem] = []
                 while lane.heap and len(matched) < limit:
                     item = heapq.heappop(lane.heap)
@@ -315,6 +342,10 @@ class FairPriorityQueue:
                         kept.append(item)
                 for item in kept:
                     heapq.heappush(lane.heap, item)
+                if not lane.heap:
+                    emptied.append(i)
+            for i in sorted(emptied, reverse=True):
+                self._drop_lane(i)
             if matched:
                 self._size -= len(matched)
                 self._not_full.notify_all()

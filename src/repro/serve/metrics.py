@@ -1,11 +1,10 @@
 """Service observability — a façade over :mod:`repro.telemetry`.
 
-:class:`ServiceMetrics` keeps its pre-1.1 surface (``incr`` /
-``observe_latency`` / ``snapshot`` / ``render``) but every update now
-lands in a :class:`repro.telemetry.metrics.MetricsRegistry`: counters
-become ``serve_<name>_total``, latencies the
-``serve_latency_seconds`` histogram, queue depth a bound gauge, and
-the per-stage timings (queue wait / solve / cache) the
+:class:`ServiceMetrics` records every update in a
+:class:`repro.telemetry.metrics.MetricsRegistry`: counters become
+``serve_<name>_total``, end-to-end job latency (submit to terminal)
+the one ``solve_latency_seconds`` histogram, queue depth a bound
+gauge, and the per-stage timings (queue wait / solve / cache) the
 ``serve_stage_<stage>_seconds`` histograms.  Pass a shared registry to
 co-locate service metrics with solver/gpusim telemetry in one
 Prometheus exposition (:meth:`ServiceMetrics.render_prometheus`);
@@ -17,18 +16,16 @@ from __future__ import annotations
 
 import re
 import threading
+import zlib
 
-from repro.telemetry.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    percentile as percentile,
-)
-# Pre-1.1 alias: the bounded percentile window now lives in telemetry.
-from repro.telemetry.metrics import SAMPLE_WINDOW as LATENCY_WINDOW
+from repro.telemetry.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.utils.tables import Table
 
-__all__ = ["COUNTER_NAMES", "LATENCY_WINDOW", "SOLVE_LATENCY_BUCKETS",
-           "STAGE_NAMES", "ServiceMetrics", "percentile"]
+__all__ = ["COUNTER_NAMES", "SOLVE_LATENCY_BUCKETS", "STAGE_NAMES",
+           "ServiceMetrics"]
+
+#: The ``_<crc32>`` suffix :meth:`ServiceMetrics.incr_tenant` appends.
+_CRC_SUFFIX = re.compile(r"_[0-9a-f]{8}$")
 
 #: Fixed bucket bounds of the ``solve_latency_seconds`` histogram
 #: (end-to-end submit→terminal).  Finer than :data:`DEFAULT_BUCKETS`
@@ -90,9 +87,6 @@ class ServiceMetrics:
                                         f"serve jobs {name}")
             for name in COUNTER_NAMES
         }
-        self._latency = self.registry.histogram(
-            f"{prefix}_latency_seconds",
-            "job latency from worker start to finish")
         # Deliberately unprefixed: services sharing one registry (one
         # service per model behind one pool) aggregate into a single
         # end-to-end latency distribution, which is what a load test
@@ -125,9 +119,6 @@ class ServiceMetrics:
         """Increment one of :data:`COUNTER_NAMES` (KeyError otherwise)."""
         self._counters[name].inc(amount)
 
-    def observe_latency(self, seconds: float) -> None:
-        self._latency.observe(seconds)
-
     def observe_solve_latency(self, seconds: float) -> None:
         """Record one end-to-end (submit → terminal) job latency."""
         self._solve_latency.observe(seconds)
@@ -138,7 +129,11 @@ class ServiceMetrics:
         Counters register as
         ``<prefix>_tenant_<sanitized tenant>_<name>_total``; tenant
         ids are sanitized to ``[A-Za-z0-9_]`` for the metric name but
-        the snapshot keys keep the original id.
+        the snapshot keys keep the original id.  When sanitizing
+        changes an id, or the id already ends in ``_`` and 8 hex
+        digits, the CRC32 of the raw id is appended, so ids that
+        sanitize alike (``a-b``, ``a.b``, ``a_b``) still count
+        separately and no raw id can spell another's suffixed name.
         """
         key = (str(tenant), str(name))
         counter = self._tenant_counters.get(key)
@@ -146,7 +141,11 @@ class ServiceMetrics:
             with self._tenant_lock:
                 counter = self._tenant_counters.get(key)
                 if counter is None:
-                    safe = re.sub(r"[^A-Za-z0-9_]", "_", key[0]) or "default"
+                    safe = re.sub(r"[^A-Za-z0-9_]", "_", key[0])
+                    if (safe != key[0] or not safe
+                            or _CRC_SUFFIX.search(safe)):
+                        crc = zlib.crc32(key[0].encode("utf-8"))
+                        safe = f"{safe}_{crc:08x}"
                     counter = self.registry.counter(
                         f"{self.prefix}_tenant_{safe}_{key[1]}_total",
                         f"serve jobs {key[1]} for tenant {key[0]}")
@@ -191,10 +190,6 @@ class ServiceMetrics:
         out["warm_start_audits"] = self._warm_audits.value
         out["warm_start_iterations_saved"] = self._warm_saved.value
         out["queue_depth"] = self._queue_depth.value
-        out["latency_count"] = self._latency.count
-        for name, q in (("latency_p50_s", 0.50), ("latency_p90_s", 0.90),
-                        ("latency_p99_s", 0.99)):
-            out[name] = self._latency.quantile(q)
         # End-to-end percentiles derived from the fixed cumulative
         # buckets (not the bounded sample window), exactly as a
         # Prometheus histogram_quantile() over the exposition would
@@ -232,7 +227,7 @@ class ServiceMetrics:
         table.add_row(["queue_depth", snap["queue_depth"]])
         table.add_row(["warm_start_iterations_saved",
                        snap["warm_start_iterations_saved"]])
-        for name in ("latency_p50_s", "latency_p90_s", "latency_p99_s"):
+        for name in ("solve_latency_p50_s", "solve_latency_p99_s"):
             table.add_row([name, f"{snap[name]:.4f}"])
         for stage in STAGE_NAMES:
             table.add_row([f"stage_{stage}_p50_s",

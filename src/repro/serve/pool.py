@@ -7,7 +7,10 @@ checks, small models where kernel time does not dominate) serializes.
 processes — the service keeps its thread scheduler, retry budget,
 circuit breaker and journal exactly as before, but each worker thread
 dispatches the inner solve to a dedicated process over a duplex pipe
-and blocks for the reply.
+and blocks for the reply.  The inner solve is one :class:`SolveTask`
+run by :func:`run_task` — in the worker process here, in place on the
+worker thread under the service's thread executor — so both executors
+build and run a job's solver the same way.
 
 Design points, mirroring :mod:`repro.distributed`:
 
@@ -27,7 +30,7 @@ Design points, mirroring :mod:`repro.distributed`:
     kill, OOM, segfault in a native kernel) surfaces as
     :class:`~repro.errors.WorkerCrashError` — already retryable in the
     scheduler — and the pool respawns the process before the retry can
-    land on it.  Fault directives travel *inside the task* (the
+    land on it.  Fault directives travel *with the task* (the
     process-global injector does not cross process boundaries): the
     parent consumes the schedule via
     :meth:`~repro.resilience.faults.FaultInjector.scheduled`, so
@@ -51,6 +54,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +68,7 @@ from repro.errors import (
 from repro.resilience.faults import active_injector
 from repro.solvers.result import SolverResult, StopReason
 
-__all__ = ["ProcessSolverPool", "worker_main"]
+__all__ = ["ProcessSolverPool", "SolveTask", "run_task", "worker_main"]
 
 #: Environment override for the worker start method ("fork"/"spawn").
 START_ENV_VAR = "REPRO_POOL_START"
@@ -72,6 +76,49 @@ START_ENV_VAR = "REPRO_POOL_START"
 #: Rebuilt systems memoized per worker process (matches the parent's
 #: matrix memo, so steady-state traffic never re-ships).
 WORKER_SYSTEM_MEMO = 64
+
+
+@dataclass
+class SolveTask:
+    """One serve solve, picklable for the trip to a pool worker.
+
+    ``tols`` (one tolerance per column) makes the task a batched
+    multi-RHS Jacobi solve of ``len(tols)`` columns, every column
+    starting from ``x0``; otherwise it is one ``method`` solve.
+    """
+
+    method: str
+    tol: float
+    max_iterations: int
+    options: dict
+    x0: np.ndarray | None = None
+    time_budget_s: float | None = None
+    tols: list[float] | None = None
+
+
+def run_task(A, task: SolveTask) -> list[SolverResult]:
+    """Build the solver for *task* on the rate matrix *A* and solve.
+
+    The one place a serve job's solver is constructed: a pool worker
+    calls it on its memoized system, the thread executor in place.
+    Returns one result per column (a single one for a solo task).
+    """
+    # Imported on first use: a spawned worker pins its OpenMP thread
+    # count before any kernel library loads.
+    from repro.solvers import SOLVER_REGISTRY, BatchedJacobiSolver
+
+    if task.tols is None:
+        solver = SOLVER_REGISTRY[task.method](
+            A, tol=task.tol, max_iterations=task.max_iterations,
+            **task.options)
+        return [solver.solve(x0=task.x0, time_budget_s=task.time_budget_s)]
+    solver = BatchedJacobiSolver(
+        A, tol=task.tol, max_iterations=task.max_iterations,
+        **{k: v for k, v in task.options.items() if k != "step"})
+    k = len(task.tols)
+    return solver.solve_many(None if task.x0 is None else [task.x0] * k,
+                             k=k, tols=task.tols,
+                             time_budget_s=task.time_budget_s)
 
 
 def _result_payload(result) -> dict:
@@ -95,8 +142,6 @@ def worker_main(conn, backend_name: str | None, parent_pid: int) -> None:
     os.environ["OMP_NUM_THREADS"] = os.environ.get(
         "REPRO_POOL_OMP_THREADS", "1")
     import scipy.sparse as sp
-
-    from repro.solvers import SOLVER_REGISTRY, BatchedJacobiSolver
 
     systems: OrderedDict[str, object] = OrderedDict()
     while True:
@@ -124,43 +169,19 @@ def worker_main(conn, backend_name: str | None, parent_pid: int) -> None:
             conn.send(("error", {"error": "ProtocolError",
                                  "message": f"unknown op {op!r}"}))
             continue
-        payload = msg[1]
-        fault = payload.get("fault")
+        _, key, task, fault = msg
         if fault is not None:
             if fault.get("kind") == "kill":
                 os._exit(1)
             time.sleep(float(fault.get("delay_s", 0.0)))
-        key = payload["system"]
         A = systems.get(key)
         if A is None:
             conn.send(("need-system", key))
             continue
         systems.move_to_end(key)
-        options = dict(payload["options"])
-        if backend_name is not None:
-            options.setdefault("backend", backend_name)
+        task.options.setdefault("backend", backend_name)
         try:
-            if payload.get("batch"):
-                solver = BatchedJacobiSolver(
-                    A, tol=payload["tol"],
-                    max_iterations=payload["max_iterations"],
-                    **{k: v for k, v in options.items() if k != "step"})
-                x0 = payload.get("x0")
-                k = int(payload["k"])
-                x0s = None if x0 is None else [x0] * k
-                results = solver.solve_many(
-                    x0s, k=k, tols=payload["tols"],
-                    time_budget_s=payload.get("time_budget_s"))
-                conn.send(("ok", [_result_payload(r) for r in results]))
-            else:
-                solver_cls = SOLVER_REGISTRY[payload["method"]]
-                solver = solver_cls(
-                    A, tol=payload["tol"],
-                    max_iterations=payload["max_iterations"], **options)
-                result = solver.solve(
-                    x0=payload.get("x0"),
-                    time_budget_s=payload.get("time_budget_s"))
-                conn.send(("ok", _result_payload(result)))
+            conn.send(("ok", [_result_payload(r) for r in run_task(A, task)]))
         except Exception as exc:  # noqa: BLE001 - marshalled to parent
             err = {"error": type(exc).__name__, "message": str(exc)}
             rows = getattr(exc, "rows", None)
@@ -300,39 +321,27 @@ class ProcessSolverPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def solve(self, *, system_key: str, matrix, method: str, tol: float,
-              max_iterations: int, options, x0=None,
-              time_budget_s: float | None = None) -> SolverResult:
-        """Run one solve on a pool worker; blocks for the result.
+    def run(self, system_key: str, matrix,
+            task: SolveTask) -> list[SolverResult]:
+        """Run :func:`run_task` on a pool worker; blocks for the results.
 
         Raises :class:`WorkerCrashError` if the worker dies mid-solve
         (after respawning it) and reconstructs solver-side exceptions
         (:class:`SingularSystemError` with its rows, validation
         errors) in the parent.
         """
-        payload = {
-            "system": system_key, "batch": False, "method": method,
-            "tol": float(tol), "max_iterations": int(max_iterations),
-            "options": dict(options), "x0": x0,
-            "time_budget_s": time_budget_s,
-        }
-        return self._to_result(self._dispatch(system_key, matrix, payload))
+        return [self._to_result(r)
+                for r in self._dispatch(system_key, matrix, task)]
 
-    def solve_batched(self, *, system_key: str, matrix, tol: float,
-                      max_iterations: int, options, tols, x0=None,
-                      k: int = 1,
-                      time_budget_s: float | None = None
-                      ) -> list[SolverResult]:
-        """Run one multi-RHS batched solve on a pool worker."""
-        payload = {
-            "system": system_key, "batch": True,
-            "tol": float(tol), "max_iterations": int(max_iterations),
-            "options": dict(options), "x0": x0, "k": int(k),
-            "tols": [float(t) for t in tols],
-            "time_budget_s": time_budget_s,
-        }
-        replies = self._dispatch(system_key, matrix, payload)
-        return [self._to_result(r) for r in replies]
+    def solve(self, *, system_key: str, matrix, method: str, tol: float,
+              max_iterations: int, options, x0=None,
+              time_budget_s: float | None = None) -> SolverResult:
+        """Run one solve on a pool worker; blocks for the result."""
+        [result] = self.run(system_key, matrix, SolveTask(
+            method=method, tol=float(tol),
+            max_iterations=int(max_iterations), options=dict(options),
+            x0=x0, time_budget_s=time_budget_s))
+        return result
 
     def _checkout(self) -> _WorkerHandle:
         while True:
@@ -343,19 +352,18 @@ class ProcessSolverPool:
             except queue.Empty:
                 continue
 
-    def _dispatch(self, system_key: str, matrix, payload: dict):
+    def _dispatch(self, system_key: str, matrix, task: SolveTask):
         handle = self._checkout()
         try:
             with self._lock:
                 self.dispatches += 1
+            fault = None
             injector = active_injector()
             if injector is not None and injector.active_for("serve.pool"):
                 spec = injector.scheduled(
                     "serve.pool", detail=f"worker {handle.idx}")
                 if spec is not None:
-                    payload = dict(payload)
-                    payload["fault"] = {"kind": spec.kind,
-                                        "delay_s": spec.delay_s}
+                    fault = {"kind": spec.kind, "delay_s": spec.delay_s}
             for _attempt in range(2):  # one re-ship round trip at most
                 try:
                     if system_key not in handle.shipped:
@@ -364,7 +372,7 @@ class ProcessSolverPool:
                         handle.shipped.add(system_key)
                         with self._lock:
                             self.systems_shipped += 1
-                    handle.conn.send(("solve", payload))
+                    handle.conn.send(("solve", system_key, task, fault))
                     reply = self._recv(handle)
                 except (EOFError, OSError, BrokenPipeError) as exc:
                     pid = handle.proc.pid

@@ -1,19 +1,10 @@
-"""Bounded priority scheduling with backpressure, timeouts and retries.
+"""The worker pool: queue draining, timeouts and retries.
 
-The queue is the service's admission-control point: it holds at most
-``capacity`` pending jobs and applies one of two policies when full —
-
-``reject``
-    :func:`BoundedPriorityQueue.put` raises
-    :class:`~repro.errors.JobRejectedError` immediately (load shedding;
-    the caller sees the failure and can back off).
-``block``
-    The submitting thread waits for space (producer-side throttling),
-    optionally bounded by ``put_timeout`` after which the submit is
-    rejected anyway.
-
-Workers pull the lowest-``priority`` job (FIFO within a priority) and
-run it through the service's execute callable.  A *retryable* failure —
+Workers pull jobs from the service's bounded
+:class:`~repro.serve.fairness.FairPriorityQueue` (lowest ``priority``
+first, FIFO within a priority, tenants served by deficit round robin;
+backpressure policies are described there) and run each through the
+service's execute callable.  A *retryable* failure —
 per-attempt timeout or a convergence failure — is re-attempted in place
 up to the retry budget; the final failure surfaces to the job as a
 :class:`~repro.errors.SolveJobError` with the original error chained.
@@ -21,21 +12,19 @@ up to the retry budget; the final failure surfaces to the job as a
 
 from __future__ import annotations
 
-import enum
-import heapq
 import threading
 import time
 
 from repro.errors import (
     ConvergenceError,
-    JobRejectedError,
     JobTimeoutError,
     KernelLaunchError,
     SolveJobError,
     ValidationError,
     WorkerCrashError,
 )
-from repro.serve.jobs import JobState, SolveJob, _QueueItem
+from repro.serve.fairness import FairPriorityQueue
+from repro.serve.jobs import JobState, SolveJob
 
 #: Errors worth a second attempt; anything else fails the job at once.
 #: Timeouts and convergence failures may clear with a warm(er) start;
@@ -47,131 +36,17 @@ RETRYABLE_ERRORS = (JobTimeoutError, ConvergenceError, WorkerCrashError,
                     KernelLaunchError)
 
 
-class QueuePolicy(enum.Enum):
-    """What a full queue does to new submissions."""
-
-    REJECT = "reject"
-    BLOCK = "block"
-
-
-class BoundedPriorityQueue:
-    """A thread-safe priority queue with a hard capacity."""
-
-    def __init__(self, capacity: int = 1024,
-                 policy: QueuePolicy | str = QueuePolicy.REJECT,
-                 *, put_timeout: float | None = None):
-        if capacity <= 0:
-            raise ValidationError(
-                f"queue capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self.policy = QueuePolicy(policy)
-        self.put_timeout = put_timeout
-        self._heap: list[_QueueItem] = []
-        self._seq = 0
-        self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
-        self._closed = False
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._heap)
-
-    def put(self, job: SolveJob) -> None:
-        """Enqueue *job*, applying the backpressure policy when full."""
-        with self._lock:
-            if self._closed:
-                raise JobRejectedError("queue is closed", key=job.key)
-            if len(self._heap) >= self.capacity:
-                if self.policy is QueuePolicy.REJECT:
-                    raise JobRejectedError(
-                        f"queue full ({self.capacity} pending jobs)",
-                        key=job.key)
-                deadline = (None if self.put_timeout is None
-                            else time.monotonic() + self.put_timeout)
-                while len(self._heap) >= self.capacity and not self._closed:
-                    remaining = (None if deadline is None
-                                 else deadline - time.monotonic())
-                    if remaining is not None and remaining <= 0:
-                        raise JobRejectedError(
-                            f"queue still full after {self.put_timeout}s",
-                            key=job.key)
-                    self._not_full.wait(remaining)
-                if self._closed:
-                    raise JobRejectedError("queue is closed", key=job.key)
-            self._seq += 1
-            heapq.heappush(self._heap,
-                           _QueueItem(job.priority, self._seq, job))
-            self._not_empty.notify()
-
-    def get(self, timeout: float | None = None) -> SolveJob | None:
-        """Pop the highest-priority job; ``None`` on timeout/closed-empty."""
-        with self._lock:
-            deadline = (None if timeout is None
-                        else time.monotonic() + timeout)
-            while not self._heap:
-                if self._closed:
-                    return None
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._not_empty.wait(remaining)
-            item = heapq.heappop(self._heap)
-            self._not_full.notify()
-            return item.job
-
-    def drain_matching(self, predicate, limit: int) -> list[SolveJob]:
-        """Atomically remove up to *limit* queued jobs passing *predicate*.
-
-        Candidates are considered in priority/FIFO order (the order a
-        worker would have served them), so batching never lets a
-        low-priority match jump a high-priority one out of the queue.
-        Non-matching jobs keep their positions.  Used by the service to
-        coalesce compatible pending solves into one batched solve.
-        """
-        matched: list[SolveJob] = []
-        if limit <= 0:
-            return matched
-        with self._lock:
-            if not self._heap:
-                return matched
-            kept: list[_QueueItem] = []
-            while self._heap and len(matched) < limit:
-                item = heapq.heappop(self._heap)
-                if (item.job.state is JobState.PENDING
-                        and predicate(item.job)):
-                    matched.append(item.job)
-                else:
-                    kept.append(item)
-            for item in kept:
-                heapq.heappush(self._heap, item)
-            if matched:
-                self._not_full.notify_all()
-        return matched
-
-    def close(self) -> None:
-        """Stop accepting jobs and wake all waiters."""
-        with self._lock:
-            self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-
-
 class SolveScheduler:
-    """A worker pool draining a bounded priority queue.
-
-    The queue is duck-typed: anything with the
-    :class:`BoundedPriorityQueue` surface (``put`` / ``get`` /
-    ``drain_matching`` / ``close`` / ``__len__``) works — the service
-    substitutes a :class:`repro.serve.fairness.FairPriorityQueue` when
-    tenant weights are configured.
+    """A worker pool draining a bounded fair priority queue.
 
     Parameters
     ----------
     execute:
         ``execute(job) -> SolveOutcome`` — provided by the service; runs
         one attempt and may raise.
+    queue:
+        The :class:`~repro.serve.fairness.FairPriorityQueue` to drain;
+        a default-capacity one when omitted.
     workers:
         Thread count.  With a thread executor these threads *run* the
         solves; with ``SolveService(executor="process")`` they only
@@ -200,7 +75,7 @@ class SolveScheduler:
         if retries < 0:
             raise ValidationError(f"retries must be >= 0, got {retries}")
         self.execute = execute
-        self.queue = queue if queue is not None else BoundedPriorityQueue()
+        self.queue = queue if queue is not None else FairPriorityQueue()
         self.retries = int(retries)
         self.retry_policy = retry_policy
         self.on_retry = on_retry

@@ -32,7 +32,7 @@ Example
 from __future__ import annotations
 
 import contextlib
-import functools
+import dataclasses
 import itertools
 import logging
 import signal
@@ -60,7 +60,11 @@ from repro.resilience.backoff import RetryPolicy
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.faults import active_injector
 from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
-from repro.serve.fairness import AdmissionController, FairPriorityQueue
+from repro.serve.fairness import (
+    AdmissionController,
+    FairPriorityQueue,
+    QueuePolicy,
+)
 from repro.serve.jobs import (
     SolveJob,
     SolveOutcome,
@@ -68,19 +72,11 @@ from repro.serve.jobs import (
     matrix_signature,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import ProcessSolverPool
-from repro.serve.scheduler import (
-    BoundedPriorityQueue,
-    QueuePolicy,
-    SolveScheduler,
-)
-from repro.serve.sharding import ShardedSolutionCache, ShardedWarmStartIndex
+from repro.serve.pool import ProcessSolverPool, SolveTask, run_task
+from repro.serve.scheduler import SolveScheduler
 from repro.serve.warmstart import WarmStartIndex, blend_donors
-from repro.solvers import (
-    SOLVER_REGISTRY,
-    BatchedJacobiSolver,
-)
-from repro.solvers.result import StopReason
+from repro.solvers import SOLVER_REGISTRY
+from repro.solvers.result import SolverResult, StopReason
 from repro.telemetry import tracing
 
 log = logging.getLogger("repro.serve")
@@ -185,7 +181,7 @@ class SolveService:
         networks, where a single asymmetric donor excites the slow
         switching mode (see :mod:`repro.serve.warmstart`).
     queue_capacity, queue_policy, put_timeout:
-        Backpressure configuration (see :mod:`repro.serve.scheduler`).
+        Backpressure configuration (see :mod:`repro.serve.fairness`).
     timeout_s:
         Optional per-attempt wall-clock budget; an expired attempt
         raises :class:`~repro.errors.JobTimeoutError` and consumes a
@@ -243,11 +239,8 @@ class SolveService:
         per-column timeout, a batch failure) go back through the queue
         for an individual attempt.  ``1`` (default) disables batching.
     tol, max_iterations, solver_options:
-        Request defaults (overridable per submit).
-    backend:
-        Kernel backend name folded into the default ``solver_options``
-        (``solver_options={"backend": ...}`` spelled out); an explicit
-        ``backend`` key in *solver_options* wins.
+        Request defaults (overridable per submit).  The kernel backend
+        is chosen with ``solver_options={"backend": ...}``.
     reuse_state_space, max_states:
         State-space handling, as in :class:`repro.sweep.ParameterSweep`.
     journal:
@@ -271,27 +264,23 @@ class SolveService:
         worker *processes*, so K workers run K native solve loops with
         no shared GIL.  Matrices ship to a worker once per linear
         system (content-keyed) and stay resident, so repeated
-        conditions pay no re-pickling.  ``"process"`` does not combine
-        with ``method="fsp"`` (the projection loop is not
-        pool-shippable) or ``method="sharded"`` (itself a process
-        pool).
+        conditions pay no re-pickling.  ``REPRO_POOL_START`` sets an
+        owned pool's start method (see :mod:`repro.serve.pool`).
+        ``"process"`` does not combine with ``method="fsp"`` (the
+        projection loop is not pool-shippable) or ``method="sharded"``
+        (itself a process pool).
     pool:
         A preconstructed (possibly shared) pool to dispatch to;
         implies ``executor="process"``.  The service never closes a
         pool it did not create, so several services (one per model)
         can serve through one pool.
-    pool_start:
-        Multiprocessing start method for a service-owned pool
-        (``"fork"``/``"spawn"``/``"forkserver"``); default per
-        :class:`~repro.serve.pool.ProcessSolverPool` (spawn under
-        native/OpenMP backends).
     tenant_weights:
-        ``tenant -> weight`` map enabling weighted fair queuing: the
-        bounded priority queue becomes a
-        :class:`~repro.serve.fairness.FairPriorityQueue` running
+        ``tenant -> weight`` map for the
+        :class:`~repro.serve.fairness.FairPriorityQueue`, which runs
         deficit round robin over per-tenant lanes, so a heavy tenant
         cannot starve a light one regardless of arrival rates.
-        Unlisted tenants queue at weight 1.
+        Unlisted tenants queue at weight 1; without a map every tenant
+        does, so the backlogs of two tenants alternate.
     admission:
         Per-tenant token-bucket admission control: an
         :class:`~repro.serve.fairness.AdmissionController`, or its
@@ -300,12 +289,6 @@ class SolveService:
         Over-rate submissions raise
         :class:`~repro.errors.JobRejectedError` at the front door —
         before the cache, the journal and the queue.
-    cache_shards:
-        When > 1, the solution cache (if service-created) and the
-        warm-start index are hash-sharded into this many independently
-        locked slices (see :mod:`repro.serve.sharding`), removing the
-        single cache lock as a completion-path serialization point
-        under many workers.
     default_damping:
         Serve-level Jacobi damping applied when a request does not
         spell out ``damping`` itself (``None`` disables).  Undamped
@@ -336,7 +319,6 @@ class SolveService:
                  batch_max: int = 1,
                  tol: float = 1e-8, max_iterations: int = 200_000,
                  solver_options: Mapping | None = None,
-                 backend: str | None = None,
                  fsp_options: Mapping | None = None,
                  reuse_state_space: bool = True,
                  max_states: int = 5_000_000,
@@ -344,29 +326,19 @@ class SolveService:
                  metrics_registry=None,
                  executor: str = "thread",
                  pool: ProcessSolverPool | None = None,
-                 pool_start: str | None = None,
                  tenant_weights: Mapping[str, int] | None = None,
                  admission: AdmissionController | Mapping | None = None,
-                 cache_shards: int = 1,
                  default_damping: float | None = 0.9):
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
         self.network = network
-        if cache_shards < 1:
-            raise ValidationError(
-                f"cache_shards must be >= 1, got {cache_shards}")
-        self.cache_shards = int(cache_shards)
         if cache is None or cache is False:
             self.cache = None
         elif cache is True:
-            self.cache = (ShardedSolutionCache(self.cache_shards)
-                          if self.cache_shards > 1 else SolutionCache())
+            self.cache = SolutionCache()
         else:
-            # Any cache-shaped object (SolutionCache,
-            # ShardedSolutionCache, or a compatible wrapper) is used
-            # as-is — sharding a caller-provided cache is the caller's
-            # decision.  Identity checks, not truthiness: an *empty*
-            # cache instance is len()==0 and must still count.
+            # Identity checks, not truthiness: an *empty* cache
+            # instance is len()==0 and must still count.
             self.cache = cache
         self.warm_start = bool(warm_start)
         if self.warm_start and self.cache is None:
@@ -390,7 +362,6 @@ class SolveService:
             # solver: its answers live on per-job projections, so the
             # full-space machinery (cache lines keyed to the enumerated
             # layout, warm-start donors, batching) cannot apply.
-            self._solver_cls = None
             if self.warm_start:
                 raise ValidationError(
                     "warm_start does not combine with method='fsp': warm "
@@ -404,7 +375,6 @@ class SolveService:
                     f"unknown fsp options {sorted(bad)}; expected a "
                     f"subset of {sorted(FSP_OPTION_KEYS)}")
         elif self.method in SOLVER_REGISTRY:
-            self._solver_cls = SOLVER_REGISTRY[self.method]
             if fsp_options:
                 raise ValidationError(
                     "fsp_options only apply to method='fsp'")
@@ -451,35 +421,15 @@ class SolveService:
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.solver_options = dict(solver_options or {})
-        if backend is not None:
-            # Convenience spelling: fold the kernel-backend selection
-            # into the default solver options every request inherits.
-            self.solver_options.setdefault("backend", backend)
         self.metrics = ServiceMetrics(metrics_registry)
         self._workspace = _Workspace(network,
                                      reuse_state_space=reuse_state_space,
                                      max_states=max_states)
-        if not self.warm_start:
-            self._warm_index = None
-        elif self.cache_shards > 1:
-            self._warm_index = ShardedWarmStartIndex(self.cache_shards)
-        else:
-            self._warm_index = WarmStartIndex()
+        self._warm_index = WarmStartIndex() if self.warm_start else None
         if admission is None or isinstance(admission, AdmissionController):
             self._admission = admission
         else:
             self._admission = AdmissionController(admission)
-        self._own_pool = False
-        self._pool = pool
-        if self.executor == "process" and self._pool is None:
-            self._pool = ProcessSolverPool(
-                workers=workers,
-                backend=self.solver_options.get("backend"),
-                start_method=pool_start,
-                name=f"serve-{network.name}",
-                on_respawn=lambda: self.metrics.incr("pool_respawns"))
-            self._own_pool = True
-        self.tenant_weights = dict(tenant_weights or {})
         self._inflight: dict[str, SolveJob] = {}
         self._lock = threading.Lock()
         self._job_seq = itertools.count(1)
@@ -487,18 +437,29 @@ class SolveService:
         if isinstance(journal, (str, Path)):
             journal = JobJournal(journal)
         self.journal = journal
-        if self.tenant_weights:
-            queue = FairPriorityQueue(queue_capacity, queue_policy,
-                                      put_timeout=put_timeout,
-                                      weights=self.tenant_weights)
-        else:
-            queue = BoundedPriorityQueue(queue_capacity, queue_policy,
-                                         put_timeout=put_timeout)
+        # The queue and the scheduler validate their arguments before
+        # any thread starts, and before an owned pool spawns processes.
+        self._pool = pool
+        self._own_pool = False
         self._scheduler = SolveScheduler(
-            self._execute, workers=workers, queue=queue, retries=retries,
-            retry_policy=retry_policy,
+            self._execute, workers=workers,
+            queue=FairPriorityQueue(queue_capacity, queue_policy,
+                                    put_timeout=put_timeout,
+                                    weights=tenant_weights),
+            retries=retries, retry_policy=retry_policy,
             on_retry=lambda job, exc: self.metrics.incr("retried"),
             on_done=self._on_done)
+        if self.executor == "process" and pool is None:
+            try:
+                self._pool = ProcessSolverPool(
+                    workers=workers,
+                    backend=self.solver_options.get("backend"),
+                    name=f"serve-{network.name}",
+                    on_respawn=lambda: self.metrics.incr("pool_respawns"))
+            except BaseException:
+                self._scheduler.close(wait=False)
+                raise
+            self._own_pool = True
         self.metrics.bind_queue_depth(lambda: self._scheduler.queue_depth)
         if self.journal is not None:
             self._replay_journal()
@@ -676,7 +637,6 @@ class SolveService:
                     job = self._new_job(req, priority, tenant)
                     job.finish(self._outcome_from_entry(req, entry))
                     self.metrics.incr("cache_hits")
-                    self.metrics.observe_latency(0.0)
                     self.metrics.observe_solve_latency(0.0)
                     self.metrics.incr_tenant(tenant, "completed")
                     return job
@@ -792,6 +752,13 @@ class SolveService:
         return budget
 
     def _execute_solve(self, job: SolveJob) -> SolveOutcome:
+        """One attempt: a solo solve, or a batched one with companions.
+
+        Companions are finished (or re-queued) here directly — the
+        scheduler only knows about the primary, whose outcome (or
+        timeout) is returned/raised exactly as in a solo solve, so its
+        retry/breaker handling is the same either way.
+        """
         if self.method == "fsp":
             return self._execute_fsp(job)
         req = job.request
@@ -804,7 +771,6 @@ class SolveService:
                 space = self._workspace.space_for(req)
 
             x0 = None
-            warm = False
             if self._warm_index is not None and self.cache is not None:
                 hints = self._warm_index.select_donors(
                     req.log_rate_vector(), k=self.warm_neighbors,
@@ -818,95 +784,102 @@ class SolveService:
                         distances.append(hint.distance)
                 if donors:
                     x0 = blend_donors(donors, distances)
-                    warm = True
+            warm = x0 is not None
 
+            companions: list[SolveJob] = []
             if (self.batch_max > 1 and self.method == "jacobi"
                     and req.solver_options.get("step", "fast") == "fast"):
                 companions = self._drain_companions(job)
-                if companions:
-                    return self._execute_batched(
-                        job, companions, A, space, x0, warm,
-                        time_budget_s, t0, ex_span)
-
-            # A zero diagonal or all-zero row is a property of the
-            # system, not of this attempt — surface it as a terminal
-            # SolveJobError (with the offending matrix's signature in
-            # the failure payload) so the scheduler never burns retries
-            # on it.  The pool raises the same SingularSystemError from
-            # the worker-side solver construction.
+                self.metrics.incr("batched", len(companions))
+            task = SolveTask(
+                method=self.method, tol=req.tol,
+                max_iterations=req.max_iterations,
+                options=req.solver_options, x0=x0,
+                time_budget_s=time_budget_s,
+                tols=([req.tol] + [j.request.tol for j in companions]
+                      if companions else None))
+            solve_t0 = time.perf_counter()
             try:
-                if self._pool is not None:
-                    solve_t0 = time.perf_counter()
-                    with tracing.span("serve.solve", warm=warm,
-                                      executor="process"):
-                        result = self._pool.solve(
-                            system_key=req.matrix_key(), matrix=A,
-                            method=self.method, tol=req.tol,
-                            max_iterations=req.max_iterations,
-                            options=req.solver_options, x0=x0,
-                            time_budget_s=time_budget_s)
-                    cold_solve = functools.partial(
-                        self._pool.solve, system_key=req.matrix_key(),
-                        matrix=A, method=self.method, tol=req.tol,
-                        max_iterations=req.max_iterations,
-                        options=req.solver_options,
-                        time_budget_s=self.timeout_s)
-                else:
-                    solver = self._solver_cls(
-                        A, tol=req.tol,
-                        max_iterations=req.max_iterations,
-                        **req.solver_options)
-                    solve_t0 = time.perf_counter()
-                    with tracing.span("serve.solve", warm=warm):
-                        result = solver.solve(x0=x0,
-                                              time_budget_s=time_budget_s)
-                    cold_solve = functools.partial(
-                        solver.solve, time_budget_s=self.timeout_s)
-            except SingularSystemError as exc:
-                raise SolveJobError(
-                    f"job {job.id} is unsolvable: {exc}",
-                    key=job.key,
-                    failure={"error": "singular-system",
-                             "rows": list(exc.rows),
-                             "matrix_signature": matrix_signature(A)},
-                ) from exc
+                with tracing.span("serve.solve", warm=warm,
+                                  k=1 + len(companions),
+                                  executor=self.executor):
+                    primary, *rest = self._run(job, A, task)
+            except Exception:
+                # The batch never produced answers: release the
+                # companions back to the queue for individual attempts,
+                # then let the primary's error flow through the normal
+                # retry path.
+                self._requeue_solo(companions)
+                raise
             self.metrics.observe_stage(
                 "solve", time.perf_counter() - solve_t0)
-            ex_span.set_attribute("iterations", result.iterations)
-            ex_span.set_attribute("stop_reason", result.stop_reason.value)
-            if result.stop_reason is StopReason.TIMED_OUT:
+            for companion, result in zip(companions, rest):
+                if result.stop_reason is StopReason.TIMED_OUT:
+                    self._requeue_solo([companion])
+                    continue
+                outcome = self._record(companion, result, space, warm, t0)
+                companion.finished_at = time.perf_counter()
+                companion.finish(outcome)
+                self._on_done(companion, None)
+
+            ex_span.set_attribute("iterations", primary.iterations)
+            ex_span.set_attribute("stop_reason", primary.stop_reason.value)
+            if primary.stop_reason is StopReason.TIMED_OUT:
                 raise JobTimeoutError(
                     f"job {job.id} exceeded its {time_budget_s:.3g}s budget "
-                    f"after {result.iterations} iterations", key=job.key,
-                    iterations=result.iterations, residual=result.residual)
+                    f"after {primary.iterations} iterations", key=job.key,
+                    iterations=primary.iterations, residual=primary.residual)
+            if warm and not companions:
+                self._maybe_audit(job, A, task, primary)
+            return self._record(job, primary, space, warm, t0)
 
-            if warm:
-                self.metrics.incr("warm_started")
-                self._maybe_audit(cold_solve, result)
-            else:
-                self.metrics.incr("cold_started")
+    def _run(self, job: SolveJob, A, task: SolveTask) -> list[SolverResult]:
+        """Run *task* on the process pool, or in place on this thread.
 
-            layout = self._workspace.layout()
-            cache_t0 = time.perf_counter()
-            with tracing.span("serve.cache_put"):
-                if self.cache is not None:
-                    self.cache.put(CacheEntry(
-                        key=job.key, p=result.x,
-                        iterations=result.iterations,
-                        residual=result.residual,
-                        stop_reason=result.stop_reason.value,
-                        runtime_s=result.runtime_s, layout=layout))
-            self.metrics.observe_stage(
-                "cache", time.perf_counter() - cache_t0)
-            if self._warm_index is not None:
-                self._warm_index.add(job.key, req.log_rate_vector(),
-                                     result.iterations)
+        A zero diagonal or all-zero row is a property of the system,
+        not of this attempt — surface it as a terminal SolveJobError
+        (with the offending matrix's signature in the failure payload)
+        so the scheduler never burns retries on it.  The pool raises
+        the same SingularSystemError from the worker-side solver
+        construction.
+        """
+        try:
+            if self._pool is None:
+                return run_task(A, task)
+            return self._pool.run(job.request.matrix_key(), A, task)
+        except SingularSystemError as exc:
+            raise SolveJobError(
+                f"job {job.id} is unsolvable: {exc}",
+                key=job.key,
+                failure={"error": "singular-system",
+                         "rows": list(exc.rows),
+                         "matrix_signature": matrix_signature(A)},
+            ) from exc
 
-            return SolveOutcome(
-                result=result,
-                landscape=ProbabilityLandscape(space, result.x),
-                key=job.key, cached=False, warm_started=warm,
-                solve_seconds=time.perf_counter() - t0)
+    def _record(self, job: SolveJob, result: SolverResult, space,
+                warm: bool, t0: float) -> SolveOutcome:
+        """Cache *job*'s answer, index it as a warm-start donor, and
+        build its outcome (solo and batched jobs alike)."""
+        self.metrics.incr("warm_started" if warm else "cold_started")
+        cache_t0 = time.perf_counter()
+        with tracing.span("serve.cache_put"):
+            if self.cache is not None:
+                self.cache.put(CacheEntry(
+                    key=job.key, p=result.x,
+                    iterations=result.iterations,
+                    residual=result.residual,
+                    stop_reason=result.stop_reason.value,
+                    runtime_s=result.runtime_s,
+                    layout=self._workspace.layout()))
+        self.metrics.observe_stage("cache", time.perf_counter() - cache_t0)
+        if self._warm_index is not None:
+            self._warm_index.add(job.key, job.request.log_rate_vector(),
+                                 result.iterations)
+        return SolveOutcome(
+            result=result,
+            landscape=ProbabilityLandscape(space, result.x),
+            key=job.key, cached=False, warm_started=warm,
+            solve_seconds=time.perf_counter() - t0)
 
     # -- adaptive FSP execution ----------------------------------------------
 
@@ -985,92 +958,6 @@ class SolveService:
                 companions.append(j)
         return companions
 
-    def _execute_batched(self, job: SolveJob, companions: list[SolveJob],
-                         A, space, x0, warm: bool,
-                         time_budget_s: float | None, t0: float,
-                         ex_span) -> SolveOutcome:
-        """Answer the primary and its companions in one multi-RHS solve.
-
-        Companions are finished (or re-queued) here directly — the
-        scheduler only knows about the primary.  The primary's outcome
-        (or timeout) is returned/raised exactly as in the solo path, so
-        its retry/breaker handling is unchanged.
-        """
-        req = job.request
-        jobs = [job] + companions
-        self.metrics.incr("batched", len(companions))
-        try:
-            tols = [j.request.tol for j in jobs]
-            if self._pool is not None:
-                solve_t0 = time.perf_counter()
-                with tracing.span("serve.solve_batched", k=len(jobs),
-                                  warm=warm, executor="process"):
-                    results = self._pool.solve_batched(
-                        system_key=req.matrix_key(), matrix=A,
-                        tol=req.tol, max_iterations=req.max_iterations,
-                        options=req.solver_options, tols=tols,
-                        x0=x0, k=len(jobs),
-                        time_budget_s=time_budget_s)
-            else:
-                solver = BatchedJacobiSolver(
-                    A, tol=req.tol, max_iterations=req.max_iterations,
-                    **{k: v for k, v in req.solver_options.items()
-                       if k != "step"})
-                x0s = None if x0 is None else [x0] * len(jobs)
-                solve_t0 = time.perf_counter()
-                with tracing.span("serve.solve_batched", k=len(jobs),
-                                  warm=warm):
-                    results = solver.solve_many(x0s, k=len(jobs), tols=tols,
-                                                time_budget_s=time_budget_s)
-        except Exception:
-            # The batch never produced answers: release the companions
-            # back to the queue for individual attempts, then let the
-            # primary's error flow through the normal retry path.
-            self._requeue_solo(companions)
-            raise
-        self.metrics.observe_stage("solve",
-                                   time.perf_counter() - solve_t0)
-        ex_span.set_attribute("batched", len(jobs))
-        primary_outcome: SolveOutcome | None = None
-        primary_timeout: JobTimeoutError | None = None
-        for j, result in zip(jobs, results):
-            if result.stop_reason is StopReason.TIMED_OUT:
-                if j is job:
-                    primary_timeout = JobTimeoutError(
-                        f"job {j.id} exceeded its {time_budget_s:.3g}s "
-                        f"budget after {result.iterations} iterations",
-                        key=j.key, iterations=result.iterations,
-                        residual=result.residual)
-                else:
-                    self._requeue_solo([j])
-                continue
-            self.metrics.incr("warm_started" if warm else "cold_started")
-            if self.cache is not None:
-                self.cache.put(CacheEntry(
-                    key=j.key, p=result.x, iterations=result.iterations,
-                    residual=result.residual,
-                    stop_reason=result.stop_reason.value,
-                    runtime_s=result.runtime_s,
-                    layout=self._workspace.layout()))
-            if self._warm_index is not None:
-                self._warm_index.add(j.key, j.request.log_rate_vector(),
-                                     result.iterations)
-            outcome = SolveOutcome(
-                result=result,
-                landscape=ProbabilityLandscape(space, result.x),
-                key=j.key, cached=False, warm_started=warm,
-                solve_seconds=time.perf_counter() - t0)
-            if j is job:
-                primary_outcome = outcome
-            else:
-                j.finished_at = time.perf_counter()
-                j.finish(outcome)
-                self._on_done(j, None)
-        if primary_timeout is not None:
-            raise primary_timeout
-        assert primary_outcome is not None
-        return primary_outcome
-
     def _requeue_solo(self, companions: list[SolveJob]) -> None:
         """Send batch companions back through the queue, one by one."""
         for j in companions:
@@ -1087,23 +974,24 @@ class SolveService:
                 j.fail(error)
                 self._on_done(j, error)
 
-    def _maybe_audit(self, cold_solve, warm_result) -> None:
+    def _maybe_audit(self, job: SolveJob, A, task: SolveTask,
+                     warm_result: SolverResult) -> None:
         """Measure one warm start against the uniform start, sampled.
 
-        ``cold_solve()`` runs the uniform-start solve on the *same*
-        system (locally, or on the process pool when one is attached)
-        and the observed iteration difference is recorded — a
-        measurement, not a model, so the savings metric stays honest
-        even though cold cost varies across the grid.  The audit
-        result is discarded and an audit failure swallowed; neither
-        can affect the job's answer.
+        The uniform-start version of *task* runs on the *same* system
+        (on the same executor) and the observed iteration difference
+        is recorded — a measurement, not a model, so the savings
+        metric stays honest even though cold cost varies across the
+        grid.  The audit result is discarded and an audit failure
+        swallowed; neither can affect the job's answer.
         """
         if self.warm_audit_interval == 0:
             return
         if next(self._warm_count) % self.warm_audit_interval != 0:
             return
         try:
-            cold = cold_solve()
+            [cold] = self._run(job, A, dataclasses.replace(
+                task, x0=None, time_budget_s=self.timeout_s))
         except SolveJobError:
             return
         if cold.stop_reason is StopReason.TIMED_OUT:
@@ -1127,8 +1015,6 @@ class SolveService:
         if job.started_at is not None and job.submitted_at is not None:
             self.metrics.observe_stage(
                 "queue", job.started_at - job.submitted_at)
-        if job.started_at is not None and job.finished_at is not None:
-            self.metrics.observe_latency(job.finished_at - job.started_at)
         if job.submitted_at is not None and job.finished_at is not None:
             # End-to-end: queue wait + every attempt, the latency a
             # caller actually experiences (solve_latency_seconds).

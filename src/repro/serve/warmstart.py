@@ -85,20 +85,11 @@ class WarmStartIndex:
                 dropped = self._entries.pop(0)
                 self._keys.discard(dropped.key)
 
-    def coords_for(self, keys) -> dict[str, np.ndarray]:
-        """Recorded log-rate coordinates for *keys* (absent keys skipped).
-
-        Used by the sharded wrapper to run the centered-stencil
-        selection over candidates merged from several shards.
-        """
-        wanted = set(keys)
-        with self._lock:
-            return {e.key: e.log_rates for e in self._entries
-                    if e.key in wanted}
-
-    def suggest(self, log_rates: np.ndarray, *, k: int = 1,
-                exclude_key: str | None = None) -> list[WarmStartHint]:
-        """Up to *k* nearest recorded points, closest first."""
+    def _nearest(self, log_rates: np.ndarray, k: int,
+                 exclude_key: str | None
+                 ) -> tuple[list[WarmStartHint], list[np.ndarray]]:
+        """Up to *k* nearest recorded points, closest first, with their
+        log-rate coordinates."""
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         query = np.asarray(log_rates, dtype=np.float64).ravel()
@@ -107,15 +98,22 @@ class WarmStartIndex:
                           if e.key != exclude_key
                           and e.log_rates.shape == query.shape]
             if not candidates:
-                return []
+                return [], []
             coords = np.stack([e.log_rates for e in candidates])
             distances = np.linalg.norm(coords - query[None, :], axis=1)
-            order = np.argsort(distances, kind="stable")[:k]
-            return [WarmStartHint(
+            order = [int(i) for i in
+                     np.argsort(distances, kind="stable")[:k]]
+            return ([WarmStartHint(
                         key=candidates[i].key,
                         distance=float(distances[i]),
                         donor_iterations=candidates[i].iterations)
-                    for i in map(int, order)]
+                     for i in order],
+                    [candidates[i].log_rates for i in order])
+
+    def suggest(self, log_rates: np.ndarray, *, k: int = 1,
+                exclude_key: str | None = None) -> list[WarmStartHint]:
+        """Up to *k* nearest recorded points, closest first."""
+        return self._nearest(log_rates, k, exclude_key)[0]
 
     def select_donors(self, log_rates: np.ndarray, *, k: int = 2,
                       exclude_key: str | None = None,
@@ -135,49 +133,28 @@ class WarmStartIndex:
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         pool = 4 * k if pool is None else pool
-        hints = self.suggest(log_rates, k=max(pool, k),
-                             exclude_key=exclude_key)
+        hints, coords = self._nearest(log_rates, max(pool, k), exclude_key)
         if len(hints) <= 1 or k == 1:
             return hints[:k]
         query = np.asarray(log_rates, dtype=np.float64).ravel()
-        coords = self.coords_for([h.key for h in hints])
-        offsets = {h.key: coords[h.key] - query for h in hints
-                   if h.key in coords}
-        return centered_selection(hints, offsets, k)
+        offsets = {h.key: c - query for h, c in zip(hints, coords)}
 
+        def centroid_offset(selection: list[WarmStartHint]) -> float:
+            weights = 1.0 / (np.array([h.distance for h in selection])
+                             + 1e-12)
+            weights /= weights.sum()
+            centroid = sum(w * offsets[h.key]
+                           for w, h in zip(weights, selection))
+            return float(np.linalg.norm(centroid))
 
-def centered_selection(hints: list[WarmStartHint],
-                       offsets: dict[str, np.ndarray],
-                       k: int) -> list[WarmStartHint]:
-    """Greedy centered-stencil donor choice over candidate *hints*.
-
-    The selection step of :meth:`WarmStartIndex.select_donors`, shared
-    with the sharded index (which merges candidate pools across
-    shards): pick the nearest donor, then add candidates minimizing
-    the inverse-distance-weighted centroid's offset from the query
-    (``offsets`` maps a hint key to ``coords - query``), distance as
-    the tie-breaker.  Hints without an offset entry are dropped.
-    """
-    hints = [h for h in hints if h.key in offsets]
-    if len(hints) <= 1 or k == 1:
-        return hints[:k]
-
-    def centroid_offset(selection: list[WarmStartHint]) -> float:
-        weights = 1.0 / (np.array([h.distance for h in selection])
-                         + 1e-12)
-        weights /= weights.sum()
-        centroid = sum(w * offsets[h.key]
-                       for w, h in zip(weights, selection))
-        return float(np.linalg.norm(centroid))
-
-    chosen = [hints[0]]
-    remaining = hints[1:]
-    while len(chosen) < k and remaining:
-        scored = [(centroid_offset(chosen + [h]), h.distance, i)
-                  for i, h in enumerate(remaining)]
-        _, _, best = min(scored)
-        chosen.append(remaining.pop(best))
-    return chosen
+        chosen = [hints[0]]
+        remaining = hints[1:]
+        while len(chosen) < k and remaining:
+            scored = [(centroid_offset(chosen + [h]), h.distance, i)
+                      for i, h in enumerate(remaining)]
+            _, _, best = min(scored)
+            chosen.append(remaining.pop(best))
+        return chosen
 
 
 def blend_donors(donors: list[np.ndarray], distances: list[float]) -> np.ndarray:

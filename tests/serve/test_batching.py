@@ -11,7 +11,7 @@ import pytest
 from repro import toggle_switch
 from repro.serve import SolveService
 from repro.serve.jobs import JobState, SolveJob, SolveRequest
-from repro.serve.scheduler import BoundedPriorityQueue
+from repro.serve.fairness import FairPriorityQueue
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ def job_for(network, overrides, *, tol=1e-6, job_id=1, **kwargs):
 
 class TestDrainMatching:
     def test_priority_order_and_limit(self, network):
-        q = BoundedPriorityQueue(capacity=16)
+        q = FairPriorityQueue(capacity=16)
         jobs = [job_for(network, {"degA": 1.0 + i / 10}, job_id=i)
                 for i in range(5)]
         for j in jobs:
@@ -50,13 +50,13 @@ class TestDrainMatching:
         assert len(q) == 3                        # non-matches kept
 
     def test_zero_limit(self, network):
-        q = BoundedPriorityQueue()
+        q = FairPriorityQueue()
         q.put(job_for(network, {"degA": 1.0}))
         assert q.drain_matching(lambda j: True, limit=0) == []
         assert len(q) == 1
 
     def test_skips_cancelled(self, network):
-        q = BoundedPriorityQueue()
+        q = FairPriorityQueue()
         j = job_for(network, {"degA": 1.0})
         q.put(j)
         j.cancel()

@@ -9,6 +9,7 @@ a light tenant behind its backlog (the starvation regression).
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -104,6 +105,24 @@ class TestFairPriorityQueue:
         first_two = [q.get(timeout=0).tenant for _ in range(2)]
         assert "light" in first_two
 
+    def test_closed_loop_tenant_cannot_starve_a_backlog(self):
+        # The light tenant resubmits only after its job is served, so
+        # its lane empties and is recreated every time.  A recreated
+        # lane must wait for the next round's credit: one granted a
+        # full quantum on creation is served ahead of the spent heavy
+        # lane, and the round that would re-credit heavy never starts.
+        q = FairPriorityQueue(weights={"heavy": 1, "light": 1})
+        for i in range(10):
+            q.put(FakeJob("heavy", key=f"h{i}"))
+        q.put(FakeJob("light", key="l0"))
+        served = []
+        for i in range(1, 17):
+            job = q.get(timeout=0)
+            served.append(job.tenant)
+            if job.tenant == "light":
+                q.put(FakeJob("light", key=f"l{i}"))
+        assert served == ["heavy", "light"] * 8
+
     def test_priority_and_fifo_within_a_tenant(self):
         q = FairPriorityQueue(weights={"a": 4})
         q.put(FakeJob("a", priority=5, key="late"))
@@ -134,6 +153,81 @@ class TestFairPriorityQueue:
         q = FairPriorityQueue(weights={"a": 1})
         q.put(FakeJob("mystery"))
         assert q.get(timeout=0).tenant == "mystery"
+
+    def test_idle_tenants_keep_no_lane(self):
+        # Tenant ids come from callers; a lane kept per id ever seen
+        # made every serve scan (and re-credit) all of them.
+        q = FairPriorityQueue()
+        for i in range(1000):
+            q.put(FakeJob(f"t{i}"))
+            assert q.get(timeout=0).tenant == f"t{i}"
+        for tenant in ("drained-1", "live", "drained-2"):
+            q.put(FakeJob(tenant))
+        assert [j.tenant for j in q.drain_matching(
+            lambda j: j.tenant != "live", 5)] == ["drained-1", "drained-2"]
+        assert list(q._lanes) == ["live"]
+        assert q._order == ["live"]
+
+    def test_lane_drops_keep_drr_order(self):
+        q = FairPriorityQueue()
+        for key in ("a0", "a1", "b0", "b1", "c0", "c1"):
+            q.put(FakeJob(key[0], key=key))
+        served = [q.get(timeout=0).key]
+        # The cursor now points at b; emptying lane a, which sits
+        # before it, must not hand b's turn to c.
+        assert [j.key for j in q.drain_matching(
+            lambda j: j.tenant == "a", 5)] == ["a1"]
+        served += [q.get(timeout=0).key for _ in range(4)]
+        assert served == ["a0", "b0", "c0", "b1", "c1"]
+        assert len(q) == 0 and not q._lanes
+
+    def test_concurrent_lane_churn_loses_no_job(self):
+        # Lanes appear and vanish under many producers and consumers:
+        # every job must come out exactly once, and no lane may
+        # outlive its backlog.
+        q = FairPriorityQueue(capacity=10_000, weights={"t0": 3})
+        jobs = [FakeJob(f"t{i % 7}", priority=i % 3, key=f"k{i}")
+                for i in range(1200)]
+        out, errors = [], []
+        lock, produced = threading.Lock(), threading.Event()
+
+        def produce(chunk):
+            for job in chunk:
+                q.put(job)
+
+        def consume():
+            try:
+                while True:
+                    got = q.drain_matching(lambda j: j.priority == 2, 2)
+                    job = q.get(timeout=0.01)
+                    if job is not None:
+                        got.append(job)
+                    with lock:
+                        out.extend(got)
+                    if not got and produced.is_set() and not len(q):
+                        return
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        producers = [threading.Thread(target=produce, args=(jobs[i::4],))
+                     for i in range(4)]
+        consumers = [threading.Thread(target=consume) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in producers + consumers:
+                t.start()
+            for t in producers:
+                t.join(timeout=30.0)
+            produced.set()
+            for t in consumers:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in producers + consumers)
+        assert errors == []
+        assert sorted(j.key for j in out) == sorted(j.key for j in jobs)
+        assert len(q) == 0 and not q._lanes and not q._order
 
 
 class TestServiceFairness:
@@ -184,6 +278,20 @@ class TestServiceFairness:
         snap = svc.snapshot()
         assert snap["tenants"]["light"]["completed"] == 1
         assert snap["tenants"]["heavy"]["completed"] == 11
+
+    def test_unweighted_service_alternates_tenants(self, network):
+        # Without tenant_weights every tenant queues at weight 1, so
+        # two tenants' backlogs alternate instead of draining FIFO.
+        with SolveService(network, workers=1, cache=False) as svc:
+            svc._scheduler._stop.set()
+            for t in svc._scheduler._threads:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+            for i, tenant in enumerate("aaabbb"):
+                svc.submit({"degA": 0.5 + 0.01 * i}, tenant=tenant)
+            served = [svc._scheduler.queue.get(timeout=0).tenant
+                      for _ in range(6)]
+        assert served == ["a", "b", "a", "b", "a", "b"]
 
     def test_tenant_never_forks_the_cache_key(self, network):
         with SolveService(network, workers=1) as svc:

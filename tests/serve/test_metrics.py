@@ -1,10 +1,12 @@
 """Tests for service metrics accounting and rendering."""
 
+import zlib
+
 import pytest
 
 from repro.serve import ServiceMetrics
 from repro.serve.cache import CacheStats
-from repro.serve.metrics import percentile
+from repro.telemetry.metrics import percentile
 
 
 class TestPercentile:
@@ -37,11 +39,30 @@ class TestCounters:
     def test_latency_percentiles(self):
         m = ServiceMetrics()
         for v in (0.1, 0.2, 0.3, 0.4):
-            m.observe_latency(v)
+            m.observe_solve_latency(v)
         snap = m.snapshot()
-        assert snap["latency_count"] == 4
-        assert snap["latency_p50_s"] == pytest.approx(0.25)
-        assert snap["latency_p99_s"] <= 0.4
+        assert snap["solve_latency_count"] == 4
+        # Cumulative-bucket interpolation: the 2nd sample closes the
+        # (0.1, 0.25] bucket; the 99th percentile sits 98% into the
+        # (0.25, 0.5] bucket holding the last two samples.
+        assert snap["solve_latency_p50_s"] == pytest.approx(0.25)
+        assert snap["solve_latency_p99_s"] == pytest.approx(0.495)
+
+    def test_tenant_counters_do_not_alias(self):
+        # "a-b", "a_b" and "a.b" all sanitize to "a_b" for the metric
+        # name; each must still count on its own.  The last id needs
+        # no sanitizing but spells the suffixed name "a-b" gets.
+        spoof = f"a_b_{zlib.crc32(b'a-b'):08x}"
+        m = ServiceMetrics()
+        for tenant, n in (("a-b", 1), ("a_b", 1), ("a.b", 5), (spoof, 3)):
+            m.incr_tenant(tenant, "completed", n)
+        snap = m.tenant_snapshot()
+        assert {t: c["completed"] for t, c in snap.items()} \
+            == {"a-b": 1, "a_b": 1, "a.b": 5, spoof: 3}
+        lines = [ln for ln in m.render_prometheus().splitlines()
+                 if ln.startswith("serve_tenant_")]
+        assert len(lines) == 4
+        assert "serve_tenant_a_b_completed_total 1" in lines
 
     def test_warm_audit_accumulates(self):
         m = ServiceMetrics()

@@ -11,6 +11,9 @@ can land on it.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,8 +21,13 @@ import scipy.sparse as sp
 from repro.cme.models import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import enumerate_state_space
-from repro.errors import SingularSystemError, SolveJobError
-from repro.serve.pool import ProcessSolverPool
+from repro.errors import (
+    BackendError,
+    SingularSystemError,
+    SolveJobError,
+    ValidationError,
+)
+from repro.serve.pool import ProcessSolverPool, SolveTask
 from repro.solvers import JacobiSolver
 from repro.solvers.result import StopReason
 
@@ -70,10 +78,9 @@ class TestDispatch:
 
     def test_batched_matches_individual(self, pool, system):
         solo = pool_solve(pool, system)
-        results = pool.solve_batched(
-            system_key="sys", matrix=system, tol=TOL,
-            max_iterations=50_000, options=OPTS,
-            tols=[TOL, TOL * 10], k=2)
+        results = pool.run("sys", system, SolveTask(
+            method="jacobi", tol=TOL, max_iterations=50_000,
+            options=dict(OPTS), tols=[TOL, TOL * 10]))
         assert len(results) == 2
         for r in results:
             assert r.stop_reason is StopReason.CONVERGED
@@ -118,3 +125,31 @@ class TestSharedPool:
             # Neither service owned the pool: it must still be usable.
             assert pool_solve(p, system).stop_reason \
                 is StopReason.CONVERGED
+
+
+class TestServiceOwnedPool:
+    @pytest.mark.parametrize("bad", [{"queue_capacity": 0},
+                                     {"retries": -1}])
+    def test_rejected_arguments_spawn_no_worker(self, bad):
+        from repro.serve import SolveService
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValidationError):
+            SolveService(toggle_switch(max_protein=6), workers=1,
+                         executor="process", **bad)
+        leaked = [p.name for p in multiprocessing.active_children()
+                  if p not in before]
+        assert leaked == []
+
+    def test_failed_pool_spawn_stops_scheduler_threads(self):
+        from repro.serve import SolveService
+
+        before = set(threading.enumerate())
+        with pytest.raises(BackendError):
+            SolveService(toggle_switch(max_protein=6), workers=2,
+                         executor="process",
+                         solver_options={"backend": "no-such-backend"})
+        started = [t for t in threading.enumerate() if t not in before]
+        for t in started:
+            t.join(timeout=5.0)
+        assert not any(t.is_alive() for t in started)

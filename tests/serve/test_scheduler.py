@@ -1,4 +1,4 @@
-"""Tests for the bounded queue, backpressure and the retrying worker pool."""
+"""Tests for the fair queue, backpressure and the retrying worker pool."""
 
 import threading
 import time
@@ -13,7 +13,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.serve import (
-    BoundedPriorityQueue,
+    FairPriorityQueue,
     JobState,
     QueuePolicy,
     SolveJob,
@@ -36,7 +36,7 @@ def make_job(tiny_toggle_network):
 
 class TestQueueOrdering:
     def test_priority_then_fifo(self, make_job):
-        q = BoundedPriorityQueue(capacity=10)
+        q = FairPriorityQueue(capacity=10)
         low_a, low_b = make_job(priority=5), make_job(priority=5)
         urgent = make_job(priority=0)
         q.put(low_a)
@@ -47,23 +47,23 @@ class TestQueueOrdering:
         assert q.get(timeout=0) is low_b
 
     def test_get_timeout_returns_none(self):
-        q = BoundedPriorityQueue(capacity=2)
+        q = FairPriorityQueue(capacity=2)
         assert q.get(timeout=0.01) is None
 
     def test_capacity_validated(self):
         with pytest.raises(ValidationError):
-            BoundedPriorityQueue(capacity=0)
+            FairPriorityQueue(capacity=0)
 
 
 class TestBackpressure:
     def test_reject_policy_raises_when_full(self, make_job):
-        q = BoundedPriorityQueue(capacity=1, policy=QueuePolicy.REJECT)
+        q = FairPriorityQueue(capacity=1, policy=QueuePolicy.REJECT)
         q.put(make_job())
         with pytest.raises(JobRejectedError, match="full"):
             q.put(make_job())
 
     def test_block_policy_waits_for_space(self, make_job):
-        q = BoundedPriorityQueue(capacity=1, policy="block")
+        q = FairPriorityQueue(capacity=1, policy="block")
         q.put(make_job())
         unblocked = []
 
@@ -80,14 +80,14 @@ class TestBackpressure:
         assert unblocked
 
     def test_block_policy_put_timeout(self, make_job):
-        q = BoundedPriorityQueue(capacity=1, policy=QueuePolicy.BLOCK,
-                                 put_timeout=0.05)
+        q = FairPriorityQueue(capacity=1, policy=QueuePolicy.BLOCK,
+                              put_timeout=0.05)
         q.put(make_job())
         with pytest.raises(JobRejectedError, match="still full"):
             q.put(make_job())
 
     def test_closed_queue_rejects(self, make_job):
-        q = BoundedPriorityQueue(capacity=2)
+        q = FairPriorityQueue(capacity=2)
         q.close()
         with pytest.raises(JobRejectedError, match="closed"):
             q.put(make_job())
@@ -189,7 +189,7 @@ class TestShutdown:
             return "done"
 
         sched = SolveScheduler(slow, workers=1,
-                               queue=BoundedPriorityQueue(capacity=10))
+                               queue=FairPriorityQueue(capacity=10))
         running = make_job()
         sched.submit(running)
         time.sleep(0.1)  # let the worker pick it up
