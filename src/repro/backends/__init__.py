@@ -1,8 +1,9 @@
 """Pluggable kernel backends for the sparse/solver hot paths.
 
 Every hot operation — per-format SpMV/SpMM, the fused Jacobi sweep,
-and the solver's vector primitives — dispatches through a
-:class:`~repro.backends.protocol.KernelBackend` selected here.
+the solver's vector primitives and the DFS state-space walk —
+dispatches through a :class:`~repro.backends.protocol.KernelBackend`
+selected here.
 
 Selection precedence (first hit wins):
 
@@ -232,8 +233,9 @@ def reset_kernel_stats() -> None:
 
 
 def _register_builtin() -> None:
-    # The native module imports only the standard library and NumPy/SciPy
-    # and compiles nothing until first use; availability is probed lazily.
+    # The native module imports only the standard library, NumPy/SciPy
+    # and repro.errors, and compiles nothing until first use;
+    # availability is probed lazily.
     from repro.backends.native import NativeBackend
 
     register_backend("numpy", NumpyBackend)

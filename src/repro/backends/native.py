@@ -35,6 +35,8 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
+from repro.errors import StateSpaceOverflowError
+
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <math.h>
@@ -951,6 +953,113 @@ double maxabs(int64_t n, const double *v)
     }
     return m;
 }
+
+/* ---- DFS state-space enumeration ------------------------------------ */
+
+/* Cao & Liang's walk, the reference backend's loop in C: an explicit
+ * stack of (state row, next reaction) pairs, reactions tried in index
+ * order, and an edge k from state x when x holds need[k], the
+ * successor x + delta[k] lies in [0, bounds] and, for a gated reaction,
+ * x's gate is open.  New states are appended to order[] (cap x m) as
+ * they are found, so the rows come out in the reference's order.
+ *
+ * Membership is an open-addressing table of mixed-radix keys, -1 for
+ * an empty slot, with linear probing.  It has table_mask + 1 slots, at
+ * least twice cap, so it is never more than half full.
+ *
+ * The caller owns every buffer and walk[] is the whole walk state:
+ * {states found, stack depth, states in the table, states whose gates
+ * are known}.  The walk returns DFS_FULL, without consuming the
+ * reaction it was trying, when a new state finds order[] full: the
+ * caller grows order[], stack[] and gates[], hands in an empty table
+ * with walk[2] = 0 and calls again, and the walk first re-inserts the
+ * keys of the states found so far.  It returns DFS_GATE at a gated
+ * reaction of a row whose gates are unknown (row >= walk[3]): the
+ * caller fills gates[row * n_gates + gate_col[k]] for every row below
+ * walk[0], sets walk[3] = walk[0] and calls again. */
+
+#define DFS_DONE 0
+#define DFS_FULL 1
+#define DFS_GATE 2
+
+/* The slot holding key, or the empty slot where it belongs. */
+static inline int64_t dfs_slot(const int64_t *table, int64_t mask,
+                               int64_t key)
+{
+    uint64_t h = (uint64_t)key;  /* splitmix64's finalizer */
+    int64_t slot;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    slot = (int64_t)((h ^ (h >> 31)) & (uint64_t)mask);
+    while (table[slot] != -1 && table[slot] != key)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+int64_t dfs_enumerate(int64_t m, int64_t R, const int64_t *bounds,
+                      const int64_t *radix, const int64_t *delta,
+                      const int64_t *need, const int64_t *gate_col,
+                      int64_t n_gates, const uint8_t *gates,
+                      int64_t cap, int64_t *order,
+                      int64_t *stack, int64_t table_mask, int64_t *table,
+                      int64_t *walk)
+{
+    int64_t n = walk[0], depth = walk[1], row, i;
+    const int64_t known = walk[3];
+    int64_t status = DFS_DONE;
+    for (row = walk[2]; row < n; ++row) {
+        int64_t key = 0;
+        for (i = 0; i < m; ++i)
+            key += order[row * m + i] * radix[i];
+        table[dfs_slot(table, table_mask, key)] = key;
+    }
+    while (depth > 0) {
+        int64_t *top = stack + 2 * (depth - 1);
+        const int64_t k = top[1];
+        const int64_t *x = order + top[0] * m;
+        int64_t key = 0, slot;
+        if (k == R) {
+            --depth;
+            continue;
+        }
+        for (i = 0; i < m; ++i)
+            if (x[i] < need[k * m + i])
+                goto next;
+        if (gate_col[k] >= 0) {
+            if (top[0] >= known) {
+                status = DFS_GATE;
+                break;
+            }
+            if (!gates[top[0] * n_gates + gate_col[k]])
+                goto next;
+        }
+        for (i = 0; i < m; ++i) {
+            const int64_t v = x[i] + delta[k * m + i];
+            if (v < 0 || v > bounds[i])
+                goto next;
+            key += v * radix[i];
+        }
+        slot = dfs_slot(table, table_mask, key);
+        if (table[slot] != key) {
+            if (n >= cap) {
+                status = DFS_FULL;
+                break;
+            }
+            table[slot] = key;
+            for (i = 0; i < m; ++i)
+                order[n * m + i] = x[i] + delta[k * m + i];
+            stack[2 * depth] = n++;
+            stack[2 * depth + 1] = 0;
+            ++depth;
+        }
+    next:
+        top[1] = k + 1;
+    }
+    walk[0] = n;
+    walk[1] = depth;
+    walk[2] = n;
+    return status;
+}
 """
 
 #: Flags shared by every compile attempt.  ``-ffp-contract=off`` is the
@@ -966,6 +1075,7 @@ _lib_lock = threading.Lock()
 _F64 = ctypes.POINTER(ctypes.c_double)
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
+_U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
 class NativeCompileError(RuntimeError):
@@ -1114,6 +1224,11 @@ def _bind(lib) -> None:
                           ctypes.c_double, _F64, _F64]
     lib.maxabs.argtypes = [ctypes.c_int64, _F64]
     lib.maxabs.restype = ctypes.c_double
+    lib.dfs_enumerate.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64, _I64, _I64,
+        ctypes.c_int64, _U8, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
+        _I64, _I64]
+    lib.dfs_enumerate.restype = ctypes.c_int64
     for name in ("csr_spmv", "csr_spmm", "ell_spmv", "ell_spmm",
                  "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
                  "dia_spmv", "dia_spmm", "csr_jacobi_sweep",
@@ -1156,6 +1271,10 @@ def _pi64(a: np.ndarray):
 
 def _pi32(a: np.ndarray):
     return a.ctypes.data_as(_I32)
+
+
+def _pu8(a: np.ndarray):
+    return a.ctypes.data_as(_U8)
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -1493,6 +1612,23 @@ def _ell_dia_spmm(fmt, X):
     return _dia_spmm(fmt.dia, X) + _ell_spmm(fmt.ell, X)
 
 
+# -- DFS state-space enumeration -------------------------------------------
+
+#: Return codes of ``dfs_enumerate`` (``DFS_*`` in the C source).
+_DFS_DONE, _DFS_FULL, _DFS_GATE = range(3)
+
+#: Rows of a walk's first order buffer.  A full buffer doubles, up to
+#: ``max_states`` rows, so nothing is sized by the cap up front.
+_DFS_FIRST_ROWS = 1024
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """*a* copied into the top of a buffer of *rows* rows."""
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    out[:a.shape[0]] = a
+    return out
+
+
 _SPMV = {
     "csr": _csr_spmv,
     "ell": _ell_spmv,
@@ -1515,8 +1651,9 @@ _SPMM = {
     "ell+dia": _ell_dia_spmm,
 }
 
-#: Format-independent solver primitives this backend provides.
-_PRIMITIVES = frozenset({"jacobi_sweep", "axpy", "residual"})
+#: Format-independent ops this backend provides.
+_PRIMITIVES = frozenset({"jacobi_sweep", "axpy", "residual",
+                         "dfs_enumerate"})
 
 
 class NativeBackend:
@@ -1736,3 +1873,68 @@ class NativeBackend:
         y_norm = float(lib.maxabs(y.size, _vec(y))) if y.size else 0.0
         x_norm = float(lib.maxabs(x.size, _vec(x))) if x.size else 0.0
         return y_norm, x_norm
+
+    def dfs_enumerate(self, x0: np.ndarray, bounds: np.ndarray,
+                      delta: np.ndarray, need: np.ndarray,
+                      gated: np.ndarray, propensities,
+                      max_states: int) -> np.ndarray:
+        """The reference's DFS walk in C (``dfs_enumerate`` in the
+        source): the same states in the same order.
+
+        Python owns every buffer, and the walk returns to it in two
+        cases.  When a new state finds the order buffer full, the
+        order, stack and gate buffers double (up to *max_states* rows;
+        a full buffer of *max_states* rows raises
+        :class:`~repro.errors.StateSpaceOverflowError`) and the walk
+        resumes over a fresh key table.  When it reaches a gated
+        reaction at a state whose gates are unknown, each gated
+        reaction's propensity is evaluated in one vectorised call over
+        every state found since the last such return, and the walk
+        resumes.  Custom propensities have no reactants, so these are
+        the states the reference evaluates one at a time, and
+        ``~(a <= 0.0)`` keeps a NaN's edge as the reference's
+        ``<= 0.0`` test does.
+        """
+        lib = get_library()
+        bounds = np.ascontiguousarray(bounds, dtype=np.int64)
+        delta = np.ascontiguousarray(delta, dtype=np.int64)
+        need = np.ascontiguousarray(need, dtype=np.int64)
+        m, R = bounds.size, delta.shape[0]
+        radix = np.ones(m, dtype=np.int64)
+        radix[1:] = np.cumprod(bounds[:-1] + 1)
+        gated_k = np.flatnonzero(gated)
+        gate_col = np.full(R, -1, dtype=np.int64)
+        gate_col[gated_k] = np.arange(gated_k.size)
+        fixed = (m, R, _pi64(bounds), _pi64(radix), _pi64(delta),
+                 _pi64(need), _pi64(gate_col), gated_k.size)
+        # States found, stack depth, states in the table, states whose
+        # gates are known: x0 is found and on the stack.
+        walk = np.array([1, 1, 0, 0], dtype=np.int64)
+        cap = min(_DFS_FIRST_ROWS, max_states)
+        order = np.empty((cap, m), dtype=np.int64)
+        order[0] = x0
+        stack = np.zeros((cap, 2), dtype=np.int64)
+        gates = np.empty((cap, gated_k.size), dtype=np.uint8)
+        while True:
+            table = np.full(1 << (2 * cap - 1).bit_length(), -1,
+                            dtype=np.int64)
+            args = fixed + (_pu8(gates), cap, _pi64(order),
+                            _pi64(stack), table.size - 1, _pi64(table),
+                            _pi64(walk))
+            status = lib.dfs_enumerate(*args)
+            while status == _DFS_GATE:
+                lo, n = int(walk[3]), int(walk[0])
+                for g, k in enumerate(gated_k):
+                    a = propensities.propensity(order[lo:n], int(k))
+                    gates[lo:n, g] = ~(a <= 0.0)
+                walk[3] = n
+                status = lib.dfs_enumerate(*args)
+            if status == _DFS_DONE:
+                n = int(walk[0])
+                return order if n == cap else order[:n].copy()
+            if cap == max_states:  # a new state beyond max_states
+                raise StateSpaceOverflowError(max_states)
+            cap = min(2 * cap, max_states)
+            order, stack, gates = (_grown(order, cap), _grown(stack, cap),
+                                   _grown(gates, cap))
+            walk[2] = 0

@@ -1,9 +1,10 @@
 """The :class:`KernelBackend` protocol — one seam per hot operation.
 
 Every hot numeric operation in the reproduction (format-faithful SpMV,
-multi-RHS SpMM, the fused Jacobi sweep, and the small vector primitives
-the solver loop is made of) goes through a *kernel backend*.  A backend
-is an object implementing this protocol; the package ships two:
+multi-RHS SpMM, the fused Jacobi sweep, the small vector primitives
+the solver loop is made of, and the DFS state-space walk) goes through
+a *kernel backend*.  A backend is an object implementing this protocol;
+the package ships two:
 
 ``numpy``
     The reference backend (:mod:`repro.backends.reference`): the exact
@@ -38,6 +39,17 @@ Operations
 ``residual(y, x)``
     ``(||y||_inf, ||x||_inf)`` in one pass — the two reductions of the
     paper's normalized stopping criterion.
+``dfs_enumerate(x0, bounds, delta, need, gated, propensities, max_states)``
+    Cao & Liang's DFS walk of the reachable state space from the
+    ``(m,)`` state *x0*, trying reactions in index order: reaction
+    ``k`` gives an edge when the state holds ``need[k]``, the successor
+    ``state + delta[k]`` lies within ``[0, bounds]`` and, where
+    ``gated[k]``, the custom propensity
+    ``propensities.propensity(states, k)`` is not ``<= 0`` there.
+    Returns the ``(n, m)`` int64 states in discovery order and raises
+    :class:`~repro.errors.StateSpaceOverflowError` when a new state is
+    found with *max_states* already discovered.  Arguments are
+    validated by :func:`~repro.cme.statespace.enumerate_state_space`.
 
 Capability flags
 ----------------
@@ -47,8 +59,9 @@ pairs a backend can serve.  The registry consults it on every dispatch
 and silently falls back to the reference backend for unsupported pairs
 (the fallback is recorded in the kernel telemetry counters, see
 :func:`repro.backends.kernel_stats`).  Vector primitives
-(``jacobi_sweep``/``axpy``/``residual``) are format-independent: a
-backend either has them or not, signalled by ``supports("", op)``.
+(``jacobi_sweep``/``axpy``/``residual``) and ``dfs_enumerate`` are
+format-independent: a backend either has them or not, signalled by
+``supports("", op)``.
 
 Numerical contract
 ------------------
@@ -58,7 +71,9 @@ and accumulation order, so results agree bitwise (or within 1 ulp where
 an optimizing compiler reassociates a fused multiply-add).  The
 conformance suite (``tests/backends/test_conformance.py``) enforces
 this on every registered backend × format pair.  ``fastmath``-style
-reassociation is therefore forbidden in JIT backends.
+reassociation is therefore forbidden in JIT backends.  ``dfs_enumerate``
+must return the reference's states in the reference's order, bitwise
+(``tests/cme/test_enumeration_backends.py``).
 """
 
 from __future__ import annotations
@@ -68,7 +83,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 #: Every operation a backend may implement.
-OPS = ("spmv", "spmm", "jacobi_sweep", "axpy", "residual")
+OPS = ("spmv", "spmm", "jacobi_sweep", "axpy", "residual",
+       "dfs_enumerate")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -105,3 +121,8 @@ class KernelBackend(Protocol):
 
     def residual(self, y: np.ndarray,
                  x: np.ndarray) -> tuple[float, float]: ...
+
+    def dfs_enumerate(self, x0: np.ndarray, bounds: np.ndarray,
+                      delta: np.ndarray, need: np.ndarray,
+                      gated: np.ndarray, propensities,
+                      max_states: int) -> np.ndarray: ...

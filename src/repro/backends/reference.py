@@ -4,7 +4,8 @@ This is the arithmetic ground truth of the kernel protocol: the exact
 per-format NumPy kernels the sparse formats have always carried (each
 format keeps its implementation as ``_reference_spmv``/``_reference_spmm``
 — the moved inner loops), plus the solver primitives extracted from
-:mod:`repro.solvers.jacobi` and :mod:`repro.solvers.batched`.
+:mod:`repro.solvers.jacobi` and :mod:`repro.solvers.batched` and the
+DFS state-space walk of :mod:`repro.cme.statespace`.
 
 It supports every format and every op, which makes it the automatic
 fallback whenever a faster backend lacks a kernel for a ``(format,
@@ -15,6 +16,8 @@ order bit for bit (see :mod:`repro.backends.protocol`).
 from __future__ import annotations
 
 import numpy as np
+
+from repro.errors import StateSpaceOverflowError
 
 
 class NumpyBackend:
@@ -121,3 +124,65 @@ class NumpyBackend:
         y_norm = float(np.abs(y).max()) if y.size else 0.0
         x_norm = float(np.abs(x).max()) if x.size else 0.0
         return y_norm, x_norm
+
+    # -- state-space enumeration -----------------------------------------
+
+    def dfs_enumerate(self, x0: np.ndarray, bounds: np.ndarray,
+                      delta: np.ndarray, need: np.ndarray,
+                      gated: np.ndarray, propensities,
+                      max_states: int) -> np.ndarray:
+        """Cao & Liang's DFS walk from *x0*, as a Python loop over
+        tuples and a dict; returns the ``(n, m)`` int64 states in
+        discovery order.
+
+        Reaction ``k`` gives an edge when the state holds ``need[k]``,
+        the successor ``state + delta[k]`` lies within ``[0, bounds]``
+        and, for a *gated* reaction, ``propensities.single(state, k)``
+        is not ``<= 0``.  Raises
+        :class:`~repro.errors.StateSpaceOverflowError` when a new state
+        is found with *max_states* already discovered.
+        """
+        m = len(x0)
+        R = delta.shape[0]
+        x0 = tuple(int(v) for v in x0)
+        bounds = tuple(int(v) for v in bounds)
+        # Per-reaction compiled data for the inner loop: the stoichiometric
+        # delta as a tuple and the (species, needed) reactant requirements.
+        deltas = [tuple(int(v) for v in row) for row in delta]
+        needs = [tuple((int(i), int(row[i])) for i in np.flatnonzero(row))
+                 for row in need]
+        custom_checks_set = frozenset(np.flatnonzero(gated).tolist())
+
+        index: dict[tuple[int, ...], int] = {x0: 0}
+        order: list[tuple[int, ...]] = [x0]
+        # Each stack entry is [state, next_reaction_to_try].
+        stack: list[list] = [[x0, 0]]
+        while stack:
+            top = stack[-1]
+            state, k = top
+            if k == R:
+                stack.pop()
+                continue
+            top[1] = k + 1
+            for i, c in needs[k]:
+                if state[i] < c:
+                    break
+            else:
+                if (k in custom_checks_set
+                        and propensities.single(np.asarray(state), k) <= 0.0):
+                    continue
+                succ = tuple(map(int.__add__, state, deltas[k]))
+                ok = True
+                for i in range(m):
+                    v = succ[i]
+                    if v < 0 or v > bounds[i]:
+                        ok = False
+                        break
+                if ok and succ not in index:
+                    if len(order) >= max_states:
+                        raise StateSpaceOverflowError(max_states)
+                    index[succ] = len(order)
+                    order.append(succ)
+                    stack.append([succ, 0])
+
+        return np.array(order, dtype=np.int64)

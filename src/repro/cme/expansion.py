@@ -37,12 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.cme.network import ReactionNetwork
-from repro.cme.statespace import StateSpace
-from repro.errors import (
-    EnumerationError,
-    StateSpaceOverflowError,
-    ValidationError,
+from repro.cme.statespace import (
+    StateSpace,
+    initial_microstate,
+    key_radix,
+    lookup_keys,
 )
+from repro.errors import StateSpaceOverflowError, ValidationError
 from repro.sparse.base import as_csr
 
 
@@ -59,18 +60,8 @@ def initial_projection(network: ReactionNetwork, *, size: int = 64,
     """
     if size <= 0:
         raise ValidationError(f"size must be positive, got {size}")
-    m = network.n_species
-    if initial_state is None:
-        x0 = tuple(int(v) for v in network.initial_state)
-    else:
-        x0 = tuple(int(v) for v in np.asarray(initial_state).ravel())
-        if len(x0) != m:
-            raise ValidationError(
-                f"initial_state must have {m} entries, got {len(x0)}")
+    x0 = tuple(initial_microstate(network, initial_state).tolist())
     bounds = network.max_counts
-    if any(not (0 <= x0[i] <= int(bounds[i])) for i in range(m)):
-        raise ValidationError(
-            f"initial state {x0} violates species buffers {tuple(bounds)}")
 
     seen = {x0}
     order = [x0]
@@ -151,13 +142,7 @@ class ProjectionAssembler:
 
     def __init__(self, network: ReactionNetwork):
         self.network = network
-        levels = network.max_counts + 1
-        radix = np.ones(levels.size, dtype=np.int64)
-        radix[1:] = np.cumprod(levels[:-1])
-        if levels.size and np.prod(levels.astype(np.float64)) >= 2.0 ** 62:
-            raise EnumerationError(
-                "state encoding exceeds 63-bit range; reduce buffers")
-        self._radix = radix
+        self._radix = key_radix(network.max_counts)
         self._index: dict[int, int] = {}
         self._states = np.empty((0, network.n_species), dtype=np.int64)
         self._prop = np.empty((0, network.n_reactions), dtype=np.float64)
@@ -246,7 +231,7 @@ class ProjectionAssembler:
             if src.size == 0:
                 continue
             rate = prop[src, k]
-            tgt = _lookup_keys(sorted_keys, sorter, succ[src, k])
+            tgt = lookup_keys(sorted_keys, sorter, succ[src, k])
             inside = tgt >= 0
             np.subtract.at(diag, src, rate)
             if inside.any():
@@ -296,7 +281,7 @@ class ProjectionAssembler:
             src = np.flatnonzero(succ[:, k] >= 0)
             if src.size == 0:
                 continue
-            tgt = _lookup_keys(sorted_keys, sorter, succ[src, k])
+            tgt = lookup_keys(sorted_keys, sorter, succ[src, k])
             leaving = src[tgt < 0]
             if leaving.size == 0:
                 continue
@@ -337,7 +322,7 @@ class ProjectionAssembler:
             has_edge = f_succ[:, k] >= 0
             if not has_edge.any():
                 continue
-            tgt = _lookup_keys(sorted_keys, sorter, f_succ[has_edge, k])
+            tgt = lookup_keys(sorted_keys, sorter, f_succ[has_edge, k])
             hit = tgt >= 0
             if hit.any():
                 idx = np.flatnonzero(has_edge)[hit]
@@ -389,12 +374,3 @@ class ProjectionAssembler:
             raise ValidationError(
                 "projection's species layout disagrees with the "
                 "assembler's network")
-
-
-def _lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
-                 keys: np.ndarray) -> np.ndarray:
-    """Indices of *keys* in the projection; ``-1`` where absent."""
-    pos = np.searchsorted(sorted_keys, keys)
-    pos_clipped = np.minimum(pos, sorted_keys.size - 1)
-    found = (sorted_keys.size > 0) & (sorted_keys[pos_clipped] == keys)
-    return np.where(found, sorter[pos_clipped], -1).astype(np.int64)

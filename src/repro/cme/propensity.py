@@ -127,7 +127,7 @@ class PropensityEvaluator:
                 raise ValidationError(
                     f"custom propensity of reaction {k} returned shape "
                     f"{a.shape}, expected ({states.shape[0]},)")
-            if a.size and a.min() < 0:
+            if np.any(a < 0):  # a.min() < 0 misses one beside a NaN
                 raise ValidationError(
                     f"custom propensity of reaction {k} returned a "
                     f"negative rate")

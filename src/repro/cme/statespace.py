@@ -16,6 +16,13 @@ A reaction edge ``x -> x + s_k`` exists when the reactants are available
 inside every species buffer.  Buffer-blocked reactions are simply absent
 edges, so the enumerated space is closed and the rate matrix remains a
 proper generator.
+
+The walk itself is a kernel-backend op (``dfs_enumerate``, see
+:mod:`repro.backends`): the ``numpy`` reference runs it as a Python loop
+over tuples and a dict, the ``native`` backend as a C loop over an
+explicit stack and an open-addressing key table, and both return the
+same states in the same order.  :func:`enumerate_state_space` validates
+its inputs, builds the per-reaction arrays and dispatches.
 """
 
 from __future__ import annotations
@@ -24,8 +31,73 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import backends
 from repro.cme.network import ReactionNetwork
-from repro.errors import EnumerationError, StateSpaceOverflowError, ValidationError
+from repro.errors import EnumerationError, ValidationError
+
+
+def key_radix(max_counts) -> np.ndarray:
+    """Mixed-radix place values for encoding states as scalar keys.
+
+    State ``x`` has key ``x @ key_radix(max_counts)``, unique over the
+    buffered lattice.  Raises :class:`~repro.errors.EnumerationError`
+    when the lattice has ``2**62`` or more points, so every key of it,
+    and every sum of a key and one reaction's key change, fits an int64.
+    """
+    levels = np.asarray(max_counts, dtype=np.int64) + 1
+    if levels.size and np.prod(levels.astype(np.float64)) >= 2.0 ** 62:
+        raise EnumerationError(
+            "state encoding exceeds 63-bit range; reduce buffers")
+    radix = np.ones(levels.size, dtype=np.int64)
+    radix[1:] = np.cumprod(levels[:-1])
+    return radix
+
+
+def lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
+                keys: np.ndarray) -> np.ndarray:
+    """Positions of *keys* in a table sorted by ``sorter``; ``-1`` where
+    absent (everywhere, when the table is empty)."""
+    if sorted_keys.size == 0:
+        return np.full(np.shape(keys), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    found = sorted_keys[pos] == keys
+    return np.where(found, sorter[pos], -1).astype(np.int64)
+
+
+def _integral(value, what: str) -> np.ndarray:
+    """*value* as int64; integral floats pass, anything else raises."""
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.int64)
+    if (arr.dtype.kind == "f" and np.all(np.isfinite(arr))
+            and np.all(arr == np.trunc(arr))):
+        return arr.astype(np.int64)
+    raise ValidationError(f"{what} must be integral, got {value!r}")
+
+
+def initial_microstate(network: ReactionNetwork,
+                       initial_state=None) -> np.ndarray:
+    """The ``(m,)`` int64 state an enumeration starts from.
+
+    Defaults to the species' initial counts.  Raises
+    :class:`~repro.errors.ValidationError` when *initial_state* has the
+    wrong length, a non-integral entry (``1.0`` passes, ``1.7`` does
+    not) or an entry outside its species buffer.
+    """
+    m = network.n_species
+    if initial_state is None:
+        x0 = np.asarray(network.initial_state, dtype=np.int64)
+    else:
+        x0 = _integral(np.ravel(initial_state), "initial_state")
+        if x0.size != m:
+            raise ValidationError(
+                f"initial_state must have {m} entries, got {x0.size}")
+    bounds = network.max_counts
+    if np.any(x0 < 0) or np.any(x0 > bounds):
+        raise ValidationError(
+            f"initial state {tuple(x0.tolist())} violates species buffers "
+            f"{tuple(bounds.tolist())}")
+    return x0
 
 
 @dataclass
@@ -53,13 +125,7 @@ class StateSpace:
             raise ValidationError(
                 f"states must have shape (n, {self.network.n_species})")
         # Mixed-radix encoding for O(log n) vectorized state lookup.
-        levels = self.network.max_counts + 1
-        radix = np.ones(levels.size, dtype=np.int64)
-        radix[1:] = np.cumprod(levels[:-1])
-        if levels.size and np.prod(levels.astype(np.float64)) >= 2.0 ** 62:
-            raise EnumerationError(
-                "state encoding exceeds 63-bit range; reduce buffers")
-        self._key_radix = radix
+        self._key_radix = key_radix(self.network.max_counts)
         keys = self.encode(self.states)
         self._sorter = np.argsort(keys, kind="stable")
         self._sorted_keys = keys[self._sorter]
@@ -81,13 +147,8 @@ class StateSpace:
     def lookup(self, states: np.ndarray) -> np.ndarray:
         """DFS indices of a batch of states; ``-1`` where not enumerated."""
         states = np.atleast_2d(np.asarray(states, dtype=np.int64))
-        keys = self.encode(states)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        pos_clipped = np.minimum(pos, self._sorted_keys.size - 1)
-        found = (self._sorted_keys.size > 0) & \
-                (self._sorted_keys[pos_clipped] == keys)
-        out = np.where(found, self._sorter[pos_clipped], -1)
-        return out.astype(np.int64)
+        return lookup_keys(self._sorted_keys, self._sorter,
+                           self.encode(states))
 
     def index_of(self, state) -> int:
         """DFS index of one state (raises if absent)."""
@@ -115,9 +176,11 @@ def enumerate_state_space(network: ReactionNetwork,
     network:
         The reaction network (buffers come from its species).
     max_states:
-        Hard cap; :class:`~repro.errors.StateSpaceOverflowError` beyond it.
+        Hard cap, at least 1; :class:`~repro.errors.StateSpaceOverflowError`
+        beyond it.
     initial_state:
-        Starting microstate (defaults to the species' initial counts).
+        Starting microstate (defaults to the species' initial counts);
+        entries must be integral and inside the species buffers.
 
     Returns
     -------
@@ -126,70 +189,20 @@ def enumerate_state_space(network: ReactionNetwork,
         discovery, and the subtree behind the first applicable reaction is
         fully explored before the second reaction is tried.
     """
-    m = network.n_species
-    R = network.n_reactions
-    if initial_state is None:
-        x0 = tuple(int(v) for v in network.initial_state)
-    else:
-        x0 = tuple(int(v) for v in np.asarray(initial_state).ravel())
-        if len(x0) != m:
-            raise ValidationError(
-                f"initial_state must have {m} entries, got {len(x0)}")
-    bounds = tuple(int(v) for v in network.max_counts)
-    if any(not (0 <= x0[i] <= bounds[i]) for i in range(m)):
+    cap = _integral(max_states, "max_states")
+    if cap.ndim != 0 or cap < 1:
         raise ValidationError(
-            f"initial state {x0} violates species buffers {bounds}")
-
-    # Per-reaction compiled data for the inner loop: the stoichiometric
-    # delta as a tuple and the (species, needed) reactant requirements.
+            f"max_states must be an integer >= 1, got {max_states!r}")
+    x0 = initial_microstate(network, initial_state)
+    key_radix(network.max_counts)  # the key range, checked before the walk
     # A reaction with a custom propensity has an edge wherever the
     # propensity is positive: unconditionally for strictly-positive
-    # functions, by evaluation otherwise.
-    deltas: list[tuple[int, ...]] = []
-    needs: list[tuple[tuple[int, int], ...]] = []
-    custom_checks: list = []
-    evaluator = network.propensities
-    for k in range(R):
-        deltas.append(tuple(int(v) for v in network.stoichiometry[k]))
-        needs.append(tuple(
-            (int(i), int(network.reactant_counts[k, i]))
-            for i in np.flatnonzero(network.reactant_counts[k])))
-        rxn = network.reactions[k]
-        if rxn.propensity_fn is not None and not rxn.strictly_positive:
-            custom_checks.append(k)
-    custom_checks_set = frozenset(custom_checks)
-
-    index: dict[tuple[int, ...], int] = {x0: 0}
-    order: list[tuple[int, ...]] = [x0]
-    # Each stack entry is [state, next_reaction_to_try].
-    stack: list[list] = [[x0, 0]]
-    while stack:
-        top = stack[-1]
-        state, k = top
-        if k == R:
-            stack.pop()
-            continue
-        top[1] = k + 1
-        for i, c in needs[k]:
-            if state[i] < c:
-                break
-        else:
-            if (k in custom_checks_set
-                    and evaluator.single(np.asarray(state), k) <= 0.0):
-                continue
-            succ = tuple(map(int.__add__, state, deltas[k]))
-            ok = True
-            for i in range(m):
-                v = succ[i]
-                if v < 0 or v > bounds[i]:
-                    ok = False
-                    break
-            if ok and succ not in index:
-                if len(order) >= max_states:
-                    raise StateSpaceOverflowError(max_states)
-                index[succ] = len(order)
-                order.append(succ)
-                stack.append([succ, 0])
-
-    states = np.array(order, dtype=np.int64)
+    # functions, by evaluation (a "gate") otherwise.
+    gated = np.array([rxn.propensity_fn is not None
+                      and not rxn.strictly_positive
+                      for rxn in network.reactions], dtype=bool)
+    backend = backends.serving("", "dfs_enumerate")
+    states = backend.dfs_enumerate(
+        x0, network.max_counts, network.stoichiometry,
+        network.reactant_counts, gated, network.propensities, int(cap))
     return StateSpace(network=network, states=states)

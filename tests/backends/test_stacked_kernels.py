@@ -7,8 +7,9 @@ reference.  These tests pin that contract for every backend that
 advertises the methods: every width from 1 to 16 plus 64 (whole SIMD
 chunks, masked tails, the scalar width-1 loop), damped sweeps, blocks
 compacted after a column retires, ``sweeps=k`` against k single calls,
-each SIMD path of the C source built separately (the stacked kernels
-and the single-system sliced sweep's cases), the ``None`` fallback
+each SIMD path of the C source built separately (the stacked kernels,
+the single-system sliced sweep's cases and the scalar DFS walk, which
+must compile in every build), the ``None`` fallback
 for inputs the fused path cannot serve, and the ``can_stack`` probe
 callers use to pick the interleaved layout up front.
 """
@@ -21,9 +22,14 @@ import scipy.sparse as sp
 
 from repro import backends
 from repro.backends import native
+from repro.cme.models import toggle_switch
+from repro.cme.models.phage_lambda import phage_lambda
 from repro.sparse.base import as_csr
 from tests.backends.test_sliced_sweep import (SLICED_CASES,
                                               assert_sliced_case_matches)
+from tests.cme.test_enumeration_backends import (assert_same_walk,
+                                                 gated_first_network,
+                                                 nan_gate_network)
 
 STACKED = [n for n in backends.available_backends()
            if hasattr(backends.get_backend(n), "jacobi_sweep_many")]
@@ -268,6 +274,18 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
             REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
     for _, n, long_row in SLICED_CASES:
         assert_sliced_case_matches(be, n, long_row, damping)
+
+
+def test_every_simd_build_enumerates_like_reference(simd_library,
+                                                    monkeypatch):
+    """The scalar DFS walk compiles, and keeps the reference's state
+    order, in every build; a one-row first buffer makes it grow."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    monkeypatch.setattr(native, "_DFS_FIRST_ROWS", 1)
+    for network in (phage_lambda(max_monomer=4, max_dimer=2),
+                    toggle_switch(max_protein=9), gated_first_network(),
+                    nan_gate_network()):
+        assert_same_walk(network)
 
 
 def test_sweep_many_out_is_returned_and_filled(backend):

@@ -52,6 +52,17 @@ class TestInitialProjection:
         with pytest.raises(ValidationError):
             initial_projection(network, size=5, initial_state=[999, 0])
 
+    def test_non_integral_initial_state(self, network):
+        with pytest.raises(ValidationError, match="integral"):
+            initial_projection(network, size=5, initial_state=[1.7, 0.2])
+
+    def test_integral_float_initial_state(self, network):
+        seed = initial_projection(network, size=12, initial_state=[3.0, 2.0])
+        assert seed.states[0].tolist() == [3, 2]
+        assert np.array_equal(
+            seed.states,
+            initial_projection(network, size=12, initial_state=[3, 2]).states)
+
 
 class TestAssemble:
     def test_closed_space_matches_build_rate_matrix(self, network, full):

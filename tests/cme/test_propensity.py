@@ -77,6 +77,17 @@ class TestCustomPropensity:
         with pytest.raises(ValidationError, match="negative"):
             ev.propensity(np.array([[1]]), 0)
 
+    def test_negative_custom_rejected_beside_a_nan(self):
+        """A batch's NaN must not hide its negative rate: a state's
+        rate is checked the same way in a batch as on its own."""
+        def fn(states, idx):
+            return np.array([np.nan, -1.0, 2.0])
+
+        ev = PropensityEvaluator(np.zeros((1, 1), dtype=int), [1.0], [5],
+                                 custom_fns=[fn], species_index={"A": 0})
+        with pytest.raises(ValidationError, match="negative"):
+            ev.propensity(np.array([[1], [2], [3]]), 0)
+
     def test_bad_shape_rejected(self):
         fn = lambda states, idx: np.ones(3)
         ev = PropensityEvaluator(np.zeros((1, 1), dtype=int), [1.0], [5],

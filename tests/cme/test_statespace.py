@@ -8,7 +8,8 @@ import pytest
 from repro.cme.network import ReactionNetwork
 from repro.cme.reaction import Reaction
 from repro.cme.species import Species
-from repro.cme.statespace import enumerate_state_space
+from repro.cme.models import toggle_switch
+from repro.cme.statespace import StateSpace, enumerate_state_space, lookup_keys
 from repro.errors import StateSpaceOverflowError, ValidationError
 
 
@@ -92,6 +93,17 @@ class TestLookup:
         with pytest.raises(ValidationError):
             birth_death_space.index_of([999])
 
+    def test_empty_space_finds_nothing(self):
+        space = StateSpace(network=toggle_switch(max_protein=5),
+                           states=np.empty((0, 2), np.int64))
+        assert space.lookup([[0, 0]]).tolist() == [-1]
+        assert not space.contains([3, 1])
+
+    def test_empty_key_table(self):
+        empty = np.empty(0, dtype=np.int64)
+        got = lookup_keys(empty, empty, np.array([0, 7, 3]))
+        assert got.dtype == np.int64 and got.tolist() == [-1, -1, -1]
+
 
 class TestGuards:
     def test_overflow_cap(self, tiny_toggle_network):
@@ -108,6 +120,30 @@ class TestGuards:
         space = enumerate_state_space(birth_death_network,
                                       initial_state=[5])
         assert space.contains([0]) and space.contains([30])
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, None])
+    def test_max_states_must_be_a_positive_integer(self, birth_death_network,
+                                                   cap):
+        with pytest.raises(ValidationError, match="max_states"):
+            enumerate_state_space(birth_death_network, max_states=cap)
+
+    def test_integral_float_max_states(self, birth_death_network):
+        assert enumerate_state_space(birth_death_network,
+                                     max_states=31.0).size == 31
+
+    @pytest.mark.parametrize("x0", [[1.7, 0.2], [0.5, 0], [np.nan, 0],
+                                    ["a", 0]])
+    def test_non_integral_initial_state(self, tiny_toggle_network, x0):
+        with pytest.raises(ValidationError, match="integral"):
+            enumerate_state_space(tiny_toggle_network, initial_state=x0)
+
+    def test_integral_float_initial_state(self, tiny_toggle_network):
+        space = enumerate_state_space(tiny_toggle_network,
+                                      initial_state=[1.0, 0.0])
+        ints = enumerate_state_space(tiny_toggle_network,
+                                     initial_state=[1, 0])
+        assert np.array_equal(space.states, ints.states)
+        assert space.states[0].tolist() == [1, 0]
 
 
 class TestCustomPropensityEdges:
