@@ -1,8 +1,8 @@
 """Pluggable kernel backends for the sparse/solver hot paths.
 
 Every hot operation — per-format SpMV/SpMM, the fused Jacobi sweep,
-the solver's vector primitives and the DFS state-space walk —
-dispatches through a :class:`~repro.backends.protocol.KernelBackend`
+the solver's vector primitives, the DFS state-space walk and
+state-key membership — dispatches through a :class:`~repro.backends.protocol.KernelBackend`
 selected here.
 
 Selection precedence (first hit wins):

@@ -982,15 +982,20 @@ double maxabs(int64_t n, const double *v)
 #define DFS_FULL 1
 #define DFS_GATE 2
 
+/* The first slot key probes in a table of mask + 1 slots. */
+static inline int64_t key_hash(int64_t key, int64_t mask)
+{
+    uint64_t h = (uint64_t)key;  /* splitmix64's finalizer */
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return (int64_t)((h ^ (h >> 31)) & (uint64_t)mask);
+}
+
 /* The slot holding key, or the empty slot where it belongs. */
 static inline int64_t dfs_slot(const int64_t *table, int64_t mask,
                                int64_t key)
 {
-    uint64_t h = (uint64_t)key;  /* splitmix64's finalizer */
-    int64_t slot;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    slot = (int64_t)((h ^ (h >> 31)) & (uint64_t)mask);
+    int64_t slot = key_hash(key, mask);
     while (table[slot] != -1 && table[slot] != key)
         slot = (slot + 1) & mask;
     return slot;
@@ -1059,6 +1064,51 @@ int64_t dfs_enumerate(int64_t m, int64_t R, const int64_t *bounds,
     walk[1] = depth;
     walk[2] = n;
     return status;
+}
+
+/* --- key membership ------------------------------------------------
+ * The key_index op's table holds positions into the caller's keys[]
+ * (-1 for an empty slot, so 4 bytes a slot) and probes linearly from
+ * key_hash, as dfs_slot does.  The caller keeps it at most half full
+ * and below 2^31 keys. */
+
+/* The slot holding key's position, or the empty slot where it belongs. */
+static inline int64_t key_index_slot(const int32_t *table, int64_t mask,
+                                     const int64_t *keys, int64_t key)
+{
+    int64_t slot = key_hash(key, mask);
+    while (table[slot] >= 0 && keys[table[slot]] != key)
+        slot = (slot + 1) & mask;
+    return slot;
+}
+
+/* Insert positions lo..hi-1 of keys[].  Returns the first position
+ * whose key is already in the table, else -1. */
+int64_t key_index_insert(int64_t lo, int64_t hi, const int64_t *keys,
+                         int64_t mask, int32_t *table)
+{
+    int64_t i;
+    for (i = lo; i < hi; ++i) {
+        const int64_t slot = key_index_slot(table, mask, keys, keys[i]);
+        if (table[slot] >= 0)
+            return i;
+        table[slot] = (int32_t)i;
+    }
+    return -1;
+}
+
+/* out[i] = the position of probes[i], or -1 (always for a negative
+ * probe: no key is negative). */
+void key_index_lookup(int64_t n, const int64_t *probes, int64_t mask,
+                      const int32_t *table, const int64_t *keys,
+                      int64_t *out)
+{
+    int64_t i;
+    for (i = 0; i < n; ++i) {
+        const int64_t key = probes[i];
+        out[i] = key < 0 ? -1
+                 : table[key_index_slot(table, mask, keys, key)];
+    }
 }
 """
 
@@ -1229,12 +1279,17 @@ def _bind(lib) -> None:
         ctypes.c_int64, _U8, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
         _I64, _I64]
     lib.dfs_enumerate.restype = ctypes.c_int64
+    lib.key_index_insert.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64,
+                                     ctypes.c_int64, _I32]
+    lib.key_index_insert.restype = ctypes.c_int64
+    lib.key_index_lookup.argtypes = [ctypes.c_int64, _I64, ctypes.c_int64,
+                                     _I32, _I64, _I64]
     for name in ("csr_spmv", "csr_spmm", "ell_spmv", "ell_spmm",
                  "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
                  "dia_spmv", "dia_spmm", "csr_jacobi_sweep",
                  "csr_jacobi_sweep_block", "sliced_fill",
                  "sliced_jacobi_sweep", "csr_jacobi_sweep_stacked",
-                 "csr_spmv_stacked", "axpby"):
+                 "csr_spmv_stacked", "axpby", "key_index_lookup"):
         getattr(lib, name).restype = None
 
 
@@ -1295,6 +1350,15 @@ def _vec(a: np.ndarray):
         return ctypes.byref(ctypes.c_double.from_buffer(a))
     except (TypeError, ValueError):
         return _p64(a)
+
+
+def _ivec(a: np.ndarray):
+    """:func:`_vec` for a per-call int64 or int32 array."""
+    ctype = ctypes.c_int32 if a.dtype == np.int32 else ctypes.c_int64
+    try:
+        return ctypes.byref(ctype.from_buffer(a))
+    except (TypeError, ValueError):
+        return a.ctypes.data_as(ctypes.POINTER(ctype))
 
 
 def _check_sweeps(sweeps) -> int:
@@ -1629,6 +1693,82 @@ def _grown(a: np.ndarray, rows: int) -> np.ndarray:
     return out
 
 
+# -- key membership ----------------------------------------------------------
+
+#: Slots of the smallest key table (a power of two, like every size).
+_KEY_MIN_SLOTS = 16
+
+#: Keys a table can hold: its slots store int32 positions.
+_KEY_MAX = 2 ** 31 - 1
+
+
+class HashKeyIndex:
+    """The native ``key_index``: an open-addressing table of int32
+    positions into the keys (``key_index_*`` in the C source), at most
+    half full, rebuilt twice as large as :meth:`extend` fills it.
+
+    The keys it was built from are referenced, not copied, so they must
+    not be modified while it lives; :meth:`extend` moves them into a
+    buffer of its own that doubles.  It holds NumPy arrays only, so it
+    pickles and copies like its owner.
+    """
+
+    def __init__(self, keys) -> None:
+        from repro.backends.reference import key_array
+        self._keys = key_array(keys)
+        self._size = 0
+        self._table = np.empty(0, dtype=np.int32)
+        self._insert(self._keys.size)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def extend(self, keys) -> None:
+        from repro.backends.reference import key_array
+        keys = key_array(keys)
+        if keys.size == 0:
+            return
+        need = self._size + keys.size
+        if need > self._keys.size:
+            grown = np.empty(max(need, 2 * self._keys.size), dtype=np.int64)
+            grown[:self._size] = self._keys[:self._size]
+            self._keys = grown
+        self._keys[self._size:need] = keys
+        self._insert(need)
+
+    def _insert(self, need: int) -> None:
+        """Index positions ``len(self)`` to *need* of the key buffer."""
+        if need > _KEY_MAX:
+            raise ValueError(f"a key index holds at most {_KEY_MAX} keys")
+        lib = get_library()
+        slots = max(_KEY_MIN_SLOTS, 1 << (2 * need - 1).bit_length())
+        if slots > self._table.size:
+            self._table = self._rebuilt(slots)
+        dup = lib.key_index_insert(self._size, need, _ivec(self._keys),
+                                   self._table.size - 1, _ivec(self._table))
+        if dup >= 0:
+            # Drop the batch's partial insertions: the index is as it was.
+            self._table = self._rebuilt(self._table.size)
+            raise ValueError(f"duplicate key {int(self._keys[dup])}")
+        self._size = need
+
+    def _rebuilt(self, slots: int) -> np.ndarray:
+        """A table of *slots* slots indexing the first ``len(self)`` keys."""
+        table = np.full(slots, -1, dtype=np.int32)
+        get_library().key_index_insert(0, self._size, _ivec(self._keys),
+                                       slots - 1, _ivec(table))
+        return table
+
+    def lookup(self, probes) -> np.ndarray:
+        probes = np.asarray(probes, dtype=np.int64)
+        flat = np.ascontiguousarray(probes).ravel()
+        out = np.empty(flat.size, dtype=np.int64)
+        get_library().key_index_lookup(
+            flat.size, _ivec(flat), self._table.size - 1,
+            _ivec(self._table), _ivec(self._keys), _ivec(out))
+        return out.reshape(probes.shape)
+
+
 _SPMV = {
     "csr": _csr_spmv,
     "ell": _ell_spmv,
@@ -1653,7 +1793,7 @@ _SPMM = {
 
 #: Format-independent ops this backend provides.
 _PRIMITIVES = frozenset({"jacobi_sweep", "axpy", "residual",
-                         "dfs_enumerate"})
+                         "dfs_enumerate", "key_index"})
 
 
 class NativeBackend:
@@ -1938,3 +2078,8 @@ class NativeBackend:
             order, stack, gates = (_grown(order, cap), _grown(stack, cap),
                                    _grown(gates, cap))
             walk[2] = 0
+
+    def key_index(self, keys) -> HashKeyIndex:
+        """The reference's key index as a C hash table: the same
+        positions for every probe (see :class:`HashKeyIndex`)."""
+        return HashKeyIndex(keys)

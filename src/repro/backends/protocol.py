@@ -2,7 +2,8 @@
 
 Every hot numeric operation in the reproduction (format-faithful SpMV,
 multi-RHS SpMM, the fused Jacobi sweep, the small vector primitives
-the solver loop is made of, and the DFS state-space walk) goes through
+the solver loop is made of, the DFS state-space walk and state-key
+membership) goes through
 a *kernel backend*.  A backend is an object implementing this protocol;
 the package ships two:
 
@@ -50,6 +51,19 @@ Operations
     :class:`~repro.errors.StateSpaceOverflowError` when a new state is
     found with *max_states* already discovered.  Arguments are
     validated by :func:`~repro.cme.statespace.enumerate_state_space`.
+``key_index(keys)``
+    An index over the distinct, non-negative int64 *keys* (mixed-radix
+    state keys).  ``index.lookup(probes)`` answers, for an int64 array
+    of any shape, each probe's position in *keys*, or ``-1`` where it
+    is absent; negative probes (the ``-1`` the projection assembler
+    stores for "no edge") are always absent.  ``index.extend(more)``
+    appends distinct new keys at positions ``len(index)`` onward; a
+    key already present raises ``ValueError`` and leaves the index as
+    it was, as does a negative key.  An index may keep a reference to
+    *keys* rather than a copy, so they must not change while it lives.
+    The object that owns the keys builds the index once and keeps it (a
+    state space for its states, the projection assembler for its
+    per-state cache).
 
 Capability flags
 ----------------
@@ -59,9 +73,9 @@ pairs a backend can serve.  The registry consults it on every dispatch
 and silently falls back to the reference backend for unsupported pairs
 (the fallback is recorded in the kernel telemetry counters, see
 :func:`repro.backends.kernel_stats`).  Vector primitives
-(``jacobi_sweep``/``axpy``/``residual``) and ``dfs_enumerate`` are
-format-independent: a backend either has them or not, signalled by
-``supports("", op)``.
+(``jacobi_sweep``/``axpy``/``residual``), ``dfs_enumerate`` and
+``key_index`` are format-independent: a backend either has them or
+not, signalled by ``supports("", op)``.
 
 Numerical contract
 ------------------
@@ -73,7 +87,8 @@ conformance suite (``tests/backends/test_conformance.py``) enforces
 this on every registered backend × format pair.  ``fastmath``-style
 reassociation is therefore forbidden in JIT backends.  ``dfs_enumerate``
 must return the reference's states in the reference's order, bitwise
-(``tests/cme/test_enumeration_backends.py``).
+(``tests/cme/test_enumeration_backends.py``), and ``key_index`` lookups
+the reference's integers exactly (``tests/backends/test_key_index.py``).
 """
 
 from __future__ import annotations
@@ -84,7 +99,7 @@ import numpy as np
 
 #: Every operation a backend may implement.
 OPS = ("spmv", "spmm", "jacobi_sweep", "axpy", "residual",
-       "dfs_enumerate")
+       "dfs_enumerate", "key_index")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -126,3 +141,5 @@ class KernelBackend(Protocol):
                       delta: np.ndarray, need: np.ndarray,
                       gated: np.ndarray, propensities,
                       max_states: int) -> np.ndarray: ...
+
+    def key_index(self, keys: np.ndarray): ...

@@ -4,8 +4,9 @@ This is the arithmetic ground truth of the kernel protocol: the exact
 per-format NumPy kernels the sparse formats have always carried (each
 format keeps its implementation as ``_reference_spmv``/``_reference_spmm``
 — the moved inner loops), plus the solver primitives extracted from
-:mod:`repro.solvers.jacobi` and :mod:`repro.solvers.batched` and the
-DFS state-space walk of :mod:`repro.cme.statespace`.
+:mod:`repro.solvers.jacobi` and :mod:`repro.solvers.batched`, the
+DFS state-space walk of :mod:`repro.cme.statespace` and the sorted key
+index state spaces and projection assembly look states up in.
 
 It supports every format and every op, which makes it the automatic
 fallback whenever a faster backend lacks a kernel for a ``(format,
@@ -18,6 +19,57 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import StateSpaceOverflowError
+
+
+def lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
+                keys: np.ndarray) -> np.ndarray:
+    """Positions of *keys* in a table sorted by ``sorter``; ``-1`` where
+    absent (everywhere, when the table is empty)."""
+    if sorted_keys.size == 0:
+        return np.full(np.shape(keys), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    found = sorted_keys[pos] == keys
+    return np.where(found, sorter[pos], -1).astype(np.int64)
+
+
+def key_array(keys) -> np.ndarray:
+    """*keys* as a 1-D int64 array; raises ``ValueError`` on a negative
+    key (``-1`` is the tables' "absent" answer and "no edge" probe)."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64).ravel()
+    if keys.size and int(keys.min()) < 0:
+        raise ValueError(f"keys must be non-negative, got {int(keys.min())}")
+    return keys
+
+
+class SortedKeyIndex:
+    """The reference ``key_index``: the keys sorted once, probes
+    answered by ``searchsorted``.  :meth:`extend` re-sorts."""
+
+    def __init__(self, keys) -> None:
+        self._sorter = np.empty(0, dtype=np.int64)
+        self._sorted = np.empty(0, dtype=np.int64)
+        self.extend(keys)
+
+    def __len__(self) -> int:
+        return int(self._sorted.size)
+
+    def extend(self, keys) -> None:
+        keys = key_array(keys)
+        if keys.size == 0:
+            return
+        merged = np.empty(len(self) + keys.size, dtype=np.int64)
+        merged[self._sorter] = self._sorted  # the keys in position order
+        merged[len(self):] = keys
+        sorter = np.argsort(merged, kind="stable")
+        ordered = merged[sorter]
+        dup = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if dup.size:
+            raise ValueError(f"duplicate key {int(ordered[dup[0]])}")
+        self._sorter, self._sorted = sorter, ordered
+
+    def lookup(self, probes) -> np.ndarray:
+        return lookup_keys(self._sorted, self._sorter,
+                           np.asarray(probes, dtype=np.int64))
 
 
 class NumpyBackend:
@@ -186,3 +238,10 @@ class NumpyBackend:
                     stack.append([succ, 0])
 
         return np.array(order, dtype=np.int64)
+
+    # -- key membership --------------------------------------------------
+
+    def key_index(self, keys) -> SortedKeyIndex:
+        """An index over the distinct non-negative int64 *keys* (see
+        :mod:`repro.backends.protocol`), sorted for ``searchsorted``."""
+        return SortedKeyIndex(keys)

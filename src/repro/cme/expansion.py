@@ -36,13 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro import backends
 from repro.cme.network import ReactionNetwork
-from repro.cme.statespace import (
-    StateSpace,
-    initial_microstate,
-    key_radix,
-    lookup_keys,
-)
+from repro.cme.statespace import StateSpace, initial_microstate, key_radix
 from repro.errors import StateSpaceOverflowError, ValidationError
 from repro.sparse.base import as_csr
 
@@ -60,32 +56,29 @@ def initial_projection(network: ReactionNetwork, *, size: int = 64,
     """
     if size <= 0:
         raise ValidationError(f"size must be positive, got {size}")
-    x0 = tuple(initial_microstate(network, initial_state).tolist())
-    bounds = network.max_counts
-
-    seen = {x0}
-    order = [x0]
-    head = 0
-    evaluator = network.propensities
-    while head < len(order) and len(order) < size:
-        state = order[head]
-        head += 1
-        arr = np.asarray(state)[None, :]
-        for k in range(network.n_reactions):
-            if evaluator.single(arr[0], k) <= 0.0:
-                continue
-            succ = tuple(int(v) for v in
-                         (arr[0] + network.stoichiometry[k]))
-            if any(v < 0 or v > int(bounds[i])
-                   for i, v in enumerate(succ)):
-                continue
-            if succ not in seen:
-                seen.add(succ)
-                order.append(succ)
-                if len(order) >= size:
-                    break
-    states = np.array(order[:size], dtype=np.int64)
-    return StateSpace(network=network, states=states)
+    x0 = initial_microstate(network, initial_state)
+    radix = key_radix(network.max_counts)
+    seen = backends.serving("", "key_index").key_index([int(x0 @ radix)])
+    layers = [x0[None, :]]
+    found = 1
+    while layers[-1].shape[0] and found < size:
+        # One whole BFS layer per pass: its edges in (state, reaction)
+        # order are the order a one-state-at-a-time BFS appends in, so
+        # the first new successors of each key are the ones kept.
+        layer = layers[-1]
+        prop = network.propensities.all_propensities(layer)
+        succ = layer[:, None, :] + network.stoichiometry[None, :, :]
+        edge = ~(prop <= 0.0) & np.all(
+            (succ >= 0) & (succ <= network.max_counts), axis=2)
+        succ = succ[edge]
+        keys = succ @ radix
+        fresh = np.flatnonzero(seen.lookup(keys) < 0)
+        _, first = np.unique(keys[fresh], return_index=True)
+        take = fresh[np.sort(first)][:size - found]
+        seen.extend(keys[take])
+        layers.append(succ[take])
+        found += take.size
+    return StateSpace(network=network, states=np.concatenate(layers))
 
 
 @dataclass
@@ -128,23 +121,27 @@ class ProjectionAssembler:
     """Incremental truncated-generator assembly over moving projections.
 
     One assembler serves every round of an FSP loop on one (rate-fixed)
-    network.  Per state ever presented it caches, keyed by the state's
-    mixed-radix key:
+    network.  Per state ever presented it caches, in rows appended in
+    first-seen order:
 
     * the ``R`` reaction propensities,
     * the successor *key* per reaction (``-1`` where the reaction is
-      inapplicable or buffer-blocked — i.e. no edge in the full model).
+      inapplicable or buffer-blocked — i.e. no edge in the full model),
 
-    :meth:`assemble` then reduces to a vectorized key lookup of cached
-    successor keys against the current projection — no propensity is
-    ever evaluated twice across grow/prune/permute rounds.
+    and a ``key_index`` (the kernel-backend op, see
+    :mod:`repro.backends.protocol`) maps state keys to those rows.
+    :meth:`assemble` and :meth:`frontier` then classify all of a
+    projection's (state, reaction) edges in one flattened pass, in
+    reaction-major order: one lookup of the cached successor keys in
+    the projection's own key index, no propensity ever evaluated twice
+    across grow/prune/permute rounds.
     """
 
     def __init__(self, network: ReactionNetwork):
         self.network = network
         self._radix = key_radix(network.max_counts)
-        self._index: dict[int, int] = {}
-        self._states = np.empty((0, network.n_species), dtype=np.int64)
+        self._index = backends.serving("", "key_index").key_index(
+            np.empty(0, dtype=np.int64))
         self._prop = np.empty((0, network.n_reactions), dtype=np.float64)
         self._succ = np.empty((0, network.n_reactions), dtype=np.int64)
         #: Total states whose propensities were computed (monotonic);
@@ -156,46 +153,49 @@ class ProjectionAssembler:
     def _encode(self, states: np.ndarray) -> np.ndarray:
         return np.asarray(states, dtype=np.int64) @ self._radix
 
-    def _rows_for(self, states: np.ndarray) -> np.ndarray:
-        """Cache rows for *states*, evaluating any not yet seen."""
+    def _rows_for(self, states: np.ndarray, keys=None) -> np.ndarray:
+        """Cache rows for *states* (whose keys may be passed in),
+        evaluating any not yet seen."""
         states = np.ascontiguousarray(states, dtype=np.int64)
         if states.ndim != 2 or states.shape[1] != self.network.n_species:
             raise ValidationError(
                 f"states must have shape (n, {self.network.n_species})")
-        keys = self._encode(states)
-        rows = np.fromiter((self._index.get(int(k), -1) for k in keys),
-                           count=keys.size, dtype=np.int64)
+        if keys is None:
+            keys = self._encode(states)
+        rows = self._index.lookup(keys)
         missing = np.flatnonzero(rows < 0)
         if missing.size:
             # De-duplicate within the new batch while keeping first-seen
-            # order, then evaluate all new states in one vectorized pass
-            # per reaction.
-            new_keys, first = np.unique(keys[missing], return_index=True)
-            new_states = states[missing[np.sort(first)]]
-            new_keys = keys[missing[np.sort(first)]]
-            self._evaluate(new_states, new_keys)
-            rows[missing] = [self._index[int(k)] for k in keys[missing]]
+            # order, then evaluate all new states in one vectorized pass.
+            _, first = np.unique(keys[missing], return_index=True)
+            take = missing[np.sort(first)]
+            self._evaluate(states[take], keys[take])
+            rows[missing] = self._index.lookup(keys[missing])
         return rows
 
     def _evaluate(self, states: np.ndarray, keys: np.ndarray) -> None:
         network = self.network
-        n_new, R = states.shape[0], network.n_reactions
         prop = network.propensities.all_propensities(states)
-        succ = np.full((n_new, R), -1, dtype=np.int64)
-        for k in range(R):
-            targets = states + network.stoichiometry[k]
-            inside = np.all((targets >= 0) &
-                            (targets <= network.max_counts), axis=1)
-            edge = inside & (prop[:, k] > 0.0)
-            if edge.any():
-                succ[edge, k] = self._encode(targets[edge])
-        base = self._states.shape[0]
-        self._states = np.concatenate([self._states, states])
+        targets = states[:, None, :] + network.stoichiometry[None, :, :]
+        edge = (np.all((targets >= 0) & (targets <= network.max_counts),
+                       axis=2) & (prop > 0.0))
+        succ = np.where(edge, targets @ self._radix, -1)
         self._prop = np.concatenate([self._prop, prop])
         self._succ = np.concatenate([self._succ, succ])
-        for i, k in enumerate(keys):
-            self._index[int(k)] = base + i
-        self.states_evaluated += n_new
+        self._index.extend(keys)
+        self.states_evaluated += states.shape[0]
+
+    def _edges(self, space: StateSpace):
+        """Every edge of *space*, flattened reaction-major (reaction 0's
+        edges by source row, then reaction 1's, ...): ``(source row,
+        reaction, rate, successor key, target row or -1 outside)``."""
+        rows = self._rows_for(space.states, space.keys)
+        succ = self._succ[rows].T.ravel()
+        e = np.flatnonzero(succ >= 0)
+        reaction, src = np.divmod(e, space.size)
+        keys = succ[e]
+        return (src, reaction, self._prop[rows].T.ravel()[e], keys,
+                space.index.lookup(keys))
 
     # -- assembly ------------------------------------------------------------
 
@@ -212,41 +212,19 @@ class ProjectionAssembler:
         """
         self._check_layout(space)
         n = space.size
-        rows_store = self._rows_for(space.states)
-        keys = self._encode(space.states)
-        sorter = np.argsort(keys, kind="stable")
-        sorted_keys = keys[sorter]
-
-        prop = self._prop[rows_store]
-        succ = self._succ[rows_store]
-
-        rows_parts: list[np.ndarray] = []
-        cols_parts: list[np.ndarray] = []
-        vals_parts: list[np.ndarray] = []
+        src, _, rate, _, tgt = self._edges(space)
+        inside = tgt >= 0
+        # Reaction-major accumulation: each state's loss and outflow sum
+        # its rates in reaction order.
         diag = np.zeros(n, dtype=np.float64)
+        np.subtract.at(diag, src, rate)
         outflow = np.zeros(n, dtype=np.float64)
-
-        for k in range(self.network.n_reactions):
-            src = np.flatnonzero(succ[:, k] >= 0)
-            if src.size == 0:
-                continue
-            rate = prop[src, k]
-            tgt = lookup_keys(sorted_keys, sorter, succ[src, k])
-            inside = tgt >= 0
-            np.subtract.at(diag, src, rate)
-            if inside.any():
-                rows_parts.append(tgt[inside])
-                cols_parts.append(src[inside])
-                vals_parts.append(rate[inside])
-            if not inside.all():
-                np.add.at(outflow, src[~inside], rate[~inside])
-
-        rows_parts.append(np.arange(n, dtype=np.int64))
-        cols_parts.append(np.arange(n, dtype=np.int64))
-        vals_parts.append(diag)
+        np.add.at(outflow, src[~inside], rate[~inside])
+        diagonal = np.arange(n, dtype=np.int64)
         coo = sp.coo_matrix(
-            (np.concatenate(vals_parts),
-             (np.concatenate(rows_parts), np.concatenate(cols_parts))),
+            (np.concatenate([rate[inside], diag]),
+             (np.concatenate([tgt[inside], diagonal]),
+              np.concatenate([src[inside], diagonal]))),
             shape=(n, n))
         return as_csr(coo), outflow
 
@@ -267,66 +245,38 @@ class ProjectionAssembler:
                 raise ValidationError(
                     f"weights must have length {space.size}, "
                     f"got {weights.shape}")
-        rows_store = self._rows_for(space.states)
-        keys = self._encode(space.states)
-        sorter = np.argsort(keys, kind="stable")
-        sorted_keys = keys[sorter]
-        prop = self._prop[rows_store]
-        succ = self._succ[rows_store]
-
-        out_keys_parts: list[np.ndarray] = []
-        out_flux_parts: list[np.ndarray] = []
-        out_state_parts: list[np.ndarray] = []
-        for k in range(self.network.n_reactions):
-            src = np.flatnonzero(succ[:, k] >= 0)
-            if src.size == 0:
-                continue
-            tgt = lookup_keys(sorted_keys, sorter, succ[src, k])
-            leaving = src[tgt < 0]
-            if leaving.size == 0:
-                continue
-            out_keys_parts.append(succ[leaving, k])
-            flux = prop[leaving, k]
-            if weights is not None:
-                flux = flux * weights[leaving]
-            out_flux_parts.append(flux)
-            out_state_parts.append(
-                space.states[leaving] + self.network.stoichiometry[k])
-
-        m = self.network.n_species
-        if not out_keys_parts:
+        src, reaction, rate, keys, tgt = self._edges(space)
+        leaving = tgt < 0
+        if not leaving.any():
+            m = self.network.n_species
             empty = np.empty(0, dtype=np.float64)
             return Frontier(states=np.empty((0, m), dtype=np.int64),
                             inward_rates=empty, total_rates=empty.copy(),
                             influx=empty.copy())
-
-        all_keys = np.concatenate(out_keys_parts)
-        all_flux = np.concatenate(out_flux_parts)
-        all_states = np.concatenate(out_state_parts)
+        src, reaction = src[leaving], reaction[leaving]
+        flux = rate[leaving]
+        if weights is not None:
+            flux = flux * weights[src]
         uniq_keys, first, inverse = np.unique(
-            all_keys, return_index=True, return_inverse=True)
-        states = all_states[first]
+            keys[leaving], return_index=True, return_inverse=True)
+        states = (space.states[src[first]]
+                  + self.network.stoichiometry[reaction[first]])
         influx = np.zeros(uniq_keys.size, dtype=np.float64)
-        np.add.at(influx, inverse, all_flux)
+        np.add.at(influx, inverse, flux)
 
         # Inward return rates: total propensity of reactions from each
         # frontier state whose successor lands back inside Ω.  Frontier
         # states go through the same cache, so a later round that grows
         # onto them re-uses these evaluations.
-        f_rows = self._rows_for(states)
+        f_rows = self._rows_for(states, uniq_keys)
         f_succ = self._succ[f_rows]
         f_prop = self._prop[f_rows]
         total = np.where(f_succ >= 0, f_prop, 0.0).sum(axis=1)
+        # Reaction-major again, so each return rate sums in reaction
+        # order; a -1 successor key ("no edge") is never in Ω.
+        hit = np.flatnonzero(space.index.lookup(f_succ.T.ravel()) >= 0)
         back = np.zeros(uniq_keys.size, dtype=np.float64)
-        for k in range(self.network.n_reactions):
-            has_edge = f_succ[:, k] >= 0
-            if not has_edge.any():
-                continue
-            tgt = lookup_keys(sorted_keys, sorter, f_succ[has_edge, k])
-            hit = tgt >= 0
-            if hit.any():
-                idx = np.flatnonzero(has_edge)[hit]
-                back[idx] += f_prop[idx, k]
+        np.add.at(back, hit % uniq_keys.size, f_prop.T.ravel()[hit])
         return Frontier(states=states, inward_rates=back,
                         total_rates=total, influx=influx)
 

@@ -22,7 +22,9 @@ The walk itself is a kernel-backend op (``dfs_enumerate``, see
 over tuples and a dict, the ``native`` backend as a C loop over an
 explicit stack and an open-addressing key table, and both return the
 same states in the same order.  :func:`enumerate_state_space` validates
-its inputs, builds the per-reaction arrays and dispatches.
+its inputs, builds the per-reaction arrays and dispatches.  A
+:class:`StateSpace` answers state lookups through another op,
+``key_index``, built once over its keys.
 """
 
 from __future__ import annotations
@@ -51,17 +53,6 @@ def key_radix(max_counts) -> np.ndarray:
     radix = np.ones(levels.size, dtype=np.int64)
     radix[1:] = np.cumprod(levels[:-1])
     return radix
-
-
-def lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
-                keys: np.ndarray) -> np.ndarray:
-    """Positions of *keys* in a table sorted by ``sorter``; ``-1`` where
-    absent (everywhere, when the table is empty)."""
-    if sorted_keys.size == 0:
-        return np.full(np.shape(keys), -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    found = sorted_keys[pos] == keys
-    return np.where(found, sorter[pos], -1).astype(np.int64)
 
 
 def _integral(value, what: str) -> np.ndarray:
@@ -111,26 +102,34 @@ class StateSpace:
     states:
         ``(n, m)`` integer array; row ``i`` is the ``i``-th microstate in
         DFS discovery order.
+    keys:
+        ``(n,)`` mixed-radix keys of the states (see :func:`key_radix`).
+    index:
+        The states' ``key_index`` (a kernel-backend op): key to row,
+        built once here and answering every :meth:`lookup`.
     """
 
     network: ReactionNetwork
     states: np.ndarray
     _key_radix: np.ndarray = field(init=False, repr=False)
-    _sorted_keys: np.ndarray = field(init=False, repr=False)
-    _sorter: np.ndarray = field(init=False, repr=False)
+    keys: np.ndarray = field(init=False, repr=False)
+    index: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.states = np.ascontiguousarray(self.states, dtype=np.int64)
         if self.states.ndim != 2 or self.states.shape[1] != self.network.n_species:
             raise ValidationError(
                 f"states must have shape (n, {self.network.n_species})")
-        # Mixed-radix encoding for O(log n) vectorized state lookup.
+        if np.any(self.states < 0):
+            raise ValidationError("states must be non-negative")
         self._key_radix = key_radix(self.network.max_counts)
-        keys = self.encode(self.states)
-        self._sorter = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[self._sorter]
-        if np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
-            raise EnumerationError("duplicate states in state space")
+        self.keys = self.encode(self.states)
+        try:
+            self.index = backends.serving("", "key_index").key_index(
+                self.keys)
+        except ValueError:
+            raise EnumerationError("duplicate states in state space") \
+                from None
 
     # -- queries ------------------------------------------------------------
 
@@ -147,8 +146,7 @@ class StateSpace:
     def lookup(self, states: np.ndarray) -> np.ndarray:
         """DFS indices of a batch of states; ``-1`` where not enumerated."""
         states = np.atleast_2d(np.asarray(states, dtype=np.int64))
-        return lookup_keys(self._sorted_keys, self._sorter,
-                           self.encode(states))
+        return self.index.lookup(self.encode(states))
 
     def index_of(self, state) -> int:
         """DFS index of one state (raises if absent)."""

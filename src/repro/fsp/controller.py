@@ -65,7 +65,12 @@ from repro.cme.expansion import ProjectionAssembler, initial_projection
 from repro.cme.network import ReactionNetwork
 from repro.cme.statespace import StateSpace
 from repro.errors import ValidationError
-from repro.solvers import SOLVER_REGISTRY, SolverResult, StopReason
+from repro.solvers import (
+    DEFAULT_DAMPING,
+    SOLVER_REGISTRY,
+    SolverResult,
+    StopReason,
+)
 from repro.solvers.remap import remap_iterate
 from repro.sparse.base import as_csr
 from repro.telemetry import tracing
@@ -132,6 +137,8 @@ class FspResult:
         last = self.rounds[-1] if self.rounds else None
         reason = (StopReason.CONVERGED if self.converged
                   else StopReason.TIMED_OUT if self.reason == "timed_out"
+                  else StopReason.DIVERGED
+                  if self.reason == "solver_diverged"
                   else StopReason.MAX_ITERATIONS)
         return SolverResult(
             x=self.x, iterations=cum,
@@ -172,7 +179,11 @@ class AdaptiveFspController:
         The inner steady-state solve: method name from
         :data:`~repro.solvers.SOLVER_REGISTRY` plus its options
         (``damping``, ``check_interval``, ... — anything the solver's
-        constructor takes).
+        constructor takes).  ``jacobi`` solves are damped by
+        :data:`~repro.solvers.DEFAULT_DAMPING` unless the options
+        carry ``damping``.  Early rounds solve looser than ``tol`` (see
+        :meth:`_round_tol`); a result is only certified or closed from
+        a solve run to ``tol``.
     initial_size:
         Seed projection size (a BFS ball around the initial state).
     max_rounds:
@@ -346,61 +357,65 @@ class AdaptiveFspController:
                         A_sys = A
                     x0 = self._warm_start(space, prev, prev_space,
                                           prev_sink, has_outflow)
-                    # A looser stagnation default than the solvers' own:
-                    # a projection that misses the stationary support
-                    # yields a slowly-creeping residual that would burn
-                    # the whole iteration budget for digits growth will
-                    # erase anyway.  Explicit solver_options still win.
-                    opts = {"stagnation_tol": 1e-4, **self.solver_options}
-                    solver = SOLVER_REGISTRY[self.method](
-                        A_sys, tol=self.tol,
-                        max_iterations=self.max_iterations, **opts)
+                    round_tol = self._round_tol(bound)
                     # The warm start is last round's solved iterate
                     # remapped (finite, non-negative by construction),
                     # so the O(n) x0 scans are skipped on every
                     # projection round after the first.
-                    result = solver.solve(x0, time_budget_s=remaining,
-                                          hooks=hooks,
-                                          validate_x0=x0 is None)
-                    nu = result.x[:-1] if has_outflow else result.x
-                    sink_mass = float(result.x[-1]) if has_outflow else 0.0
-                    mass = float(nu.sum())
-                    nu_c = (nu / mass if mass > 0.0
-                            else np.full(space.size, 1.0 / space.size))
-                    flux = float(w @ nu_c)
-                    rho, gamma = float("inf"), 0.0
-                    if has_outflow:
-                        fr = self.assembler.frontier(space, weights=nu_c)
-                        rho = self._return_floor(fr, w)
-                        gamma = self._tail_ratio(fr)
-                        bound = self.safety * flux / (rho * (1.0 - gamma))
-                    else:
-                        bound = 0.0
+                    result = self._inner_solve(
+                        A_sys, round_tol, x0, remaining, hooks,
+                        validate_x0=x0 is None)
+                    iterations = result.iterations
+                    stop = result.stop_reason
+                    solved = stop in (StopReason.CONVERGED,
+                                      StopReason.STAGNATED)
+                    nu_c, sink_mass, flux, rho, gamma, bound = \
+                        self._certificate(space, result, w, has_outflow)
+                    if (round_tol > self.tol and solved
+                            and (bound <= self.fsp_tol or not has_outflow)):
+                        # A loose solve met the target, but an
+                        # under-converged ν reads the bound low: carry
+                        # the same system on to tol and certify (or
+                        # grow) from that.
+                        if time_budget_s is not None:
+                            remaining = (time_budget_s
+                                         - (time.perf_counter() - t0))
+                        if remaining is not None and remaining <= 0:
+                            stop = StopReason.TIMED_OUT
+                        else:
+                            result = self._inner_solve(
+                                A_sys, self.tol, result.x, remaining,
+                                hooks, validate_x0=False)
+                            iterations += result.iterations
+                            stop = result.stop_reason
+                            solved = stop in (StopReason.CONVERGED,
+                                              StopReason.STAGNATED)
+                            nu_c, sink_mass, flux, rho, gamma, bound = \
+                                self._certificate(space, result, w,
+                                                  has_outflow)
                     rounds.append(FspRound(
                         round=r, states=space.size, added=added,
-                        pruned=pruned, iterations=result.iterations,
+                        pruned=pruned, iterations=iterations,
                         residual=result.residual, outflow_flux=flux,
                         return_floor=rho, tail_ratio=gamma, bound=bound,
                         runtime_s=time.perf_counter() - round_t0))
                     rounds_ctr.inc()
                     rspan.set_attribute("bound", bound)
-                    rspan.set_attribute("iterations", result.iterations)
+                    rspan.set_attribute("iterations", iterations)
 
                     # Stagnation is a legitimate stop throughout this
-                    # stack (bistable models never reach 1e-8; the
-                    # residual floor is the spectral gap's, not ours) —
-                    # only divergence and budget expiry are failures.
+                    # stack (a slowly mixing model can sit at a residual
+                    # floor above 1e-8) — only divergence and budget
+                    # expiry are failures.
                     # An iteration-capped round is *rough*: its ν still
                     # guides growth, and the warm-started next round
                     # resumes where it stopped.
-                    if result.stop_reason is StopReason.TIMED_OUT:
+                    if stop is StopReason.TIMED_OUT:
                         reason = "timed_out"
                         break
-                    if result.stop_reason is StopReason.DIVERGED:
+                    if stop is StopReason.DIVERGED:
                         reason = "solver_diverged"
                         break
-                    solved = result.stop_reason in (StopReason.CONVERGED,
-                                                    StopReason.STAGNATED)
                     if not has_outflow and solved:
                         converged, reason = True, "closed"
                         break
@@ -443,6 +458,54 @@ class AdaptiveFspController:
             runtime_s=time.perf_counter() - t0, method=self.method)
 
     # -- pieces --------------------------------------------------------------
+
+    #: Inner tolerance of round 1, and the loosest any round solves to.
+    _ROUND_TOL_CEILING = 1e-6
+
+    def _round_tol(self, prev_bound: float) -> float:
+        """The inner tolerance of a round after one that certified
+        *prev_bound* (``inf`` before round 1): ``tol`` scaled by how far
+        that bound sat above ``fsp_tol``, within ``[tol, 1e-6]``.  Far
+        from the target, a round's ν only steers growth; near it, the
+        rounds tighten toward ``tol``."""
+        return max(self.tol, min(self._ROUND_TOL_CEILING,
+                                 self.tol * prev_bound / self.fsp_tol))
+
+    def _inner_solve(self, A_sys, tol: float, x0, remaining, hooks, *,
+                     validate_x0: bool) -> SolverResult:
+        # A looser stagnation default than the solvers' own: a
+        # projection that misses the stationary support yields a
+        # slowly-creeping residual that would burn the whole iteration
+        # budget for digits growth will erase anyway.  Explicit
+        # solver_options still win.
+        opts = {"stagnation_tol": 1e-4, **self.solver_options}
+        if self.method == "jacobi":
+            opts.setdefault("damping", DEFAULT_DAMPING)
+        solver = SOLVER_REGISTRY[self.method](
+            A_sys, tol=tol, max_iterations=self.max_iterations, **opts)
+        return solver.solve(x0, time_budget_s=remaining, hooks=hooks,
+                            validate_x0=validate_x0)
+
+    def _certificate(self, space: StateSpace, result: SolverResult,
+                     w: np.ndarray, has_outflow: bool):
+        """``(ν_c, sink mass, Φ_out, ρ, γ, bound)`` from one inner
+        solve of *space*'s sink-augmented system."""
+        nu = result.x[:-1] if has_outflow else result.x
+        sink_mass = float(result.x[-1]) if has_outflow else 0.0
+        mass = float(nu.sum())
+        nu_c = (nu / mass if mass > 0.0
+                else np.full(space.size, 1.0 / space.size))
+        # An elementwise product and a NumPy sum, not ``w @ nu_c``: a
+        # BLAS ddot wakes the BLAS thread pool, whose spinning threads
+        # then halve the next round's sweep speed on a 2-CPU host.
+        flux = float((w * nu_c).sum())
+        if not has_outflow:
+            return nu_c, sink_mass, flux, float("inf"), 0.0, 0.0
+        fr = self.assembler.frontier(space, weights=nu_c)
+        rho = self._return_floor(fr, w)
+        gamma = self._tail_ratio(fr)
+        bound = self.safety * flux / (rho * (1.0 - gamma))
+        return nu_c, sink_mass, flux, rho, gamma, bound
 
     #: Clip on the geometric tail's layer-decay ratio γ: a frontier
     #: that does not contract gets a factor-20 tail instead of an
@@ -493,16 +556,25 @@ class AdaptiveFspController:
         already carries the matching loss) and returns to *redirect* at
         rate ``kappa``, keeping the augmented matrix a proper generator
         (columns sum to zero) with a unique stationary distribution.
+        The canonical CSR arrays are written directly: the return rate
+        closes row *redirect* (column ``n`` sorts last), and the sink
+        row holds the positive outflow rates, then ``-kappa``.
         """
+        A = as_csr(A)
         n = A.shape[0]
-        sink_gain = sp.csr_matrix(
-            (w, (np.zeros(w.size, dtype=np.int64),
-                 np.arange(n, dtype=np.int64))), shape=(1, n))
-        return_col = np.zeros((n, 1))
-        return_col[redirect, 0] = kappa
-        corner = sp.csr_matrix(np.array([[-kappa]]))
-        return as_csr(sp.bmat([[A, return_col], [sink_gain, corner]],
-                              format="csr"))
+        cut = int(A.indptr[redirect + 1])
+        gain = np.flatnonzero(w)
+        indptr = np.empty(n + 2, dtype=np.int64)
+        indptr[:redirect + 1] = A.indptr[:redirect + 1]
+        indptr[redirect + 1:n + 1] = A.indptr[redirect + 1:] + 1
+        indptr[n + 1] = indptr[n] + gain.size + 1
+        indices = np.concatenate([A.indices[:cut], [n], A.indices[cut:],
+                                  gain, [n]])
+        data = np.concatenate([A.data[:cut], [kappa], A.data[cut:],
+                               w[gain], [-kappa]])
+        return as_csr(sp.csr_matrix(
+            (data, indices.astype(np.int32), indptr.astype(np.int32)),
+            shape=(n + 1, n + 1)))
 
     def _warm_start(self, space: StateSpace, prev, prev_space,
                     prev_sink: float, has_outflow: bool):

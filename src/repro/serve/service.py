@@ -75,7 +75,7 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import ProcessSolverPool, SolveTask, run_task
 from repro.serve.scheduler import SolveScheduler
 from repro.serve.warmstart import WarmStartIndex, blend_donors
-from repro.solvers import SOLVER_REGISTRY
+from repro.solvers import DEFAULT_DAMPING, SOLVER_REGISTRY
 from repro.solvers.result import SolverResult, StopReason
 from repro.telemetry import tracing
 
@@ -298,7 +298,9 @@ class SolveService:
         a few hundred — which made ``toggle_switch`` the serve
         latency outlier.  Only applies to ``method="jacobi"`` /
         ``"sharded"``; explicit ``damping`` (including ``1.0``) always
-        wins.
+        wins.  ``method="fsp"`` jobs get the same
+        :data:`~repro.solvers.DEFAULT_DAMPING` from the FSP controller's
+        own inner-solve default.
     """
 
     def __init__(self, network: ReactionNetwork, *, workers: int = 1,
@@ -328,7 +330,7 @@ class SolveService:
                  pool: ProcessSolverPool | None = None,
                  tenant_weights: Mapping[str, int] | None = None,
                  admission: AdmissionController | Mapping | None = None,
-                 default_damping: float | None = 0.9):
+                 default_damping: float | None = DEFAULT_DAMPING):
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
         self.network = network

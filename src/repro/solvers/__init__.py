@@ -29,7 +29,7 @@ from repro.solvers.result import SolverResult, StopReason
 from repro.solvers.stopping import StoppingCriterion
 from repro.solvers.normalization import renormalize
 from repro.solvers.base import IterativeSolverBase, SteadyStateSolver
-from repro.solvers.jacobi import JacobiSolver
+from repro.solvers.jacobi import DEFAULT_DAMPING, JacobiSolver
 from repro.solvers.batched import BatchedJacobiSolver
 from repro.solvers.gauss_seidel import GaussSeidelSolver
 from repro.solvers.power import PowerIterationSolver
@@ -54,6 +54,7 @@ SOLVER_REGISTRY["resilient"] = ResilientSolver
 SOLVER_REGISTRY["sharded"] = ShardedJacobiSolver
 
 __all__ = [
+    "DEFAULT_DAMPING",
     "ResilientSolver",
     "ShardedJacobiSolver",
     "SolverResult",

@@ -288,6 +288,22 @@ def test_every_simd_build_enumerates_like_reference(simd_library,
         assert_same_walk(network)
 
 
+def test_every_simd_build_indexes_keys_like_reference(simd_library,
+                                                     monkeypatch):
+    """The key_index table compiles, and answers like the sorted
+    reference, in every build; batches of 5 make it grow."""
+    from repro.backends.reference import SortedKeyIndex
+    monkeypatch.setattr(native, "_lib", simd_library)
+    rng = np.random.default_rng(89)
+    keys = rng.permutation(np.unique(rng.integers(0, 1 << 30, 900)))
+    table = native.HashKeyIndex(keys[:5])
+    for lo in range(5, keys.size, 5):
+        table.extend(keys[lo:lo + 5])
+    probes = np.concatenate([keys, rng.integers(-2, 1 << 30, 900), [-1]])
+    assert np.array_equal(table.lookup(probes),
+                          SortedKeyIndex(keys).lookup(probes))
+
+
 def test_sweep_many_out_is_returned_and_filled(backend):
     systems = shared_structure_systems(8)
     n = systems[0].shape[0]

@@ -8,6 +8,7 @@ column sums ``-outflow`` — and a closed projection reproduces
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cme import (
     ProjectionAssembler,
@@ -19,6 +20,7 @@ from repro.cme import (
 from repro.cme.models import toggle_switch
 from repro.cme.models.phage_lambda import phage_lambda
 from repro.errors import StateSpaceOverflowError, ValidationError
+from tests.cme.test_random_networks_property import random_networks
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,49 @@ class TestInitialProjection:
         assert np.array_equal(
             seed.states,
             initial_projection(network, size=12, initial_state=[3, 2]).states)
+
+
+def loop_bfs(network, size, initial_state=None):
+    """The one-state-at-a-time BFS over tuples and a set: the reference
+    the layered ``initial_projection`` must reproduce state for state."""
+    from repro.cme.statespace import initial_microstate
+    x0 = tuple(initial_microstate(network, initial_state).tolist())
+    bounds = network.max_counts
+    seen, order, head = {x0}, [x0], 0
+    while head < len(order) and len(order) < size:
+        state = np.asarray(order[head])
+        head += 1
+        for k in range(network.n_reactions):
+            if network.propensities.single(state, k) <= 0.0:
+                continue
+            succ = tuple(int(v) for v in state + network.stoichiometry[k])
+            if any(v < 0 or v > int(bounds[i]) for i, v in enumerate(succ)):
+                continue
+            if succ not in seen:
+                seen.add(succ)
+                order.append(succ)
+                if len(order) >= size:
+                    break
+    return np.array(order[:size], dtype=np.int64)
+
+
+class TestLayeredBfs:
+    @pytest.mark.parametrize("make,initial", [
+        (lambda: toggle_switch(max_protein=8), None),
+        (lambda: toggle_switch(max_protein=20), [3, 11]),
+        (lambda: phage_lambda(max_monomer=6, max_dimer=3), None),
+    ])
+    @pytest.mark.parametrize("size", [1, 2, 7, 30, 64, 500, 10_000])
+    def test_same_states_in_same_order_as_loop(self, make, initial, size):
+        net = make()
+        got = initial_projection(net, size=size, initial_state=initial)
+        assert np.array_equal(got.states, loop_bfs(net, size, initial))
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_networks(), st.integers(min_value=1, max_value=80))
+    def test_random_networks_match_loop(self, net, size):
+        got = initial_projection(net, size=size)
+        assert np.array_equal(got.states, loop_bfs(net, size))
 
 
 class TestAssemble:

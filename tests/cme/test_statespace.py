@@ -5,12 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
+from repro import backends
+from repro.backends.reference import lookup_keys
 from repro.cme.network import ReactionNetwork
 from repro.cme.reaction import Reaction
 from repro.cme.species import Species
 from repro.cme.models import toggle_switch
-from repro.cme.statespace import StateSpace, enumerate_state_space, lookup_keys
-from repro.errors import StateSpaceOverflowError, ValidationError
+from repro.cme.statespace import StateSpace, enumerate_state_space
+from repro.errors import (
+    EnumerationError,
+    StateSpaceOverflowError,
+    ValidationError,
+)
 
 
 def brute_force_reachable(network):
@@ -98,6 +104,18 @@ class TestLookup:
                            states=np.empty((0, 2), np.int64))
         assert space.lookup([[0, 0]]).tolist() == [-1]
         assert not space.contains([3, 1])
+
+    @pytest.mark.parametrize("backend", backends.available_backends())
+    def test_duplicate_states_raise(self, backend):
+        with backends.use(backend), pytest.raises(EnumerationError,
+                                                  match="duplicate"):
+            StateSpace(network=toggle_switch(max_protein=5),
+                       states=np.array([[1, 2], [0, 0], [1, 2]]))
+
+    def test_negative_states_raise(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            StateSpace(network=toggle_switch(max_protein=5),
+                       states=np.array([[1, 2], [-1, 0]]))
 
     def test_empty_key_table(self):
         empty = np.empty(0, dtype=np.int64)
