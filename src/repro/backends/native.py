@@ -384,10 +384,11 @@ void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
  * is walked once per chunk of lanes — 8-lane zmm chunks under
  * __AVX512F__, 4-lane ymm chunks under __AVX2__ — and the last chunk
  * is masked to the lanes below m, so masked-off lanes neither load
- * nor store.  m == 1 takes a scalar loop.  Each lane performs the same
- * round-to-nearest multiply, then add, as the scalar loop, so results
- * stay bitwise identical — vectorizing across SYSTEMS never
- * reassociates any single system's accumulation.
+ * nor store.  The product's m == 1 takes a scalar loop; the sweep
+ * never sees a block that narrow (see STACK_NARROW_MAX).  Each lane
+ * performs the same round-to-nearest multiply, then add, as the
+ * scalar loop, so results stay bitwise identical — vectorizing across
+ * SYSTEMS never reassociates any single system's accumulation.
  *
  * Per system the terms accumulate in column order with the exact
  * values the per-system matrices hold, so results are bit-identical
@@ -587,18 +588,7 @@ static void stacked_sweep_once(int64_t n, int64_t m, const int64_t *indptr,
                                const int64_t *vofs, const double *diag,
                                const double *X, double damping, double *out)
 {
-    const double om = 1.0 - damping;
     int64_t i;
-    if (m == 1) {
-        #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i) {
-            const double sum = stacked_row_1(i, indptr, cols, vstream,
-                                             vofs, X);
-            const double t = (diag[i] * X[i] - sum) / diag[i];
-            out[i] = damping == 1.0 ? t : om * X[i] + damping * t;
-        }
-        return;
-    }
 #if defined(__AVX512F__)
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; ++i) {
@@ -623,6 +613,7 @@ static void stacked_sweep_once(int64_t n, int64_t m, const int64_t *indptr,
                               vstream, vofs, diag, X, damping, out);
     }
 #else
+    const double om = 1.0 - damping;
     #pragma omp parallel for schedule(static)
     for (i = 0; i < n; ++i) {
         double sum[REPRO_MAX_STACK];
@@ -922,6 +913,52 @@ void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
     }
 }
 
+/* ---- narrow stacked blocks -------------------------------------------- */
+
+/* The widest stacked block the sweep op runs as one sliced sweep per
+ * system rather than one interleaved pass.  The interleaved kernel
+ * walks every row once per chunk of lanes, so its cost per sweep
+ * barely moves from 1 system to a full chunk, while m sliced sweeps
+ * cost m times one.  Each value is the crossover measured for its
+ * build with one thread (DESIGN §13): 4 under AVX-512's 8 lanes, 3
+ * under AVX2's 4, and 6 in the portable build, whose interleaved loop
+ * decodes every entry in scalar code. */
+#if defined(__AVX512F__)
+#define STACK_NARROW_MAX 4
+#elif defined(__AVX2__)
+#define STACK_NARROW_MAX 3
+#else
+#define STACK_NARROW_MAX 6
+#endif
+
+int64_t stacked_narrow_max(void)
+{
+    return STACK_NARROW_MAX;
+}
+
+/* `sweeps` sliced sweeps of system s of an (n, m) system-interleaved
+ * block: its columns of diag and X are copied into work (4 n doubles),
+ * swept there as by sliced_jacobi_sweep, and the last sweep is copied
+ * into its column of out.  The other columns are not touched. */
+void sliced_jacobi_sweep_column(int64_t n, int64_t m, int64_t s,
+                                const int64_t *slice_ptr,
+                                const int32_t *lens, const int32_t *cols,
+                                const double *vals, const double *diag,
+                                const double *X, double damping,
+                                double *out, double *work, int64_t sweeps)
+{
+    double *d = work, *x = work + n, *y = work + 2 * n;
+    int64_t i;
+    for (i = 0; i < n; ++i) {
+        d[i] = diag[i * m + s];
+        x[i] = X[i * m + s];
+    }
+    sliced_jacobi_sweep(n, slice_ptr, lens, cols, vals, d, x, damping, y,
+                        work + 3 * n, sweeps);
+    for (i = 0; i < n; ++i)
+        out[i * m + s] = y[i];
+}
+
 /* ---- vector primitives ---------------------------------------------- */
 
 void axpby(int64_t n, double alpha, const double *x,
@@ -952,6 +989,125 @@ double maxabs(int64_t n, const double *v)
             m = a;
     }
     return m;
+}
+
+/* ---- column renormalization ------------------------------------------ */
+
+/* Each column of an (n, m) row-major block, renormalized in place
+ * exactly as renormalize() in repro.solvers.normalization does to a
+ * contiguous copy of it: a column with a non-finite entry, or whose
+ * clipped sum is not positive, is left as it was; any other becomes
+ * max(x, 0) / sum.  The sum is NumPy's pairwise summation (its
+ * pairwise_sum loop), whose splits depend on n alone, so all m
+ * columns share one row-major walk: rows i .. i + 7 are one run of
+ * 8 m doubles, and accumulator slot j * m + c of a run-sized buffer
+ * takes row i + j of column c.  A non-finite x makes x * 0.0 a NaN,
+ * so bad[c], a sum of those, flags column c. */
+
+/* np.maximum(v, 0.0) on finite v: -0.0 becomes +0.0. */
+static inline double clip0(double v)
+{
+    return v > 0.0 ? v : 0.0;
+}
+
+/* NumPy's block of 8 to 128 rows: 8 accumulators per column, row i in
+ * accumulator i % 8, summed ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+ * (r6 + r7)), then the n % 8 leftover rows added one by one. */
+static void colsum_block(const double *restrict a, int64_t n, int64_t m,
+                         double *restrict r, double *restrict g,
+                         double *restrict res, double *restrict bad)
+{
+    const int64_t run = 8 * m;
+    int64_t i, j, k, c;
+    for (k = 0; k < run; ++k) {
+        r[k] = clip0(a[k]);
+        g[k] = a[k] * 0.0;
+    }
+    for (i = 8; i < n - n % 8; i += 8) {
+        const double *restrict ai = a + i * m;
+        for (k = 0; k < run; ++k) {
+            r[k] += clip0(ai[k]);
+            g[k] += ai[k] * 0.0;
+        }
+    }
+    for (c = 0; c < m; ++c)
+        res[c] = ((r[c] + r[m + c]) + (r[2 * m + c] + r[3 * m + c]))
+               + ((r[4 * m + c] + r[5 * m + c])
+                  + (r[6 * m + c] + r[7 * m + c]));
+    for (j = 0; j < 8; ++j)
+        for (c = 0; c < m; ++c)
+            bad[c] += g[j * m + c];
+    for (; i < n; ++i)
+        for (c = 0; c < m; ++c) {
+            res[c] += clip0(a[i * m + c]);
+            bad[c] += a[i * m + c] * 0.0;
+        }
+}
+
+/* NumPy's pairwise sum of rows [0, n): under 8 rows one by one from
+ * 0.0, up to 128 one block, above that the halves split at n / 2
+ * rounded down to a multiple of 8.  spare holds m doubles per level
+ * of splitting below this one. */
+static void colsum_pairwise(const double *a, int64_t n, int64_t m,
+                            double *r, double *g, double *res,
+                            double *bad, double *spare)
+{
+    int64_t i, c;
+    if (n < 8) {
+        for (c = 0; c < m; ++c)
+            res[c] = 0.0;
+        for (i = 0; i < n; ++i)
+            for (c = 0; c < m; ++c) {
+                res[c] += clip0(a[i * m + c]);
+                bad[c] += a[i * m + c] * 0.0;
+            }
+    } else if (n <= 128) {
+        colsum_block(a, n, m, r, g, res, bad);
+    } else {
+        const int64_t half = n / 2 - (n / 2) % 8;
+        colsum_pairwise(a, half, m, r, g, res, bad, spare + m);
+        colsum_pairwise(a + half * m, n - half, m, r, g, spare, bad,
+                        spare + m);
+        for (c = 0; c < m; ++c)
+            res[c] += spare[c];
+    }
+}
+
+/* work holds m * (18 + the bit length of n) doubles; ok[c] = 1 where
+ * column c was renormalized, 0 where it was left. */
+void renormalize_columns(int64_t n, int64_t m, double *X, uint8_t *ok,
+                         double *work)
+{
+    const int64_t run = 8 * m;
+    double *r = work, *g = work + run, *total = work + 2 * run;
+    double *bad = total + m;
+    int64_t i, k, c, all = 1;
+    for (c = 0; c < m; ++c)
+        bad[c] = 0.0;
+    colsum_pairwise(X, n, m, r, g, total, bad, bad + m);
+    for (c = 0; c < m; ++c) {
+        ok[c] = bad[c] == bad[c] && total[c] > 0.0;
+        all &= ok[c];
+    }
+    if (!all) {
+        for (c = 0; c < m; ++c)
+            if (ok[c])
+                for (i = 0; i < n; ++i)
+                    X[i * m + c] = clip0(X[i * m + c]) / total[c];
+        return;
+    }
+    /* Every column: whole runs against a run of divisors, then the
+     * leftover rows. */
+    for (k = 0; k < run; ++k)
+        r[k] = total[k % m];
+    for (i = 0; i + 8 <= n; i += 8) {
+        double *restrict xi = X + i * m;
+        for (k = 0; k < run; ++k)
+            xi[k] = clip0(xi[k]) / r[k];
+    }
+    for (; i < n; ++i)
+        for (c = 0; c < m; ++c)
+            X[i * m + c] = clip0(X[i * m + c]) / total[c];
 }
 
 /* ---- DFS state-space enumeration ------------------------------------ */
@@ -1264,6 +1420,11 @@ def _bind(lib) -> None:
     lib.sliced_jacobi_sweep.argtypes = [ctypes.c_int64, _I64, _I32, _I32,
                                         _F64, _F64, _F64, ctypes.c_double,
                                         _F64, _F64, ctypes.c_int64]
+    lib.stacked_narrow_max.argtypes = []
+    lib.stacked_narrow_max.restype = ctypes.c_int64
+    lib.sliced_jacobi_sweep_column.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _I32, _I32,
+        _F64, _F64, _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
     lib.csr_jacobi_sweep_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
         _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
@@ -1274,6 +1435,8 @@ def _bind(lib) -> None:
                           ctypes.c_double, _F64, _F64]
     lib.maxabs.argtypes = [ctypes.c_int64, _F64]
     lib.maxabs.restype = ctypes.c_double
+    lib.renormalize_columns.argtypes = [ctypes.c_int64, ctypes.c_int64,
+                                        _F64, _U8, _F64]
     lib.dfs_enumerate.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64, _I64, _I64,
         ctypes.c_int64, _U8, ctypes.c_int64, _I64, _I64, ctypes.c_int64,
@@ -1288,8 +1451,9 @@ def _bind(lib) -> None:
                  "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
                  "dia_spmv", "dia_spmm", "csr_jacobi_sweep",
                  "csr_jacobi_sweep_block", "sliced_fill",
-                 "sliced_jacobi_sweep", "csr_jacobi_sweep_stacked",
-                 "csr_spmv_stacked", "axpby", "key_index_lookup"):
+                 "sliced_jacobi_sweep", "sliced_jacobi_sweep_column",
+                 "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby",
+                 "renormalize_columns", "key_index_lookup"):
         getattr(lib, name).restype = None
 
 
@@ -1352,9 +1516,15 @@ def _vec(a: np.ndarray):
         return _p64(a)
 
 
+#: The ctypes element of each integer or flag dtype :func:`_ivec` takes.
+_IVEC_CTYPES = {np.dtype(np.int64): ctypes.c_int64,
+                np.dtype(np.int32): ctypes.c_int32,
+                np.dtype(np.bool_): ctypes.c_uint8}
+
+
 def _ivec(a: np.ndarray):
-    """:func:`_vec` for a per-call int64 or int32 array."""
-    ctype = ctypes.c_int32 if a.dtype == np.int32 else ctypes.c_int64
+    """:func:`_vec` for a per-call int64, int32 or bool array."""
+    ctype = _IVEC_CTYPES[a.dtype]
     try:
         return ctypes.byref(ctype.from_buffer(a))
     except (TypeError, ValueError):
@@ -1793,7 +1963,8 @@ _SPMM = {
 
 #: Format-independent ops this backend provides.
 _PRIMITIVES = frozenset({"jacobi_sweep", "axpy", "residual",
-                         "dfs_enumerate", "key_index"})
+                         "renormalize_columns", "dfs_enumerate",
+                         "key_index"})
 
 
 class NativeBackend:
@@ -1923,8 +2094,13 @@ class NativeBackend:
         column ``s`` belongs to ``systems[s]``, so element ``i`` of all
         ``m`` systems occupies one contiguous run — the layout the SIMD
         kernels vectorize across.  ``sweeps=k`` runs k sweeps in one C
-        call (*X* is only read).  Returns ``out`` (bit-identical to
-        ``m`` independent :meth:`jacobi_sweep` calls), or ``None`` when
+        call (*X* is only read).  A block of at most
+        ``stacked_narrow_max()`` systems (``STACK_NARROW_MAX`` in the
+        source, set per build) is swept one system at a time over each
+        system's sliced layout, cached on its matrix from the first
+        such block; wider blocks take the interleaved kernel.  Returns
+        ``out`` (bit-identical to ``m`` independent
+        :meth:`jacobi_sweep` calls), or ``None`` when
         the fused path does not apply — systems that do not share one
         sparsity pattern, non-CSR inputs, more than ``_STACK_MAX``
         systems, or blocks of the wrong shape or layout (``out`` must
@@ -1940,7 +2116,6 @@ class NativeBackend:
             return None
         k = _check_sweeps(sweeps)
         lib = get_library()
-        pi, pc, pv, po = prep[4:]
         n = systems[0].shape[0]
         diag = _f64(diag)
         X = _f64(X)
@@ -1952,6 +2127,17 @@ class NativeBackend:
             return None
         elif np.shares_memory(out, X):
             raise ValueError("jacobi_sweep_many out must not alias X")
+        if m <= lib.stacked_narrow_max():
+            # A narrow block: each system's sweeps run over its own
+            # sliced layout, built when it first reaches such a block.
+            pd, px, po = _vec(diag), _vec(X), _vec(out)
+            work = _vec(np.empty(4 * n))
+            for s, A in enumerate(systems):
+                lib.sliced_jacobi_sweep_column(
+                    n, m, s, *_sliced_arrays(A)[4:], pd, px,
+                    float(damping), po, work, k)
+            return out
+        pi, pc, pv, po = prep[4:]
         scratch = _vec(np.empty_like(X)) if k > 1 else None
         lib.csr_jacobi_sweep_stacked(n, m, pi, pc, pv, po, _vec(diag),
                                      _vec(X), float(damping), _vec(out),
@@ -2013,6 +2199,22 @@ class NativeBackend:
         y_norm = float(lib.maxabs(y.size, _vec(y))) if y.size else 0.0
         x_norm = float(lib.maxabs(x.size, _vec(x))) if x.size else 0.0
         return y_norm, x_norm
+
+    def renormalize_columns(self, X: np.ndarray) -> np.ndarray:
+        """The reference's per-column renormalization in one C pass
+        (``renormalize_columns`` in the source), bitwise equal to it.
+        *X* must be a writeable C-contiguous float64 block."""
+        if (X.ndim != 2 or X.dtype != np.float64
+                or not (X.flags["C_CONTIGUOUS"] and X.flags["WRITEABLE"])):
+            raise ValueError(
+                f"renormalize_columns needs a writeable C-contiguous "
+                f"float64 (n, m) block, got {X.dtype} {X.shape}")
+        n, m = X.shape
+        ok = np.empty(m, dtype=np.bool_)
+        work = np.empty(m * (18 + n.bit_length()))
+        get_library().renormalize_columns(n, m, _vec(X), _ivec(ok),
+                                          _vec(work))
+        return ok
 
     def dfs_enumerate(self, x0: np.ndarray, bounds: np.ndarray,
                       delta: np.ndarray, need: np.ndarray,

@@ -2,10 +2,10 @@
 
 Every hot numeric operation in the reproduction (format-faithful SpMV,
 multi-RHS SpMM, the fused Jacobi sweep, the small vector primitives
-the solver loop is made of, the DFS state-space walk and state-key
-membership) goes through
-a *kernel backend*.  A backend is an object implementing this protocol;
-the package ships two:
+the solver loop is made of, the batched solver's column
+renormalization, the DFS state-space walk and state-key membership)
+goes through a *kernel backend*.  A backend is an object implementing
+this protocol; the package ships two:
 
 ``numpy``
     The reference backend (:mod:`repro.backends.reference`): the exact
@@ -40,6 +40,14 @@ Operations
 ``residual(y, x)``
     ``(||y||_inf, ||x||_inf)`` in one pass — the two reductions of the
     paper's normalized stopping criterion.
+``renormalize_columns(X)``
+    Renormalizes each column of the writeable C-contiguous ``(n, m)``
+    float64 block ``X`` in place, bitwise as
+    :func:`~repro.solvers.normalization.renormalize` does to a
+    contiguous copy of it, and returns an ``(m,)`` bool mask.  A column
+    ``renormalize`` would reject (a non-finite entry, or no positive
+    mass once negatives are clipped) is left as it was and flagged
+    ``False``.
 ``dfs_enumerate(x0, bounds, delta, need, gated, propensities, max_states)``
     Cao & Liang's DFS walk of the reachable state space from the
     ``(m,)`` state *x0*, trying reactions in index order: reaction
@@ -73,9 +81,9 @@ pairs a backend can serve.  The registry consults it on every dispatch
 and silently falls back to the reference backend for unsupported pairs
 (the fallback is recorded in the kernel telemetry counters, see
 :func:`repro.backends.kernel_stats`).  Vector primitives
-(``jacobi_sweep``/``axpy``/``residual``), ``dfs_enumerate`` and
-``key_index`` are format-independent: a backend either has them or
-not, signalled by ``supports("", op)``.
+(``jacobi_sweep``/``axpy``/``residual``/``renormalize_columns``),
+``dfs_enumerate`` and ``key_index`` are format-independent: a backend
+either has them or not, signalled by ``supports("", op)``.
 
 Numerical contract
 ------------------
@@ -99,7 +107,7 @@ import numpy as np
 
 #: Every operation a backend may implement.
 OPS = ("spmv", "spmm", "jacobi_sweep", "axpy", "residual",
-       "dfs_enumerate", "key_index")
+       "renormalize_columns", "dfs_enumerate", "key_index")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -136,6 +144,8 @@ class KernelBackend(Protocol):
 
     def residual(self, y: np.ndarray,
                  x: np.ndarray) -> tuple[float, float]: ...
+
+    def renormalize_columns(self, X: np.ndarray) -> np.ndarray: ...
 
     def dfs_enumerate(self, x0: np.ndarray, bounds: np.ndarray,
                       delta: np.ndarray, need: np.ndarray,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import StateSpaceOverflowError
+from repro.errors import StateSpaceOverflowError, ValidationError
 
 
 def lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
@@ -176,6 +176,19 @@ class NumpyBackend:
         y_norm = float(np.abs(y).max()) if y.size else 0.0
         x_norm = float(np.abs(x).max()) if x.size else 0.0
         return y_norm, x_norm
+
+    def renormalize_columns(self, X: np.ndarray) -> np.ndarray:
+        """Each column of *X* through
+        :func:`~repro.solvers.normalization.renormalize`, in place; a
+        column it rejects is left as it was and flagged ``False``."""
+        from repro.solvers.normalization import renormalize
+        ok = np.ones(X.shape[1], dtype=bool)
+        for c in range(X.shape[1]):
+            try:
+                X[:, c] = renormalize(np.ascontiguousarray(X[:, c]))
+            except ValidationError:
+                ok[c] = False
+        return ok
 
     # -- state-space enumeration -----------------------------------------
 

@@ -302,6 +302,8 @@ class BatchedJacobiSolver:
                        and all(hasattr(be, op) for op in (
                            "jacobi_sweep_many", "spmv_many", "can_stack"))
                        and be.can_stack(self._systems))
+        # The (n, k) layouts renormalize every live column in one call.
+        norm = backends.serving("", "renormalize_columns", self.backend)
 
         criteria = [StoppingCriterion(
             inf_norm(j),
@@ -537,19 +539,9 @@ class BatchedJacobiSolver:
                     done += k
                     if norm_every is not None and iteration % norm_every == 0:
                         if shared or interleaved:
-                            # renormalize's own validation (isfinite
-                            # scan, positive clipped total) is exactly
-                            # the gate the row path computes, so the
-                            # per-column try replaces three full-block
-                            # gate passes.  The contiguous copy is
-                            # bitwise-neutral: a strided column and its
-                            # copy reduce in the same pairwise order.
-                            for c in range(X.shape[1]):
-                                try:
-                                    X[:, c] = renormalize(
-                                        np.ascontiguousarray(X[:, c]))
-                                except ValidationError:
-                                    pass  # same as a failed gate: skip
+                            # A column that fails the gate is left as
+                            # it was, as the row path below leaves it.
+                            norm.renormalize_columns(X)
                         else:
                             clipped = np.maximum(X, 0.0)
                             sums = clipped.sum(axis=reduce_axis)
@@ -570,16 +562,15 @@ class BatchedJacobiSolver:
                 # Batch-end: renormalize the live columns, then one
                 # product serves every column's residual check and (for
                 # survivors) seeds the next batch's first sweep.
-                col_ok = np.ones(len(active), dtype=bool)
-                for c in range(len(active)):
-                    try:
-                        if shared or interleaved:
-                            X[:, c] = renormalize(
-                                np.ascontiguousarray(X[:, c]))
-                        else:
+                if shared or interleaved:
+                    col_ok = norm.renormalize_columns(X)
+                else:
+                    col_ok = np.ones(len(active), dtype=bool)
+                    for c in range(len(active)):
+                        try:
                             X[c] = renormalize(X[c])
-                    except ValidationError:
-                        col_ok[c] = False
+                        except ValidationError:
+                            col_ok[c] = False
                 Y = block_product(X)
                 expired = (time_budget_s is not None
                            and time.perf_counter() - t0 >= time_budget_s)

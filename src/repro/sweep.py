@@ -241,7 +241,8 @@ class ParameterSweep:
             raise ValidationError(f"batch must be positive, got {batch}")
         kwargs = dict(solver_kwargs or {})
         unsupported = set(kwargs) - {"damping", "check_interval",
-                                     "normalize_interval", "stagnation_tol"}
+                                     "normalize_interval", "stagnation_tol",
+                                     "backend"}
         if unsupported:
             raise ValidationError(
                 f"batched sweep does not support solver options "

@@ -5,13 +5,21 @@ column ``s`` belongs to ``systems[s]`` — and promise results bit-equal
 to ``m`` independent per-system calls, computed here by the ``numpy``
 reference.  These tests pin that contract for every backend that
 advertises the methods: every width from 1 to 16 plus 64 (whole SIMD
-chunks, masked tails, the scalar width-1 loop), damped sweeps, blocks
-compacted after a column retires, ``sweeps=k`` against k single calls,
-each SIMD path of the C source built separately (the stacked kernels,
-the single-system sliced sweep's cases and the scalar DFS walk, which
-must compile in every build), the ``None`` fallback
-for inputs the fused path cannot serve, and the ``can_stack`` probe
-callers use to pick the interleaved layout up front.
+chunks, masked tails, the scalar width-1 product loop), damped sweeps,
+blocks compacted after a column retires, ``sweeps=k`` against k single
+calls, each SIMD path of the C source built separately (the stacked
+kernels, the single-system sliced sweep's cases, the column
+renormalization and the scalar DFS walk, which must compile in every
+build; a build that fails to compile fails its tests), the ``None``
+fallback for inputs the fused path cannot serve, and the ``can_stack``
+probe callers use to pick the interleaved layout up front.
+
+The native sweep op runs a block of at most ``stacked_narrow_max()``
+systems (a per-build constant of the C source) as one sliced sweep per
+system and wider blocks interleaved, so the widths and each build's
+tests below also cross that threshold: a non-finite entry stays in its
+own system, ``sweeps=k`` still equals k single calls, and a block
+compacted from wide to narrow keeps matching the reference.
 """
 
 import subprocess
@@ -25,6 +33,9 @@ from repro.backends import native
 from repro.cme.models import toggle_switch
 from repro.cme.models.phage_lambda import phage_lambda
 from repro.sparse.base import as_csr
+from tests.backends.test_renormalize_columns import (
+    LENGTHS, assert_renormalizes_like_reference, iterate_block,
+    special_block)
 from tests.backends.test_sliced_sweep import (SLICED_CASES,
                                               assert_sliced_case_matches)
 from tests.cme.test_enumeration_backends import (assert_same_walk,
@@ -243,10 +254,13 @@ def simd_library(request, tmp_path_factory):
     if label == "scalar":
         assert "#define __AVX2__ " not in defines
     sopath = tmp_path_factory.mktemp(f"simd-{label}") / "kernels.so"
+    # The compiler and the host take these flags (checked above), so a
+    # failed build is C code that one SIMD path cannot compile, not a
+    # host without that path: it fails every test of the build.
     try:
         native.build_library(str(sopath), flags)
     except native.NativeCompileError as exc:
-        pytest.skip(f"{label} build failed: {exc}")
+        pytest.fail(f"{label} build failed: {exc}")
     import ctypes
     lib = ctypes.CDLL(str(sopath))
     native._bind(lib)
@@ -274,6 +288,100 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
             REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
     for _, n, long_row in SLICED_CASES:
         assert_sliced_case_matches(be, n, long_row, damping)
+
+
+def narrow_max(lib) -> int:
+    """The widest block *lib*'s sweep op runs as per-system sliced
+    sweeps."""
+    return int(lib.stacked_narrow_max())
+
+
+def threshold_widths(lib) -> list[int]:
+    """Widths on both sides of *lib*'s narrow threshold."""
+    top = narrow_max(lib)
+    return sorted({1, top - 1, top, top + 1, top + 2} - {0})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_simd_build_keeps_a_nonfinite_entry_in_its_system(
+        simd_library, monkeypatch, bad):
+    """A non-finite x entry of one system reaches that system's rows
+    that read it, and nothing of the other systems, on both sides of
+    the narrow threshold."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    for m in threshold_widths(simd_library):
+        systems = shared_structure_systems(m, seed=97)
+        D, X = interleaved(systems, 101)
+        hit, j = m - 1, 40
+        X[j, hit] = bad
+        got = be.jacobi_sweep_many(systems, D, X, damping=0.9)
+        with np.errstate(invalid="ignore"):  # inf - inf in row j
+            ref = reference_sweeps(systems, D, X, 0.9)
+        assert np.array_equal(got, ref, equal_nan=True), m
+        readers = np.flatnonzero(systems[hit][:, j].toarray().ravel())
+        assert np.array_equal(np.flatnonzero(~np.isfinite(got[:, hit])),
+                              readers), m
+        assert np.isfinite(np.delete(got, hit, axis=1)).all(), m
+
+
+@pytest.mark.parametrize("sweeps", [2, 5])
+def test_every_simd_build_multi_sweeps_across_the_threshold(
+        simd_library, monkeypatch, sweeps):
+    """``sweeps=k`` equals k single calls at widths on both sides of
+    the threshold, and *X* is only read."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    for m in threshold_widths(simd_library):
+        systems = shared_structure_systems(m, seed=103)
+        D, X = interleaved(systems, 107)
+        expected = X
+        for _ in range(sweeps):
+            expected = be.jacobi_sweep_many(systems, D, expected,
+                                             damping=0.9)
+        X_before = X.copy()
+        got = be.jacobi_sweep_many(systems, D, X, damping=0.9,
+                                   sweeps=sweeps)
+        assert np.array_equal(got, expected), m
+        assert np.array_equal(X, X_before), m
+        assert np.array_equal(
+            got, reference_sweeps(systems, D, X, 0.9, sweeps=sweeps)), m
+
+
+def test_every_simd_build_compacts_from_wide_to_narrow(simd_library,
+                                                       monkeypatch):
+    """A block compacted from two past the threshold down to it, and
+    down to one system, sweeps like the reference at every step."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    top = narrow_max(simd_library)
+    systems = shared_structure_systems(top + 2, seed=109)
+    D, X = interleaved(systems, 113)
+    live = list(range(top + 2))
+    for keep in (live, live[1:-1], live[-2:-1]):
+        # X holds the columns of the systems in live; keep a subset.
+        X = np.ascontiguousarray(X[:, [live.index(c) for c in keep]])
+        Dk = np.ascontiguousarray(D[:, keep])
+        sub = [systems[c] for c in keep]
+        out = be.jacobi_sweep_many(sub, Dk, X, damping=0.9, sweeps=3,
+                                   out=np.empty_like(X))
+        assert np.array_equal(
+            out, reference_sweeps(sub, Dk, X, 0.9, sweeps=3)), len(keep)
+        X, live = out, keep
+
+
+def test_every_simd_build_renormalizes_like_reference(simd_library,
+                                                      monkeypatch):
+    """The column renormalization's pairwise sums and its gate compile,
+    and match ``renormalize`` bitwise, in every build."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    for n in LENGTHS:
+        for m in WIDTHS:
+            assert_renormalizes_like_reference(
+                be, iterate_block(n, m, 1000 * n + m))
+    for n in (2, 9, 129, 2304):
+        assert_renormalizes_like_reference(be, special_block(n))
 
 
 def test_every_simd_build_enumerates_like_reference(simd_library,

@@ -16,6 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import backends
+from repro.backends import native
 from repro.backends.native import NativeBackend
 from repro.errors import ValidationError
 from repro.solvers import BatchedJacobiSolver, JacobiSolver
@@ -37,6 +38,40 @@ def chain(n=60, birth=4.0, death=1.0):
 
 def serial(A, **kwargs):
     return JacobiSolver(A, damping=DAMPING, **kwargs).solve()
+
+
+needs_native = pytest.mark.skipif(
+    "native" not in backends.available_backends(),
+    reason="native kernels do not build here")
+
+
+class KernelSpy:
+    """The native library, recording the width of every call to the two
+    kernels the stacked sweep op chooses between."""
+
+    KERNELS = ("csr_jacobi_sweep_stacked", "sliced_jacobi_sweep_column")
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.widths = {name: [] for name in self.KERNELS}
+
+    def __getattr__(self, name):
+        kernel = getattr(self._lib, name)
+        if name not in self.KERNELS:
+            return kernel
+
+        def spy(*args):
+            self.widths[name].append(args[1])  # (n, m, ...)
+            return kernel(*args)
+        return spy
+
+
+def assert_same_results(got, ref):
+    for a, b in zip(ref, got):
+        assert b.stop_reason is a.stop_reason
+        assert b.iterations == a.iterations
+        assert b.residual == a.residual
+        np.testing.assert_array_equal(b.x, a.x)
 
 
 class TestSharedMode:
@@ -161,6 +196,57 @@ class TestStackedMode:
             assert b.residual == a.residual
             np.testing.assert_array_equal(b.x, a.x)
 
+    @needs_native
+    def test_narrow_intervals_run_the_sliced_kernel(self, monkeypatch):
+        """Once at most ``stacked_narrow_max()`` columns are live, each
+        interval's sweeps run one sliced sweep per system inside the
+        stacked op (still zero ``jacobi_sweep`` calls), wider intervals
+        run the interleaved kernel, and only the systems still live at
+        a narrow width get a sliced copy."""
+        lib = native.get_library()
+        top = lib.stacked_narrow_max()
+        spy = KernelSpy(lib)
+        monkeypatch.setattr(native, "_lib", spy)
+
+        def single_sweep(*args, **kwargs):
+            raise AssertionError("a stacked solve called jacobi_sweep")
+
+        monkeypatch.setattr(NativeBackend, "jacobi_sweep", single_sweep)
+        m = top + 2
+        mats = [chain(death=1.0 + 0.02 * c) for c in range(m)]
+        tols = [10.0 ** -(4 + c) for c in range(m)]
+        kw = dict(damping=DAMPING, check_interval=10)
+        solver = BatchedJacobiSolver.stacked(mats, backend="native", **kw)
+        got = solver.solve_many(tols=tols)
+        ref = BatchedJacobiSolver.stacked(
+            mats, backend="numpy", **kw).solve_many(tols=tols)
+        assert_same_results(got, ref)
+        iterations = [r.iterations for r in got]
+        # Columns retire one at a time, so the block passes every width.
+        assert len(set(iterations)) == m
+        narrow = spy.widths["sliced_jacobi_sweep_column"]
+        wide = spy.widths["csr_jacobi_sweep_stacked"]
+        assert set(narrow) == set(range(1, top + 1))
+        assert set(wide) == {top + 1, top + 2}
+        last_live = set(np.argsort(iterations)[-top:])
+        assert [getattr(A, native._SLICED_ATTR, None) is not None
+                for A in solver._systems] == [c in last_live
+                                              for c in range(m)]
+
+    @needs_native
+    def test_wide_retirements_build_no_sliced_copy(self):
+        """Columns that all retire while the block is wide leave no
+        sliced copy behind."""
+        top = native.get_library().stacked_narrow_max()
+        mats = [chain(death=1.1) for _ in range(top + 1)]
+        solver = BatchedJacobiSolver.stacked(mats, backend="native",
+                                             damping=DAMPING)
+        results = solver.solve_many()
+        assert len({r.iterations for r in results}) == 1
+        assert all(r.stop_reason is StopReason.CONVERGED for r in results)
+        assert all(getattr(A, native._SLICED_ATTR, None) is None
+                   for A in solver._systems)
+
     def test_stacked_per_column_tols(self):
         mats = [chain(death=d) for d in (0.9, 1.1)]
         solver = BatchedJacobiSolver.stacked(mats, damping=DAMPING)
@@ -237,6 +323,21 @@ class TestSweepBatch:
             assert b.overrides == s.overrides
             assert b.result.iterations == s.result.iterations
             np.testing.assert_array_equal(b.result.x, s.result.x)
+
+    @pytest.mark.parametrize("name", backends.available_backends())
+    def test_batched_sweep_takes_backend(self, birth_death_network, name):
+        """``backend`` reaches the batched solver, and every backend's
+        points equal the serial sweep's bitwise."""
+        from repro.sweep import ParameterSweep
+        serial = ParameterSweep(birth_death_network, self.GRID).run(
+            tol=1e-7, solver_kwargs={"damping": DAMPING})
+        batched = ParameterSweep(birth_death_network, self.GRID).run(
+            batch=4, tol=1e-7,
+            solver_kwargs={"damping": DAMPING, "backend": name})
+        assert [b.overrides for b in batched] == [s.overrides
+                                                  for s in serial]
+        assert_same_results([b.result for b in batched],
+                            [s.result for s in serial])
 
     def test_unsupported_solver_kwargs_rejected(self, birth_death_network):
         from repro.sweep import ParameterSweep
