@@ -13,8 +13,8 @@ Quickstart::
     from repro import toggle_switch, solve_steady_state
 
     network = toggle_switch(max_protein=40)
-    landscape, result = solve_steady_state(network)
-    print(landscape.ascii_heatmap("A", "B"))
+    result = solve_steady_state(network)
+    print(result.landscape.ascii_heatmap("A", "B"))
 """
 
 from repro.cme import (
@@ -90,18 +90,6 @@ __all__ = [
 ]
 
 
-#: Aliases accepted by :func:`solve_steady_state`'s ``format`` argument
-#: on top of :data:`repro.sparse.conversion.FORMAT_REGISTRY` keys.
-_FORMAT_ALIASES = {
-    "sliced_ell": "sell",
-    "sliced-ell": "sell",
-    "ell_dia": "ell+dia",
-    "ell-dia": "ell+dia",
-    "warped_ell": "warped-ell",
-    "sell_c_sigma": "sell-c-sigma",
-}
-
-
 #: Front-door methods whose solve loops accept a ``checkpointer=``
 #: (the resilient fallback chain switches solvers mid-flight and has
 #: no single loop state to snapshot).
@@ -109,13 +97,11 @@ _CHECKPOINTABLE_METHODS = ("jacobi", "gauss-seidel", "power", "sharded")
 
 
 def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
-                       format: str | None = None,
                        tol: float = 1e-8,
                        max_iterations: int = 500_000,
                        x0=None,
                        time_budget_s: float | None = None,
                        hooks=None,
-                       solver_kwargs: dict | None = None,
                        max_states: int = 5_000_000,
                        checkpoint=None,
                        resume: bool = False,
@@ -125,12 +111,12 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
                        **options) -> SolverResult:
     """The steady-state front door: one call from model to answer.
 
-    Routes a :class:`ReactionNetwork` through enumeration, rate-matrix
-    assembly and (optional) device-format conversion into the chosen
-    solver — the pipeline the CLI, the examples and the serving layer
-    all share instead of hand-rolling it.  A raw matrix (SciPy sparse,
-    dense, or any :class:`repro.sparse.base.SparseFormat`) skips the
-    CME stages and is solved directly.
+    Routes a :class:`ReactionNetwork` through enumeration and
+    rate-matrix assembly into the chosen solver — the pipeline the CLI,
+    the examples and the serving layer all share instead of
+    hand-rolling it.  A raw matrix (SciPy sparse, dense, or any
+    :class:`repro.sparse.base.SparseFormat`) skips the CME stages and
+    is solved directly.
 
     Every stage emits a tracing span when a recorder is installed
     (see :mod:`repro.telemetry`).
@@ -144,26 +130,17 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
         ``"power"``, ``"resilient"`` (the self-healing
         jacobi → gauss-seidel → gmres fallback chain) or ``"sharded"``
         (domain-decomposed Jacobi across a process pool; accepts
-        ``shards=`` and ``sync="barrier"|"chaotic"`` via
-        ``solver_kwargs``/``options``).
-    format:
-        Optional device sparse format to hold the system in before
-        solving — any :data:`~repro.sparse.conversion.FORMAT_REGISTRY`
-        key (``"ell"``, ``"sell"``, ``"warped-ell"``, ...) or alias
-        (``"sliced_ell"``, ``"ell_dia"``).  ``None`` solves straight
-        from CSR.
+        ``shards=`` and ``sync="barrier"|"chaotic"`` as ``options``).
     tol, max_iterations:
         Stopping parameters (paper defaults scaled to typical
         reproduction sizes).
     x0, time_budget_s, hooks:
         Forwarded to :meth:`~repro.solvers.base.IterativeSolverBase.solve`
         — warm start, wall-clock budget, instrumentation hooks.
-    solver_kwargs, **options:
+    **options:
         Extra solver-constructor options (e.g. ``damping=0.7``,
         ``uniformization_factor=1.1``, ``backend="native"`` to select
-        the kernel backend — see :mod:`repro.backends`);
-        ``solver_kwargs`` is the pre-1.1 spelling and is merged with
-        ``options``.
+        the kernel backend — see :mod:`repro.backends`).
     max_states:
         Enumeration safety cap.
     checkpoint:
@@ -188,12 +165,9 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
     SolverResult
         The solver diagnostics; for network inputs,
         ``result.landscape`` carries the
-        :class:`ProbabilityLandscape`.  (Unpacking the result as the
-        pre-1.1 ``(landscape, result)`` pair still works but emits a
-        :class:`DeprecationWarning`.)
+        :class:`ProbabilityLandscape`.
     """
     from repro.solvers import SOLVER_REGISTRY
-    from repro.sparse.conversion import FORMAT_REGISTRY, from_scipy
     from repro.telemetry import tracing
 
     method_key = str(method).lower().replace("_", "-")
@@ -223,24 +197,6 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
         else:
             A = network_or_matrix
 
-        if format is not None:
-            name = str(format).lower()
-            name = _FORMAT_ALIASES.get(name, name)
-            if name not in FORMAT_REGISTRY:
-                raise ValidationError(
-                    f"unknown format {format!r}; expected one of "
-                    f"{sorted(FORMAT_REGISTRY)} or aliases "
-                    f"{sorted(_FORMAT_ALIASES)}")
-            with tracing.span("convert", format=name):
-                from repro.sparse.conversion import to_scipy
-                matrix = from_scipy(to_scipy(A), name)
-                if solver_cls is not JacobiSolver:
-                    # Only the Jacobi solver consumes device formats
-                    # natively; the others iterate on CSR.
-                    matrix = matrix.to_scipy()
-        else:
-            matrix = A
-
         checkpointer = None
         if checkpoint is not None:
             from repro.durability import (
@@ -260,9 +216,8 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
                     keep_last=checkpoint_keep),
                 resume=resume)
 
-        merged = {**(solver_kwargs or {}), **options}
-        solver = solver_cls(matrix, tol=tol, max_iterations=max_iterations,
-                            **merged)
+        solver = solver_cls(A, tol=tol, max_iterations=max_iterations,
+                            **options)
         solve_kwargs = {}
         if checkpointer is not None:
             solve_kwargs["checkpointer"] = checkpointer

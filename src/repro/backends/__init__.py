@@ -1,9 +1,9 @@
 """Pluggable kernel backends for the sparse/solver hot paths.
 
-Every hot operation — per-format SpMV/SpMM, the fused Jacobi sweep,
-the solver's vector primitives, the DFS state-space walk and
-state-key membership — dispatches through a :class:`~repro.backends.protocol.KernelBackend`
-selected here.
+Every hot operation — per-format SpMV/SpMM, the fused Jacobi sweep
+of one system or of a stack, the solver's vector primitives, the DFS
+state-space walk and state-key membership — dispatches through a
+:class:`~repro.backends.protocol.KernelBackend` selected here.
 
 Selection precedence (first hit wins):
 
@@ -233,9 +233,9 @@ def reset_kernel_stats() -> None:
 
 
 def _register_builtin() -> None:
-    # The native module imports only the standard library, NumPy/SciPy
-    # and repro.errors, and compiles nothing until first use;
-    # availability is probed lazily.
+    # The native module imports only the standard library, NumPy/SciPy,
+    # repro.errors and the reference backend, and compiles nothing until
+    # first use; availability is probed lazily.
     from repro.backends.native import NativeBackend
 
     register_backend("numpy", NumpyBackend)

@@ -35,6 +35,7 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
+from repro.backends.reference import NumpyBackend, stacked_blocks
 from repro.errors import StateSpaceOverflowError
 
 _C_SOURCE = r"""
@@ -1962,9 +1963,9 @@ _SPMM = {
 }
 
 #: Format-independent ops this backend provides.
-_PRIMITIVES = frozenset({"jacobi_sweep", "axpy", "residual",
-                         "renormalize_columns", "dfs_enumerate",
-                         "key_index"})
+_PRIMITIVES = frozenset({"jacobi_sweep", "jacobi_sweep_many", "spmv_many",
+                         "axpy", "residual", "renormalize_columns",
+                         "dfs_enumerate", "key_index"})
 
 
 class NativeBackend:
@@ -2018,7 +2019,6 @@ class NativeBackend:
             # Non-CSR generators (dense test doubles, format objects)
             # take the reference formula; the protocol only promises
             # acceleration for the canonical CSR system matrix.
-            from repro.backends.reference import NumpyBackend
             return NumpyBackend().jacobi_sweep(A, diag, X, damping, out,
                                                sweeps=sweeps)
         k = _check_sweeps(sweeps)
@@ -2062,7 +2062,6 @@ class NativeBackend:
         via ``getattr`` (not part of the core protocol ops).
         """
         if not (sp.issparse(local) and local.format == "csr"):
-            from repro.backends.reference import NumpyBackend
             return NumpyBackend().jacobi_sweep_block(
                 local, diag, x, row_start, damping)
         lib = get_library()
@@ -2075,61 +2074,44 @@ class NativeBackend:
                                    float(damping), _vec(out))
         return out
 
-    def can_stack(self, systems) -> bool:
-        """True when the fused stacked kernels apply to ``systems``.
-
-        Lets callers pick the interleaved block layout up front instead
-        of discovering mid-solve that the fused path does not apply.
-        """
-        return (1 <= len(systems) <= _STACK_MAX
-                and _stacked_arrays(systems) is not None)
-
     def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
                           damping: float = 1.0,
                           out: np.ndarray | None = None,
-                          sweeps: int = 1):
-        """Fused sweep over stacked systems with shared sparsity.
+                          sweeps: int = 1) -> np.ndarray:
+        """Fused sweep over stacked CSR systems.
 
         ``diag``/``X``/``out`` are ``(n, m)`` system-interleaved blocks:
         column ``s`` belongs to ``systems[s]``, so element ``i`` of all
         ``m`` systems occupies one contiguous run — the layout the SIMD
         kernels vectorize across.  ``sweeps=k`` runs k sweeps in one C
-        call (*X* is only read).  A block of at most
+        call (*X* is only read).  A stack of more than
         ``stacked_narrow_max()`` systems (``STACK_NARROW_MAX`` in the
-        source, set per build) is swept one system at a time over each
+        source, set per build) that share one sparsity pattern, and
+        number at most ``_STACK_MAX``, takes the interleaved kernel;
+        any other stack is swept one system at a time over each
         system's sliced layout, cached on its matrix from the first
-        such block; wider blocks take the interleaved kernel.  Returns
-        ``out`` (bit-identical to ``m`` independent
-        :meth:`jacobi_sweep` calls), or ``None`` when
-        the fused path does not apply — systems that do not share one
-        sparsity pattern, non-CSR inputs, more than ``_STACK_MAX``
-        systems, or blocks of the wrong shape or layout (``out`` must
-        be C-contiguous float64).  Callers that confirmed the systems
-        with :meth:`can_stack` and pass well-formed blocks never see
-        ``None``.
+        such sweep.  Either way the result is bit-identical to ``m``
+        independent :meth:`jacobi_sweep` calls.  Non-CSR systems take
+        the reference loop; malformed blocks raise ``ValueError``.
         """
-        m = len(systems)
-        if not 1 <= m <= _STACK_MAX:
-            return None
-        prep = _stacked_arrays(systems)
-        if prep is None:
-            return None
         k = _check_sweeps(sweeps)
         lib = get_library()
-        n = systems[0].shape[0]
-        diag = _f64(diag)
-        X = _f64(X)
-        if diag.shape != (n, m) or X.shape != (n, m):
-            return None
-        if out is None:
-            out = np.empty_like(X)
-        elif _misfit(out, X):
-            return None
-        elif np.shares_memory(out, X):
-            raise ValueError("jacobi_sweep_many out must not alias X")
-        if m <= lib.stacked_narrow_max():
-            # A narrow block: each system's sweeps run over its own
-            # sliced layout, built when it first reaches such a block.
+        m = len(systems)
+        # The cached stacked preparation vouches for the whole list (CSR,
+        # one pattern); any other stack is checked system by system.
+        prep = (_stacked_arrays(systems)
+                if lib.stacked_narrow_max() < m <= _STACK_MAX else None)
+        if prep is None and not all(sp.issparse(A) and A.format == "csr"
+                                    for A in systems):
+            return NumpyBackend().jacobi_sweep_many(systems, diag, X,
+                                                    damping, out, sweeps)
+        X, diag, out = stacked_blocks(systems, X, diag, out)
+        n = X.shape[0]
+        if prep is None:
+            if any(A.shape != (n, n) for A in systems):
+                raise ValueError(
+                    f"stacked systems must all be ({n}, {n}), got "
+                    f"{[A.shape for A in systems]}")
             pd, px, po = _vec(diag), _vec(X), _vec(out)
             work = _vec(np.empty(4 * n))
             for s, A in enumerate(systems):
@@ -2145,31 +2127,25 @@ class NativeBackend:
         return out
 
     def spmv_many(self, systems, X: np.ndarray,
-                  out: np.ndarray | None = None):
-        """Stacked products ``Y[:, s] = systems[s] @ X[:, s]`` fused.
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked products ``Y[:, s] = systems[s] @ X[:, s]``.
 
-        Same contract as :meth:`jacobi_sweep_many`: ``(n, m)``
-        system-interleaved blocks, ``None`` when the fused path does
-        not apply, results bit-equal to per-system products (scipy's
-        CSR accumulation order).
+        Same blocks and ``ValueError`` contract as
+        :meth:`jacobi_sweep_many`.  A stack of at most ``_STACK_MAX``
+        CSR systems sharing one sparsity pattern runs one fused C call;
+        any other takes the reference's per-system products.  Results
+        are bit-equal to per-system products (scipy's CSR accumulation
+        order).
         """
-        m = len(systems)
-        if not 1 <= m <= _STACK_MAX:
-            return None
-        prep = _stacked_arrays(systems)
+        prep = (_stacked_arrays(systems)
+                if 1 <= len(systems) <= _STACK_MAX else None)
         if prep is None:
-            return None
-        lib = get_library()
+            return NumpyBackend().spmv_many(systems, X, out)
+        X, _, out = stacked_blocks(systems, X, out=out)
+        n, m = X.shape
         pi, pc, pv, po = prep[4:]
-        n = systems[0].shape[0]
-        X = _f64(X)
-        if X.shape != (n, m):
-            return None
-        if out is None:
-            out = np.empty_like(X)
-        elif _misfit(out, X):
-            return None
-        lib.csr_spmv_stacked(n, m, pi, pc, pv, po, _vec(X), _vec(out))
+        get_library().csr_spmv_stacked(n, m, pi, pc, pv, po, _vec(X),
+                                       _vec(out))
         return out
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,

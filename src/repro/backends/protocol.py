@@ -1,10 +1,10 @@
 """The :class:`KernelBackend` protocol — one seam per hot operation.
 
 Every hot numeric operation in the reproduction (format-faithful SpMV,
-multi-RHS SpMM, the fused Jacobi sweep, the small vector primitives
-the solver loop is made of, the batched solver's column
-renormalization, the DFS state-space walk and state-key membership)
-goes through a *kernel backend*.  A backend is an object implementing
+multi-RHS SpMM, the fused Jacobi sweep of one system or of a stack of
+them, the small vector primitives the solver loop is made of, the
+batched solver's column renormalization, the DFS state-space walk and
+state-key membership) goes through a *kernel backend*.  A backend is an object implementing
 this protocol; the package ships two:
 
 ``numpy``
@@ -35,6 +35,19 @@ Operations
     ``sweeps=k`` applies k sweeps and returns the last, bitwise equal
     to k single calls (the solver loops pass one renormalization
     interval, so a backend can amortize its call overhead).
+``jacobi_sweep_many(systems, diag, X, damping=1.0, out=None, sweeps=1)``
+    :meth:`jacobi_sweep` over a stack of same-shaped CSR generators at
+    once.  ``diag``, ``X`` and ``out`` are ``(n, m)`` system-interleaved
+    blocks: column ``s`` belongs to ``systems[s]``.  The result is
+    bitwise equal to ``m`` independent ``jacobi_sweep`` calls, whatever
+    the systems' sparsity patterns and however many there are.  An
+    empty stack, a system or block of the wrong shape, or an ``out``
+    that is not a C-contiguous float64 ``(n, m)`` block or aliases
+    ``X`` raises ``ValueError``.  *X* is only read.
+``spmv_many(systems, X, out=None)``
+    The stacked products ``Y[:, s] = systems[s] @ X[:, s]`` on the same
+    blocks, bitwise equal to SciPy's per-system CSR products, with the
+    same ``ValueError`` contract.
 ``axpy(alpha, x, y, beta=1.0, out=None)``
     The blend primitive ``alpha*x + beta*y`` (the damping update).
 ``residual(y, x)``
@@ -81,7 +94,8 @@ pairs a backend can serve.  The registry consults it on every dispatch
 and silently falls back to the reference backend for unsupported pairs
 (the fallback is recorded in the kernel telemetry counters, see
 :func:`repro.backends.kernel_stats`).  Vector primitives
-(``jacobi_sweep``/``axpy``/``residual``/``renormalize_columns``),
+(``jacobi_sweep``, the stacked ``jacobi_sweep_many``/``spmv_many``,
+``axpy``, ``residual``, ``renormalize_columns``),
 ``dfs_enumerate`` and ``key_index`` are format-independent: a backend
 either has them or not, signalled by ``supports("", op)``.
 
@@ -106,8 +120,9 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 #: Every operation a backend may implement.
-OPS = ("spmv", "spmm", "jacobi_sweep", "axpy", "residual",
-       "renormalize_columns", "dfs_enumerate", "key_index")
+OPS = ("spmv", "spmm", "jacobi_sweep", "jacobi_sweep_many", "spmv_many",
+       "axpy", "residual", "renormalize_columns", "dfs_enumerate",
+       "key_index")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -137,6 +152,14 @@ class KernelBackend(Protocol):
                      damping: float = 1.0,
                      out: np.ndarray | None = None,
                      sweeps: int = 1) -> np.ndarray: ...
+
+    def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
+                          damping: float = 1.0,
+                          out: np.ndarray | None = None,
+                          sweeps: int = 1) -> np.ndarray: ...
+
+    def spmv_many(self, systems, X: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray: ...
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,
              beta: float = 1.0,

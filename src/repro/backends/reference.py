@@ -3,9 +3,9 @@
 This is the arithmetic ground truth of the kernel protocol: the exact
 per-format NumPy kernels the sparse formats have always carried (each
 format keeps its implementation as ``_reference_spmv``/``_reference_spmm``
-— the moved inner loops), plus the solver primitives extracted from
-:mod:`repro.solvers.jacobi` and :mod:`repro.solvers.batched`, the
-DFS state-space walk of :mod:`repro.cme.statespace` and the sorted key
+— the moved inner loops), plus the solver primitives (the Jacobi sweep
+of one system and, as a loop over the systems, of a stack), the DFS
+state-space walk of :mod:`repro.cme.statespace` and the sorted key
 index state spaces and projection assembly look states up in.
 
 It supports every format and every op, which makes it the automatic
@@ -39,6 +39,45 @@ def key_array(keys) -> np.ndarray:
     if keys.size and int(keys.min()) < 0:
         raise ValueError(f"keys must be non-negative, got {int(keys.min())}")
     return keys
+
+
+def stacked_blocks(systems, X, diag=None, out=None):
+    """Validate the ``(n, m)`` system-interleaved blocks of a stacked op.
+
+    Returns ``(X, diag, out)``: *X* and *diag* (when given) as
+    C-contiguous float64 arrays, and *out*, allocated when ``None``.
+    Raises ``ValueError`` for an empty stack, a first system that is
+    not square (``(n, n)`` sets the block shape), a block that is not
+    ``(n, m)``, or an *out* that is not a C-contiguous float64
+    ``(n, m)`` block or aliases *X*.  The other systems' shapes are
+    checked by the kernel that reads them (SciPy's products raise on a
+    mismatch).
+    """
+    m = len(systems)
+    if m == 0:
+        raise ValueError("a stacked op needs at least one system")
+    n = systems[0].shape[0]
+    if systems[0].shape != (n, n):
+        raise ValueError(
+            f"stacked systems must be square, got {systems[0].shape}")
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if diag is not None:
+        diag = np.ascontiguousarray(diag, dtype=np.float64)
+    for label, block in (("X", X), ("diag", diag)):
+        if block is not None and block.shape != (n, m):
+            raise ValueError(
+                f"stacked {label} must be an ({n}, {m}) block, got "
+                f"{block.shape}")
+    if out is None:
+        out = np.empty_like(X)
+    elif (out.shape != (n, m) or out.dtype != np.float64
+          or not out.flags["C_CONTIGUOUS"]):
+        raise ValueError(
+            f"stacked out must be a C-contiguous float64 ({n}, {m}) "
+            f"block, got {out.dtype} {out.shape}")
+    elif np.shares_memory(out, X):
+        raise ValueError("stacked out must not alias X")
+    return X, diag, out
 
 
 class SortedKeyIndex:
@@ -103,12 +142,11 @@ class NumpyBackend:
                      sweeps: int = 1) -> np.ndarray:
         """``X' = (D∘X - A X) / D``, optionally damping-blended.
 
-        The 1-D path is :class:`~repro.solvers.jacobi.JacobiSolver`'s
-        historical fast step (``-(y - d∘x)/d``); the 2-D path is the
-        in-place ufunc chain from :mod:`repro.solvers.batched` —
-        bitwise identical formulas (IEEE rounding is symmetric under
-        the sign flip), one temporary instead of four.  ``sweeps=k``
-        applies the sweep k times; only the last lands in *out*.
+        The 1-D path is ``-(y - d∘x)/d``; the 2-D path is the in-place
+        ufunc chain ``(D∘X - Y)/D`` — bitwise identical formulas (IEEE
+        rounding is symmetric under the sign flip), one temporary
+        instead of four.  ``sweeps=k`` applies the sweep k times; only
+        the last lands in *out*.
         """
         if int(sweeps) < 1:
             raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -137,6 +175,29 @@ class NumpyBackend:
             np.multiply(S, damping, out=S)
             np.add(B, S, out=S)
         return S
+
+    def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
+                          damping: float = 1.0,
+                          out: np.ndarray | None = None,
+                          sweeps: int = 1) -> np.ndarray:
+        """:meth:`jacobi_sweep` of each system on its column of the
+        ``(n, m)`` system-interleaved blocks (see
+        :mod:`repro.backends.protocol`)."""
+        X, diag, out = stacked_blocks(systems, X, diag, out)
+        for s, A in enumerate(systems):
+            out[:, s] = self.jacobi_sweep(
+                A, np.ascontiguousarray(diag[:, s]),
+                np.ascontiguousarray(X[:, s]), damping, sweeps=sweeps)
+        return out
+
+    def spmv_many(self, systems, X: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """``out[:, s] = systems[s] @ X[:, s]``, one SciPy product per
+        system."""
+        X, _, out = stacked_blocks(systems, X, out=out)
+        for s, A in enumerate(systems):
+            out[:, s] = A @ np.ascontiguousarray(X[:, s])
+        return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,
                            row_start: int,

@@ -87,6 +87,10 @@ class CSRDIABaseline:
         off_band = self.dia.spmv(x) - self.diagonal * x
         return -(off_band + self.csr.matvec(x)) / self.diagonal
 
+    def to_scipy(self):
+        """The recombined generator (band + remainder) as SciPy CSR."""
+        return as_csr(self.csr.to_scipy() + self.dia.to_scipy())
+
     def footprint(self) -> int:
         """Host memory of the data structures, in bytes."""
         return self.dia.footprint() + self.csr.footprint()

@@ -61,7 +61,7 @@ from repro.solvers.base import IterativeSolverBase
 from repro.solvers.normalization import renormalize
 from repro.solvers.result import SolverResult, StopReason
 from repro.solvers.stopping import StoppingCriterion
-from repro.sparse.base import SparseFormat, as_csr
+from repro.sparse.base import as_csr
 from repro.telemetry import tracing
 from repro.telemetry.metrics import get_registry
 
@@ -275,13 +275,8 @@ class ShardedJacobiSolver(IterativeSolverBase):
             raise ValidationError(
                 f"unknown start method {start_method!r}; expected one of "
                 f"{multiprocessing.get_all_start_methods()}")
-        if isinstance(matrix, SparseFormat) or hasattr(matrix, "to_scipy"):
-            A = matrix.to_scipy()
-        elif hasattr(matrix, "csr") and hasattr(matrix, "dia"):
-            # CSRDIABaseline-style split object.
-            A = as_csr(matrix.csr.to_scipy() + matrix.dia.to_scipy())
-        else:
-            A = as_csr(matrix)
+        A = (matrix.to_scipy() if hasattr(matrix, "to_scipy")
+             else as_csr(matrix))
         self._init_common(A, tol=tol, max_iterations=max_iterations,
                           check_interval=check_interval,
                           normalize_interval=normalize_interval,

@@ -41,7 +41,7 @@ DEFAULT_CHAIN = ("jacobi", "gauss-seidel", "gmres")
 #: method, so one options dict can configure the whole chain.
 _METHOD_OPTIONS = {
     "jacobi": frozenset({"check_interval", "normalize_interval",
-                         "stagnation_tol", "damping", "step", "backend"}),
+                         "stagnation_tol", "damping", "backend"}),
     "gauss-seidel": frozenset({"check_interval", "normalize_interval",
                                "stagnation_tol", "backend"}),
     "power": frozenset({"check_interval", "stagnation_tol",

@@ -35,7 +35,7 @@ from repro.solvers.result import SolverResult
 #: so typos do not silently fork the cache-key space.
 SOLVER_OPTION_KEYS = frozenset({
     "damping", "check_interval", "normalize_interval", "stagnation_tol",
-    "step", "backend",
+    "backend",
     # method="sharded" knobs, rejected by the other solvers' ctors only
     # if actually passed — the service forwards options verbatim.
     "shards", "sync",

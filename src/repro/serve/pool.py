@@ -114,7 +114,7 @@ def run_task(A, task: SolveTask) -> list[SolverResult]:
         return [solver.solve(x0=task.x0, time_budget_s=task.time_budget_s)]
     solver = BatchedJacobiSolver(
         A, tol=task.tol, max_iterations=task.max_iterations,
-        **{k: v for k, v in task.options.items() if k != "step"})
+        **task.options)
     k = len(task.tols)
     return solver.solve_many(None if task.x0 is None else [task.x0] * k,
                              k=k, tols=task.tols,

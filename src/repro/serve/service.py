@@ -228,9 +228,9 @@ class SolveService:
         solve each, so the default samples 1 in 8; set ``1`` to audit
         every warm start, ``0`` to disable auditing.
     batch_max:
-        When > 1 (and ``method="jacobi"`` with the fast step backend), a
-        worker picking up a job also *drains* up to ``batch_max - 1``
-        queued jobs describing the same linear system
+        When > 1 (and ``method="jacobi"``), a worker picking up a job
+        also *drains* up to ``batch_max - 1`` queued jobs describing
+        the same linear system
         (:meth:`SolveRequest.matrix_key`) with the same loop parameters
         (only ``tol`` may differ) and answers them all in one
         :class:`~repro.solvers.batched.BatchedJacobiSolver` multi-RHS
@@ -789,8 +789,7 @@ class SolveService:
             warm = x0 is not None
 
             companions: list[SolveJob] = []
-            if (self.batch_max > 1 and self.method == "jacobi"
-                    and req.solver_options.get("step", "fast") == "fast"):
+            if self.batch_max > 1 and self.method == "jacobi":
                 companions = self._drain_companions(job)
                 self.metrics.incr("batched", len(companions))
             task = SolveTask(

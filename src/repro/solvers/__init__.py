@@ -8,11 +8,11 @@
   stochastic matrix (the Markov-model generalization of Section VIII).
 * :class:`GaussSeidelSolver` — the sequential foil: fewer iterations,
   no parallelism per iteration (the trade-off Section IV weighs).
-* :class:`BatchedJacobiSolver` — K steady states in lockstep, one
-  multi-RHS product per sweep (shared-matrix SpMM or a stacked block
-  diagonal), with per-column stopping and early retirement.  Not in the
-  registry: ``solve_many`` has a different signature than the unified
-  ``solve``.
+* :class:`BatchedJacobiSolver` — K steady states in lockstep on one
+  ``(n, K)`` block, one multi-RHS sweep per iteration (a shared-matrix
+  SpMM, or the stacked sweep over K same-shaped generators), with
+  per-column stopping and early retirement.  Not in the registry:
+  ``solve_many`` has a different signature than the unified ``solve``.
 * :func:`gmres_steady_state` — a GMRES attempt on the (ill-conditioned,
   singular) steady-state system, reproducing the paper's observation
   that Krylov methods fail to converge here.

@@ -22,8 +22,8 @@ Centralizing the loop means every solver gets, identically:
   exactly once per iteration, ``on_stop`` exactly once per solve, and
   the ``hooks=None`` default runs the uninstrumented inner loop, which
   advances a whole renormalization interval per
-  :meth:`~IterativeSolverBase.advance` call (one kernel call on a
-  fused backend);
+  :meth:`~IterativeSolverBase.advance` call (one backend call for
+  Jacobi);
 * a tracing span per solve
   (:func:`repro.telemetry.tracing.span`, a no-op unless a recorder is
   installed);
@@ -362,14 +362,11 @@ class IterativeSolverBase:
         report = RecoveryReport() if (policy is not None or inject) else None
 
         self._active_backend = self._select_backend()
-        accel = (self._active_backend
-                 if self._active_backend is not None
-                 and not self._active_backend.is_reference else None)
         criterion = StoppingCriterion(
             self.matrix_inf_norm, tol=self.tol,
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
-            backend=accel)
+            backend=self._active_backend)
         history: list[tuple[int, float]] = []
         t0 = time.perf_counter()
         iteration = 0
@@ -468,9 +465,9 @@ class IterativeSolverBase:
                              self.max_iterations - iteration)
                 if hooks is None and not inject and not sweep_guard:
                     # Uninstrumented: one advance() call per
-                    # renormalization interval (a fused backend runs
-                    # the whole interval in one kernel call); the first
-                    # sweep after a check consumes the check's product.
+                    # renormalization interval (Jacobi runs the whole
+                    # interval in one backend call); the first sweep
+                    # after a check consumes the check's product.
                     done = 0
                     while done < budget:
                         if pending_y is not None:

@@ -9,38 +9,36 @@ instead of K times, which is exactly how multi-RHS GPU kernels amortize
 bandwidth.  On the CPU reference the same restructuring amortizes the
 per-product traversal and loop overhead.
 
-Two batching modes:
+Two batching modes, one ``(n, K)`` block layout:
 
 *shared* (the constructor)
     One generator, K right-hand iterates — e.g. coalesced service
     requests on the same condition with different tolerances or warm
-    starts.  The sweep is a true SpMM ``A @ X``.
+    starts.  The sweep is the kernel backend's ``jacobi_sweep`` on the
+    block, a true SpMM ``A @ X``.
 
 *stacked* (:meth:`BatchedJacobiSolver.stacked`)
     K same-shaped generators (a sweep's rate conditions over one state
-    space).  When the kernel backend has fused stacked kernels and the
-    systems share one sparsity pattern (its ``can_stack`` probe), the
-    block is kept system-interleaved and each renormalization interval
-    is one ``jacobi_sweep_many(..., sweeps=k)`` call.  Otherwise the
-    systems are mounted on the block diagonal of one large CSR and the
-    sweep is a single SpMV on the stacked system (the reference), or
-    each system's row is swept in its own fused call (a backend
-    without a usable stacked kernel).  When a column retires the block
-    is compacted — kept C-contiguous, so the fused kernels keep
-    serving it — and the block diagonal is rebuilt without it.
+    space).  The block is system-interleaved — column ``s`` belongs to
+    system ``s`` — and each renormalization interval is one
+    ``jacobi_sweep_many(..., sweeps=k)`` call, its residual products
+    one ``spmv_many`` call.  The backend picks the kernel (the native
+    one vectorizes across systems that share a sparsity pattern and
+    sweeps any other stack one system at a time; the reference loops
+    over the systems).  When a column retires the block is compacted,
+    kept C-contiguous so the kernels keep serving it.
 
-With a fused backend the uninstrumented sweep loop advances one
-renormalization interval per kernel call (the first sweep after a
-residual check still consumes the check's product); the reference
-backend sweeps one step at a time, as the parity baseline.
+Every backend advances one renormalization interval per kernel call
+(the first sweep after a residual check consumes the check's product)
+and gives bitwise-identical iterates.
 
 Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion` (and optionally its
 own tolerance), and a column that converges, stagnates or diverges is
 *retired* — its result is recorded and the block is compacted so later
 sweeps do no work for it.  The arithmetic per column is identical to
-:class:`~repro.solvers.jacobi.JacobiSolver`'s fast backend, so a batched
-solve reproduces the serial answers.
+:class:`~repro.solvers.jacobi.JacobiSolver`'s, so a batched solve
+reproduces the serial answers.
 
 Note: the batched loop is fail-fast (no guardrail rollbacks) — a
 non-finite column simply retires as DIVERGED.
@@ -51,11 +49,9 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import backends
 from repro.errors import (
-    BackendError,
     CheckpointError,
     IterateSizeError,
     SingularSystemError,
@@ -95,9 +91,9 @@ def _check_system(A) -> dict:
 class BatchedJacobiSolver:
     """Lockstep Jacobi over the columns of one ``(n, K)`` block.
 
-    Parameters mirror :class:`~repro.solvers.jacobi.JacobiSolver` (fast
-    backend only); ``tol`` is the default per-column tolerance, which
-    :meth:`solve_many` can override per column.
+    Parameters mirror :class:`~repro.solvers.jacobi.JacobiSolver`;
+    ``tol`` is the default per-column tolerance, which :meth:`solve_many`
+    can override per column.
     """
 
     span_name = "jacobi.batched"
@@ -128,7 +124,7 @@ class BatchedJacobiSolver:
 
     @classmethod
     def stacked(cls, matrices, **kwargs) -> "BatchedJacobiSolver":
-        """K same-shaped generators on one block diagonal (see module doc)."""
+        """K same-shaped generators, one per column (see module doc)."""
         systems = [_to_csr(m) for m in matrices]
         if not systems:
             raise ValidationError("stacked batch needs at least one matrix")
@@ -179,26 +175,6 @@ class BatchedJacobiSolver:
         #: checks whose product seeded the following sweep).
         self.products = 0
         self.sweeps = 0
-
-    # -- the blocked product -------------------------------------------------
-
-    def _stack_for(self, active: list[int]) -> sp.csr_matrix:
-        return sp.csr_matrix(sp.block_diag(
-            [self._systems[j] for j in active], format="csr"))
-
-    def _product(self, X: np.ndarray, stack) -> np.ndarray:
-        """The fused product in the mode's native block layout.
-
-        Shared mode holds the block column-per-iterate (``(n, k)``, the
-        SpMM orientation scipy's ``csr_matvecs`` wants); stacked mode
-        holds it iterate-per-row (``(k, n)``), so raveling the block IS
-        the stacked vector and both the product and its reshape are
-        copy-free views.
-        """
-        self.products += 1
-        if self.mode == "shared":
-            return self.A @ X
-        return (stack @ X.ravel()).reshape(X.shape)
 
     # -- solve ---------------------------------------------------------------
 
@@ -284,25 +260,16 @@ class BatchedJacobiSolver:
             return (self.matrix_inf_norm if self._inf_norms is None
                     else self._inf_norms[j])
 
-        # Kernel backend for the fused sweep (resolved once per solve so
-        # ambient use()/REPRO_BACKEND selections are honored).  The
-        # reference keeps the historical in-place ufunc chain; a JIT
-        # backend folds product + update + damping into one kernel call
-        # with bitwise-identical iterates.
-        be = backends.serving("", "jacobi_sweep", self.backend)
-        fused = not be.is_reference
-        # Optional backend capability: one fused kernel call sweeping
-        # every stacked system at once when they share a sparsity
-        # pattern.  Discovered by name and confirmed up front via the
-        # backend's ``can_stack`` probe, because the fused kernels want
-        # the system-interleaved block layout chosen below — deciding
-        # here keeps the layout fixed for the whole solve, and a kernel
-        # refusing a block later is a bug, raised as BackendError.
-        interleaved = (fused and self.mode == "stacked"
-                       and all(hasattr(be, op) for op in (
-                           "jacobi_sweep_many", "spmv_many", "can_stack"))
-                       and be.can_stack(self._systems))
-        # The (n, k) layouts renormalize every live column in one call.
+        # Kernel backends (resolved once per solve so ambient use() /
+        # REPRO_BACKEND selections are honored): the sweep folds product
+        # + update + damping into one call per renormalization interval
+        # on every backend, with bitwise-identical iterates.
+        shared = self.mode == "shared"
+        be = backends.serving(
+            "", "jacobi_sweep" if shared else "jacobi_sweep_many",
+            self.backend)
+        many = (None if shared
+                else backends.serving("", "spmv_many", self.backend))
         norm = backends.serving("", "renormalize_columns", self.backend)
 
         criteria = [StoppingCriterion(
@@ -310,54 +277,26 @@ class BatchedJacobiSolver:
             tol=float(self.tol if tols is None else tols[j]),
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
-            backend=be if fused else None) for j in range(total)]
+            backend=be) for j in range(total)]
         histories: list[list[tuple[int, float]]] = [[] for _ in range(total)]
         active = list(range(total))
-        shared = self.mode == "shared"
-        # The block's native layout (see _product): shared keeps
-        # iterates as columns of an (n, k) block; stacked without a
-        # fused kernel holds them as rows of a (k, n) block so every
-        # per-iterate view is contiguous and the scipy stacked product
-        # needs no transpose copies.  When the backend's fused stacked
-        # kernels serve the sweeps, the block instead stays (n, k)
-        # SYSTEM-INTERLEAVED — element i of all k systems adjacent —
-        # which is the layout those kernels vectorize across.
-        # ``col``/``take`` abstract the orientation; the arithmetic is
-        # identical in all three.  Every block stays C-contiguous:
-        # compacting columns with ``M[:, idx]`` alone would return an
-        # F-ordered copy, which the fused kernels cannot take.
-        if shared or interleaved:
-            D = (self._diagonal[:, None] if shared
-                 else np.ascontiguousarray(self._diagonal))
-            col = lambda M, c: M[:, c]              # noqa: E731
-            take = lambda M, idx: np.ascontiguousarray(  # noqa: E731
-                M[:, idx])
-            reduce_axis = 0
-        else:
-            X = np.ascontiguousarray(X.T)
-            D = np.ascontiguousarray(self._diagonal.T)
-            col = lambda M, c: M[c]                 # noqa: E731
-            take = lambda M, idx: M[idx]            # noqa: E731
-            reduce_axis = 1
-        # The block-diagonal stack is only needed by the scipy product;
-        # when the backend's fused stacked product serves instead, the
-        # (possibly large) block_diag build is skipped entirely.  A
-        # ``None`` stack means "rebuild before the next scipy product".
-        stack = None
+        # Both modes hold the iterates as the columns of one (n, k)
+        # block; in stacked mode it is system-interleaved (element i of
+        # all k systems adjacent), the layout the stacked kernels take.
+        # Every block stays C-contiguous: compacting columns with
+        # ``M[:, idx]`` alone would return an F-ordered copy, which the
+        # kernels cannot take.  The inline step (the first sweep after
+        # a check) broadcasts a shared diagonal across the columns.
+        D = self._diagonal[:, None] if shared else self._diagonal
+
+        def take(M, idx):
+            return np.ascontiguousarray(M[:, idx])
 
         def block_product(Xb):
-            nonlocal stack
-            if interleaved:
-                Yb = be.spmv_many([self._systems[j] for j in active], Xb)
-                if Yb is None:
-                    raise BackendError(
-                        f"backend {be.name!r} refused a stacked product "
-                        f"after can_stack accepted the systems")
-                self.products += 1
-                return Yb
-            if stack is None and self.mode == "stacked":
-                stack = self._stack_for(active)
-            return self._product(Xb, stack)
+            self.products += 1
+            if shared:
+                return self.A @ Xb
+            return many.spmv_many([self._systems[j] for j in active], Xb)
         t0 = time.perf_counter()
         iteration = 0
 
@@ -394,7 +333,7 @@ class BatchedJacobiSolver:
                     "runtime_s": float(r.runtime_s),
                 }
             for c, j in enumerate(active):
-                X_all[:, j] = col(X, c)
+                X_all[:, j] = X[:, c]
             meta = {
                 "iteration": int(iteration),
                 "active": [int(j) for j in active],
@@ -442,12 +381,9 @@ class BatchedJacobiSolver:
                 for j, state in zip(active, meta.get("criteria", [])):
                     criteria[j].load_state(state)
                 if active:
-                    X = (np.ascontiguousarray(X_all[:, active])
-                         if shared or interleaved
-                         else np.ascontiguousarray(X_all[:, active].T))
-                    if self.mode == "stacked":
+                    X = take(X_all, active)
+                    if not shared:
                         D = take(D, active)
-                        stack = None
                 # The seeding product is recomputed from the restored
                 # block on the first sweep — same bits the uninterrupted
                 # loop carried as pending_Y.
@@ -459,44 +395,42 @@ class BatchedJacobiSolver:
                 for j in list(active):
                     if not warm[j]:
                         continue
-                    res = criteria[j].normalized_residual(col(Y, j),
-                                                          col(X, j))
+                    res = criteria[j].normalized_residual(Y[:, j],
+                                                          X[:, j])
                     histories[j].append((0, res))
                     if res <= criteria[j].tol:
-                        retire(j, col(X, j).copy(), StopReason.CONVERGED,
+                        retire(j, X[:, j].copy(), StopReason.CONVERGED,
                                res, 0)
                         active.remove(j)
                 if len(active) < total and active:
                     mask = [j in active for j in range(total)]
                     X = take(X, mask)
                     Y = take(Y, mask)
-                    if self.mode == "stacked":
+                    if not shared:
                         D = take(D, mask)
-                        stack = None
                 pending_Y = Y if active else None
             norm_every = self.normalize_interval
             while active:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
-                # Scratch for the fused step: the sweep below writes
-                # every update in place, so the hot loop allocates
-                # nothing but the product.  ``(D*X - Y)/D`` is the
-                # serial backend's ``-(Y - D*X)/D`` with the negation
-                # folded into the subtraction — bitwise identical
-                # (IEEE rounding is symmetric under sign flip), but one
-                # temporary instead of four.
+                # Scratch for the sweeps: each writes its update in
+                # place, so the hot loop allocates nothing but the
+                # product.  The inline step's ``(D*X - Y)/D`` is the
+                # serial ``-(Y - D*X)/D`` with the negation folded into
+                # the subtraction — bitwise identical (IEEE rounding is
+                # symmetric under sign flip), one temporary instead of
+                # four.
                 S = np.empty_like(X)
                 B = np.empty_like(X) if self.damping != 1.0 else None
                 live = (None if shared
                         else [self._systems[j] for j in active])
                 done = 0
                 while done < budget:
-                    if pending_Y is None and fused:
-                        # Fused backend sweeps, one renormalization
-                        # interval per kernel call: the products never
-                        # materialize in Python, but they happened —
-                        # count them so the amortization accounting
-                        # (products per sweep) stays truthful.
+                    if pending_Y is None:
+                        # One renormalization interval per kernel call:
+                        # the products never materialize in Python, but
+                        # they happened — count them so the amortization
+                        # accounting (products per sweep) stays truthful.
                         k = budget - done
                         if norm_every is not None:
                             k = min(k, norm_every - iteration % norm_every)
@@ -505,27 +439,13 @@ class BatchedJacobiSolver:
                             be.jacobi_sweep(self.A, self._diagonal, X,
                                             damping=self.damping, out=S,
                                             sweeps=k)
-                        elif interleaved:
-                            if be.jacobi_sweep_many(
-                                    live, D, X, damping=self.damping,
-                                    out=S, sweeps=k) is None:
-                                raise BackendError(
-                                    f"backend {be.name!r} refused a "
-                                    f"stacked sweep after can_stack "
-                                    f"accepted the systems")
                         else:
-                            # Systems without a shared pattern: each
-                            # row's interval in one call per system.
-                            for c, A_c in enumerate(live):
-                                be.jacobi_sweep(A_c, D[c], X[c],
-                                                damping=self.damping,
-                                                out=S[c], sweeps=k)
+                            be.jacobi_sweep_many(live, D, X,
+                                                 damping=self.damping,
+                                                 out=S, sweeps=k)
                     else:
                         k = 1
-                        if pending_Y is not None:
-                            Y, pending_Y = pending_Y, None
-                        else:
-                            Y = block_product(X)
+                        Y, pending_Y = pending_Y, None
                         np.multiply(D, X, out=S)
                         np.subtract(S, Y, out=S)
                         np.divide(S, D, out=S)
@@ -538,39 +458,12 @@ class BatchedJacobiSolver:
                     self.sweeps += k
                     done += k
                     if norm_every is not None and iteration % norm_every == 0:
-                        if shared or interleaved:
-                            # A column that fails the gate is left as
-                            # it was, as the row path below leaves it.
-                            norm.renormalize_columns(X)
-                        else:
-                            clipped = np.maximum(X, 0.0)
-                            sums = clipped.sum(axis=reduce_axis)
-                            ok = (np.isfinite(X).all(axis=reduce_axis)
-                                  & (sums > 0.0))
-                            # Rows are contiguous, so the axis-1 sum is
-                            # the same pairwise reduction renormalize
-                            # would run per row — one vectorized divide
-                            # replaces per-row renormalize calls with
-                            # bit-identical results.
-                            if ok.all():
-                                # Common case: divide in place, skipping
-                                # the fancy-index gather/scatter copies.
-                                np.divide(clipped, sums[:, None], out=X)
-                            else:
-                                rows = np.flatnonzero(ok)
-                                X[rows] = clipped[rows] / sums[rows, None]
+                        # A column that fails the gate is left as it was.
+                        norm.renormalize_columns(X)
                 # Batch-end: renormalize the live columns, then one
                 # product serves every column's residual check and (for
                 # survivors) seeds the next batch's first sweep.
-                if shared or interleaved:
-                    col_ok = norm.renormalize_columns(X)
-                else:
-                    col_ok = np.ones(len(active), dtype=bool)
-                    for c in range(len(active)):
-                        try:
-                            X[c] = renormalize(X[c])
-                        except ValidationError:
-                            col_ok[c] = False
+                col_ok = norm.renormalize_columns(X)
                 Y = block_product(X)
                 expired = (time_budget_s is not None
                            and time.perf_counter() - t0 >= time_budget_s)
@@ -578,19 +471,19 @@ class BatchedJacobiSolver:
                 for c, j in enumerate(active):
                     if not col_ok[c]:
                         histories[j].append((iteration, float("inf")))
-                        retire(j, col(X, c).copy(), StopReason.DIVERGED,
+                        retire(j, X[:, c].copy(), StopReason.DIVERGED,
                                float("inf"), iteration)
                         retired_cols.append(c)
                         continue
-                    stop, res = criteria[j].check(iteration, col(Y, c),
-                                                  col(X, c))
+                    stop, res = criteria[j].check(iteration, Y[:, c],
+                                                  X[:, c])
                     histories[j].append((iteration, res))
                     if stop is None and expired:
                         stop = StopReason.TIMED_OUT
                     if stop is None and iteration >= self.max_iterations:
                         stop = StopReason.MAX_ITERATIONS
                     if stop is not None:
-                        retire(j, col(X, c).copy(), stop, res, iteration)
+                        retire(j, X[:, c].copy(), stop, res, iteration)
                         retired_cols.append(c)
                 if retired_cols:
                     keep = [c for c in range(len(active))
@@ -600,9 +493,8 @@ class BatchedJacobiSolver:
                         break
                     X = take(X, keep)
                     Y = take(Y, keep)
-                    if self.mode == "stacked":
+                    if not shared:
                         D = take(D, keep)
-                        stack = None
                 pending_Y = Y
                 durable_save()
             span.set_attribute("iterations", iteration)

@@ -13,8 +13,6 @@ unified loop renormalizes at residual checks only —
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -30,7 +28,6 @@ class PowerIterationSolver(IterativeSolverBase):
     ----------
     matrix:
         The rate matrix (generator), anything convertible to CSR.
-        (The pre-1.1 keyword ``A`` still works but is deprecated.)
     uniformization_factor:
         ``Lambda = factor * max exit rate`` (> 1 guards aperiodicity).
     tol, max_iterations, check_interval, stagnation_tol:
@@ -41,26 +38,15 @@ class PowerIterationSolver(IterativeSolverBase):
 
     span_name = "power"
 
-    def __init__(self, matrix=None, *, A=None,
+    def __init__(self, matrix, *,
                  uniformization_factor: float = 1.05,
                  tol: float = 1e-8, max_iterations: int = 1_000_000,
                  check_interval: int = 100,
                  stagnation_tol: float | None = 1e-6,
                  backend=None):
         self.backend = backend
-        if A is not None:
-            warnings.warn(
-                "PowerIterationSolver(A=...) is deprecated; pass "
-                "matrix=... (the unified SteadyStateSolver signature)",
-                DeprecationWarning, stacklevel=2)
-            if matrix is not None:
-                raise ValidationError(
-                    "pass either matrix or the deprecated A, not both")
-            matrix = A
-        if matrix is None:
-            raise ValidationError("matrix is required")
-        A_csr = as_csr(matrix)
-        self._init_common(A_csr, tol=tol, max_iterations=max_iterations,
+        self._init_common(as_csr(matrix), tol=tol,
+                          max_iterations=max_iterations,
                           check_interval=check_interval,
                           normalize_interval=None,
                           stagnation_tol=stagnation_tol)

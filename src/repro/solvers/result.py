@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,25 +69,6 @@ class SolverResult:
     def converged(self) -> bool:
         """True when the tolerance was reached."""
         return self.stop_reason is StopReason.CONVERGED
-
-    # -- legacy (landscape, result) tuple shim -------------------------------
-
-    def _legacy_pair(self) -> tuple:
-        warnings.warn(
-            "unpacking solve_steady_state's return as (landscape, result) "
-            "is deprecated; it now returns a single SolverResult — use "
-            "result.landscape and the result itself",
-            DeprecationWarning, stacklevel=3)
-        return (self.landscape, self)
-
-    def __iter__(self):
-        return iter(self._legacy_pair())
-
-    def __getitem__(self, index):
-        return self._legacy_pair()[index]
-
-    def __len__(self) -> int:
-        return 2
 
     def __repr__(self) -> str:  # pragma: no cover - debug convenience
         return (f"SolverResult({self.stop_reason.value}, "

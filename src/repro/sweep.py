@@ -172,8 +172,8 @@ class ParameterSweep:
         nearest-neighbor warm starting (``warm_start``).  Passing
         ``batch=K`` instead runs the serial path through
         :class:`~repro.solvers.batched.BatchedJacobiSolver`: conditions
-        are grouped K at a time onto a stacked block diagonal and
-        advanced together, one fused product per sweep.  Points come
+        are grouped K at a time into one stacked solve and advanced
+        together, one stacked sweep per iteration.  Points come
         back in the same canonical condition order on every path, and
         the solved systems are constructed identically, so the paths
         agree on the results.
@@ -228,8 +228,8 @@ class ParameterSweep:
                      progress) -> list[SweepPoint]:
         """The stacked-batch sweep: K conditions per fused Jacobi solve.
 
-        Each chunk's conditions are mounted on one block diagonal and
-        iterated in lockstep (see
+        Each chunk's conditions are the columns of one
+        system-interleaved block, iterated in lockstep (see
         :class:`~repro.solvers.batched.BatchedJacobiSolver`); a
         condition that converges retires early, so slow conditions never
         hold finished ones hostage.  Per-point ``solve_seconds`` is the

@@ -1,18 +1,19 @@
-"""Conformance for the fused stacked kernels (``*_many`` + ``can_stack``).
+"""Conformance for the stacked ops (``jacobi_sweep_many``, ``spmv_many``).
 
-The stacked kernels operate on ``(n, m)`` system-interleaved blocks —
+The stacked ops operate on ``(n, m)`` system-interleaved blocks —
 column ``s`` belongs to ``systems[s]`` — and promise results bit-equal
 to ``m`` independent per-system calls, computed here by the ``numpy``
-reference.  These tests pin that contract for every backend that
-advertises the methods: every width from 1 to 16 plus 64 (whole SIMD
-chunks, masked tails, the scalar width-1 product loop), damped sweeps,
-blocks compacted after a column retires, ``sweeps=k`` against k single
-calls, each SIMD path of the C source built separately (the stacked
-kernels, the single-system sliced sweep's cases, the column
-renormalization and the scalar DFS walk, which must compile in every
-build; a build that fails to compile fails its tests), the ``None``
-fallback for inputs the fused path cannot serve, and the ``can_stack``
-probe callers use to pick the interleaved layout up front.
+reference.  These tests pin that contract for every backend (both
+serve the ops): every width from 1 to 16 plus 64 (whole SIMD chunks,
+masked tails, the scalar width-1 product loop), damped sweeps, blocks
+compacted after a column retires, ``sweeps=k`` against k single calls,
+each SIMD path of the C source built separately (the stacked kernels,
+the single-system sliced sweep's cases, the column renormalization and
+the scalar DFS walk, which must compile in every build; a build that
+fails to compile fails its tests), stacks the interleaved kernel
+cannot take (no shared sparsity pattern, more than 64 systems, non-CSR
+systems), which are still served bitwise, and the ``ValueError`` for
+malformed blocks.
 
 The native sweep op runs a block of at most ``stacked_narrow_max()``
 systems (a per-build constant of the C source) as one sliced sweep per
@@ -42,8 +43,7 @@ from tests.cme.test_enumeration_backends import (assert_same_walk,
                                                  gated_first_network,
                                                  nan_gate_network)
 
-STACKED = [n for n in backends.available_backends()
-           if hasattr(backends.get_backend(n), "jacobi_sweep_many")]
+STACKED = backends.available_backends()
 
 #: Every width a SIMD path treats differently: whole 4- and 8-lane
 #: chunks, every tail length, two chunks, and the widest stack.
@@ -148,10 +148,17 @@ def test_f_ordered_out_is_refused(backend):
     systems = shared_structure_systems(4)
     D, X = interleaved(systems, 59)
     f_out = np.empty((X.shape[1], X.shape[0])).T
-    assert backend.jacobi_sweep_many(systems, D, X, out=f_out) is None
-    assert backend.spmv_many(systems, X, out=f_out) is None
     with pytest.raises(ValueError, match="C-contiguous"):
-        backend.jacobi_sweep(systems[0], D[:, 0].copy(), X, out=f_out)
+        backend.jacobi_sweep_many(systems, D, X, out=f_out)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        backend.spmv_many(systems, X, out=f_out)
+    with pytest.raises(ValueError, match="alias"):
+        backend.jacobi_sweep_many(systems, D, X, out=X)
+    if not backend.is_reference:
+        # The native single-system sweep writes row-major too; the
+        # reference's ufuncs fill any layout.
+        with pytest.raises(ValueError, match="C-contiguous"):
+            backend.jacobi_sweep(systems[0], D[:, 0].copy(), X, out=f_out)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 11])
@@ -426,43 +433,86 @@ def test_sweep_many_out_is_returned_and_filled(backend):
     assert np.array_equal(out, backend.jacobi_sweep_many(systems, D, X))
 
 
-def test_mismatched_sparsity_returns_none(backend):
-    systems = shared_structure_systems(3)
-    rng = np.random.default_rng(31)
+def mixed_sparsity_systems(m, seed=31):
+    """``m`` CSR systems whose last one has its own sparsity pattern."""
+    systems = shared_structure_systems(m)
+    rng = np.random.default_rng(seed)
     n = systems[0].shape[0]
-    odd = as_csr(sp.random(n, n, density=0.11, random_state=99,
-                           format="csr") + sp.diags(rng.random(n) + 1.0))
-    mixed = systems[:2] + [odd]
-    X = np.ascontiguousarray(rng.random((n, 3)))
-    D = np.ones((n, 3))
-    assert backend.jacobi_sweep_many(mixed, D, X) is None
-    assert backend.spmv_many(mixed, X) is None
-    assert backend.can_stack(systems)
-    assert not backend.can_stack(mixed)
+    systems[-1] = as_csr(sp.random(n, n, density=0.11, random_state=99,
+                                   format="csr")
+                         + sp.diags(rng.random(n) + 1.0))
+    return systems
 
 
-def test_wrong_block_shape_returns_none(backend):
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 64])
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+def test_mismatched_sparsity_sweeps_per_system(backend, m, damping):
+    """Systems without one shared pattern are swept (native: one sliced
+    sweep per system) and multiplied bitwise like the reference."""
+    systems = mixed_sparsity_systems(m)
+    D, X = interleaved(systems, 31)
+    assert np.array_equal(
+        backend.jacobi_sweep_many(systems, D, X, damping=damping,
+                                  sweeps=3),
+        reference_sweeps(systems, D, X, damping, sweeps=3))
+    assert np.array_equal(backend.spmv_many(systems, X),
+                          reference_products(systems, X))
+
+
+@pytest.mark.parametrize("m", [65, 70])
+def test_stacks_wider_than_the_kernel_sweep_per_system(backend, m):
+    """More than 64 systems sharing a pattern still sweep and multiply
+    bitwise like the reference (native: one sliced sweep per system)."""
+    systems = shared_structure_systems(m, n=41)
+    D, X = interleaved(systems, 37)
+    assert np.array_equal(
+        backend.jacobi_sweep_many(systems, D, X, damping=0.9, sweeps=2),
+        reference_sweeps(systems, D, X, 0.9, sweeps=2))
+    assert np.array_equal(backend.spmv_many(systems, X),
+                          reference_products(systems, X))
+
+
+def test_wrong_block_shape_raises(backend):
     systems = shared_structure_systems(4)
     n = systems[0].shape[0]
     rng = np.random.default_rng(37)
     good = np.ascontiguousarray(rng.random((n, 4)))
     transposed = np.ascontiguousarray(rng.random((4, n)))
     D = np.ones((n, 4))
-    assert backend.jacobi_sweep_many(systems, D, transposed) is None
-    assert backend.jacobi_sweep_many(systems, np.ones((4, n)), good) is None
-    assert backend.spmv_many(systems, transposed) is None
-    assert backend.can_stack(systems)  # the systems themselves are fine
+    with pytest.raises(ValueError, match="X must be"):
+        backend.jacobi_sweep_many(systems, D, transposed)
+    with pytest.raises(ValueError, match="diag must be"):
+        backend.jacobi_sweep_many(systems, np.ones((4, n)), good)
+    with pytest.raises(ValueError, match="X must be"):
+        backend.spmv_many(systems, transposed)
+    small = shared_structure_systems(1, n=n - 1)
+    with pytest.raises(ValueError):
+        backend.jacobi_sweep_many(systems[:3] + small, D, good)
+    with pytest.raises(ValueError):
+        backend.spmv_many(systems[:3] + small, good)
+    with pytest.raises(ValueError, match="square"):
+        backend.jacobi_sweep_many([sp.csr_matrix((n, n + 1))], D[:, :1],
+                                  good[:, :1])
 
 
 def test_non_csr_and_empty_lists_are_not_stackable(backend):
+    """Dense systems take the reference's per-system loop (a dense
+    product sums in its own order, hence the tolerance); an empty
+    stack is refused."""
     systems = shared_structure_systems(2)
     dense = [np.asarray(A.todense()) for A in systems]
-    assert not backend.can_stack(dense)
-    assert not backend.can_stack([])
+    D, X = interleaved(systems, 41)
+    np.testing.assert_allclose(backend.jacobi_sweep_many(dense, D, X),
+                               reference_sweeps(systems, D, X, 1.0),
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(backend.spmv_many(dense, X),
+                               reference_products(systems, X),
+                               rtol=1e-12, atol=1e-14)
     n = systems[0].shape[0]
-    X = np.ones((n, 2))
-    assert backend.jacobi_sweep_many(dense, np.ones((n, 2)), X) is None
-    assert backend.spmv_many(dense, X) is None
+    with pytest.raises(ValueError, match="at least one system"):
+        backend.jacobi_sweep_many([], np.ones((n, 0)), np.ones((n, 0)))
+    with pytest.raises(ValueError, match="at least one system"):
+        backend.spmv_many([], np.ones((n, 0)))
 
 
 def test_fresh_equal_lists_reuse_the_stacked_prep(backend):

@@ -50,13 +50,11 @@ class TestThreeWayAgreement:
             ("ell+dia", ELLDIAMatrix(op.A)),
             ("warped", WarpedELLMatrix(op.A, separate_diagonal=True)),
         ]:
-            step = "fast" if label == "plain" else "format"
             results[label] = JacobiSolver(
-                matrix, step=step, tol=1e-10, damping=0.8,
+                matrix, tol=1e-10, damping=0.8,
                 max_iterations=200_000).solve().x
         for label, x in results.items():
-            np.testing.assert_allclose(x, results["plain"], atol=1e-9,
-                                       err_msg=label)
+            np.testing.assert_array_equal(x, results["plain"], err_msg=label)
 
 
 class TestHighLevelApi:
@@ -71,24 +69,33 @@ class TestHighLevelApi:
     def test_solver_kwargs_forwarded(self):
         result = solve_steady_state(
             toggle_switch(max_protein=10), tol=1e-9,
-            solver_kwargs={"damping": 0.7, "check_interval": 50})
+            damping=0.7, check_interval=50)
         assert result.converged
+        # The pre-1.1 ``solver_kwargs=`` dict is gone: it reaches the
+        # solver as an unknown option and is refused there.
+        with pytest.raises(TypeError, match="solver_kwargs"):
+            solve_steady_state(toggle_switch(max_protein=10),
+                               solver_kwargs={"damping": 0.7})
 
-    def test_legacy_pair_unpack_warns(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            landscape, result = solve_steady_state(
-                toggle_switch(max_protein=10), tol=1e-9, damping=0.7)
-        assert landscape is result.landscape
-        with pytest.warns(DeprecationWarning):
-            assert result[0] is result.landscape
+    def test_legacy_pair_unpack_raises(self):
+        result = solve_steady_state(toggle_switch(max_protein=10),
+                                    tol=1e-9, damping=0.7)
+        with pytest.raises(TypeError):
+            landscape, result = result
 
     def test_method_and_format_routing(self):
-        net = toggle_switch(max_protein=10)
-        jac = solve_steady_state(net, tol=1e-10, damping=0.8,
-                                 format="sliced_ell")
-        gs = solve_steady_state(net, "gauss-seidel", tol=1e-10,
-                                format="warped-ell")
-        pwr = solve_steady_state(net, "power", tol=1e-10)
+        """Each method solves the system; a device-format matrix is
+        accepted as the input and solved on its CSR image."""
+        from repro.sparse.conversion import from_scipy
+        A = build_rate_matrix(
+            enumerate_state_space(toggle_switch(max_protein=10)))
+        jac = solve_steady_state(from_scipy(A, "sell"), tol=1e-10,
+                                 damping=0.8)
+        gs = solve_steady_state(from_scipy(A, "warped-ell"),
+                                "gauss-seidel", tol=1e-10)
+        pwr = solve_steady_state(A, "power", tol=1e-10)
+        np.testing.assert_array_equal(
+            jac.x, solve_steady_state(A, tol=1e-10, damping=0.8).x)
         np.testing.assert_allclose(gs.x, jac.x, atol=1e-7)
         np.testing.assert_allclose(pwr.x, jac.x, atol=1e-7)
 
@@ -104,7 +111,9 @@ class TestHighLevelApi:
         net = toggle_switch(max_protein=8)
         with pytest.raises(ValidationError, match="unknown method"):
             solve_steady_state(net, "sor")
-        with pytest.raises(ValidationError, match="unknown format"):
+        # The front door takes no ``format=``: a device format is passed
+        # as the matrix itself.
+        with pytest.raises(TypeError, match="format"):
             solve_steady_state(net, format="banded")
 
     def test_hooks_reach_the_solver(self):

@@ -30,7 +30,7 @@ class TestBasics:
         outcome = service.solve({"degA": 1.2})
         result = solve_steady_state(
             tiny_toggle_network.with_rates({"degA": 1.2}),
-            tol=1e-8, solver_kwargs=OPTS)
+            tol=1e-8, **OPTS)
         np.testing.assert_allclose(outcome.result.x, result.x, atol=1e-10)
         assert outcome.landscape.p.sum() == pytest.approx(1.0)
         assert not outcome.cached

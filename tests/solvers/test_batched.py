@@ -40,6 +40,15 @@ def serial(A, **kwargs):
     return JacobiSolver(A, damping=DAMPING, **kwargs).solve()
 
 
+def zero_transition(A, i, j):
+    """Generator *A* with its ``j -> i`` rate zeroed and the outflow
+    taken off ``A[j, j]``: one stored entry fewer than *A*."""
+    L = A.tolil(copy=True)
+    L[j, j] += L[i, j]
+    L[i, j] = 0.0
+    return as_csr(L.tocsr())
+
+
 needs_native = pytest.mark.skipif(
     "native" not in backends.available_backends(),
     reason="native kernels do not build here")
@@ -246,6 +255,38 @@ class TestStackedMode:
         assert all(r.stop_reason is StopReason.CONVERGED for r in results)
         assert all(getattr(A, native._SLICED_ATTR, None) is None
                    for A in solver._systems)
+
+    @needs_native
+    def test_stacks_whose_sparsity_differs(self, monkeypatch):
+        """One condition zeroes a rate, so the systems share no
+        sparsity pattern.  At widths on both sides of
+        ``stacked_narrow_max()`` the native stacked solve runs one
+        sliced sweep per system while that condition is live (the
+        interleaved kernel only once it retires) and equals the numpy
+        stacked solve and K serial solves bitwise."""
+        lib = native.get_library()
+        top = lib.stacked_narrow_max()
+        spy = KernelSpy(lib)
+        monkeypatch.setattr(native, "_lib", spy)
+        for m in (top, top + 2):
+            mats = [chain(death=1.0 + 0.05 * c) for c in range(m)]
+            mats[-1] = zero_transition(mats[-1], 19, 20)
+            assert mats[-1].nnz == mats[0].nnz - 1
+            kw = dict(tol=1e-9, damping=DAMPING)
+            got = BatchedJacobiSolver.stacked(
+                mats, backend="native", **kw).solve_many()
+            ref = BatchedJacobiSolver.stacked(
+                mats, backend="numpy", **kw).solve_many()
+            assert all(r.converged for r in got)
+            assert_same_results(got, ref)
+            assert_same_results(got, [
+                JacobiSolver(A, backend="numpy", **kw).solve()
+                for A in mats])
+            # Columns retire at their own sweeps, so the block narrows.
+            assert max(spy.widths["sliced_jacobi_sweep_column"]) == m
+            assert all(w < m for w in spy.widths["csr_jacobi_sweep_stacked"])
+            for widths in spy.widths.values():
+                widths.clear()
 
     def test_stacked_per_column_tols(self):
         mats = [chain(death=d) for d in (0.9, 1.1)]

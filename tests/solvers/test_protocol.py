@@ -113,15 +113,13 @@ class TestRegistry:
 
 
 class TestPowerIterationDeprecation:
-    def test_a_keyword_warns_but_works(self, birth_death_matrix):
-        with pytest.warns(DeprecationWarning, match="matrix"):
-            solver = PowerIterationSolver(A=birth_death_matrix)
-        assert solver.n == birth_death_matrix.shape[0]
+    """The pre-1.1 ``A=`` keyword is gone: ``matrix`` is the only way
+    in, as for every other solver."""
 
     def test_both_or_neither_raise(self, birth_death_matrix):
-        with pytest.raises(ValidationError, match="not both"):
-            with pytest.warns(DeprecationWarning):
-                PowerIterationSolver(birth_death_matrix,
-                                     A=birth_death_matrix)
-        with pytest.raises(ValidationError, match="required"):
+        with pytest.raises(TypeError, match="'A'"):
+            PowerIterationSolver(birth_death_matrix, A=birth_death_matrix)
+        with pytest.raises(TypeError, match="'A'"):
+            PowerIterationSolver(A=birth_death_matrix)
+        with pytest.raises(TypeError, match="matrix"):
             PowerIterationSolver()

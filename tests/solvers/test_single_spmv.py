@@ -122,14 +122,6 @@ def test_step_from_product_equals_step_once():
                                   solver.step_once(x))
 
 
-def test_format_backend_keeps_plain_loop():
-    """The format backend's traversal differs bitwise: no product reuse."""
-    from repro.sparse.ell_dia import ELLDIAMatrix
-    fmt = ELLDIAMatrix(birth_death_generator())
-    solver = JacobiSolver(fmt, step="format")
-    assert solver.supports_product_step is False
-
-
 def test_matrix_derived_cached_per_object():
     A = birth_death_generator()
     first = matrix_derived(A)
