@@ -35,7 +35,7 @@ import threading
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends.reference import NumpyBackend, stacked_blocks
+from repro.backends.reference import NumpyBackend, check_out, stacked_blocks
 from repro.errors import StateSpaceOverflowError
 
 _C_SOURCE = r"""
@@ -1539,12 +1539,6 @@ def _check_sweeps(sweeps) -> int:
     return k
 
 
-def _misfit(out: np.ndarray, X: np.ndarray) -> bool:
-    """Whether *out* cannot take the row-major result for *X*."""
-    return (out.shape != X.shape or out.dtype != np.float64
-            or not out.flags["C_CONTIGUOUS"])
-
-
 # -- per-matrix prepared arrays -------------------------------------------
 #
 # Kernels take int64 row pointers and int32 column indices; the formats
@@ -2022,6 +2016,7 @@ class NativeBackend:
             return NumpyBackend().jacobi_sweep(A, diag, X, damping, out,
                                                sweeps=sweeps)
         k = _check_sweeps(sweeps)
+        check_out("jacobi_sweep", out, X)
         lib = get_library()
         n = A.shape[0]
         diag = _f64(diag)
@@ -2034,12 +2029,6 @@ class NativeBackend:
         kr = 1 if X.ndim == 1 else X.shape[1]
         if out is None:
             out = np.empty_like(X)
-        elif _misfit(out, X):
-            raise ValueError(
-                f"jacobi_sweep out must be a C-contiguous float64 array "
-                f"of shape {X.shape}, got {out.dtype} {out.shape}")
-        elif np.shares_memory(out, X):
-            raise ValueError("jacobi_sweep out must not alias X")
         scratch = _vec(np.empty_like(X)) if k > 1 else None
         if kr == 1:
             lib.sliced_jacobi_sweep(n, *_sliced_arrays(A)[4:], _vec(diag),
@@ -2151,6 +2140,7 @@ class NativeBackend:
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,
              beta: float = 1.0,
              out: np.ndarray | None = None) -> np.ndarray:
+        check_out("axpy", out, x, y)
         lib = get_library()
         x = _f64(x)
         y = _f64(y)
@@ -2159,10 +2149,6 @@ class NativeBackend:
                              f"{x.shape} and {y.shape}")
         if out is None:
             out = np.empty_like(x)
-        elif _misfit(out, x):
-            raise ValueError(
-                f"axpy out must be a C-contiguous float64 array of shape "
-                f"{x.shape}, got {out.dtype} {out.shape}")
         lib.axpby(x.size, float(alpha), _vec(x), float(beta), _vec(y),
                   _vec(out))
         return out

@@ -31,7 +31,7 @@ Operations
     One fused weighted-Jacobi sweep for ``A x = 0`` on a SciPy CSR
     generator: ``X' = (D∘X - A X) / D`` blended with ``damping``.
     ``X`` is ``(n,)`` or a C-contiguous ``(n, k)`` block (the batched
-    multi-RHS path).  ``out``, when given, must not alias ``X``.
+    multi-RHS path); ``out`` follows the ``out`` contract below.
     ``sweeps=k`` applies k sweeps and returns the last, bitwise equal
     to k single calls (the solver loops pass one renormalization
     interval, so a backend can amortize its call overhead).
@@ -42,14 +42,15 @@ Operations
     bitwise equal to ``m`` independent ``jacobi_sweep`` calls, whatever
     the systems' sparsity patterns and however many there are.  An
     empty stack, a system or block of the wrong shape, or an ``out``
-    that is not a C-contiguous float64 ``(n, m)`` block or aliases
-    ``X`` raises ``ValueError``.  *X* is only read.
+    that breaks the ``out`` contract raises ``ValueError``.  *X* is
+    only read.
 ``spmv_many(systems, X, out=None)``
     The stacked products ``Y[:, s] = systems[s] @ X[:, s]`` on the same
     blocks, bitwise equal to SciPy's per-system CSR products, with the
     same ``ValueError`` contract.
 ``axpy(alpha, x, y, beta=1.0, out=None)``
-    The blend primitive ``alpha*x + beta*y`` (the damping update).
+    The blend primitive ``alpha*x + beta*y`` (the damping update), with
+    ``x`` in the role of ``X`` for the ``out`` contract.
 ``residual(y, x)``
     ``(||y||_inf, ||x||_inf)`` in one pass — the two reductions of the
     paper's normalized stopping criterion.
@@ -85,6 +86,16 @@ Operations
     The object that owns the keys builds the index once and keeps it (a
     state space for its states, the projection assembler for its
     per-state cache).
+
+The ``out`` contract
+--------------------
+
+Every op that takes ``out`` writes its result there row-major, so
+``out`` is a C-contiguous float64 array in ``X``'s shape that shares no
+memory with ``X`` (for ``axpy``, with ``x`` or ``y``): a sweep reads
+``X`` after it has begun writing.  Any other ``out`` raises
+``ValueError`` on every backend, before anything is written: both call
+:func:`repro.backends.reference.check_out`.
 
 Capability flags
 ----------------

@@ -41,6 +41,25 @@ def key_array(keys) -> np.ndarray:
     return keys
 
 
+def check_out(op: str, out, X, *inputs) -> None:
+    """Raise ``ValueError`` unless *out* is ``None`` or can take *op*'s
+    result for *X*: a C-contiguous float64 array of *X*'s shape that
+    shares no memory with *X* or any of *inputs*.  This is the ``out``
+    contract of every op (see :mod:`repro.backends.protocol`): the
+    kernels write row-major, and a sweep reads *X* after it has begun
+    writing."""
+    if out is None:
+        return
+    if (out.shape != X.shape or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ValueError(
+            f"{op} out must be a C-contiguous float64 array of shape "
+            f"{X.shape}, got {out.dtype} {out.shape}")
+    for a in (X, *inputs):
+        if np.shares_memory(out, a):
+            raise ValueError(f"{op} out must not alias an input")
+
+
 def stacked_blocks(systems, X, diag=None, out=None):
     """Validate the ``(n, m)`` system-interleaved blocks of a stacked op.
 
@@ -48,10 +67,9 @@ def stacked_blocks(systems, X, diag=None, out=None):
     C-contiguous float64 arrays, and *out*, allocated when ``None``.
     Raises ``ValueError`` for an empty stack, a first system that is
     not square (``(n, n)`` sets the block shape), a block that is not
-    ``(n, m)``, or an *out* that is not a C-contiguous float64
-    ``(n, m)`` block or aliases *X*.  The other systems' shapes are
-    checked by the kernel that reads them (SciPy's products raise on a
-    mismatch).
+    ``(n, m)``, or an *out* that breaks :func:`check_out`.  The other
+    systems' shapes are checked by the kernel that reads them (SciPy's
+    products raise on a mismatch).
     """
     m = len(systems)
     if m == 0:
@@ -70,13 +88,8 @@ def stacked_blocks(systems, X, diag=None, out=None):
                 f"{block.shape}")
     if out is None:
         out = np.empty_like(X)
-    elif (out.shape != (n, m) or out.dtype != np.float64
-          or not out.flags["C_CONTIGUOUS"]):
-        raise ValueError(
-            f"stacked out must be a C-contiguous float64 ({n}, {m}) "
-            f"block, got {out.dtype} {out.shape}")
-    elif np.shares_memory(out, X):
-        raise ValueError("stacked out must not alias X")
+    else:
+        check_out("stacked", out, X)
     return X, diag, out
 
 
@@ -146,10 +159,11 @@ class NumpyBackend:
         ufunc chain ``(D∘X - Y)/D`` — bitwise identical formulas (IEEE
         rounding is symmetric under the sign flip), one temporary
         instead of four.  ``sweeps=k`` applies the sweep k times; only
-        the last lands in *out*.
+        the last lands in *out*, which must pass :func:`check_out`.
         """
         if int(sweeps) < 1:
             raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+        check_out("jacobi_sweep", out, X)
         for _ in range(int(sweeps) - 1):
             X = self._sweep_once(A, diag, X, damping, None)
         return self._sweep_once(A, diag, X, damping, out)
@@ -223,7 +237,9 @@ class NumpyBackend:
              beta: float = 1.0,
              out: np.ndarray | None = None) -> np.ndarray:
         """``alpha*x + beta*y``, elementwise, in evaluation order
-        ``(alpha*x_i) + (beta*y_i)``."""
+        ``(alpha*x_i) + (beta*y_i)``; *out* must pass
+        :func:`check_out`."""
+        check_out("axpy", out, x, y)
         res = np.multiply(x, alpha, out=out)
         if beta == 1.0:
             np.add(res, y, out=res)

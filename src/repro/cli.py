@@ -443,6 +443,7 @@ def _add_matrix_source(parser, benchmarks) -> None:
 
 def make_parser() -> argparse.ArgumentParser:
     from repro.cme.models import benchmark_names
+    from repro.solvers import DEFAULT_DAMPING
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -628,7 +629,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="device format profiled by the kernel models")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--max-iterations", type=int, default=200_000)
-    p.add_argument("--damping", type=float, default=0.8)
+    p.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     p.add_argument("--trace-every", type=int, default=25,
                    help="emit a solver-iteration span every N iterations")
     p.add_argument("--serve-sample", type=int, default=1, metavar="N",

@@ -352,7 +352,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
         injector = active_injector()
         inject = injector is not None and injector.active_for(
             "solver.iterate")
-        sweep_guard = policy is not None and (policy.sweep_check or inject)
+        sweep_guard = policy is not None and inject
         report = RecoveryReport() if (policy is not None or inject) else None
         plan_json = None
         if injector is not None and injector.plan.for_site("shard.worker"):

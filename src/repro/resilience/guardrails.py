@@ -45,17 +45,15 @@ class GuardrailPolicy:
     divergence_factor:
         A checked residual larger than this factor times the best
         residual seen counts as divergence (NaN/Inf always does).
-    sweep_check:
-        Scan the iterate for NaN/Inf after *every* sweep instead of
-        only at residual checks.  Costs one pass over ``x`` per sweep,
-        so it is off by default; the loop switches it on automatically
-        while a fault injector targets ``solver.iterate``.
+
+    The loop scans the iterate for NaN/Inf at residual checks, and
+    after every sweep only while a fault injector targets
+    ``solver.iterate``.
     """
 
     checkpoint_every: int = 1
     max_recoveries: int = 3
     divergence_factor: float = 1e6
-    sweep_check: bool = False
 
     def __post_init__(self) -> None:
         if self.checkpoint_every <= 0:

@@ -16,7 +16,6 @@ from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
 from repro.serve.fairness import (
     AdmissionController,
     FairPriorityQueue,
-    QueuePolicy,
     TokenBucket,
 )
 from repro.serve.jobs import (
@@ -38,7 +37,6 @@ __all__ = [
     "FairPriorityQueue",
     "JobState",
     "ProcessSolverPool",
-    "QueuePolicy",
     "ServiceMetrics",
     "SolutionCache",
     "SolveJob",

@@ -1,10 +1,11 @@
 """Asyncio front door over :class:`~repro.serve.service.SolveService`.
 
-The sync service is thread-based end to end: ``submit`` can block on
-admission (a BLOCK-policy queue), ``result`` blocks on a
-``threading.Event``.  An asyncio application — a gRPC/HTTP serving
-process multiplexing thousands of client connections on one event
-loop — must never call either on the loop thread.
+The sync service is thread-based end to end: ``submit`` can block (a
+journal's fsync, the first submission's state-space enumeration),
+``result`` blocks on a ``threading.Event``.  An asyncio application —
+a gRPC/HTTP serving process multiplexing thousands of client
+connections on one event loop — must never call either on the loop
+thread.
 :class:`AsyncSolveService` bridges the two worlds without forking the
 service's logic:
 
@@ -110,8 +111,10 @@ class AsyncSolveService:
                      **kwargs) -> SolveJob:
         """Admit one solve; same semantics/raises as the sync ``submit``.
 
-        Runs the sync admission path in the loop's executor because a
-        BLOCK-policy queue may park the submitter; rejections
+        Runs the sync admission path in the loop's executor because it
+        can block: a journal-backed service fsyncs the accept record,
+        and the first submission enumerates the state space.  A full
+        queue does not block; it rejects, and rejections
         (:class:`~repro.errors.JobRejectedError`) propagate to the
         awaiter unchanged.
         """

@@ -20,23 +20,15 @@ Two mechanisms sit in front of the scheduler:
 
 Within a tenant, ordering is lowest ``priority`` first, FIFO within a
 priority, so single-tenant traffic is a plain priority queue.  The
-queue is the service's admission-control point: it holds at most
-``capacity`` pending jobs across all tenants and applies one of two
-policies when full —
-
-``reject``
-    :meth:`FairPriorityQueue.put` raises
-    :class:`~repro.errors.JobRejectedError` immediately (load shedding;
-    the caller sees the failure and can back off).
-``block``
-    The submitting thread waits for space (producer-side throttling),
-    optionally bounded by ``put_timeout`` after which the submit is
-    rejected anyway.
+queue is the service's backpressure point: it holds at most
+``capacity`` pending jobs across all tenants, and
+:meth:`FairPriorityQueue.put` on a full queue raises
+:class:`~repro.errors.JobRejectedError` at once (load shedding; the
+caller sees the failure and can back off).
 """
 
 from __future__ import annotations
 
-import enum
 import heapq
 import threading
 import time
@@ -45,15 +37,7 @@ from typing import Mapping
 from repro.errors import JobRejectedError, ValidationError
 from repro.serve.jobs import JobState, SolveJob, _QueueItem
 
-__all__ = ["AdmissionController", "FairPriorityQueue", "QueuePolicy",
-           "TokenBucket"]
-
-
-class QueuePolicy(enum.Enum):
-    """What a full queue does to new submissions."""
-
-    REJECT = "reject"
-    BLOCK = "block"
+__all__ = ["AdmissionController", "FairPriorityQueue", "TokenBucket"]
 
 
 class TokenBucket:
@@ -184,16 +168,12 @@ class FairPriorityQueue:
     quantum.
     """
 
-    def __init__(self, capacity: int = 1024,
-                 policy: QueuePolicy | str = QueuePolicy.REJECT,
-                 *, put_timeout: float | None = None,
+    def __init__(self, capacity: int = 1024, *,
                  weights: Mapping[str, int] | None = None):
         if capacity <= 0:
             raise ValidationError(
                 f"queue capacity must be positive, got {capacity}")
         self.capacity = int(capacity)
-        self.policy = QueuePolicy(policy)
-        self.put_timeout = put_timeout
         self.weights = {str(t): int(w) for t, w in dict(weights or {}).items()}
         for tenant, w in self.weights.items():
             if w < 1:
@@ -207,7 +187,6 @@ class FairPriorityQueue:
         self._seq = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
 
     def _weight(self, tenant: str) -> int:
@@ -226,22 +205,9 @@ class FairPriorityQueue:
             if self._closed:
                 raise JobRejectedError("queue is closed", key=job.key)
             if self._size >= self.capacity:
-                if self.policy is QueuePolicy.REJECT:
-                    raise JobRejectedError(
-                        f"queue full ({self.capacity} pending jobs)",
-                        key=job.key)
-                deadline = (None if self.put_timeout is None
-                            else time.monotonic() + self.put_timeout)
-                while self._size >= self.capacity and not self._closed:
-                    remaining = (None if deadline is None
-                                 else deadline - time.monotonic())
-                    if remaining is not None and remaining <= 0:
-                        raise JobRejectedError(
-                            f"queue still full after {self.put_timeout}s",
-                            key=job.key)
-                    self._not_full.wait(remaining)
-                if self._closed:
-                    raise JobRejectedError("queue is closed", key=job.key)
+                raise JobRejectedError(
+                    f"queue full ({self.capacity} pending jobs)",
+                    key=job.key)
             lane = self._lanes.get(tenant)
             if lane is None:
                 lane = _TenantLane()
@@ -306,10 +272,7 @@ class FairPriorityQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._not_empty.wait(remaining)
-            job = self._pop_locked()
-            if job is not None:
-                self._not_full.notify()
-            return job
+            return self._pop_locked()
 
     def drain_matching(self, predicate, limit: int) -> list[SolveJob]:
         """Atomically remove up to *limit* queued jobs passing *predicate*.
@@ -346,9 +309,7 @@ class FairPriorityQueue:
                     emptied.append(i)
             for i in sorted(emptied, reverse=True):
                 self._drop_lane(i)
-            if matched:
-                self._size -= len(matched)
-                self._not_full.notify_all()
+            self._size -= len(matched)
         return matched
 
     def close(self) -> None:
@@ -356,4 +317,3 @@ class FairPriorityQueue:
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()
-            self._not_full.notify_all()

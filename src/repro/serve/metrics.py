@@ -73,17 +73,13 @@ class ServiceMetrics:
         fresh private registry by default.  Sharing one registry across
         services (or with solver/gpusim telemetry) merges everything
         into a single exposition.
-    prefix:
-        Metric-name prefix (``serve`` → ``serve_submitted_total`` ...).
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None, *,
-                 prefix: str = "serve") -> None:
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
-        self.prefix = prefix
         self._counters = {
-            name: self.registry.counter(f"{prefix}_{name}_total",
+            name: self.registry.counter(f"serve_{name}_total",
                                         f"serve jobs {name}")
             for name in COUNTER_NAMES
         }
@@ -99,18 +95,18 @@ class ServiceMetrics:
         self._tenant_counters: dict[tuple[str, str], object] = {}
         self._stages = {
             stage: self.registry.histogram(
-                f"{prefix}_stage_{stage}_seconds",
+                f"serve_stage_{stage}_seconds",
                 f"time spent in the {stage} stage",
                 buckets=DEFAULT_BUCKETS)
             for stage in STAGE_NAMES
         }
         self._queue_depth = self.registry.gauge(
-            f"{prefix}_queue_depth", "jobs waiting for a worker")
+            "serve_queue_depth", "jobs waiting for a worker")
         self._warm_audits = self.registry.counter(
-            f"{prefix}_warm_start_audits_total",
+            "serve_warm_start_audits_total",
             "measured warm-vs-cold comparisons")
         self._warm_saved = self.registry.gauge(
-            f"{prefix}_warm_start_iterations_saved",
+            "serve_warm_start_iterations_saved",
             "net iterations saved by warm starting (audited sample)")
 
     # -- updates ------------------------------------------------------------
@@ -127,7 +123,7 @@ class ServiceMetrics:
         """Increment a per-tenant counter (created lazily).
 
         Counters register as
-        ``<prefix>_tenant_<sanitized tenant>_<name>_total``; tenant
+        ``serve_tenant_<sanitized tenant>_<name>_total``; tenant
         ids are sanitized to ``[A-Za-z0-9_]`` for the metric name but
         the snapshot keys keep the original id.  When sanitizing
         changes an id, or the id already ends in ``_`` and 8 hex
@@ -147,7 +143,7 @@ class ServiceMetrics:
                         crc = zlib.crc32(key[0].encode("utf-8"))
                         safe = f"{safe}_{crc:08x}"
                     counter = self.registry.counter(
-                        f"{self.prefix}_tenant_{safe}_{key[1]}_total",
+                        f"serve_tenant_{safe}_{key[1]}_total",
                         f"serve jobs {key[1]} for tenant {key[0]}")
                     self._tenant_counters[key] = counter
         counter.inc(amount)

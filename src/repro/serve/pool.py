@@ -14,11 +14,10 @@ build and run a job's solver the same way.
 
 Design points, mirroring :mod:`repro.distributed`:
 
-*   **Start method.**  ``fork`` where available and safe; ``spawn``
-    whenever the workers will run a native (OpenMP) backend, because
-    libgomp state does not survive a fork.  Override with the
-    ``REPRO_POOL_START`` environment variable or the ``start_method``
-    argument.
+*   **Start method.**  Derived from the backend: ``spawn`` whenever
+    the workers will run a native (OpenMP) backend, because libgomp
+    state does not survive a fork, and ``fork`` for the reference
+    backend where the platform has it.
 *   **Systems shipped by signature.**  A worker receives the CSR
     arrays of a linear system *once* per
     :meth:`~repro.serve.jobs.SolveRequest.matrix_key` and memoizes the
@@ -69,9 +68,6 @@ from repro.resilience.faults import active_injector
 from repro.solvers.result import SolverResult, StopReason
 
 __all__ = ["ProcessSolverPool", "SolveTask", "run_task", "worker_main"]
-
-#: Environment override for the worker start method ("fork"/"spawn").
-START_ENV_VAR = "REPRO_POOL_START"
 
 #: Rebuilt systems memoized per worker process (matches the parent's
 #: matrix memo, so steady-state traffic never re-ships).
@@ -214,18 +210,15 @@ class ProcessSolverPool:
         Process count.
     backend:
         Kernel backend the workers will run (drives the fork/spawn
-        choice and is folded into each task's solver options as the
-        default).  ``None`` resolves the ambient default.
-    start_method:
-        ``"fork"``/``"spawn"`` override (else :data:`START_ENV_VAR`,
-        else the backend-aware default).
+        choice, reported as ``stats["start_method"]``, and is folded
+        into each task's solver options as the default).  ``None``
+        resolves the ambient default.
     on_respawn:
         Optional hook fired after a dead worker is replaced (the
         service counts these as ``pool_respawns``).
     """
 
     def __init__(self, workers: int = 2, *, backend: str | None = None,
-                 start_method: str | None = None,
                  name: str = "serve-pool", on_respawn=None):
         if workers <= 0:
             raise ValidationError(
@@ -234,19 +227,14 @@ class ProcessSolverPool:
         self.on_respawn = on_respawn
         resolved = backends.resolve(backend)
         self.backend_name = resolved.name
-        method = start_method or os.environ.get(START_ENV_VAR)
-        if method is None:
-            # fork is cheap, but forking a live OpenMP runtime (libgomp
-            # state does not survive fork) can deadlock — so spawn
-            # whenever the workers will run a native backend.
-            if not resolved.is_reference:
-                method = "spawn"
-            elif "fork" in multiprocessing.get_all_start_methods():
-                method = "fork"
-            else:
-                method = "spawn"
-        self.start_method = method
-        self._ctx = multiprocessing.get_context(method)
+        # fork is cheap, but forking a live OpenMP runtime (libgomp
+        # state does not survive fork) can deadlock — so spawn whenever
+        # the workers will run a native backend.
+        self.start_method = (
+            "fork" if resolved.is_reference
+            and "fork" in multiprocessing.get_all_start_methods()
+            else "spawn")
+        self._ctx = multiprocessing.get_context(self.start_method)
         self.workers = int(workers)
         self.respawns = 0
         self.dispatches = 0

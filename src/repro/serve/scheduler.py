@@ -3,7 +3,7 @@
 Workers pull jobs from the service's bounded
 :class:`~repro.serve.fairness.FairPriorityQueue` (lowest ``priority``
 first, FIFO within a priority, tenants served by deficit round robin;
-backpressure policies are described there) and run each through the
+a full queue rejects, see there) and run each through the
 service's execute callable.  A *retryable* failure —
 per-attempt timeout or a convergence failure — is re-attempted in place
 up to the retry budget; the final failure surfaces to the job as a

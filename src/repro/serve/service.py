@@ -60,11 +60,7 @@ from repro.resilience.backoff import RetryPolicy
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.faults import active_injector
 from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
-from repro.serve.fairness import (
-    AdmissionController,
-    FairPriorityQueue,
-    QueuePolicy,
-)
+from repro.serve.fairness import AdmissionController, FairPriorityQueue
 from repro.serve.jobs import (
     SolveJob,
     SolveOutcome,
@@ -98,11 +94,9 @@ FSP_OPTION_KEYS = frozenset({
 class _Workspace:
     """Per-service shared solve state: state space + matrix memo."""
 
-    def __init__(self, network: ReactionNetwork, *, reuse_state_space: bool,
-                 max_states: int):
+    def __init__(self, network: ReactionNetwork, *, reuse_state_space: bool):
         self.network = network
         self.reuse_state_space = reuse_state_space
-        self.max_states = max_states
         self._lock = threading.Lock()
         self._space: StateSpace | None = None
         self._layout: str | None = None
@@ -112,8 +106,7 @@ class _Workspace:
         """The base network's state space, enumerated once."""
         with self._lock:
             if self._space is None:
-                self._space = enumerate_state_space(
-                    self.network, max_states=self.max_states)
+                self._space = enumerate_state_space(self.network)
                 self._layout = state_space_layout(self._space.states)
             return self._space
 
@@ -132,7 +125,7 @@ class _Workspace:
         """
         varied = request.varied_network()
         if not self.reuse_state_space:
-            return enumerate_state_space(varied, max_states=self.max_states)
+            return enumerate_state_space(varied)
         base = self.space()
         if not request.overrides:
             return base
@@ -175,24 +168,20 @@ class SolveService:
         with a disk directory) to share across services/runs.
     warm_start:
         Seed each solve from the inverse-distance-weighted blend of the
-        ``warm_neighbors`` nearest already-solved rate points.
-    warm_neighbors:
-        Donor count for the blend.  More than one matters for bistable
-        networks, where a single asymmetric donor excites the slow
-        switching mode (see :mod:`repro.serve.warmstart`).
-    queue_capacity, queue_policy, put_timeout:
-        Backpressure configuration (see :mod:`repro.serve.fairness`).
+        two nearest already-solved rate points (two, not one: a single
+        asymmetric donor excites a bistable network's slow switching
+        mode, see :mod:`repro.serve.warmstart`).
+    queue_capacity:
+        Pending jobs the fair queue holds; a submission to a full queue
+        is rejected (see :mod:`repro.serve.fairness`).
     timeout_s:
         Optional per-attempt wall-clock budget; an expired attempt
         raises :class:`~repro.errors.JobTimeoutError` and consumes a
         retry.
     retries:
-        Extra attempts per job after the first.
-    retry_policy:
-        Backoff between retry attempts.  ``None`` (default) applies
+        Extra attempts per job after the first, spaced by
         :class:`repro.resilience.backoff.RetryPolicy`'s exponential
-        backoff with jitter; pass ``False`` for the legacy immediate
-        retry, or a configured policy.
+        backoff with seeded jitter.
     method:
         Solver method (a :data:`repro.solvers.SOLVER_REGISTRY` key:
         ``"jacobi"``, ``"gauss-seidel"``, ``"power"``, ``"resilient"``
@@ -208,13 +197,6 @@ class SolveService:
         ``max_rounds``, ``prune_mass``, ``safety``, ``expand_depth``,
         ``max_new_states``, ``max_states``, and the inner solver
         ``method``).  Rejected for fixed-capacity methods.
-    breaker_threshold, breaker_reset_s:
-        Circuit breaker for the solve path: after
-        ``breaker_threshold`` consecutive attempt failures the service
-        sheds further attempts (fail-fast
-        :class:`~repro.errors.CircuitOpenError`, or degraded answers)
-        until ``breaker_reset_s`` elapses and a probe succeeds.
-        ``breaker_threshold=0`` disables the breaker.
     degraded_mode:
         When the queue is saturated or the breaker is open, serve the
         nearest already-solved neighbor's landscape (requires
@@ -240,9 +222,13 @@ class SolveService:
         for an individual attempt.  ``1`` (default) disables batching.
     tol, max_iterations, solver_options:
         Request defaults (overridable per submit).  The kernel backend
-        is chosen with ``solver_options={"backend": ...}``.
-    reuse_state_space, max_states:
-        State-space handling, as in :class:`repro.sweep.ParameterSweep`.
+        is chosen with ``solver_options={"backend": ...}``.  A
+        ``"jacobi"`` or ``"sharded"`` request whose options carry no
+        ``damping`` gets :data:`~repro.solvers.DEFAULT_DAMPING` (see
+        :meth:`request`).
+    reuse_state_space:
+        Rebind one enumerated state space to every rate condition, as
+        in :class:`repro.sweep.ParameterSweep`.
     journal:
         Optional write-ahead job journal (a
         :class:`repro.durability.JobJournal` or a path to create one
@@ -264,11 +250,10 @@ class SolveService:
         worker *processes*, so K workers run K native solve loops with
         no shared GIL.  Matrices ship to a worker once per linear
         system (content-keyed) and stay resident, so repeated
-        conditions pay no re-pickling.  ``REPRO_POOL_START`` sets an
-        owned pool's start method (see :mod:`repro.serve.pool`).
-        ``"process"`` does not combine with ``method="fsp"`` (the
-        projection loop is not pool-shippable) or ``method="sharded"``
-        (itself a process pool).
+        conditions pay no re-pickling.  ``"process"`` does not combine
+        with ``method="fsp"`` (the projection loop is not
+        pool-shippable) or ``method="sharded"`` (itself a process
+        pool).
     pool:
         A preconstructed (possibly shared) pool to dispatch to;
         implies ``executor="process"``.  The service never closes a
@@ -282,40 +267,27 @@ class SolveService:
         Unlisted tenants queue at weight 1; without a map every tenant
         does, so the backlogs of two tenants alternate.
     admission:
-        Per-tenant token-bucket admission control: an
-        :class:`~repro.serve.fairness.AdmissionController`, or its
-        ``limits`` mapping (``tenant -> rate`` or ``tenant -> (rate,
-        burst)``; key ``"*"`` sets the default for unlisted tenants).
-        Over-rate submissions raise
-        :class:`~repro.errors.JobRejectedError` at the front door —
-        before the cache, the journal and the queue.
-    default_damping:
-        Serve-level Jacobi damping applied when a request does not
-        spell out ``damping`` itself (``None`` disables).  Undamped
-        Jacobi stagnates on bipartite-structured systems — the toggle
-        switch at symmetric rate points oscillates between its two
-        modes for >100k iterations where ``damping=0.9`` converges in
-        a few hundred — which made ``toggle_switch`` the serve
-        latency outlier.  Only applies to ``method="jacobi"`` /
-        ``"sharded"``; explicit ``damping`` (including ``1.0``) always
-        wins.  ``method="fsp"`` jobs get the same
-        :data:`~repro.solvers.DEFAULT_DAMPING` from the FSP controller's
-        own inner-solve default.
+        Per-tenant token-bucket admission control, as the ``limits``
+        mapping of an :class:`~repro.serve.fairness.AdmissionController`
+        (``tenant -> rate`` or ``tenant -> (rate, burst)``; key ``"*"``
+        sets the default for unlisted tenants).  Over-rate submissions
+        raise :class:`~repro.errors.JobRejectedError` at the front door
+        — before the cache, the journal and the queue.
+
+    Every attempt runs behind a
+    :class:`~repro.resilience.circuit.CircuitBreaker` at its default
+    settings: after five consecutive attempt failures the service sheds
+    further attempts (fail-fast :class:`~repro.errors.CircuitOpenError`,
+    or degraded answers) until 30 s have passed and a probe succeeds.
     """
 
     def __init__(self, network: ReactionNetwork, *, workers: int = 1,
                  cache: SolutionCache | bool | None = True,
                  warm_start: bool = False,
-                 warm_neighbors: int = 2,
                  queue_capacity: int = 1024,
-                 queue_policy: QueuePolicy | str = QueuePolicy.REJECT,
-                 put_timeout: float | None = None,
                  timeout_s: float | None = None,
                  retries: int = 0,
-                 retry_policy: RetryPolicy | bool | None = None,
                  method: str = "jacobi",
-                 breaker_threshold: int = 5,
-                 breaker_reset_s: float = 30.0,
                  degraded_mode: bool = False,
                  warm_audit_interval: int = 8,
                  batch_max: int = 1,
@@ -323,14 +295,12 @@ class SolveService:
                  solver_options: Mapping | None = None,
                  fsp_options: Mapping | None = None,
                  reuse_state_space: bool = True,
-                 max_states: int = 5_000_000,
                  journal: JobJournal | str | Path | None = None,
                  metrics_registry=None,
                  executor: str = "thread",
                  pool: ProcessSolverPool | None = None,
                  tenant_weights: Mapping[str, int] | None = None,
-                 admission: AdmissionController | Mapping | None = None,
-                 default_damping: float | None = DEFAULT_DAMPING):
+                 admission: Mapping | None = None):
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
         self.network = network
@@ -346,9 +316,6 @@ class SolveService:
         if self.warm_start and self.cache is None:
             raise ValidationError(
                 "warm_start needs the solution cache for donor vectors")
-        if warm_neighbors <= 0:
-            raise ValidationError("warm_neighbors must be positive")
-        self.warm_neighbors = int(warm_neighbors)
         if warm_audit_interval < 0:
             raise ValidationError("warm_audit_interval must be >= 0")
         self.warm_audit_interval = int(warm_audit_interval)
@@ -398,40 +365,21 @@ class SolveService:
                 f"pool-shippable and the sharded solver is itself a "
                 f"process pool")
         self.executor = executor
-        if default_damping is not None:
-            default_damping = float(default_damping)
-            if not 0.0 < default_damping <= 1.0:
-                raise ValidationError(
-                    f"default_damping must be in (0, 1], "
-                    f"got {default_damping}")
-        self.default_damping = default_damping
-        if breaker_threshold < 0:
-            raise ValidationError("breaker_threshold must be >= 0")
-        self._breaker = None if breaker_threshold == 0 else CircuitBreaker(
-            failure_threshold=breaker_threshold,
-            reset_timeout_s=breaker_reset_s,
-            name=f"solve.{self.method}")
+        self._breaker = CircuitBreaker(name=f"solve.{self.method}")
         self.degraded_mode = bool(degraded_mode)
         if self.degraded_mode and not warm_start:
             raise ValidationError(
                 "degraded_mode needs warm_start for nearest-neighbor "
                 "donor answers")
-        if retry_policy is None:
-            retry_policy = RetryPolicy()
-        elif retry_policy is False:
-            retry_policy = None
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.solver_options = dict(solver_options or {})
         self.metrics = ServiceMetrics(metrics_registry)
         self._workspace = _Workspace(network,
-                                     reuse_state_space=reuse_state_space,
-                                     max_states=max_states)
+                                     reuse_state_space=reuse_state_space)
         self._warm_index = WarmStartIndex() if self.warm_start else None
-        if admission is None or isinstance(admission, AdmissionController):
-            self._admission = admission
-        else:
-            self._admission = AdmissionController(admission)
+        self._admission = (None if admission is None
+                           else AdmissionController(admission))
         self._inflight: dict[str, SolveJob] = {}
         self._lock = threading.Lock()
         self._job_seq = itertools.count(1)
@@ -445,10 +393,8 @@ class SolveService:
         self._own_pool = False
         self._scheduler = SolveScheduler(
             self._execute, workers=workers,
-            queue=FairPriorityQueue(queue_capacity, queue_policy,
-                                    put_timeout=put_timeout,
-                                    weights=tenant_weights),
-            retries=retries, retry_policy=retry_policy,
+            queue=FairPriorityQueue(queue_capacity, weights=tenant_weights),
+            retries=retries, retry_policy=RetryPolicy(),
             on_retry=lambda job, exc: self.metrics.incr("retried"),
             on_done=self._on_done)
         if self.executor == "process" and pool is None:
@@ -553,17 +499,22 @@ class SolveService:
                 solver_options: Mapping | None = None) -> SolveRequest:
         """Build a request with this service's defaults filled in.
 
-        ``default_damping`` is folded in here — *only* when the
-        effective solver options do not carry a ``damping`` of their
-        own — so it participates in the cache key like any other
-        option and identical requests keep colliding onto one line.
+        A ``"jacobi"`` or ``"sharded"`` request whose effective solver
+        options carry no ``damping`` gets
+        :data:`~repro.solvers.DEFAULT_DAMPING` here, so it participates
+        in the cache key like any other option and identical requests
+        keep colliding onto one line; an explicit ``damping``
+        (``1.0`` included) wins.  Undamped Jacobi stagnates on
+        bipartite-structured systems: the toggle switch at symmetric
+        rate points oscillates between its two modes for >100k
+        iterations where ``damping=0.9`` converges in a few hundred.
+        ``method="fsp"`` jobs get the same damping from the FSP
+        controller's own inner-solve default.
         """
         options = dict(self.solver_options if solver_options is None
                        else solver_options)
-        if (self.default_damping is not None
-                and self.method in ("jacobi", "sharded")
-                and "damping" not in options):
-            options["damping"] = self.default_damping
+        if self.method in ("jacobi", "sharded"):
+            options.setdefault("damping", DEFAULT_DAMPING)
         return SolveRequest(
             self.network, overrides,
             tol=self.tol if tol is None else tol,
@@ -582,11 +533,11 @@ class SolveService:
         Cache hits complete the returned job synchronously; a submit
         whose key matches an in-flight job returns *that* job
         (single-flight).  A full queue raises
-        :class:`~repro.errors.JobRejectedError` (or blocks, per
-        policy) — unless ``degraded_mode`` can serve a nearby
-        approximate answer instead.  ``deadline_s`` propagates an
-        end-to-end deadline into the worker: whatever remains of it
-        when an attempt starts caps the solver's ``time_budget_s``.
+        :class:`~repro.errors.JobRejectedError` — unless
+        ``degraded_mode`` can serve a nearby approximate answer
+        instead.  ``deadline_s`` propagates an end-to-end deadline into
+        the worker: whatever remains of it when an attempt starts caps
+        the solver's ``time_budget_s``.
 
         ``tenant`` identifies the submitter for admission control and
         fair queuing; an over-rate tenant is refused at the front door
@@ -718,7 +669,7 @@ class SolveService:
             except WorkerCrashError:
                 self.metrics.incr("worker_faults")
                 raise
-        if self._breaker is not None and not self._breaker.allow():
+        if not self._breaker.allow():
             self.metrics.incr("breaker_open")
             if self.degraded_mode:
                 outcome = self._degraded_outcome(job)
@@ -732,11 +683,9 @@ class SolveService:
         try:
             outcome = self._execute_solve(job)
         except Exception:
-            if self._breaker is not None:
-                self._breaker.record_failure()
+            self._breaker.record_failure()
             raise
-        if self._breaker is not None:
-            self._breaker.record_success()
+        self._breaker.record_success()
         return outcome
 
     def _attempt_budget(self, job: SolveJob) -> float | None:
@@ -775,8 +724,7 @@ class SolveService:
             x0 = None
             if self._warm_index is not None and self.cache is not None:
                 hints = self._warm_index.select_donors(
-                    req.log_rate_vector(), k=self.warm_neighbors,
-                    exclude_key=job.key)
+                    req.log_rate_vector(), exclude_key=job.key)
                 donors, distances = [], []
                 for hint in hints:
                     entry = self.cache.peek(hint.key,
@@ -1183,9 +1131,7 @@ class SolveService:
         """
         out = self.metrics.snapshot(
             cache_stats=self.cache.stats if self.cache is not None else None,
-            breaker=(self._breaker.snapshot()
-                     if self._breaker is not None else None),
-            journal=self.journal)
+            breaker=self._breaker.snapshot(), journal=self.journal)
         if self._pool is not None:
             out["pool"] = self._pool.stats
         if self._admission is not None:
@@ -1199,7 +1145,5 @@ class SolveService:
         """Printable metrics table (the CLI's ``serve`` output)."""
         return self.metrics.render(
             cache_stats=self.cache.stats if self.cache is not None else None,
-            breaker=(self._breaker.snapshot()
-                     if self._breaker is not None else None),
-            journal=self.journal,
+            breaker=self._breaker.snapshot(), journal=self.journal,
             title=f"serve metrics · {self.network.name}")

@@ -355,10 +355,10 @@ class IterativeSolverBase:
         injector = active_injector()
         inject = injector is not None and injector.active_for("solver.iterate")
         # Per-sweep finiteness scans cost a pass over x each iteration,
-        # so they stay off unless asked for — or a fault injector is
-        # corrupting iterates, where waiting for the batch-end check
-        # would discard up to check_interval good sweeps per fault.
-        sweep_guard = policy is not None and (policy.sweep_check or inject)
+        # so they run only while a fault injector is corrupting
+        # iterates, where waiting for the batch-end check would discard
+        # up to check_interval good sweeps per fault.
+        sweep_guard = policy is not None and inject
         report = RecoveryReport() if (policy is not None or inject) else None
 
         self._active_backend = self._select_backend()

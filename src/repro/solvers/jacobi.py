@@ -32,11 +32,12 @@ from repro.solvers.base import IterativeSolverBase
 from repro.sparse.base import as_csr
 
 #: The damping the library applies where it chooses one for the caller:
-#: :class:`~repro.serve.SolveService`'s ``default_damping`` and adaptive
-#: FSP's inner ``jacobi`` solves.  A generator whose Jacobi iteration
-#: matrix has an eigenvalue at -1 (phage lambda's does) makes undamped
-#: sweeps oscillate with period 2 at a flat residual; damping ``omega``
-#: moves that eigenvalue to ``1 - 2*omega``, inside the unit circle.
+#: :class:`~repro.serve.SolveService`'s Jacobi requests that carry no
+#: ``damping``, ``repro profile``, and adaptive FSP's inner ``jacobi``
+#: solves.  A generator whose Jacobi iteration matrix has an eigenvalue
+#: at -1 (phage lambda's does) makes undamped sweeps oscillate with
+#: period 2 at a flat residual; damping ``omega`` moves that eigenvalue
+#: to ``1 - 2*omega``, inside the unit circle.
 DEFAULT_DAMPING = 0.9
 
 

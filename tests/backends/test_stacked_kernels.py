@@ -144,7 +144,9 @@ def test_compacted_blocks_match_per_system(backend, m, damping):
 
 def test_f_ordered_out_is_refused(backend):
     """``M[:, idx]`` compaction yields F-ordered blocks; the kernels
-    write row-major, so such an ``out`` must be refused, not filled."""
+    write row-major, so such an ``out`` must be refused, not filled.
+    An ``out`` that aliases ``X`` is refused too: a damped sweep reads
+    ``X`` after it has begun writing.  Every backend refuses both."""
     systems = shared_structure_systems(4)
     D, X = interleaved(systems, 59)
     f_out = np.empty((X.shape[1], X.shape[0])).T
@@ -154,11 +156,18 @@ def test_f_ordered_out_is_refused(backend):
         backend.spmv_many(systems, X, out=f_out)
     with pytest.raises(ValueError, match="alias"):
         backend.jacobi_sweep_many(systems, D, X, out=X)
-    if not backend.is_reference:
-        # The native single-system sweep writes row-major too; the
-        # reference's ufuncs fill any layout.
-        with pytest.raises(ValueError, match="C-contiguous"):
-            backend.jacobi_sweep(systems[0], D[:, 0].copy(), X, out=f_out)
+    d = D[:, 0].copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        backend.jacobi_sweep(systems[0], d, X, out=f_out)
+    before = X.copy()
+    with pytest.raises(ValueError, match="alias"):
+        backend.jacobi_sweep(systems[0], d, X, damping=0.9, out=X)
+    assert np.array_equal(X, before)
+    x, y = X[:, 0].copy(), X[:, 1].copy()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        backend.axpy(2.0, x, y, out=np.empty(2 * x.size)[::2])
+    with pytest.raises(ValueError, match="alias"):
+        backend.axpy(2.0, x, y, out=y)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 11])

@@ -19,7 +19,7 @@ from repro.errors import (
     JobTimeoutError,
     KernelLaunchError,
 )
-from repro.resilience import FaultPlan, RetryPolicy, injecting
+from repro.resilience import CircuitBreaker, FaultPlan, injecting
 from repro.serve import SolveService
 from repro.solvers import JacobiSolver
 from repro.telemetry import metrics
@@ -117,8 +117,6 @@ class TestServeChaos:
             with SolveService(tiny_toggle_network, workers=2,
                               warm_start=True, degraded_mode=True,
                               retries=3,
-                              retry_policy=RetryPolicy(base_delay_s=0.001,
-                                                       jitter=0.0),
                               solver_options=SOLVER_OPTS) as svc:
                 jobs = [svc.submit(c) for c in conditions]
                 outcomes = [j.result() for j in jobs]
@@ -188,13 +186,14 @@ class TestServeChaos:
 
     def test_breaker_opens_and_sheds_after_repeated_failures(
             self, tiny_toggle_network):
-        # Every attempt times out (absurd budget), so the breaker
-        # trips after two failures and the next job is shed fast.
+        # Every attempt times out (absurd budget), so the breaker trips
+        # after its default threshold of failures and the next job is
+        # shed fast.
+        threshold = CircuitBreaker().failure_threshold
         with SolveService(tiny_toggle_network, workers=1, retries=0,
-                          timeout_s=1e-6, breaker_threshold=2,
-                          breaker_reset_s=60.0, cache=False,
+                          timeout_s=1e-6, cache=False,
                           solver_options=SOLVER_OPTS) as svc:
-            for i in range(2):
+            for i in range(threshold):
                 with pytest.raises(JobTimeoutError):
                     svc.solve({"degA": 1.0 + 0.1 * i})
             with pytest.raises(CircuitOpenError) as excinfo:

@@ -30,7 +30,6 @@ class TestPolicy:
         policy = GuardrailPolicy()
         assert policy.checkpoint_every == 1
         assert policy.max_recoveries == 3
-        assert not policy.sweep_check
 
 
 class TestReport:

@@ -15,7 +15,6 @@ from repro.errors import (
 from repro.serve import (
     FairPriorityQueue,
     JobState,
-    QueuePolicy,
     SolveJob,
     SolveRequest,
     SolveScheduler,
@@ -57,33 +56,9 @@ class TestQueueOrdering:
 
 class TestBackpressure:
     def test_reject_policy_raises_when_full(self, make_job):
-        q = FairPriorityQueue(capacity=1, policy=QueuePolicy.REJECT)
+        q = FairPriorityQueue(capacity=1)
         q.put(make_job())
         with pytest.raises(JobRejectedError, match="full"):
-            q.put(make_job())
-
-    def test_block_policy_waits_for_space(self, make_job):
-        q = FairPriorityQueue(capacity=1, policy="block")
-        q.put(make_job())
-        unblocked = []
-
-        def producer():
-            q.put(make_job())
-            unblocked.append(True)
-
-        t = threading.Thread(target=producer)
-        t.start()
-        time.sleep(0.05)
-        assert not unblocked, "producer must be blocked while full"
-        q.get(timeout=1.0)
-        t.join(timeout=5.0)
-        assert unblocked
-
-    def test_block_policy_put_timeout(self, make_job):
-        q = FairPriorityQueue(capacity=1, policy=QueuePolicy.BLOCK,
-                              put_timeout=0.05)
-        q.put(make_job())
-        with pytest.raises(JobRejectedError, match="still full"):
             q.put(make_job())
 
     def test_closed_queue_rejects(self, make_job):

@@ -12,6 +12,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.serve import SolutionCache, SolveService
+from repro.solvers import DEFAULT_DAMPING
 
 OPTS = {"damping": 0.8}
 
@@ -201,3 +202,39 @@ class TestWarmStart:
             assert snap["warm_start_audits"] == 1
             # A neighbor this close converges strictly faster than cold.
             assert snap["warm_start_iterations_saved"] > 0
+
+
+class TestDampingFold:
+    """Jacobi-family requests without a ``damping`` get
+    ``DEFAULT_DAMPING``, as an option in the cache key."""
+
+    @pytest.mark.parametrize("method", ["jacobi", "sharded"])
+    def test_missing_damping_folds_to_the_default(self, tiny_toggle_network,
+                                                  method):
+        with SolveService(tiny_toggle_network, method=method) as svc:
+            plain = svc.request({"degA": 1.1})
+            spelled = svc.request(
+                {"degA": 1.1}, solver_options={"damping": DEFAULT_DAMPING})
+            assert plain.solver_options == {"damping": DEFAULT_DAMPING}
+            assert plain.cache_key() == spelled.cache_key()
+
+    @pytest.mark.parametrize("damping", [1.0, 0.5])
+    def test_explicit_damping_wins(self, tiny_toggle_network, damping):
+        options = {"damping": damping}
+        with SolveService(tiny_toggle_network) as svc:
+            default = svc.request({"degA": 1.1})
+            per_request = svc.request({"degA": 1.1},
+                                      solver_options=options)
+            assert per_request.solver_options == options
+            assert per_request.cache_key() != default.cache_key()
+        with SolveService(tiny_toggle_network,
+                          solver_options=options) as svc:
+            service_level = svc.request({"degA": 1.1})
+        assert service_level.solver_options == options
+        assert service_level.cache_key() == per_request.cache_key()
+
+    @pytest.mark.parametrize("method", ["power", "fsp"])
+    def test_other_methods_carry_no_damping(self, tiny_toggle_network,
+                                            method):
+        with SolveService(tiny_toggle_network, method=method) as svc:
+            assert svc.request({"degA": 1.1}).solver_options == {}

@@ -14,6 +14,12 @@ on every backend at damping 0.9 and ``tol=1e-10``, plus random
 networks.  Each bound is 10x the L1 error the case had before the
 solvers called every backend through one sweep path (the results are
 bitwise unchanged by that rewiring), rounded up.
+
+The same bounds hold the answers a :class:`SolveService` serves, on
+its thread executor and on one process pool shared by every model's
+service, and a pair of requests the service batches into one
+shared-mode solve; and a checkpointed Jacobi solve stopped partway and
+resumed.
 """
 
 import numpy as np
@@ -27,7 +33,9 @@ from repro.cme.models import brusselator, phage_lambda, schnakenberg
 from repro.cme.models import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import StateSpace, enumerate_state_space
-from repro.solvers import BatchedJacobiSolver, JacobiSolver
+from repro.durability import CheckpointPolicy, Checkpointer, system_signature
+from repro.serve import ProcessSolverPool, SolveService
+from repro.solvers import DEFAULT_DAMPING, BatchedJacobiSolver, JacobiSolver
 from repro.solvers.result import StopReason
 from repro.sparse.base import as_csr
 from tests.cme.test_random_networks_property import random_networks
@@ -129,6 +137,73 @@ def test_batched_stacked_matches_oracle(case, backend):
         conditions, tol=TOL, damping=DAMPING,
         backend=backend).solve_many()
     assert_within(results, exacts, BOUNDS[name]["stacked"])
+
+
+@pytest.fixture(scope="module")
+def shared_pool():
+    """One process pool that every model's service solves on."""
+    with ProcessSolverPool(workers=1) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_served_solve_matches_oracle(case, executor, request):
+    """A service at its defaults folds ``DEFAULT_DAMPING`` into the
+    request and builds the same ``JacobiSolver`` a direct caller
+    would, on either executor."""
+    name, A, exact, _, _ = case
+    pool = request.getfixturevalue("shared_pool") \
+        if executor == "process" else None
+    with SolveService(MODELS[name][0](), tol=TOL, pool=pool) as svc:
+        served = svc.solve().result
+    assert_within([served], [exact], BOUNDS[name]["jacobi"])
+    direct = JacobiSolver(A, tol=TOL, damping=DEFAULT_DAMPING).solve()
+    np.testing.assert_array_equal(served.x, direct.x)
+    assert (served.iterations, served.residual) == \
+        (direct.iterations, direct.residual)
+
+
+def test_served_batch_matches_oracle(case):
+    """Two queued requests for one system, differing only in ``tol``,
+    answered by one shared-mode batched solve."""
+    name, _, exact, _, _ = case
+    svc = SolveService(MODELS[name][0](), batch_max=2, tol=TOL)
+    try:
+        # Stop the worker so both jobs queue, then play it by hand:
+        # the batch's composition is then exact, not a race.
+        svc._scheduler._stop.set()
+        for t in svc._scheduler._threads:
+            t.join(timeout=5.0)
+        jobs = [svc.submit(tol=TOL), svc.submit(tol=TOL / 10)]
+        primary = svc._scheduler.queue.get(timeout=0)
+        assert primary is jobs[0] and primary.mark_running()
+        primary.finish(svc._execute(primary))
+        assert svc.snapshot()["batched"] == 1
+        results = [job.result(timeout=0).result for job in jobs]
+    finally:
+        svc.close(wait=False)
+    assert_within(results, [exact, exact], BOUNDS[name]["shared"])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_resumed_jacobi_matches_oracle(case, backend, tmp_path):
+    name, A, exact, _, _ = case
+    options = dict(tol=TOL, damping=DAMPING, backend=backend)
+    signature = system_signature(as_csr(A), method="jacobi", tol=TOL)
+
+    def checkpointer(resume):
+        return Checkpointer(tmp_path, resume=resume, signature=signature,
+                            policy=CheckpointPolicy(every_iterations=50))
+
+    uninterrupted = JacobiSolver(A, **options).solve()
+    stopped = JacobiSolver(
+        A, max_iterations=uninterrupted.iterations // 2, **options).solve(
+            checkpointer=checkpointer(False))
+    assert stopped.stop_reason is StopReason.MAX_ITERATIONS
+    resumed_ck = checkpointer(True)
+    resumed = JacobiSolver(A, **options).solve(checkpointer=resumed_ck)
+    assert resumed_ck.resumed_from is not None
+    assert_within([resumed], [exact], BOUNDS[name]["jacobi"])
 
 
 @pytest.mark.xfail(strict=True, reason=(
