@@ -121,33 +121,8 @@ class FspResult:
         """Total inner-solver iterations across all rounds."""
         return sum(r.iterations for r in self.rounds)
 
-    def to_solver_result(self) -> SolverResult:
-        """Present the FSP outcome through the unified solver result.
-
-        ``residual_history`` carries one entry per round at cumulative
-        iteration count, so downstream consumers (serve payloads, the
-        CLI) see the round trajectory where they expect a residual
-        curve.
-        """
-        history: list[tuple[int, float]] = []
-        cum = 0
-        for r in self.rounds:
-            cum += r.iterations
-            history.append((cum, r.residual))
-        last = self.rounds[-1] if self.rounds else None
-        reason = (StopReason.CONVERGED if self.converged
-                  else StopReason.TIMED_OUT if self.reason == "timed_out"
-                  else StopReason.DIVERGED
-                  if self.reason == "solver_diverged"
-                  else StopReason.MAX_ITERATIONS)
-        return SolverResult(
-            x=self.x, iterations=cum,
-            residual=last.residual if last else float("inf"),
-            stop_reason=reason, residual_history=history,
-            runtime_s=self.runtime_s)
-
     def payload(self) -> dict:
-        """The JSON-ready summary serve responses and the CLI attach."""
+        """The JSON-ready summary ``repro fsp --out`` writes."""
         return {
             "method": "fsp",
             "solver": self.method,

@@ -33,10 +33,6 @@ Injection sites
     and ships the directive inside the task, so the worker actually
     ``os._exit``\\ s (a kill no in-process handler can absorb) and the
     parent's death-detection/respawn path is what gets exercised.
-``serve.admission``
-    Force the admission controller to reject a submission (kind
-    ``reject``) — a synthetic over-rate burst, independent of any
-    configured token bucket.
 ``shard.worker``
     Kill (kind ``kill``) or stall (kind ``stall``) one shard worker of
     the sharded Jacobi solver at the start of a sweep.  Indices match
@@ -100,7 +96,7 @@ from repro.telemetry.metrics import get_registry
 #: Every site an injector knows how to hit.
 SITES = ("solver.iterate", "gpusim.launch", "serve.worker", "serve.cache",
          "shard.worker", "checkpoint.write", "serve.journal", "shard.parent",
-         "serve.pool", "serve.admission")
+         "serve.pool")
 
 #: Fault kinds accepted per site.
 SITE_KINDS = {
@@ -113,7 +109,6 @@ SITE_KINDS = {
     "serve.journal": ("truncate",),
     "shard.parent": ("kill",),
     "serve.pool": ("kill", "stall"),
-    "serve.admission": ("reject",),
 }
 
 #: The error a failing site raises (kinds ``raise``/``kill``).

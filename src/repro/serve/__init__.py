@@ -4,20 +4,14 @@ Turns the paper's exploratory workload (Section I: thousands of rate
 conditions of one network) into a job-serving layer with
 content-addressed caching, nearest-neighbor warm starting, and a
 bounded, backpressured worker pool fed by one weighted fair queue
-(:mod:`repro.serve.fairness`, which also holds token-bucket admission
-control).  An asyncio front door (:class:`AsyncSolveService`) and a
-multi-process solver pool (:class:`ProcessSolverPool`) layer on top of
-the same :class:`SolveService`.  See DESIGN.md §8 and §16 and
+(:mod:`repro.serve.fairness`).  :class:`SolveService` runs its solves
+on its own worker threads or on a multi-process solver pool
+(:class:`ProcessSolverPool`).  See DESIGN.md §8 and §16 and
 :mod:`repro.serve.service` for the architecture.
 """
 
-from repro.serve.async_service import AsyncSolveService
 from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
-from repro.serve.fairness import (
-    AdmissionController,
-    FairPriorityQueue,
-    TokenBucket,
-)
+from repro.serve.fairness import FairPriorityQueue
 from repro.serve.jobs import (
     JobState,
     SolveJob,
@@ -31,8 +25,6 @@ from repro.serve.service import SolveService
 from repro.serve.warmstart import WarmStartHint, WarmStartIndex
 
 __all__ = [
-    "AdmissionController",
-    "AsyncSolveService",
     "CacheEntry",
     "FairPriorityQueue",
     "JobState",
@@ -44,7 +36,6 @@ __all__ = [
     "SolveRequest",
     "SolveScheduler",
     "SolveService",
-    "TokenBucket",
     "WarmStartHint",
     "WarmStartIndex",
     "state_space_layout",

@@ -1,22 +1,14 @@
-"""Multi-tenant admission control and the service's fair queue.
+"""The service's multi-tenant fair queue.
 
-Two mechanisms sit in front of the scheduler:
-
-*   :class:`AdmissionController` — per-tenant :class:`TokenBucket`
-    rate limits at the front door.  A tenant over its configured rate
-    sees :class:`~repro.errors.JobRejectedError` *before* any cache or
-    queue work happens, so an abusive client cannot consume shared
-    capacity it will be refused anyway.
-*   :class:`FairPriorityQueue` — the service's bounded queue, running
-    deficit round robin (DRR) across per-tenant priority heaps.  Jobs
-    have unit cost (one solve), so DRR reduces to weighted round
-    robin with per-tenant credit counters: each scheduling round a
-    tenant may be served up to ``weight`` jobs, and the round
-    replenishes only when every backlogged tenant has exhausted its
-    credit.  A tenant with weight ``w`` therefore gets at least
-    ``w / sum(weights of backlogged tenants)`` of the service no
-    matter how much load its neighbors offer — the starvation bound
-    the fairness tests assert.
+:class:`FairPriorityQueue` is the service's bounded queue, running
+deficit round robin (DRR) across per-tenant priority heaps.  Jobs have
+unit cost (one solve), so DRR reduces to weighted round robin with
+per-tenant credit counters: each scheduling round a tenant may be
+served up to ``weight`` jobs, and the round replenishes only when
+every backlogged tenant has exhausted its credit.  A tenant with
+weight ``w`` therefore gets at least ``w / sum(weights of backlogged
+tenants)`` of the service no matter how much load its neighbors offer
+— the starvation bound the fairness tests assert.
 
 Within a tenant, ordering is lowest ``priority`` first, FIFO within a
 priority, so single-tenant traffic is a plain priority queue.  The
@@ -37,103 +29,7 @@ from typing import Mapping
 from repro.errors import JobRejectedError, ValidationError
 from repro.serve.jobs import JobState, SolveJob, _QueueItem
 
-__all__ = ["AdmissionController", "FairPriorityQueue", "TokenBucket"]
-
-
-class TokenBucket:
-    """A thread-safe token bucket: ``rate`` tokens/s up to ``burst``.
-
-    The bucket starts full, so a fresh tenant can burst immediately;
-    refill is continuous (fractional tokens accumulate between
-    acquisitions).
-    """
-
-    def __init__(self, rate: float, burst: float | None = None):
-        if not rate > 0.0:
-            raise ValidationError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None \
-            else max(1.0, self.rate)
-        if self.burst < 1.0:
-            raise ValidationError(
-                f"burst must admit at least one job, got {self.burst}")
-        self._tokens = self.burst
-        self._last = time.monotonic()
-        self._lock = threading.Lock()
-
-    def try_acquire(self, amount: float = 1.0) -> bool:
-        """Take *amount* tokens if available; never blocks."""
-        with self._lock:
-            now = time.monotonic()
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._last) * self.rate)
-            self._last = now
-            if self._tokens >= amount:
-                self._tokens -= amount
-                return True
-            return False
-
-    @property
-    def tokens(self) -> float:
-        """Current (refilled) token balance — diagnostics only."""
-        with self._lock:
-            now = time.monotonic()
-            return min(self.burst,
-                       self._tokens + (now - self._last) * self.rate)
-
-
-class AdmissionController:
-    """Per-tenant token buckets gating submissions.
-
-    ``limits`` maps a tenant id to a rate in jobs/s, or to a
-    ``(rate, burst)`` pair.  The special tenant ``"*"`` sets the
-    default for unlisted tenants (each unlisted tenant gets its *own*
-    bucket at that limit); without a ``"*"`` entry, unlisted tenants
-    are unthrottled.
-    """
-
-    def __init__(self, limits: Mapping):
-        self._lock = threading.Lock()
-        self._limits: dict[str, tuple[float, float | None]] = {}
-        self._buckets: dict[str, TokenBucket] = {}
-        for tenant, limit in dict(limits or {}).items():
-            self._limits[str(tenant)] = self._parse(tenant, limit)
-        # Fail fast on bad numbers (TokenBucket validates), tenant by
-        # tenant, before any traffic arrives.
-        for tenant, (rate, burst) in self._limits.items():
-            if tenant != "*":
-                self._buckets[tenant] = TokenBucket(rate, burst)
-            else:
-                TokenBucket(rate, burst)
-
-    @staticmethod
-    def _parse(tenant, limit) -> tuple[float, float | None]:
-        if isinstance(limit, (tuple, list)):
-            if len(limit) != 2:
-                raise ValidationError(
-                    f"admission limit for {tenant!r} must be a rate or "
-                    f"a (rate, burst) pair, got {limit!r}")
-            return float(limit[0]), float(limit[1])
-        return float(limit), None
-
-    def admit(self, tenant: str) -> bool:
-        """Whether *tenant* may submit one more job right now."""
-        tenant = str(tenant)
-        with self._lock:
-            bucket = self._buckets.get(tenant)
-            if bucket is None:
-                default = self._limits.get("*")
-                if default is None:
-                    return True
-                bucket = TokenBucket(*default)
-                self._buckets[tenant] = bucket
-        return bucket.try_acquire()
-
-    def snapshot(self) -> dict:
-        """Per-tenant token balances (diagnostics)."""
-        with self._lock:
-            buckets = dict(self._buckets)
-        return {tenant: round(b.tokens, 3) for tenant, b in buckets.items()}
+__all__ = ["FairPriorityQueue"]
 
 
 class _TenantLane:

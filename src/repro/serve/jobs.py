@@ -36,9 +36,6 @@ from repro.solvers.result import SolverResult
 SOLVER_OPTION_KEYS = frozenset({
     "damping", "check_interval", "normalize_interval", "stagnation_tol",
     "backend",
-    # method="sharded" knobs, rejected by the other solvers' ctors only
-    # if actually passed — the service forwards options verbatim.
-    "shards", "sync",
 })
 
 
@@ -184,18 +181,9 @@ class JobState(enum.Enum):
 class SolveOutcome:
     """What a finished job hands back to the caller.
 
-    ``degraded=True`` marks an *approximate* answer served from a
-    nearby cached solution under load shedding (saturated queue or an
-    open circuit breaker) — callers needing the exact steady state must
-    resubmit once the service recovers.
-
-    Adaptive-FSP answers (``method="fsp"``) additionally carry their
-    certificate: ``truncation_mass`` is the certified upper bound on
-    the stationary probability outside the answer's projection, and
-    ``fsp`` is the :meth:`repro.fsp.FspResult.payload` dict (projection
-    size trajectory, per-round bounds, states added/pruned).  Both stay
-    ``None`` for fixed-capacity answers, whose landscape covers the
-    whole enumerated space.
+    ``degraded`` is always ``False``: the service serves no approximate
+    answers.  The field stays while the benchmark ledger still reads
+    it.
     """
 
     result: SolverResult
@@ -205,8 +193,6 @@ class SolveOutcome:
     warm_started: bool = False
     solve_seconds: float = 0.0
     degraded: bool = False
-    truncation_mass: float | None = None
-    fsp: dict | None = None
 
 
 class SolveJob:
@@ -214,7 +200,7 @@ class SolveJob:
 
     Lower ``priority`` values are served first; ties break by
     submission order (FIFO).  ``tenant`` identifies the submitter for
-    admission control and weighted fair queuing; it never participates
+    weighted fair queuing; it never participates
     in the cache key (two tenants asking the same question share one
     answer).
     """
@@ -277,10 +263,9 @@ class SolveJob:
         Fires immediately (on the calling thread) when already
         terminal; otherwise on whichever thread completes the job — a
         worker thread, or the submitter for cache hits and
-        cancellations.  Callbacks must be cheap and never block; the
-        asyncio façade bridges into the event loop with
-        ``loop.call_soon_threadsafe``.  Callback exceptions are
-        swallowed so one bad observer cannot fail the completion path.
+        cancellations.  Callbacks must be cheap and never block.
+        Callback exceptions are swallowed so one bad observer cannot
+        fail the completion path.
         """
         with self._lock:
             if not self._done.is_set():

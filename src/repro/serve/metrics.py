@@ -48,14 +48,11 @@ COUNTER_NAMES = (
     "batched",          # companion jobs coalesced into a batched solve
     "warm_started",     # solves seeded from a neighbor
     "cold_started",     # solves from the uniform vector
-    "degraded",         # approximate answers served under load shedding
     "breaker_open",     # attempts shed by the open circuit breaker
     "deadline_expired", # jobs whose propagated deadline lapsed pre/mid-solve
     "worker_faults",    # injected worker kills/stalls observed
-    "fsp_solved",       # adaptive-FSP jobs answered with a certificate
     "cache_faults",     # injected cache misses observed
     "journal_replayed", # accepted-but-unfinished jobs replayed on restart
-    "admission_rejected",  # submissions refused by the token buckets
     "pool_respawns",    # dead pool worker processes replaced
 )
 

@@ -243,7 +243,13 @@ class ProcessSolverPool:
         self._closed = False
         self._handles = [_WorkerHandle(i) for i in range(self.workers)]
         for handle in self._handles:
-            self._start_worker(handle)
+            try:
+                self._start_worker(handle)
+            except BaseException:
+                # No pool object reaches the caller, so nothing else
+                # could ever stop the workers already running.
+                self._stop_workers(self._handles[:handle.idx])
+                raise
         self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
         for handle in self._handles:
             self._idle.put(handle)
@@ -287,10 +293,15 @@ class ProcessSolverPool:
             if self._closed:
                 return
             self._closed = True
-        for handle in self._handles:
+        self._stop_workers(self._handles)
+
+    @staticmethod
+    def _stop_workers(handles: list[_WorkerHandle]) -> None:
+        """Ask each worker to stop, then join it (terminating stragglers)."""
+        for handle in handles:
             with contextlib.suppress(OSError):
                 handle.conn.send(("stop",))
-        for handle in self._handles:
+        for handle in handles:
             handle.proc.join(timeout=2.0)
             if handle.proc.is_alive():
                 handle.proc.terminate()

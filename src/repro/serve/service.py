@@ -49,7 +49,6 @@ from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import StateSpace, enumerate_state_space
 from repro.errors import (
     CircuitOpenError,
-    JobRejectedError,
     JobTimeoutError,
     SingularSystemError,
     SolveJobError,
@@ -60,7 +59,7 @@ from repro.resilience.backoff import RetryPolicy
 from repro.resilience.circuit import CircuitBreaker
 from repro.resilience.faults import active_injector
 from repro.serve.cache import CacheEntry, SolutionCache, state_space_layout
-from repro.serve.fairness import AdmissionController, FairPriorityQueue
+from repro.serve.fairness import FairPriorityQueue
 from repro.serve.jobs import (
     SolveJob,
     SolveOutcome,
@@ -71,7 +70,7 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import ProcessSolverPool, SolveTask, run_task
 from repro.serve.scheduler import SolveScheduler
 from repro.serve.warmstart import WarmStartIndex, blend_donors
-from repro.solvers import DEFAULT_DAMPING, SOLVER_REGISTRY
+from repro.solvers import DEFAULT_DAMPING
 from repro.solvers.result import SolverResult, StopReason
 from repro.telemetry import tracing
 
@@ -81,14 +80,6 @@ log = logging.getLogger("repro.serve")
 #: is a few MB; 64 conditions bound the worst case while covering any
 #: realistic retry/duplicate pattern).
 MATRIX_MEMO_ENTRIES = 64
-
-#: Options ``SolveService(method="fsp", fsp_options=...)`` accepts —
-#: the :class:`repro.fsp.AdaptiveFspController` knobs that are not
-#: already carried per-request (tol, max_iterations, solver_options).
-FSP_OPTION_KEYS = frozenset({
-    "fsp_tol", "initial_size", "max_rounds", "prune_mass", "safety",
-    "expand_depth", "max_new_states", "max_states", "method",
-})
 
 
 class _Workspace:
@@ -155,6 +146,12 @@ class _Workspace:
 class SolveService:
     """Concurrent, cached, warm-starting steady-state solve service.
 
+    Every answer is a Jacobi solve of the full enumerated space
+    (:class:`~repro.solvers.JacobiSolver`, or one
+    :class:`~repro.solvers.batched.BatchedJacobiSolver` for a batch);
+    adaptive FSP has its own entry points,
+    :class:`repro.fsp.AdaptiveFspController` and ``repro fsp``.
+
     Parameters
     ----------
     network:
@@ -182,26 +179,6 @@ class SolveService:
         Extra attempts per job after the first, spaced by
         :class:`repro.resilience.backoff.RetryPolicy`'s exponential
         backoff with seeded jitter.
-    method:
-        Solver method (a :data:`repro.solvers.SOLVER_REGISTRY` key:
-        ``"jacobi"``, ``"gauss-seidel"``, ``"power"``, ``"resilient"``
-        or ``"sharded"``, the domain-decomposed process-pool Jacobi) —
-        or ``"fsp"`` for adaptive Finite State Projection.  FSP jobs never enumerate the full buffered space:
-        each runs the :class:`repro.fsp.AdaptiveFspController`
-        projection loop and answers with a landscape over the final
-        projection plus a certified ``truncation_mass``; the full-space
-        cache, warm-start index and batching do not apply.
-    fsp_options:
-        Controller knobs for ``method="fsp"`` (a subset of
-        :data:`FSP_OPTION_KEYS`: ``fsp_tol``, ``initial_size``,
-        ``max_rounds``, ``prune_mass``, ``safety``, ``expand_depth``,
-        ``max_new_states``, ``max_states``, and the inner solver
-        ``method``).  Rejected for fixed-capacity methods.
-    degraded_mode:
-        When the queue is saturated or the breaker is open, serve the
-        nearest already-solved neighbor's landscape (requires
-        ``warm_start``) as an *approximate* answer flagged
-        ``degraded=True`` instead of failing the submission.
     warm_audit_interval:
         Every Nth warm-started solve is *audited*: the uniform-start
         solve runs alongside on the same system and the measured
@@ -210,7 +187,7 @@ class SolveService:
         solve each, so the default samples 1 in 8; set ``1`` to audit
         every warm start, ``0`` to disable auditing.
     batch_max:
-        When > 1 (and ``method="jacobi"``), a worker picking up a job
+        When > 1, a worker picking up a job
         also *drains* up to ``batch_max - 1`` queued jobs describing
         the same linear system
         (:meth:`SolveRequest.matrix_key`) with the same loop parameters
@@ -222,10 +199,9 @@ class SolveService:
         for an individual attempt.  ``1`` (default) disables batching.
     tol, max_iterations, solver_options:
         Request defaults (overridable per submit).  The kernel backend
-        is chosen with ``solver_options={"backend": ...}``.  A
-        ``"jacobi"`` or ``"sharded"`` request whose options carry no
-        ``damping`` gets :data:`~repro.solvers.DEFAULT_DAMPING` (see
-        :meth:`request`).
+        is chosen with ``solver_options={"backend": ...}``.  A request
+        whose options carry no ``damping`` gets
+        :data:`~repro.solvers.DEFAULT_DAMPING` (see :meth:`request`).
     reuse_state_space:
         Rebind one enumerated state space to every rate condition, as
         in :class:`repro.sweep.ParameterSweep`.
@@ -250,10 +226,7 @@ class SolveService:
         worker *processes*, so K workers run K native solve loops with
         no shared GIL.  Matrices ship to a worker once per linear
         system (content-keyed) and stay resident, so repeated
-        conditions pay no re-pickling.  ``"process"`` does not combine
-        with ``method="fsp"`` (the projection loop is not
-        pool-shippable) or ``method="sharded"`` (itself a process
-        pool).
+        conditions pay no re-pickling.
     pool:
         A preconstructed (possibly shared) pool to dispatch to;
         implies ``executor="process"``.  The service never closes a
@@ -266,19 +239,12 @@ class SolveService:
         cannot starve a light one regardless of arrival rates.
         Unlisted tenants queue at weight 1; without a map every tenant
         does, so the backlogs of two tenants alternate.
-    admission:
-        Per-tenant token-bucket admission control, as the ``limits``
-        mapping of an :class:`~repro.serve.fairness.AdmissionController`
-        (``tenant -> rate`` or ``tenant -> (rate, burst)``; key ``"*"``
-        sets the default for unlisted tenants).  Over-rate submissions
-        raise :class:`~repro.errors.JobRejectedError` at the front door
-        — before the cache, the journal and the queue.
 
     Every attempt runs behind a
     :class:`~repro.resilience.circuit.CircuitBreaker` at its default
     settings: after five consecutive attempt failures the service sheds
-    further attempts (fail-fast :class:`~repro.errors.CircuitOpenError`,
-    or degraded answers) until 30 s have passed and a probe succeeds.
+    further attempts (fail-fast :class:`~repro.errors.CircuitOpenError`)
+    until 30 s have passed and a probe succeeds.
     """
 
     def __init__(self, network: ReactionNetwork, *, workers: int = 1,
@@ -287,20 +253,16 @@ class SolveService:
                  queue_capacity: int = 1024,
                  timeout_s: float | None = None,
                  retries: int = 0,
-                 method: str = "jacobi",
-                 degraded_mode: bool = False,
                  warm_audit_interval: int = 8,
                  batch_max: int = 1,
                  tol: float = 1e-8, max_iterations: int = 200_000,
                  solver_options: Mapping | None = None,
-                 fsp_options: Mapping | None = None,
                  reuse_state_space: bool = True,
                  journal: JobJournal | str | Path | None = None,
                  metrics_registry=None,
                  executor: str = "thread",
                  pool: ProcessSolverPool | None = None,
-                 tenant_weights: Mapping[str, int] | None = None,
-                 admission: Mapping | None = None):
+                 tenant_weights: Mapping[str, int] | None = None):
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
         self.network = network
@@ -325,52 +287,14 @@ class SolveService:
         self.batch_max = int(batch_max)
         self._warm_count = itertools.count()
         self.timeout_s = timeout_s
-        self.method = str(method).lower().replace("_", "-")
-        if self.method == "fsp":
-            # Adaptive FSP is a *projection loop*, not a registry
-            # solver: its answers live on per-job projections, so the
-            # full-space machinery (cache lines keyed to the enumerated
-            # layout, warm-start donors, batching) cannot apply.
-            if self.warm_start:
-                raise ValidationError(
-                    "warm_start does not combine with method='fsp': warm "
-                    "starting is internal to the projection loop")
-            if batch_max > 1:
-                raise ValidationError(
-                    "batch_max does not combine with method='fsp'")
-            bad = set(fsp_options or {}) - FSP_OPTION_KEYS
-            if bad:
-                raise ValidationError(
-                    f"unknown fsp options {sorted(bad)}; expected a "
-                    f"subset of {sorted(FSP_OPTION_KEYS)}")
-        elif self.method in SOLVER_REGISTRY:
-            if fsp_options:
-                raise ValidationError(
-                    "fsp_options only apply to method='fsp'")
-        else:
-            raise ValidationError(
-                f"unknown solver method {method!r}; expected 'fsp' or "
-                f"one of {sorted(SOLVER_REGISTRY)}")
-        self.fsp_options = dict(fsp_options or {})
         executor = str(executor).lower()
         if executor not in ("thread", "process"):
             raise ValidationError(
                 f"executor must be 'thread' or 'process', got {executor!r}")
         if pool is not None:
             executor = "process"
-        if executor == "process" and self.method in ("fsp", "sharded"):
-            raise ValidationError(
-                f"executor='process' does not combine with "
-                f"method={self.method!r}: FSP's projection loop is not "
-                f"pool-shippable and the sharded solver is itself a "
-                f"process pool")
         self.executor = executor
-        self._breaker = CircuitBreaker(name=f"solve.{self.method}")
-        self.degraded_mode = bool(degraded_mode)
-        if self.degraded_mode and not warm_start:
-            raise ValidationError(
-                "degraded_mode needs warm_start for nearest-neighbor "
-                "donor answers")
+        self._breaker = CircuitBreaker(name="solve.jacobi")
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.solver_options = dict(solver_options or {})
@@ -378,8 +302,6 @@ class SolveService:
         self._workspace = _Workspace(network,
                                      reuse_state_space=reuse_state_space)
         self._warm_index = WarmStartIndex() if self.warm_start else None
-        self._admission = (None if admission is None
-                           else AdmissionController(admission))
         self._inflight: dict[str, SolveJob] = {}
         self._lock = threading.Lock()
         self._job_seq = itertools.count(1)
@@ -499,22 +421,18 @@ class SolveService:
                 solver_options: Mapping | None = None) -> SolveRequest:
         """Build a request with this service's defaults filled in.
 
-        A ``"jacobi"`` or ``"sharded"`` request whose effective solver
-        options carry no ``damping`` gets
-        :data:`~repro.solvers.DEFAULT_DAMPING` here, so it participates
+        A request whose effective solver options carry no ``damping``
+        gets :data:`~repro.solvers.DEFAULT_DAMPING` here, so it participates
         in the cache key like any other option and identical requests
         keep colliding onto one line; an explicit ``damping``
         (``1.0`` included) wins.  Undamped Jacobi stagnates on
         bipartite-structured systems: the toggle switch at symmetric
         rate points oscillates between its two modes for >100k
         iterations where ``damping=0.9`` converges in a few hundred.
-        ``method="fsp"`` jobs get the same damping from the FSP
-        controller's own inner-solve default.
         """
         options = dict(self.solver_options if solver_options is None
                        else solver_options)
-        if self.method in ("jacobi", "sharded"):
-            options.setdefault("damping", DEFAULT_DAMPING)
+        options.setdefault("damping", DEFAULT_DAMPING)
         return SolveRequest(
             self.network, overrides,
             tol=self.tol if tol is None else tol,
@@ -533,18 +451,14 @@ class SolveService:
         Cache hits complete the returned job synchronously; a submit
         whose key matches an in-flight job returns *that* job
         (single-flight).  A full queue raises
-        :class:`~repro.errors.JobRejectedError` — unless
-        ``degraded_mode`` can serve a nearby approximate answer
-        instead.  ``deadline_s`` propagates an end-to-end deadline into
-        the worker: whatever remains of it when an attempt starts caps
-        the solver's ``time_budget_s``.
+        :class:`~repro.errors.JobRejectedError`.  ``deadline_s``
+        propagates an end-to-end deadline into the worker: whatever
+        remains of it when an attempt starts caps the solver's
+        ``time_budget_s``.
 
-        ``tenant`` identifies the submitter for admission control and
-        fair queuing; an over-rate tenant is refused at the front door
-        (before the cache and the journal) with
-        :class:`~repro.errors.JobRejectedError`, never served a
-        degraded answer.  The tenant does not participate in the cache
-        key, so tenants asking the same question share one answer.
+        ``tenant`` identifies the submitter for fair queuing.  It does
+        not participate in the cache key, so tenants asking the same
+        question share one answer.
         """
         if self._closed:
             raise SolveJobError("service is closed")
@@ -552,30 +466,12 @@ class SolveService:
             raise ValidationError(
                 f"deadline_s must be positive, got {deadline_s}")
         tenant = str(tenant) or "default"
-        injector = active_injector()
-        forced = (injector is not None
-                  and injector.active_for("serve.admission")
-                  and injector.maybe_fail(
-                      "serve.admission", detail=tenant) is not None)
-        if forced or (self._admission is not None
-                      and not self._admission.admit(tenant)):
-            self.metrics.incr("admission_rejected")
-            self.metrics.incr("rejected")
-            self.metrics.incr_tenant(tenant, "admission_rejected")
-            raise JobRejectedError(
-                f"tenant {tenant!r} refused admission"
-                + (" (injected fault)" if forced
-                   else ": token bucket empty"),
-                failure={"tenant": tenant, "reason": "admission"})
         req = self.request(overrides, tol=tol, max_iterations=max_iterations,
                            solver_options=solver_options)
         key = req.cache_key()
         self.metrics.incr("submitted")
 
-        # FSP answers are projection-shaped; the cache is keyed to the
-        # full enumerated layout (and the lookup would *trigger* that
-        # enumeration), so FSP submissions go straight to single-flight.
-        if self.cache is not None and self.method != "fsp":
+        if self.cache is not None:
             injector = active_injector()
             if injector is not None \
                     and injector.active_for("serve.cache") \
@@ -607,25 +503,20 @@ class SolveService:
             # Write-ahead: the accept record is durable *before* the
             # job can enter the scheduler, so a crash at any later
             # point leaves an open entry the next process replays.
-            self.journal.accepted(
-                key, self._journal_payload(req, priority, tenant))
+            try:
+                self.journal.accepted(
+                    key, self._journal_payload(req, priority, tenant))
+            except BaseException:
+                # Nothing was accepted: a later identical submit must
+                # not coalesce onto a job that will never run.
+                self._release(job)
+                job.cancel()
+                raise
         try:
             self._scheduler.submit(job)
         except SolveJobError:
-            with self._lock:
-                if self._inflight.get(key) is job:
-                    del self._inflight[key]
+            self._release(job)
             self.metrics.incr("rejected")
-            if self.degraded_mode:
-                outcome = self._degraded_outcome(job)
-                if outcome is not None:
-                    self.metrics.incr("degraded")
-                    job.finish(outcome)
-                    self.metrics.observe_solve_latency(0.0)
-                    self.metrics.incr_tenant(tenant, "completed")
-                    if self.journal is not None:
-                        self.journal.completed(key)
-                    return job
             if self.journal is not None:
                 self.journal.cancelled(key)
             job.cancel()
@@ -671,11 +562,6 @@ class SolveService:
                 raise
         if not self._breaker.allow():
             self.metrics.incr("breaker_open")
-            if self.degraded_mode:
-                outcome = self._degraded_outcome(job)
-                if outcome is not None:
-                    self.metrics.incr("degraded")
-                    return outcome
             raise CircuitOpenError(
                 f"job {job.id} shed: {self._breaker.name} breaker open "
                 f"after repeated failures", key=job.key,
@@ -710,8 +596,6 @@ class SolveService:
         timeout) is returned/raised exactly as in a solo solve, so its
         retry/breaker handling is the same either way.
         """
-        if self.method == "fsp":
-            return self._execute_fsp(job)
         req = job.request
         t0 = time.perf_counter()
         time_budget_s = self._attempt_budget(job)
@@ -737,11 +621,11 @@ class SolveService:
             warm = x0 is not None
 
             companions: list[SolveJob] = []
-            if self.batch_max > 1 and self.method == "jacobi":
+            if self.batch_max > 1:
                 companions = self._drain_companions(job)
                 self.metrics.incr("batched", len(companions))
             task = SolveTask(
-                method=self.method, tol=req.tol,
+                method="jacobi", tol=req.tol,
                 max_iterations=req.max_iterations,
                 options=req.solver_options, x0=x0,
                 time_budget_s=time_budget_s,
@@ -830,55 +714,6 @@ class SolveService:
             key=job.key, cached=False, warm_started=warm,
             solve_seconds=time.perf_counter() - t0)
 
-    # -- adaptive FSP execution ----------------------------------------------
-
-    def _execute_fsp(self, job: SolveJob) -> SolveOutcome:
-        """One adaptive-FSP attempt: the projection loop as a job.
-
-        The answer's landscape lives on the loop's final projection
-        (typically a strict subset of the buffered space) and the
-        outcome carries the certified ``truncation_mass`` plus the
-        round trajectory.  An expired budget surfaces as the same
-        :class:`~repro.errors.JobTimeoutError` the fixed-capacity path
-        raises, so retry and breaker handling are identical.
-        """
-        from repro.fsp import AdaptiveFspController
-
-        req = job.request
-        t0 = time.perf_counter()
-        time_budget_s = self._attempt_budget(job)
-        with tracing.span("serve.execute_fsp", job=job.id,
-                          key=job.key[:12]) as ex_span:
-            opts = dict(self.fsp_options)
-            inner_method = opts.pop("method", "jacobi")
-            controller = AdaptiveFspController(
-                req.varied_network(), tol=req.tol,
-                max_iterations=req.max_iterations,
-                method=inner_method,
-                solver_options=req.solver_options, **opts)
-            solve_t0 = time.perf_counter()
-            fsp = controller.solve(time_budget_s=time_budget_s)
-            self.metrics.observe_stage(
-                "solve", time.perf_counter() - solve_t0)
-            result = fsp.to_solver_result()
-            ex_span.set_attribute("rounds", len(fsp.rounds))
-            ex_span.set_attribute("final_states", fsp.space.size)
-            ex_span.set_attribute("truncation_mass", fsp.truncation_mass)
-            if fsp.reason == "timed_out":
-                raise JobTimeoutError(
-                    f"job {job.id} exceeded its {time_budget_s:.3g}s budget "
-                    f"after {len(fsp.rounds)} FSP rounds", key=job.key,
-                    iterations=result.iterations, residual=result.residual)
-            self.metrics.incr("fsp_solved")
-            self.metrics.incr("cold_started")
-            return SolveOutcome(
-                result=result,
-                landscape=ProbabilityLandscape(fsp.space, fsp.x),
-                key=job.key, cached=False, warm_started=False,
-                solve_seconds=time.perf_counter() - t0,
-                truncation_mass=fsp.truncation_mass,
-                fsp=fsp.payload())
-
     # -- batched execution ---------------------------------------------------
 
     def _drain_companions(self, primary: SolveJob) -> list[SolveJob]:
@@ -950,9 +785,7 @@ class SolveService:
             warm_iterations=warm_result.iterations)
 
     def _on_done(self, job: SolveJob, error: SolveJobError | None) -> None:
-        with self._lock:
-            if self._inflight.get(job.key) is job:
-                del self._inflight[job.key]
+        self._release(job)
         if self.journal is not None:
             # Terminal record: pairs with the job's (possibly
             # previous-process) accept, closing the journal entry.
@@ -1043,7 +876,7 @@ class SolveService:
                                     "solver_options"),
                                 tenant=tenant)
                 continue
-            if self.cache is not None and self.method != "fsp":
+            if self.cache is not None:
                 entry = self.cache.get(key,
                                        layout=self._workspace.layout())
                 if entry is not None:
@@ -1061,9 +894,7 @@ class SolveService:
             try:
                 self._scheduler.submit(job)
             except SolveJobError as exc:
-                with self._lock:
-                    if self._inflight.get(key) is job:
-                        del self._inflight[key]
+                self._release(job)
                 log.warning("journal entry %s could not be re-admitted "
                             "(%s); cancelling", key[:12], exc)
                 self.journal.cancelled(key)
@@ -1085,6 +916,12 @@ class SolveService:
         return SolveJob(req, job_id=next(self._job_seq), priority=priority,
                         tenant=tenant)
 
+    def _release(self, job: SolveJob) -> None:
+        """Drop *job* from the single-flight map if it still holds it."""
+        with self._lock:
+            if self._inflight.get(job.key) is job:
+                del self._inflight[job.key]
+
     def _outcome_from_entry(self, req: SolveRequest,
                             entry: CacheEntry) -> SolveOutcome:
         result = entry.to_result()
@@ -1095,47 +932,18 @@ class SolveService:
             key=entry.key, cached=True, warm_started=False,
             solve_seconds=0.0)
 
-    def _degraded_outcome(self, job: SolveJob) -> SolveOutcome | None:
-        """The nearest solved neighbor's landscape as an approximate
-        answer (``degraded=True``), or ``None`` when no donor exists.
-
-        The outcome keeps the *donor's* key so callers can tell which
-        cached solution actually answered, while the job retains the
-        requested key.
-        """
-        if self._warm_index is None or self.cache is None:
-            return None
-        hints = self._warm_index.select_donors(
-            job.request.log_rate_vector(), k=1, exclude_key=job.key)
-        for hint in hints:
-            entry = self.cache.peek(hint.key,
-                                    layout=self._workspace.layout())
-            if entry is None:
-                continue
-            result = entry.to_result()
-            space = self._workspace.space_for(job.request)
-            return SolveOutcome(
-                result=result,
-                landscape=ProbabilityLandscape(space, result.x),
-                key=entry.key, cached=True, warm_started=False,
-                solve_seconds=0.0, degraded=True)
-        return None
-
     def snapshot(self) -> dict:
         """Metrics snapshot with cache, breaker and journal merged in.
 
-        Services running concurrency machinery get extra sections:
-        ``pool`` (dispatch/respawn accounting), ``admission``
-        (per-tenant token-bucket levels) and ``tenants`` (per-tenant
-        completion counters) appear when configured.
+        A process-executor service adds a ``pool`` section
+        (dispatch/respawn accounting), and ``tenants`` holds per-tenant
+        completion counters once any job has finished.
         """
         out = self.metrics.snapshot(
             cache_stats=self.cache.stats if self.cache is not None else None,
             breaker=self._breaker.snapshot(), journal=self.journal)
         if self._pool is not None:
             out["pool"] = self._pool.stats
-        if self._admission is not None:
-            out["admission"] = self._admission.snapshot()
         tenants = self.metrics.tenant_snapshot()
         if tenants:
             out["tenants"] = tenants

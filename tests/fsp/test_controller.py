@@ -7,8 +7,7 @@ from repro.cme import enumerate_state_space
 from repro.cme.models import toggle_switch
 from repro.cme.models.phage_lambda import phage_lambda
 from repro.errors import ValidationError
-from repro.fsp import AdaptiveFspController, FspResult
-from repro.solvers.result import StopReason
+from repro.fsp import AdaptiveFspController
 from repro.telemetry.metrics import get_registry
 
 
@@ -105,24 +104,6 @@ class TestResultSurface:
         assert payload["projection_sizes"] == \
             [r.states for r in certified.rounds]
         assert len(payload["bounds"]) == len(certified.rounds)
-
-    def test_to_solver_result(self, certified):
-        result = certified.to_solver_result()
-        assert result.stop_reason is StopReason.CONVERGED
-        assert result.iterations == certified.iterations
-        assert len(result.residual_history) == len(certified.rounds)
-        np.testing.assert_array_equal(result.x, certified.x)
-
-    @pytest.mark.parametrize("reason,stop", [
-        ("solver_diverged", StopReason.DIVERGED),
-        ("timed_out", StopReason.TIMED_OUT),
-        ("max_rounds", StopReason.MAX_ITERATIONS),
-    ])
-    def test_to_solver_result_maps_failures(self, certified, reason, stop):
-        failed = FspResult(x=certified.x, space=certified.space,
-                           truncation_mass=float("inf"), converged=False,
-                           reason=reason, rounds=certified.rounds)
-        assert failed.to_solver_result().stop_reason is stop
 
 
 class TestBudgetsAndValidation:

@@ -1,12 +1,11 @@
-"""Chaos at the serve pool and admission fault sites.
+"""Chaos at the serve pool fault site.
 
 The acceptance story: a pool worker killed mid-solve surfaces as the
 retryable :class:`WorkerCrashError`, the pool respawns the worker, the
 retry lands on a live process, and the write-ahead journal still shows
 exactly one ``accepted`` and one ``completed`` record for the job —
 the crash is invisible to the caller and to durability.  Stalls delay
-but do not fail; injected admission rejects refuse exactly the
-scheduled submissions.
+but do not fail.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import pytest
 
 from repro.cme.models import toggle_switch
 from repro.durability import JobJournal
-from repro.errors import JobRejectedError, WorkerCrashError
+from repro.errors import WorkerCrashError
 from repro.resilience import FaultPlan, injecting
 from repro.serve import SolveService
 from repro.serve.pool import ProcessSolverPool
@@ -130,27 +129,6 @@ class TestPoolStall:
                 snap = svc.snapshot()
                 assert snap["pool_respawns"] == 0
                 assert snap["retried"] == 0
-
-
-class TestAdmissionFaults:
-    def test_injected_reject_refuses_exactly_the_scheduled_submit(
-            self, network):
-        plan = FaultPlan(
-            [{"site": "serve.admission", "kind": "reject", "count": 1}],
-            seed=0, name="reject-first")
-        with injecting(plan):
-            # No AdmissionController configured: the fault site alone
-            # drives the rejection.
-            with SolveService(network, workers=1, tol=TOL,
-                              solver_options=SOLVER) as svc:
-                with pytest.raises(JobRejectedError) as info:
-                    svc.submit({"degA": 0.5}, tenant="gold")
-                assert "injected fault" in str(info.value)
-                out = svc.submit({"degA": 0.5}).result(timeout=60)
-                assert out.result.stop_reason is StopReason.CONVERGED
-                snap = svc.snapshot()
-                assert snap["admission_rejected"] == 1
-                assert snap["tenants"]["gold"]["admission_rejected"] == 1
 
 
 class TestJournalReplayWithProcessExecutor:

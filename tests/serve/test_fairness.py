@@ -1,28 +1,22 @@
-"""Multi-tenant fairness: token buckets, DRR queuing, service wiring.
+"""Multi-tenant fairness: DRR queuing and its service wiring.
 
-The guarantees under test: an over-rate tenant is refused at the front
-door without consuming shared capacity; the fair queue serves
-backlogged tenants in proportion to their weights (deterministic DRR
-order at queue level); and a tenant offering 10x the load cannot starve
-a light tenant behind its backlog (the starvation regression).
+The guarantees under test: the fair queue serves backlogged tenants in
+proportion to their weights (deterministic DRR order at queue level),
+and a tenant offering 10x the load cannot starve a light tenant behind
+its backlog (the starvation regression).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import pytest
 
 from repro.cme.models import toggle_switch
-from repro.errors import JobRejectedError, ValidationError
+from repro.errors import JobRejectedError
 from repro.serve import SolveService
-from repro.serve.fairness import (
-    AdmissionController,
-    FairPriorityQueue,
-    TokenBucket,
-)
+from repro.serve.fairness import FairPriorityQueue
 from repro.serve.jobs import JobState
 
 
@@ -37,49 +31,6 @@ class FakeJob:
 
     def __repr__(self):
         return f"FakeJob({self.tenant!r}, p={self.priority})"
-
-
-class TestTokenBucket:
-    def test_burst_then_refusal(self):
-        bucket = TokenBucket(rate=0.001, burst=2)
-        assert bucket.try_acquire()
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-
-    def test_refill_restores_admission(self):
-        bucket = TokenBucket(rate=200.0, burst=1)
-        assert bucket.try_acquire()
-        assert not bucket.try_acquire()
-        time.sleep(0.02)  # 200/s * 20ms = 4 tokens, capped at burst
-        assert bucket.try_acquire()
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            TokenBucket(rate=0.0)
-        with pytest.raises(ValidationError):
-            TokenBucket(rate=1.0, burst=0.5)
-
-
-class TestAdmissionController:
-    def test_limits_apply_per_tenant(self):
-        ctl = AdmissionController({"limited": (0.001, 1)})
-        assert ctl.admit("limited")
-        assert not ctl.admit("limited")
-        # Unlisted tenants are unthrottled without a "*" default.
-        for _ in range(50):
-            assert ctl.admit("other")
-
-    def test_star_default_gives_each_tenant_its_own_bucket(self):
-        ctl = AdmissionController({"*": (0.001, 1)})
-        assert ctl.admit("a")
-        assert ctl.admit("b")  # b's bucket, untouched by a's spend
-        assert not ctl.admit("a")
-
-    def test_snapshot_reports_balances(self):
-        ctl = AdmissionController({"gold": (10.0, 5)})
-        ctl.admit("gold")
-        snap = ctl.snapshot()
-        assert snap["gold"] <= 4.1
 
 
 class TestFairPriorityQueue:
@@ -234,20 +185,6 @@ class TestServiceFairness:
     @pytest.fixture
     def network(self):
         return toggle_switch(max_protein=6)
-
-    def test_admission_rejects_over_rate_tenant(self, network):
-        with SolveService(network, workers=1,
-                          admission={"limited": (0.001, 2)}) as svc:
-            svc.submit({"degA": 0.31}, tenant="limited").result(timeout=60)
-            svc.submit({"degA": 0.32}, tenant="limited").result(timeout=60)
-            with pytest.raises(JobRejectedError):
-                svc.submit({"degA": 0.33}, tenant="limited")
-            snap = svc.snapshot()
-            assert snap["admission_rejected"] == 1
-            assert snap["tenants"]["limited"]["completed"] == 2
-            assert snap["tenants"]["limited"]["admission_rejected"] == 1
-            # Admission never throttles other tenants.
-            svc.submit({"degA": 0.34}, tenant="free").result(timeout=60)
 
     def test_ten_to_one_load_cannot_starve_light_tenant(self, network):
         """10:1 offered load: the light tenant's jobs complete within

@@ -9,6 +9,7 @@ one idempotent replay instead of dropping or duplicating work.
 
 from __future__ import annotations
 
+import errno
 import time
 
 import pytest
@@ -88,6 +89,31 @@ class TestWriteAhead:
         svc = make_service(network, tmp_path / "jobs.journal")
         assert svc.drain(timeout_s=10)
         svc.close()  # no-op after drain
+
+    def test_failed_accept_leaves_the_key_free(self, network, tmp_path,
+                                               monkeypatch):
+        """An accept that cannot be written reaches the caller, and the
+        next identical submit runs instead of joining a job that was
+        never scheduled."""
+        path = tmp_path / "jobs.journal"
+        journal = JobJournal(path)
+        append = journal.accepted
+        calls = []
+
+        def disk_full_once(key, payload):
+            calls.append(key)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return append(key, payload)
+
+        monkeypatch.setattr(journal, "accepted", disk_full_once)
+        with make_service(network, journal) as svc:
+            with pytest.raises(OSError):
+                svc.submit({"degA": 0.5})
+            out = svc.submit({"degA": 0.5}).result(timeout=10)
+            assert out.result.converged
+        assert len(calls) == 2
+        assert open_keys(path) == []
 
 
 class TestRestartReplay:

@@ -11,6 +11,7 @@ can land on it.
 
 from __future__ import annotations
 
+import errno
 import multiprocessing
 import threading
 
@@ -93,6 +94,24 @@ class TestDispatch:
         p.close()  # idempotent
         with pytest.raises(SolveJobError):
             pool_solve(p, system)
+
+
+class TestFailedSpawn:
+    def test_started_workers_stop_when_a_later_one_fails(self, monkeypatch):
+        start = ProcessSolverPool._start_worker
+        started = []
+
+        def start_or_fail(self, handle):
+            if handle.idx == 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            start(self, handle)
+            started.append(handle.proc)
+
+        monkeypatch.setattr(ProcessSolverPool, "_start_worker", start_or_fail)
+        with pytest.raises(OSError):
+            ProcessSolverPool(workers=3)
+        assert len(started) == 1
+        assert not started[0].is_alive()
 
 
 class TestErrorMarshalling:

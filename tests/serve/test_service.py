@@ -205,13 +205,11 @@ class TestWarmStart:
 
 
 class TestDampingFold:
-    """Jacobi-family requests without a ``damping`` get
-    ``DEFAULT_DAMPING``, as an option in the cache key."""
+    """Requests without a ``damping`` get ``DEFAULT_DAMPING``, as an
+    option in the cache key."""
 
-    @pytest.mark.parametrize("method", ["jacobi", "sharded"])
-    def test_missing_damping_folds_to_the_default(self, tiny_toggle_network,
-                                                  method):
-        with SolveService(tiny_toggle_network, method=method) as svc:
+    def test_missing_damping_folds_to_the_default(self, tiny_toggle_network):
+        with SolveService(tiny_toggle_network) as svc:
             plain = svc.request({"degA": 1.1})
             spelled = svc.request(
                 {"degA": 1.1}, solver_options={"damping": DEFAULT_DAMPING})
@@ -232,9 +230,3 @@ class TestDampingFold:
             service_level = svc.request({"degA": 1.1})
         assert service_level.solver_options == options
         assert service_level.cache_key() == per_request.cache_key()
-
-    @pytest.mark.parametrize("method", ["power", "fsp"])
-    def test_other_methods_carry_no_damping(self, tiny_toggle_network,
-                                            method):
-        with SolveService(tiny_toggle_network, method=method) as svc:
-            assert svc.request({"degA": 1.1}).solver_options == {}

@@ -13,7 +13,10 @@ mode (a cold and a warm column) and stacked mode (two rate conditions),
 on every backend at damping 0.9 and ``tol=1e-10``, plus random
 networks.  Each bound is 10x the L1 error the case had before the
 solvers called every backend through one sweep path (the results are
-bitwise unchanged by that rewiring), rounded up.
+bitwise unchanged by that rewiring), rounded up.  The other registry
+methods (Gauss-Seidel, power iteration and the resilient fallback
+chain) run at their own defaults on the same models and backends,
+each bound 10x its error when the solve service stopped running them.
 
 The same bounds hold the answers a :class:`SolveService` serves, on
 its thread executor and on one process pool shared by every model's
@@ -35,7 +38,12 @@ from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import StateSpace, enumerate_state_space
 from repro.durability import CheckpointPolicy, Checkpointer, system_signature
 from repro.serve import ProcessSolverPool, SolveService
-from repro.solvers import DEFAULT_DAMPING, BatchedJacobiSolver, JacobiSolver
+from repro.solvers import (
+    DEFAULT_DAMPING,
+    SOLVER_REGISTRY,
+    BatchedJacobiSolver,
+    JacobiSolver,
+)
 from repro.solvers.result import StopReason
 from repro.sparse.base import as_csr
 from tests.cme.test_random_networks_property import random_networks
@@ -65,6 +73,21 @@ BOUNDS = {
     "schnakenberg": {"jacobi": 2.2e-8, "shared": 2.2e-8,
                      "stacked": 3.7e-7},
     "phage": {"jacobi": 3.1e-6, "shared": 3.3e-6, "stacked": 4.6e-6},
+}
+
+#: L1 bounds of the other registry methods per model, at their own
+#: defaults (undamped).  The errors they are 10x of, for toggle,
+#: Brusselator, Schnakenberg and phage: Gauss-Seidel 6.32e-8, 1.91e-9,
+#: 1.20e-8, 2.76e-7; power 1.05e-8, 1.87e-8, 4.01e-8, 2.42e-7;
+#: resilient 1.09e-10, 5.50e-9, 6.51e-9, 4.60e-7 (equal on both
+#: backends).
+METHOD_BOUNDS = {
+    "gauss-seidel": {"toggle": 6.4e-7, "brusselator": 2.0e-8,
+                     "schnakenberg": 1.2e-7, "phage": 2.8e-6},
+    "power": {"toggle": 1.1e-7, "brusselator": 1.9e-7,
+              "schnakenberg": 4.1e-7, "phage": 2.5e-6},
+    "resilient": {"toggle": 1.1e-9, "brusselator": 5.6e-8,
+                  "schnakenberg": 6.6e-8, "phage": 4.7e-6},
 }
 
 #: 10x the worst L1 error (1.53e-6) over the 200 random networks below,
@@ -137,6 +160,15 @@ def test_batched_stacked_matches_oracle(case, backend):
         conditions, tol=TOL, damping=DAMPING,
         backend=backend).solve_many()
     assert_within(results, exacts, BOUNDS[name]["stacked"])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("method", sorted(METHOD_BOUNDS))
+def test_other_methods_match_oracle(case, method, backend):
+    name, A, exact, _, _ = case
+    result = SOLVER_REGISTRY[method](A, tol=TOL, max_iterations=200_000,
+                                     backend=backend).solve()
+    assert_within([result], [exact], METHOD_BOUNDS[method][name])
 
 
 @pytest.fixture(scope="module")
