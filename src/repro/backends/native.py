@@ -275,64 +275,6 @@ void dia_spmm(int64_t n_rows, int64_t n_cols, int64_t ndiag, int64_t kr,
 
 /* ---- fused Jacobi sweep on a CSR generator -------------------------- */
 
-/* out = (1-damping)*X + damping * (D*X - A X) / D, column-wise over a
- * row-major (n, kr) block with kr > 1 (one column takes the sliced
- * sweep below).  out must not alias X. */
-static void csr_jacobi_sweep_once(int64_t n, int64_t kr,
-                                  const int64_t *indptr,
-                                  const int32_t *cols, const double *vals,
-                                  const double *diag, const double *X,
-                                  double damping, double *out)
-{
-    const double om = 1.0 - damping;
-    int64_t i;
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        double *yr = out + i * kr;
-        const double *xi = X + i * kr;
-        const double d = diag[i];
-        int64_t jj, kk;
-        for (kk = 0; kk < kr; ++kk)
-            yr[kk] = 0.0;
-        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-            const double a = vals[jj];
-            const double *xr = X + (int64_t)cols[jj] * kr;
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] += a * xr[kk];
-        }
-        if (damping == 1.0) {
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] = (d * xi[kk] - yr[kk]) / d;
-        } else {
-            for (kk = 0; kk < kr; ++kk) {
-                const double t = (d * xi[kk] - yr[kk]) / d;
-                yr[kk] = om * xi[kk] + damping * t;
-            }
-        }
-    }
-}
-
-/* `sweeps` consecutive sweeps in one call, ping-ponging between out and
- * scratch (same shape as X; unused when sweeps == 1) so that the last
- * sweep lands in out.  X is only read.  Each sweep is the single-sweep
- * kernel above, so k sweeps here are bit-identical to k calls. */
-void csr_jacobi_sweep(int64_t n, int64_t kr, const int64_t *indptr,
-                      const int32_t *cols, const double *vals,
-                      const double *diag, const double *X,
-                      double damping, double *out, double *scratch,
-                      int64_t sweeps)
-{
-    const double *src = X;
-    double *dst = (sweeps % 2) ? out : scratch;
-    int64_t s;
-    for (s = 0; s < sweeps; ++s) {
-        csr_jacobi_sweep_once(n, kr, indptr, cols, vals, diag, src,
-                              damping, dst);
-        src = dst;
-        dst = dst == out ? scratch : out;
-    }
-}
-
 /* Row-block sweep for the sharded solver: the caller owns rows
  * [row0, row0 + m) of the global system as a rectangular (m, n) CSR
  * slice and reads the full-length x.  Each row sums in CSR order with
@@ -393,7 +335,7 @@ void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
  *
  * Per system the terms accumulate in column order with the exact
  * values the per-system matrices hold, so results are bit-identical
- * to m independent csr_jacobi_sweep / csr_spmv calls. */
+ * to m independent sliced_jacobi_sweep / csr_spmv calls. */
 
 #define REPRO_MAX_STACK 64
 
@@ -632,7 +574,9 @@ static void stacked_sweep_once(int64_t n, int64_t m, const int64_t *indptr,
 }
 
 /* `sweeps` stacked sweeps in one call, ping-ponging between out and
- * scratch like csr_jacobi_sweep. */
+ * scratch (same shape as X; unused when sweeps == 1) so that the last
+ * sweep lands in out.  X is only read.  Each sweep is the single-sweep
+ * kernel above, so k sweeps here are bit-identical to k calls. */
 void csr_jacobi_sweep_stacked(int64_t n, int64_t m, const int64_t *indptr,
                               const int32_t *cols, const double *vstream,
                               const int64_t *vofs, const double *diag,
@@ -893,7 +837,7 @@ static void sliced_slice(int64_t s, int64_t n, const int64_t *slice_ptr,
 #endif
 
 /* `sweeps` one-column sweeps over the sliced layout, ping-ponging
- * between out and scratch like csr_jacobi_sweep. */
+ * between out and scratch like csr_jacobi_sweep_stacked. */
 void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
                          const int32_t *lens, const int32_t *cols,
                          const double *vals, const double *diag,
@@ -1407,10 +1351,6 @@ def _bind(lib) -> None:
                              _I64, _F64, _F64, _F64]
     lib.dia_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                              ctypes.c_int64, _I64, _F64, _F64, _F64]
-    lib.csr_jacobi_sweep.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64,
-                                     _I32, _F64, _F64, _F64,
-                                     ctypes.c_double, _F64, _F64,
-                                     ctypes.c_int64]
     lib.csr_jacobi_sweep_block.argtypes = [ctypes.c_int64, ctypes.c_int64,
                                            _I64, _I32, _F64, _F64, _F64,
                                            ctypes.c_double, _F64]
@@ -1450,8 +1390,8 @@ def _bind(lib) -> None:
                                      _I32, _I64, _I64]
     for name in ("csr_spmv", "csr_spmm", "ell_spmv", "ell_spmm",
                  "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
-                 "dia_spmv", "dia_spmm", "csr_jacobi_sweep",
-                 "csr_jacobi_sweep_block", "sliced_fill",
+                 "dia_spmv", "dia_spmm", "csr_jacobi_sweep_block",
+                 "sliced_fill",
                  "sliced_jacobi_sweep", "sliced_jacobi_sweep_column",
                  "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby",
                  "renormalize_columns", "key_index_lookup"):
@@ -1618,11 +1558,12 @@ def _sliced_arrays(A):
 # shared structure plus the interleaved (nnz, m) value block, cached on
 # the first system keyed by the ids of the whole list.  The entry pins
 # the other systems, so no id in the key can be recycled while it lives
-# (the head owns it).  It pins only the systems after the head: a
-# sweep's lists keep their order as columns retire, so entries form no
-# reference cycle and die with their matrices rather than waiting for
-# the cyclic collector.  A cached ``None`` payload records "this list
-# does not share structure" so the check runs once, not per sweep.
+# (the head owns it).  It pins only the distinct systems other than the
+# head: a sweep's lists keep their order as columns retire, and a batch
+# of one generator repeats its head, so entries form no reference cycle
+# and die with their matrices rather than waiting for the cyclic
+# collector.  A cached ``None`` payload records "this list does not
+# share structure" so the check runs once, not per sweep.
 
 _STACK_ATTR = "_repro_native_stacked"
 _STACK_MAX = 64
@@ -1664,7 +1605,8 @@ def _stacked_arrays(systems):
                        _pi64(indptr), _pi32(tagged), _p64(vstream),
                        _pi64(vofs))
     try:
-        setattr(head, _STACK_ATTR, (key, payload, tuple(systems[1:])))
+        pinned = {id(A): A for A in systems if A is not head}
+        setattr(head, _STACK_ATTR, (key, payload, tuple(pinned.values())))
     except (AttributeError, TypeError):
         pass
     return payload
@@ -2001,13 +1943,11 @@ class NativeBackend:
                      damping: float = 1.0,
                      out: np.ndarray | None = None,
                      sweeps: int = 1) -> np.ndarray:
-        """Fused sweep on a CSR generator; ``sweeps=k`` runs k sweeps in
-        one C call over two ping-pong buffers, bit-identical to k
-        single calls.  *X* is only read.
-
-        A single column (``(n,)`` or ``(n, 1)``) runs over the matrix's
-        8-row sliced layout, built on the first sweep and cached on
-        *A*; wider blocks walk the CSR arrays.
+        """Fused sweep of one ``(n,)`` column on a CSR generator, over
+        the matrix's 8-row sliced layout (built on the first sweep and
+        cached on *A*).  ``sweeps=k`` runs k sweeps in one C call over
+        two ping-pong buffers, bit-identical to k single calls.  *X* is
+        only read.
         """
         if not (sp.issparse(A) and A.format == "csr"):
             # Non-CSR generators (dense test doubles, format objects)
@@ -2021,23 +1961,16 @@ class NativeBackend:
         n = A.shape[0]
         diag = _f64(diag)
         X = _f64(X)
-        if (A.shape[1] != n or diag.shape != (n,) or X.ndim not in (1, 2)
-                or X.shape[0] != n):
+        if A.shape[1] != n or diag.shape != (n,) or X.shape != (n,):
             raise ValueError(
-                f"jacobi_sweep needs a square A, diag ({n},) and X ({n},) "
-                f"or ({n}, k); got {A.shape}, {diag.shape} and {X.shape}")
-        kr = 1 if X.ndim == 1 else X.shape[1]
+                f"jacobi_sweep needs a square A, diag ({n},) and X ({n},); "
+                f"got {A.shape}, {diag.shape} and {X.shape}")
         if out is None:
             out = np.empty_like(X)
         scratch = _vec(np.empty_like(X)) if k > 1 else None
-        if kr == 1:
-            lib.sliced_jacobi_sweep(n, *_sliced_arrays(A)[4:], _vec(diag),
-                                    _vec(X), float(damping), _vec(out),
-                                    scratch, k)
-        else:
-            _, _, _, pi, pc, pv = _csr_arrays(A)
-            lib.csr_jacobi_sweep(n, kr, pi, pc, pv, _vec(diag), _vec(X),
-                                 float(damping), _vec(out), scratch, k)
+        lib.sliced_jacobi_sweep(n, *_sliced_arrays(A)[4:], _vec(diag),
+                                _vec(X), float(damping), _vec(out),
+                                scratch, k)
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,

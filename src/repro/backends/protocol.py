@@ -29,18 +29,21 @@ Operations
     rely on that.
 ``jacobi_sweep(A, diag, X, damping=1.0, out=None, sweeps=1)``
     One fused weighted-Jacobi sweep for ``A x = 0`` on a SciPy CSR
-    generator: ``X' = (D∘X - A X) / D`` blended with ``damping``.
-    ``X`` is ``(n,)`` or a C-contiguous ``(n, k)`` block (the batched
-    multi-RHS path); ``out`` follows the ``out`` contract below.
-    ``sweeps=k`` applies k sweeps and returns the last, bitwise equal
-    to k single calls (the solver loops pass one renormalization
-    interval, so a backend can amortize its call overhead).
+    generator: ``x' = (d∘x - A x) / d`` blended with ``damping``.
+    ``X`` is one ``(n,)`` column; any other shape raises
+    ``ValueError`` (a block of columns is a stack, swept by
+    ``jacobi_sweep_many``, with ``[A] * k`` for one generator).
+    ``out`` follows the ``out`` contract below.  ``sweeps=k`` applies
+    k sweeps and returns the last, bitwise equal to k single calls
+    (the solver loops pass one renormalization interval, so a backend
+    can amortize its call overhead).
 ``jacobi_sweep_many(systems, diag, X, damping=1.0, out=None, sweeps=1)``
     :meth:`jacobi_sweep` over a stack of same-shaped CSR generators at
     once.  ``diag``, ``X`` and ``out`` are ``(n, m)`` system-interleaved
     blocks: column ``s`` belongs to ``systems[s]``.  The result is
     bitwise equal to ``m`` independent ``jacobi_sweep`` calls, whatever
-    the systems' sparsity patterns and however many there are.  An
+    the systems' sparsity patterns and however many there are; one
+    generator may appear in the stack more than once.  An
     empty stack, a system or block of the wrong shape, or an ``out``
     that breaks the ``out`` contract raises ``ValueError``.  *X* is
     only read.

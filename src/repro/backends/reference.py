@@ -153,42 +153,32 @@ class NumpyBackend:
                      damping: float = 1.0,
                      out: np.ndarray | None = None,
                      sweeps: int = 1) -> np.ndarray:
-        """``X' = (D∘X - A X) / D``, optionally damping-blended.
-
-        The 1-D path is ``-(y - d∘x)/d``; the 2-D path is the in-place
-        ufunc chain ``(D∘X - Y)/D`` — bitwise identical formulas (IEEE
-        rounding is symmetric under the sign flip), one temporary
-        instead of four.  ``sweeps=k`` applies the sweep k times; only
-        the last lands in *out*, which must pass :func:`check_out`.
+        """``x' = -(A x - d∘x) / d`` for one ``(n,)`` column *X*,
+        optionally damping-blended.  ``sweeps=k`` applies the sweep k
+        times; only the last lands in *out*, which must pass
+        :func:`check_out`.  A block of columns is a stack: see
+        :meth:`jacobi_sweep_many`.
         """
         if int(sweeps) < 1:
             raise ValueError(f"sweeps must be >= 1, got {sweeps}")
         check_out("jacobi_sweep", out, X)
+        if np.ndim(X) != 1:
+            raise ValueError(
+                f"jacobi_sweep takes one (n,) column, got shape "
+                f"{np.shape(X)}")
         for _ in range(int(sweeps) - 1):
             X = self._sweep_once(A, diag, X, damping, None)
         return self._sweep_once(A, diag, X, damping, out)
 
     @staticmethod
-    def _sweep_once(A, diag, X, damping, out):
-        Y = A @ X
-        if X.ndim == 1:
-            new = -(Y - diag * X) / diag
-            if damping != 1.0:
-                new = (1.0 - damping) * X + damping * new
-            if out is not None:
-                np.copyto(out, new)
-                return out
-            return new
-        D = diag if diag.ndim == 2 else diag[:, None]
-        S = np.empty_like(X) if out is None else out
-        np.multiply(D, X, out=S)
-        np.subtract(S, Y, out=S)
-        np.divide(S, D, out=S)
+    def _sweep_once(A, diag, x, damping, out):
+        new = -(A @ x - diag * x) / diag
         if damping != 1.0:
-            B = np.multiply(X, 1.0 - damping)
-            np.multiply(S, damping, out=S)
-            np.add(B, S, out=S)
-        return S
+            new = (1.0 - damping) * x + damping * new
+        if out is not None:
+            np.copyto(out, new)
+            return out
+        return new
 
     def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
                           damping: float = 1.0,

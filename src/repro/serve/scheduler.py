@@ -36,6 +36,23 @@ RETRYABLE_ERRORS = (JobTimeoutError, ConvergenceError, WorkerCrashError,
                     KernelLaunchError)
 
 
+def settle(job: SolveJob, on_done, outcome=None,
+           error: SolveJobError | None = None) -> None:
+    """End *job*: ``on_done(job, error)`` first, so a caller woken by
+    the terminal transition finds the job already counted and
+    journaled, then ``finish``/``fail``.  The transition happens even
+    when ``on_done`` raises, so a failed journal append never leaves a
+    caller waiting."""
+    try:
+        if on_done is not None:
+            on_done(job, error)
+    finally:
+        if error is None:
+            job.finish(outcome)
+        else:
+            job.fail(error)
+
+
 class SolveScheduler:
     """A worker pool draining a bounded fair priority queue.
 
@@ -62,7 +79,8 @@ class SolveScheduler:
         retrying immediately.  Shutdown interrupts the sleep.
     on_retry, on_done:
         Optional metrics hooks; ``on_done(job, error_or_None)`` fires
-        exactly once per job after its terminal transition.
+        exactly once per job, just before its terminal transition (see
+        :func:`settle`).
     """
 
     def __init__(self, execute, *, workers: int = 1,
@@ -146,15 +164,11 @@ class SolveScheduler:
                 error = self._as_job_error(exc, job)
                 break
             job.finished_at = time.perf_counter()
-            job.finish(outcome)
-            if self.on_done is not None:
-                self.on_done(job, None)
+            settle(job, self.on_done, outcome)
             return
         job.finished_at = time.perf_counter()
         assert error is not None
-        job.fail(error)
-        if self.on_done is not None:
-            self.on_done(job, error)
+        settle(job, self.on_done, error=error)
 
     @staticmethod
     def _as_job_error(exc: Exception, job: SolveJob) -> SolveJobError:

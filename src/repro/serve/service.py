@@ -68,7 +68,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import ProcessSolverPool, SolveTask, run_task
-from repro.serve.scheduler import SolveScheduler
+from repro.serve.scheduler import SolveScheduler, settle
 from repro.serve.warmstart import WarmStartIndex, blend_donors
 from repro.solvers import DEFAULT_DAMPING
 from repro.solvers.result import SolverResult, StopReason
@@ -332,7 +332,11 @@ class SolveService:
             self._own_pool = True
         self.metrics.bind_queue_depth(lambda: self._scheduler.queue_depth)
         if self.journal is not None:
-            self._replay_journal()
+            try:
+                self._replay_journal()
+            except BaseException:
+                self.close(wait=False)
+                raise
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -652,8 +656,7 @@ class SolveService:
                     continue
                 outcome = self._record(companion, result, space, warm, t0)
                 companion.finished_at = time.perf_counter()
-                companion.finish(outcome)
-                self._on_done(companion, None)
+                settle(companion, self._on_done, outcome)
 
             ex_span.set_attribute("iterations", primary.iterations)
             ex_span.set_attribute("stop_reason", primary.stop_reason.value)
@@ -755,8 +758,7 @@ class SolveService:
                     f"batch: {exc}", key=j.key, attempts=j.attempts)
                 error.__cause__ = exc
                 j.finished_at = time.perf_counter()
-                j.fail(error)
-                self._on_done(j, error)
+                settle(j, self._on_done, error=error)
 
     def _maybe_audit(self, job: SolveJob, A, task: SolveTask,
                      warm_result: SolverResult) -> None:

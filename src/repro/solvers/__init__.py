@@ -9,8 +9,8 @@
 * :class:`GaussSeidelSolver` — the sequential foil: fewer iterations,
   no parallelism per iteration (the trade-off Section IV weighs).
 * :class:`BatchedJacobiSolver` — K steady states in lockstep on one
-  ``(n, K)`` block, one multi-RHS sweep per iteration (a shared-matrix
-  SpMM, or the stacked sweep over K same-shaped generators), with
+  ``(n, K)`` block, one stacked sweep per iteration over K same-shaped
+  generators (one generator K times for a batch of one system), with
   per-column stopping and early retirement.  Not in the registry:
   ``solve_many`` has a different signature than the unified ``solve``.
 * :func:`gmres_steady_state` — a GMRES attempt on the (ill-conditioned,
@@ -35,7 +35,6 @@ from repro.solvers.gauss_seidel import GaussSeidelSolver
 from repro.solvers.power import PowerIterationSolver
 from repro.solvers.gmres import gmres_steady_state
 from repro.solvers.remap import remap_iterate
-from repro.solvers.spectral import SpectralEstimate, estimate_subdominant
 
 #: Method-name registry used by :func:`repro.solve_steady_state`.
 SOLVER_REGISTRY = {
@@ -70,6 +69,4 @@ __all__ = [
     "PowerIterationSolver",
     "gmres_steady_state",
     "remap_iterate",
-    "SpectralEstimate",
-    "estimate_subdominant",
 ]

@@ -20,8 +20,8 @@ Centralizing the loop means every solver gets, identically:
 * the instrumentation hook protocol
   (:class:`repro.telemetry.hooks.SolverHooks`) — ``on_iteration`` fires
   exactly once per iteration, ``on_stop`` exactly once per solve, and
-  the ``hooks=None`` default runs the uninstrumented inner loop, which
-  advances a whole renormalization interval per
+  without hooks (or an active fault injector) the loop advances a
+  whole renormalization interval per
   :meth:`~IterativeSolverBase.advance` call (one backend call for
   Jacobi);
 * a tracing span per solve
@@ -354,10 +354,6 @@ class IterativeSolverBase:
 
         injector = active_injector()
         inject = injector is not None and injector.active_for("solver.iterate")
-        # Per-sweep finiteness scans cost a pass over x each iteration,
-        # so they run only while a fault injector is corrupting
-        # iterates, where waiting for the batch-end check would discard
-        # up to check_interval good sweeps per fault.
         sweep_guard = policy is not None and inject
         report = RecoveryReport() if (policy is not None or inject) else None
 
@@ -393,13 +389,6 @@ class IterativeSolverBase:
         # recomputing the same product — one SpMV per iteration total.
         pending_y = None
         reuse = self.supports_product_step
-
-        def step(x: np.ndarray) -> np.ndarray:
-            nonlocal pending_y
-            if pending_y is not None:
-                y, pending_y = pending_y, None
-                return self.step_from_product(x, y)
-            return self.step_once(x)
 
         # Durable resume: restore the exact mid-solve state a previous
         # process persisted.  The iterate is taken verbatim — it was
@@ -460,83 +449,63 @@ class IterativeSolverBase:
                         residual_history=history,
                         runtime_s=time.perf_counter() - t0)
             norm_every = self.normalize_interval
+            # Hooks and the fault injector see every sweep; otherwise one
+            # advance() call runs up to the next renormalization (Jacobi
+            # runs it in one backend call).  The first sweep after a
+            # check consumes the check's product.
+            stepwise = hooks is not None or inject
             while True:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
-                if hooks is None and not inject and not sweep_guard:
-                    # Uninstrumented: one advance() call per
-                    # renormalization interval (Jacobi runs the whole
-                    # interval in one backend call); the first sweep
-                    # after a check consumes the check's product.
-                    done = 0
-                    while done < budget:
-                        if pending_y is not None:
-                            k = 1
-                            x = step(x)
-                        else:
-                            k = budget - done
-                            if norm_every is not None:
-                                k = min(k, norm_every - iteration % norm_every)
-                            x = self.advance(x, k)
-                        iteration += k
-                        done += k
-                        if (norm_every is not None
-                                and iteration % norm_every == 0):
-                            x = renormalize(x)
-                elif not inject and not sweep_guard:
-                    # The batch's final iteration is reported after the
-                    # residual check below, so its on_iteration call can
-                    # carry the measured residual.
-                    for i in range(budget):
-                        x = step(x)
-                        iteration += 1
-                        renorm = (norm_every is not None
-                                  and iteration % norm_every == 0)
-                        if renorm:
-                            x = renormalize(x)
-                        if i < budget - 1:
-                            hooks.on_iteration(iteration, None, renorm)
-                else:
-                    # Guarded batch: faults may corrupt the iterate at
-                    # any sweep, so finiteness is (optionally) checked —
-                    # and recovered from — per sweep, and in-batch
-                    # renormalization is skipped for corrupt iterates
-                    # (renormalize raises on non-finite input).
-                    for i in range(budget):
-                        x = step(x)
-                        iteration += 1
-                        if inject:
-                            x, spec = injector.corrupt(
-                                "solver.iterate", x, iteration)
-                            if spec is not None and report is not None:
-                                report.faults_seen += 1
-                                report.record(
-                                    iteration, f"fault:{spec.kind}",
-                                    "injected", detail="site solver.iterate")
+                done = 0
+                while done < budget:
+                    if pending_y is not None:
+                        k = 1
+                        x = self.step_from_product(x, pending_y)
+                        pending_y = None
+                    elif stepwise:
+                        k = 1
+                        x = self.step_once(x)
+                    else:
+                        k = budget - done
+                        if norm_every is not None:
+                            k = min(k, norm_every - iteration % norm_every)
+                        x = self.advance(x, k)
+                    iteration += k
+                    done += k
+                    if inject:
+                        x, spec = injector.corrupt(
+                            "solver.iterate", x, iteration)
+                        if spec is not None:
+                            report.faults_seen += 1
+                            report.record(
+                                iteration, f"fault:{spec.kind}",
+                                "injected", detail="site solver.iterate")
+                        # Scanning every sweep costs a pass over x, paid
+                        # only while faults are injected, where waiting
+                        # for the batch-end check would discard up to
+                        # check_interval good sweeps per fault.
                         if sweep_guard and not np.all(np.isfinite(x)):
                             if recoveries < policy.max_recoveries:
                                 x = rollback("nan-inf")
                             else:
                                 break  # batch-end check reports DIVERGED
-                        renorm = (norm_every is not None
-                                  and iteration % norm_every == 0)
-                        if renorm:
-                            if np.all(np.isfinite(x)) and x.sum() > 0:
-                                x = renormalize(x)
-                            else:
-                                renorm = False
-                        if hooks is not None and i < budget - 1:
-                            hooks.on_iteration(iteration, None, renorm)
-                finite = bool(np.all(np.isfinite(x)))
-                if finite:
-                    if policy is not None:
+                    renorm = (norm_every is not None
+                              and iteration % norm_every == 0)
+                    if renorm:
                         try:
                             x = renormalize(x)
                         except ValidationError:
-                            finite = False  # no mass left: recover below
-                    else:
-                        x = renormalize(x)
-                if not finite:
+                            renorm = False  # the batch-end check recovers
+                    # The batch's final iteration is reported after the
+                    # residual check below, so its on_iteration call can
+                    # carry the measured residual.
+                    if hooks is not None and done < budget:
+                        hooks.on_iteration(iteration, None, renorm)
+                try:
+                    x = renormalize(x)
+                except ValidationError:
+                    # Non-finite, or no mass left: roll back or stop.
                     if policy is not None \
                             and recoveries < policy.max_recoveries:
                         x = rollback("nan-inf")

@@ -9,28 +9,20 @@ instead of K times, which is exactly how multi-RHS GPU kernels amortize
 bandwidth.  On the CPU reference the same restructuring amortizes the
 per-product traversal and loop overhead.
 
-Two batching modes, one ``(n, K)`` block layout:
-
-*shared* (the constructor)
-    One generator, K right-hand iterates — e.g. coalesced service
-    requests on the same condition with different tolerances or warm
-    starts.  The sweep is the kernel backend's ``jacobi_sweep`` on the
-    block, a true SpMM ``A @ X``.
-
-*stacked* (:meth:`BatchedJacobiSolver.stacked`)
-    K same-shaped generators (a sweep's rate conditions over one state
-    space).  The block is system-interleaved — column ``s`` belongs to
-    system ``s`` — and each renormalization interval is one
-    ``jacobi_sweep_many(..., sweeps=k)`` call, its residual products
-    one ``spmv_many`` call.  The backend picks the kernel (the native
-    one vectorizes across systems that share a sparsity pattern and
-    sweeps any other stack one system at a time; the reference loops
-    over the systems).  When a column retires the block is compacted,
-    kept C-contiguous so the kernels keep serving it.
-
-Every backend advances one renormalization interval per kernel call
-(the first sweep after a residual check consumes the check's product)
-and gives bitwise-identical iterates.
+Every batch is a stack of K same-shaped generators in one ``(n, K)``
+block, system-interleaved: column ``s`` belongs to system ``s``.
+:meth:`BatchedJacobiSolver.stacked` takes K generators (a sweep's rate
+conditions over one state space); the constructor takes one generator
+and sweeps it as the stack ``[A] * K`` (coalesced service requests on
+one condition with different tolerances or warm starts).  Each
+renormalization interval is one ``jacobi_sweep_many(..., sweeps=k)``
+call and its residual products one ``spmv_many`` call.  The backend
+picks the kernel (the native one vectorizes across systems that share
+a sparsity pattern and sweeps any other stack one system at a time;
+the reference loops over the systems) and gives bitwise-identical
+iterates.  When a column retires the block is compacted, kept
+C-contiguous so the kernels keep serving it.  The first sweep after a
+residual check consumes the check's product.
 
 Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion` (and optionally its
@@ -71,8 +63,8 @@ def _to_csr(matrix):
     return as_csr(matrix)
 
 
-def _check_system(A) -> dict:
-    """Derived quantities plus the singularity checks Jacobi needs."""
+def _check_system(A) -> None:
+    """The singularity checks Jacobi needs."""
     derived = matrix_derived(A)
     if derived["zero_rows"].size:
         rows = derived["zero_rows"][:5].tolist()
@@ -85,7 +77,6 @@ def _check_system(A) -> dict:
             "Jacobi iteration needs a nonzero diagonal "
             f"(zero at rows {zero_diag[:5].tolist()})",
             rows=zero_diag[:5].tolist())
-    return derived
 
 
 class BatchedJacobiSolver:
@@ -93,7 +84,9 @@ class BatchedJacobiSolver:
 
     Parameters mirror :class:`~repro.solvers.jacobi.JacobiSolver`;
     ``tol`` is the default per-column tolerance, which :meth:`solve_many`
-    can override per column.
+    can override per column.  A solver built on one generator batches
+    any number of columns of it; :meth:`stacked` builds one with a
+    column per generator.
     """
 
     span_name = "jacobi.batched"
@@ -113,14 +106,10 @@ class BatchedJacobiSolver:
         A = _to_csr(matrix)
         if A.shape[0] != A.shape[1]:
             raise ValidationError("steady-state solve needs a square matrix")
-        derived = _check_system(A)
-        self.mode = "shared"
+        _check_system(A)
         self.A = A
         self.n = A.shape[0]
         self._systems = None
-        self._diagonal = derived["diagonal"]
-        self._inf_norms = None
-        self.matrix_inf_norm = derived["inf_norm"]
 
     @classmethod
     def stacked(cls, matrices, **kwargs) -> "BatchedJacobiSolver":
@@ -142,14 +131,11 @@ class BatchedJacobiSolver:
                                     stagnation_tol=1e-6, damping=1.0,
                                     backend=None),
                              **kwargs})
-        derived = [_check_system(A) for A in systems]
-        self.mode = "stacked"
+        for A in systems:
+            _check_system(A)
         self.A = None
         self.n = shape[0]
         self._systems = systems
-        self._diagonal = np.stack([d["diagonal"] for d in derived], axis=1)
-        self._inf_norms = [d["inf_norm"] for d in derived]
-        self.matrix_inf_norm = max(self._inf_norms)
         return self
 
     def _init_params(self, *, tol, max_iterations, check_interval,
@@ -189,7 +175,7 @@ class BatchedJacobiSolver:
             if k is not None and k != len(cols):
                 raise ValidationError(
                     f"k={k} disagrees with len(x0s)={len(cols)}")
-        if self.mode == "stacked" and len(cols) != len(self._systems):
+        if self._systems is not None and len(cols) != len(self._systems):
             raise ValidationError(
                 f"stacked batch has {len(self._systems)} systems but "
                 f"{len(cols)} columns were requested")
@@ -223,8 +209,8 @@ class BatchedJacobiSolver:
             start uniform).  A warm column already within its tolerance
             retires immediately with ``iterations=0``.
         k:
-            Column count when ``x0s`` is omitted (shared mode only;
-            stacked mode infers K from its systems).
+            Column count when ``x0s`` is omitted (a :meth:`stacked`
+            solver infers K from its systems).
         tols:
             Optional per-column tolerances overriding the constructor's
             ``tol`` — the one loop parameter that may vary per column.
@@ -239,7 +225,7 @@ class BatchedJacobiSolver:
             criterion states and retirement records, so a resumed batch
             continues with the same retirements and iterates.
         """
-        if x0s is None and k is None and self.mode == "stacked":
+        if x0s is None and k is None and self._systems is not None:
             k = len(self._systems)
         X, warm = self._initial_block(x0s, k)
         total = X.shape[1]
@@ -256,47 +242,39 @@ class BatchedJacobiSolver:
         if total == 0:
             return []
 
-        def inf_norm(j: int) -> float:
-            return (self.matrix_inf_norm if self._inf_norms is None
-                    else self._inf_norms[j])
+        # One generator is swept once per column, as the stack [A] * K.
+        systems = self._systems or [self.A] * total
+        derived = [matrix_derived(A) for A in systems]
 
         # Kernel backends (resolved once per solve so ambient use() /
         # REPRO_BACKEND selections are honored): the sweep folds product
         # + update + damping into one call per renormalization interval
         # on every backend, with bitwise-identical iterates.
-        shared = self.mode == "shared"
-        be = backends.serving(
-            "", "jacobi_sweep" if shared else "jacobi_sweep_many",
-            self.backend)
-        many = (None if shared
-                else backends.serving("", "spmv_many", self.backend))
+        be = backends.serving("", "jacobi_sweep_many", self.backend)
+        many = backends.serving("", "spmv_many", self.backend)
         norm = backends.serving("", "renormalize_columns", self.backend)
 
         criteria = [StoppingCriterion(
-            inf_norm(j),
+            derived[j]["inf_norm"],
             tol=float(self.tol if tols is None else tols[j]),
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=be) for j in range(total)]
         histories: list[list[tuple[int, float]]] = [[] for _ in range(total)]
         active = list(range(total))
-        # Both modes hold the iterates as the columns of one (n, k)
-        # block; in stacked mode it is system-interleaved (element i of
-        # all k systems adjacent), the layout the stacked kernels take.
-        # Every block stays C-contiguous: compacting columns with
-        # ``M[:, idx]`` alone would return an F-ordered copy, which the
-        # kernels cannot take.  The inline step (the first sweep after
-        # a check) broadcasts a shared diagonal across the columns.
-        D = self._diagonal[:, None] if shared else self._diagonal
+        # The iterates and diagonals are the columns of (n, k) blocks,
+        # system-interleaved (element i of all k systems adjacent), the
+        # layout the stacked kernels take.  Every block stays
+        # C-contiguous: compacting columns with ``M[:, idx]`` alone
+        # would return an F-ordered copy, which the kernels cannot take.
+        D = np.stack([d["diagonal"] for d in derived], axis=1)
 
         def take(M, idx):
             return np.ascontiguousarray(M[:, idx])
 
         def block_product(Xb):
             self.products += 1
-            if shared:
-                return self.A @ Xb
-            return many.spmv_many([self._systems[j] for j in active], Xb)
+            return many.spmv_many([systems[j] for j in active], Xb)
         t0 = time.perf_counter()
         iteration = 0
 
@@ -346,7 +324,7 @@ class BatchedJacobiSolver:
                                     kind="batched")
 
         span = tracing.span(f"{self.span_name}.solve_many", n=self.n,
-                            k=total, mode=self.mode)
+                            k=total)
         span.set_attribute("backend", be.name)
         resumed = (checkpointer.load_latest(kind="batched")
                    if checkpointer is not None and checkpointer.resume
@@ -382,8 +360,7 @@ class BatchedJacobiSolver:
                     criteria[j].load_state(state)
                 if active:
                     X = take(X_all, active)
-                    if not shared:
-                        D = take(D, active)
+                    D = take(D, active)
                 # The seeding product is recomputed from the restored
                 # block on the first sweep — same bits the uninterrupted
                 # loop carried as pending_Y.
@@ -406,8 +383,7 @@ class BatchedJacobiSolver:
                     mask = [j in active for j in range(total)]
                     X = take(X, mask)
                     Y = take(Y, mask)
-                    if not shared:
-                        D = take(D, mask)
+                    D = take(D, mask)
                 pending_Y = Y if active else None
             norm_every = self.normalize_interval
             while active:
@@ -422,8 +398,7 @@ class BatchedJacobiSolver:
                 # four.
                 S = np.empty_like(X)
                 B = np.empty_like(X) if self.damping != 1.0 else None
-                live = (None if shared
-                        else [self._systems[j] for j in active])
+                live = [systems[j] for j in active]
                 done = 0
                 while done < budget:
                     if pending_Y is None:
@@ -435,14 +410,9 @@ class BatchedJacobiSolver:
                         if norm_every is not None:
                             k = min(k, norm_every - iteration % norm_every)
                         self.products += k
-                        if shared:
-                            be.jacobi_sweep(self.A, self._diagonal, X,
-                                            damping=self.damping, out=S,
-                                            sweeps=k)
-                        else:
-                            be.jacobi_sweep_many(live, D, X,
-                                                 damping=self.damping,
-                                                 out=S, sweeps=k)
+                        be.jacobi_sweep_many(live, D, X,
+                                             damping=self.damping,
+                                             out=S, sweeps=k)
                     else:
                         k = 1
                         Y, pending_Y = pending_Y, None
@@ -493,8 +463,7 @@ class BatchedJacobiSolver:
                         break
                     X = take(X, keep)
                     Y = take(Y, keep)
-                    if not shared:
-                        D = take(D, keep)
+                    D = take(D, keep)
                 pending_Y = Y
                 durable_save()
             span.set_attribute("iterations", iteration)

@@ -3,34 +3,20 @@
 from repro.utils.validation import (
     check_1d,
     check_2d,
-    check_dtype,
-    check_nonnegative,
-    check_positive,
     check_probability_vector,
-    check_square,
 )
 from repro.utils.arrays import (
     ceil_div,
     round_up,
-    pad_rows,
-    column_major_flatten,
-    segment_maxima,
 )
 from repro.utils.tables import Table, format_si_bytes
 
 __all__ = [
     "check_1d",
     "check_2d",
-    "check_dtype",
-    "check_nonnegative",
-    "check_positive",
     "check_probability_vector",
-    "check_square",
     "ceil_div",
     "round_up",
-    "pad_rows",
-    "column_major_flatten",
-    "segment_maxima",
     "Table",
     "format_si_bytes",
 ]

@@ -26,70 +26,6 @@ def round_up(a: int, multiple: int) -> int:
     return ceil_div(a, multiple) * multiple
 
 
-def pad_rows(a: np.ndarray, n_padded: int, fill=0) -> np.ndarray:
-    """Pad a 2-D array with *fill* rows up to ``n_padded`` rows.
-
-    Returns the input unchanged when no padding is needed.
-    """
-    n, k = a.shape
-    if n_padded < n:
-        raise ValidationError(f"cannot pad {n} rows down to {n_padded}")
-    if n_padded == n:
-        return a
-    out = np.full((n_padded, k), fill, dtype=a.dtype)
-    out[:n] = a
-    return out
-
-
-def column_major_flatten(a: np.ndarray) -> np.ndarray:
-    """Flatten a 2-D array in column-major (Fortran) order.
-
-    ELL-family formats store their dense ``n' x k`` blocks column-major so
-    that the 32 threads of a warp touch 32 consecutive elements — one
-    128-byte transaction for doubles split over two lines, a single one for
-    4-byte column indices.
-    """
-    if a.ndim != 2:
-        raise ValidationError(f"expected 2-D array, got ndim={a.ndim}")
-    return np.asfortranarray(a).reshape(-1, order="F")
-
-
-def segment_maxima(values: np.ndarray, segment: int) -> np.ndarray:
-    """Maximum of *values* over consecutive segments of length *segment*.
-
-    The tail segment may be shorter.  Used to compute per-slice ``k_i``
-    (the local maximum row length) for the sliced-ELL family.
-    """
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValidationError("values must be 1-D")
-    if segment <= 0:
-        raise ValidationError(f"segment must be positive, got {segment}")
-    n = values.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=values.dtype)
-    n_seg = ceil_div(n, segment)
-    padded = np.full(n_seg * segment, np.iinfo(values.dtype).min
-                     if np.issubdtype(values.dtype, np.integer) else -np.inf,
-                     dtype=values.dtype)
-    padded[:n] = values
-    return padded.reshape(n_seg, segment).max(axis=1)
-
-
-def segment_sums(values: np.ndarray, segment: int) -> np.ndarray:
-    """Sum of *values* over consecutive segments of length *segment*."""
-    values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValidationError("values must be 1-D")
-    if segment <= 0:
-        raise ValidationError(f"segment must be positive, got {segment}")
-    n = values.shape[0]
-    n_seg = ceil_div(n, segment)
-    padded = np.zeros(n_seg * segment, dtype=values.dtype)
-    padded[:n] = values
-    return padded.reshape(n_seg, segment).sum(axis=1)
-
-
 def inverse_permutation(perm: np.ndarray) -> np.ndarray:
     """Return the inverse of a permutation array.
 

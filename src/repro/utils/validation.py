@@ -56,41 +56,6 @@ def check_2d(a, name: str, *, shape: tuple[int, int] | None = None,
     return arr
 
 
-def check_square(a, name: str) -> np.ndarray:
-    """Validate that *a* is a square 2-D array."""
-    arr = check_2d(a, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValidationError(
-            f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
-def check_dtype(a, name: str, dtype) -> np.ndarray:
-    """Validate that *a* has exactly dtype *dtype* (no silent conversion)."""
-    arr = np.asarray(a)
-    if arr.dtype != np.dtype(dtype):
-        raise ValidationError(
-            f"{name} must have dtype {np.dtype(dtype)}, got {arr.dtype}")
-    return arr
-
-
-def check_positive(value, name: str) -> float:
-    """Validate that a scalar is strictly positive and finite."""
-    v = float(value)
-    if not np.isfinite(v) or v <= 0.0:
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-    return v
-
-
-def check_nonnegative(value, name: str) -> float:
-    """Validate that a scalar is non-negative and finite."""
-    v = float(value)
-    if not np.isfinite(v) or v < 0.0:
-        raise ValidationError(
-            f"{name} must be a non-negative finite number, got {value!r}")
-    return v
-
-
 def check_probability_vector(p, name: str = "p", *, atol: float = 1e-8) -> np.ndarray:
     """Validate that *p* is a probability vector (entries >= 0, sums to 1)."""
     arr = check_1d(p, name, dtype=np.float64)

@@ -179,19 +179,46 @@ def test_non_contiguous_inputs(name, build, backend):
 @pytest.mark.parametrize("shape", [(97,), (97, 6)], ids=["vec", "block"])
 @pytest.mark.parametrize("damping", [1.0, 0.85])
 def test_jacobi_sweep_parity(backend, shape, damping):
+    """One column through ``jacobi_sweep``; a block of columns of one
+    generator through ``jacobi_sweep_many`` as the stack ``[A] * k``,
+    each column as the reference sweeps it alone."""
     A = random_system()
     diag = np.asarray(A.diagonal())
     rng = np.random.default_rng(10)
     X = rng.standard_normal(shape)
-    ref = backends.get_backend("numpy").jacobi_sweep(A, diag, X,
-                                                     damping=damping)
-    got = backend.jacobi_sweep(A, diag, X, damping=damping)
-    assert_bitwise_or_1ulp(got, ref)
+    ref_be = backends.get_backend("numpy")
+    if X.ndim == 1:
+        ref = ref_be.jacobi_sweep(A, diag, X, damping=damping)
+
+        def sweep(out=None):
+            return backend.jacobi_sweep(A, diag, X, damping=damping,
+                                        out=out)
+    else:
+        k = X.shape[1]
+        ref = np.stack([ref_be.jacobi_sweep(A, diag, X[:, c].copy(),
+                                            damping=damping)
+                        for c in range(k)], axis=1)
+        D = np.ascontiguousarray(np.tile(diag[:, None], (1, k)))
+
+        def sweep(out=None):
+            return backend.jacobi_sweep_many([A] * k, D, X,
+                                             damping=damping, out=out)
+    assert_bitwise_or_1ulp(sweep(), ref)
     # And with a caller-provided output buffer.
     out = np.empty_like(X)
-    got2 = backend.jacobi_sweep(A, diag, X, damping=damping, out=out)
+    got2 = sweep(out)
     assert got2 is out
     assert_bitwise_or_1ulp(out, ref)
+
+
+def test_jacobi_sweep_takes_one_column(backend):
+    """A block of columns is a stack (``jacobi_sweep_many``), so
+    ``jacobi_sweep`` refuses one, as ``(n, 1)`` or wider."""
+    A = random_system()
+    diag = np.asarray(A.diagonal())
+    for shape in ((97, 1), (97, 6)):
+        with pytest.raises(ValueError, match="jacobi_sweep"):
+            backend.jacobi_sweep(A, diag, np.ones(shape))
 
 
 def test_jacobi_sweep_rejects_a_wider_generator(backend):

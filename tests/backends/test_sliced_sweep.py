@@ -6,8 +6,8 @@ products in CSR order, so the iterates are compared with the ``numpy``
 reference by exact equality, never a tolerance.  The cases cover every
 slice fill (``n`` from 1 to 17 and ``n`` = 1..7 mod 8 at larger sizes),
 row lengths 0 to 40 plus one row of several hundred entries, column
-indices out of order within a row, damping, ``sweeps=k``, both
-one-column shapes, and non-finite entries in ``x``.  The same cases run
+indices out of order within a row, damping, ``sweeps=k``, and
+non-finite entries in ``x``.  The same cases run
 against each SIMD build of the C source in ``test_stacked_kernels``.
 """
 
@@ -67,14 +67,14 @@ def sliced_case(n, long_row, seed=5):
 
 def assert_sliced_case_matches(be, n, long_row, damping):
     """Every one-column sweep *be* runs on the case equals the
-    reference's bit for bit: ``X`` as ``(n,)`` and ``(n, 1)``, one
-    sweep and ``sweeps=k``, and with a NaN in ``x[0]`` (the column
-    padding slots name) and an inf in ``x[-1]``."""
+    reference's bit for bit: one sweep and ``sweeps=k``, and with a NaN
+    in ``x[0]`` (the column padding slots name) and an inf in
+    ``x[-1]``."""
     A, diag, x = sliced_case(n, long_row)
     poisoned = x.copy()
     poisoned[-1] = np.inf
     poisoned[0] = np.nan
-    for X in (x, x[:, None].copy(), poisoned):
+    for X in (x, poisoned):
         for sweeps in (1, 2, 5):
             got = be.jacobi_sweep(A, diag, X, damping=damping, sweeps=sweeps)
             with np.errstate(invalid="ignore"):     # inf - inf

@@ -23,7 +23,9 @@ own system, ``sweeps=k`` still equals k single calls, and a block
 compacted from wide to narrow keeps matching the reference.
 """
 
+import gc
 import subprocess
+import weakref
 
 import numpy as np
 import pytest
@@ -194,23 +196,39 @@ def test_multi_sweep_many_matches_single_calls(backend, m, damping, sweeps):
 @pytest.mark.parametrize("damping", [1.0, 0.9])
 @pytest.mark.parametrize("sweeps", [1, 2, 7])
 def test_multi_sweep_matches_single_calls(name, kr, damping, sweeps):
+    """``sweeps=k`` equals k single calls, for one column
+    (``jacobi_sweep``) and for *kr* columns of one generator (the stack
+    ``[A] * kr`` through ``jacobi_sweep_many``)."""
     be = backends.get_backend(name)
     A = shared_structure_systems(1, seed=71)[0]
     n = A.shape[0]
     diag = np.asarray(A.diagonal(), dtype=np.float64)
     rng = np.random.default_rng(73)
-    X = rng.random(n) if kr is None else rng.random((n, kr))
+    if kr is None:
+        X = rng.random(n)
+
+        def sweep(X, out=None, sweeps=1):
+            return be.jacobi_sweep(A, diag, X, damping=damping, out=out,
+                                   sweeps=sweeps)
+        reference = REFERENCE.jacobi_sweep(A, diag, X, damping=damping,
+                                           sweeps=sweeps)
+    else:
+        X = rng.random((n, kr))
+        D = np.ascontiguousarray(np.tile(diag[:, None], (1, kr)))
+
+        def sweep(X, out=None, sweeps=1):
+            return be.jacobi_sweep_many([A] * kr, D, X, damping=damping,
+                                        out=out, sweeps=sweeps)
+        reference = reference_sweeps([A] * kr, D, X, damping,
+                                     sweeps=sweeps)
     expected = X
     for _ in range(sweeps):
-        expected = be.jacobi_sweep(A, diag, expected, damping=damping)
+        expected = sweep(expected)
     out = np.empty_like(X)
-    got = be.jacobi_sweep(A, diag, X, damping=damping, out=out,
-                          sweeps=sweeps)
+    got = sweep(X, out=out, sweeps=sweeps)
     assert got is out
     assert np.array_equal(got, expected)
-    assert np.array_equal(
-        got, REFERENCE.jacobi_sweep(A, diag, X, damping=damping,
-                                    sweeps=sweeps))
+    assert np.array_equal(got, reference)
 
 
 @pytest.mark.parametrize("name", backends.available_backends())
@@ -298,12 +316,75 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
                               reference_products(systems, X)), m
     A = systems[0]
     diag = np.asarray(A.diagonal(), dtype=np.float64)
-    for x in (X[:, 0].copy(), X[:, :5].copy()):
-        assert np.array_equal(
-            be.jacobi_sweep(A, diag, x, damping=damping, sweeps=3),
-            REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
+    x = X[:, 0].copy()
+    assert np.array_equal(
+        be.jacobi_sweep(A, diag, x, damping=damping, sweeps=3),
+        REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
     for _, n, long_row in SLICED_CASES:
         assert_sliced_case_matches(be, n, long_row, damping)
+
+
+def assert_identical_stacks_match(be, widths):
+    """``[A] * m`` (one generator repeated, as a batch of one system
+    sweeps it) through *be*'s stacked ops equals *be*'s per-system
+    calls and the reference, bitwise, at every width in *widths*."""
+    A = shared_structure_systems(1, seed=127)[0]
+    n = A.shape[0]
+    diag = np.asarray(A.diagonal(), dtype=np.float64)
+    for m in widths:
+        systems = [A] * m
+        X = np.random.default_rng(m).random((n, m))
+        D = np.ascontiguousarray(np.tile(diag[:, None], (1, m)))
+        for damping, sweeps in ((1.0, 1), (0.9, 3)):
+            got = be.jacobi_sweep_many(systems, D, X, damping=damping,
+                                       sweeps=sweeps)
+            per_system = np.stack(
+                [be.jacobi_sweep(A, diag, X[:, s].copy(), damping=damping,
+                                 sweeps=sweeps) for s in range(m)], axis=1)
+            assert np.array_equal(got, per_system), (m, damping)
+            assert np.array_equal(
+                got, reference_sweeps(systems, D, X, damping, sweeps)), m
+        assert np.array_equal(be.spmv_many(systems, X),
+                              reference_products(systems, X)), m
+
+
+#: 2, both sides of every build's narrow threshold (3, 4 or 6), 8 and
+#: the widest stack.
+IDENTICAL_WIDTHS = [2, 3, 4, 5, 6, 7, 8, 64]
+
+
+def test_identical_stacks_match_per_system(backend):
+    assert_identical_stacks_match(backend, IDENTICAL_WIDTHS)
+
+
+def test_every_simd_build_sweeps_identical_stacks(simd_library,
+                                                  monkeypatch):
+    monkeypatch.setattr(native, "_lib", simd_library)
+    assert_identical_stacks_match(native.NativeBackend(), IDENTICAL_WIDTHS)
+
+
+def test_identical_stack_prep_dies_with_its_matrix():
+    """The stacked preparation cached on ``[A] * 5``'s head pins no
+    other system, so it makes no reference cycle: with the cyclic
+    collector off, *A* dies with its last strong reference."""
+    if "native" not in STACKED:
+        pytest.skip("native kernels do not build here")
+    be = backends.get_backend("native")
+    A = shared_structure_systems(1, seed=131)[0]
+    n = A.shape[0]
+    D = np.ascontiguousarray(np.tile(A.diagonal()[:, None], (1, 5)))
+    X = np.full((n, 5), 1.0 / n)
+    gc.collect()
+    gc.disable()
+    try:
+        be.jacobi_sweep_many([A] * 5, D, X, damping=0.9)
+        be.spmv_many([A] * 5, X)
+        assert getattr(A, native._STACK_ATTR, None) is not None
+        ref = weakref.ref(A)
+        del A
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def narrow_max(lib) -> int:

@@ -145,3 +145,65 @@ class TestSolverGuardrails:
         assert result.converged
         assert hooks.stop_calls == 1
         assert hooks.iterations == result.iterations
+
+
+class TestNonFiniteGenerator:
+    """A NaN in the generator poisons every sweep.  Every iterative
+    solve must end ``DIVERGED`` through the guardrails (rolling back
+    until the policy's budget runs out) rather than raise from the
+    in-batch renormalization, whichever way the loop is driven."""
+
+    @pytest.fixture(scope="class")
+    def poisoned(self):
+        from repro.cme.models import toggle_switch
+        from repro.cme.ratematrix import build_rate_matrix
+        from repro.cme.statespace import enumerate_state_space
+        from repro.sparse.base import as_csr
+
+        A = as_csr(build_rate_matrix(enumerate_state_space(
+            toggle_switch(max_protein=10)))).copy()
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        A.data[np.flatnonzero(rows != A.indices)[0]] = np.nan
+        return A
+
+    def _assert_exhausted(self, result, rollbacks=3):
+        assert result.stop_reason is StopReason.DIVERGED
+        assert result.recovery is not None
+        assert result.recovery.rollbacks == rollbacks
+
+    def test_jacobi_default(self, poisoned):
+        self._assert_exhausted(JacobiSolver(poisoned, damping=0.9).solve())
+
+    def test_jacobi_with_hooks(self, poisoned):
+        from repro.telemetry import RecordingHooks
+        hooks = RecordingHooks()
+        result = JacobiSolver(poisoned, damping=0.9).solve(hooks=hooks)
+        self._assert_exhausted(result)
+        assert hooks.stop_calls == 1
+        assert hooks.iterations == result.iterations
+
+    def test_jacobi_with_injector_active(self, poisoned):
+        # A plan that never fires still switches the loop to its
+        # per-sweep guard.
+        plan = FaultPlan([{"site": "solver.iterate", "kind": "perturb",
+                           "at": 10**9}])
+        with injecting(plan) as inj:
+            result = JacobiSolver(poisoned, damping=0.9).solve()
+        assert inj.fired("solver.iterate") == 0
+        self._assert_exhausted(result)
+
+    def test_jacobi_without_guardrails(self, poisoned):
+        result = JacobiSolver(poisoned, damping=0.9).solve(guardrails=False)
+        assert result.stop_reason is StopReason.DIVERGED
+        assert result.recovery is None
+
+    def test_gauss_seidel(self, poisoned):
+        self._assert_exhausted(GaussSeidelSolver(poisoned).solve())
+
+    def test_resilient_walks_the_whole_chain(self, poisoned):
+        from repro.resilience import ResilientSolver
+        result = ResilientSolver(poisoned, damping=0.9).solve()
+        assert result.stop_reason is StopReason.DIVERGED
+        assert result.recovery.fallback_chain == [
+            "jacobi", "gauss-seidel", "gmres"]
+        assert result.recovery.rollbacks == 6

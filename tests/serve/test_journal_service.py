@@ -10,6 +10,7 @@ one idempotent replay instead of dropping or duplicating work.
 from __future__ import annotations
 
 import errno
+import threading
 import time
 
 import pytest
@@ -116,7 +117,76 @@ class TestWriteAhead:
         assert open_keys(path) == []
 
 
+def solve_workers() -> set[threading.Thread]:
+    return {t for t in threading.enumerate()
+            if t.name.startswith("solve-worker-")}
+
+
+class TestBooksCloseBeforeResult:
+    """A caller woken by ``result()`` finds its job already counted
+    and journaled: the scheduler runs the service's ``on_done`` before
+    the terminal transition, and still finishes the job if it raises."""
+
+    def test_counters_and_journal_lead_the_answer(self, network, tmp_path,
+                                                  monkeypatch):
+        on_done = SolveService._on_done
+
+        def slow_on_done(self, job, error):
+            time.sleep(0.05)
+            on_done(self, job, error)
+
+        monkeypatch.setattr(SolveService, "_on_done", slow_on_done)
+        path = tmp_path / "jobs.journal"
+        with make_service(network, path) as svc:
+            out = svc.submit({"degA": 0.5}).result(timeout=60)
+            assert svc.snapshot()["completed"] == 1
+            assert out.key not in {r["key"] for r in
+                                   svc.journal.open_entries()}
+
+    # The append's OSError still propagates out of the worker thread
+    # once the job is finished, and ends that thread.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_failed_terminal_append_still_answers(self, network, tmp_path,
+                                                  monkeypatch):
+        journal = JobJournal(tmp_path / "jobs.journal")
+
+        def disk_error(key):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(journal, "completed", disk_error)
+        with make_service(network, journal) as svc:
+            out = svc.submit({"degA": 0.5}).result(timeout=5)
+            assert out.result.converged
+
+
 class TestRestartReplay:
+    def test_failed_replay_stops_the_workers(self, network, tmp_path,
+                                             monkeypatch):
+        """A journal append that fails during replay reaches the
+        caller, and the constructor stops the workers it started: the
+        caller holds no handle to stop them."""
+        path = tmp_path / "jobs.journal"
+        with JobJournal(path) as j:
+            j.accepted("bogus-key", {"network": "someone-else",
+                                     "overrides": {}, "tol": 1e-8,
+                                     "max_iterations": 100,
+                                     "solver_options": {},
+                                     "priority": 0})
+        journal = JobJournal(path)
+
+        def disk_error(key):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(journal, "cancelled", disk_error)
+        before = solve_workers()
+        with pytest.raises(OSError):
+            make_service(network, journal, workers=2)
+        started = solve_workers() - before
+        for t in started:
+            t.join(5.0)
+        assert not any(t.is_alive() for t in started)
+
     def test_unfinished_jobs_replay_exactly_once(self, network, tmp_path):
         path = tmp_path / "jobs.journal"
         # One worker + immediate close: the queued jobs are accepted
@@ -222,9 +292,7 @@ class TestExposure:
         with make_service(network, tmp_path / "jobs.journal") as svc:
             svc.submit({"degA": 0.5}).result(timeout=60)
             # The terminal append happens in the scheduler's on_done
-            # callback, which can trail result() by a beat.
-            assert wait_for(
-                lambda: svc.snapshot()["journal_appended"] == 2)
+            # callback, before result() returns.
             snap = svc.snapshot()
         assert snap["journal_appended"] == 2
         assert snap["journal_corrupt_skipped"] == 0

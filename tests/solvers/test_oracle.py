@@ -8,9 +8,9 @@ row ``sum(x) = 1``.  The cases are the four paper models at sizes where
 that LU takes well under a second (toggle switch ``max_protein=20``,
 n = 441; Brusselator and Schnakenberg at ``max_x=30, max_y=15``, n = 496
 each; phage lambda ``(6, 3)``, n = 2,296), solved by
-:class:`JacobiSolver` and by :class:`BatchedJacobiSolver` in shared
-mode (a cold and a warm column) and stacked mode (two rate conditions),
-on every backend at damping 0.9 and ``tol=1e-10``, plus random
+:class:`JacobiSolver` and by :class:`BatchedJacobiSolver` on one
+generator (a cold and a warm column, the "shared" case) and on two
+rate conditions (the "stacked" case), on every backend at damping 0.9 and ``tol=1e-10``, plus random
 networks.  Each bound is 10x the L1 error the case had before the
 solvers called every backend through one sweep path (the results are
 bitwise unchanged by that rewiring), rounded up.  The other registry
@@ -21,7 +21,7 @@ each bound 10x its error when the solve service stopped running them.
 The same bounds hold the answers a :class:`SolveService` serves, on
 its thread executor and on one process pool shared by every model's
 service, and a pair of requests the service batches into one
-shared-mode solve; and a checkpointed Jacobi solve stopped partway and
+batched solve of their generator; and a checkpointed Jacobi solve stopped partway and
 resumed.
 """
 
@@ -197,7 +197,7 @@ def test_served_solve_matches_oracle(case, executor, request):
 
 def test_served_batch_matches_oracle(case):
     """Two queued requests for one system, differing only in ``tol``,
-    answered by one shared-mode batched solve."""
+    answered by one batched solve of their generator."""
     name, _, exact, _, _ = case
     svc = SolveService(MODELS[name][0](), batch_max=2, tol=TOL)
     try:

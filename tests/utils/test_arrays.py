@@ -7,12 +7,8 @@ from hypothesis import given, strategies as st
 from repro.errors import ValidationError
 from repro.utils.arrays import (
     ceil_div,
-    column_major_flatten,
     inverse_permutation,
-    pad_rows,
     round_up,
-    segment_maxima,
-    segment_sums,
 )
 
 
@@ -43,55 +39,6 @@ class TestRoundUp:
         assert r % m == 0
         assert r >= a
         assert r - a < m
-
-
-class TestPadRows:
-    def test_pads_with_fill(self):
-        a = np.ones((2, 3))
-        out = pad_rows(a, 4, fill=7)
-        assert out.shape == (4, 3)
-        assert (out[2:] == 7).all()
-        assert (out[:2] == 1).all()
-
-    def test_noop_when_equal(self):
-        a = np.ones((2, 3))
-        assert pad_rows(a, 2) is a
-
-    def test_rejects_shrink(self):
-        with pytest.raises(ValidationError):
-            pad_rows(np.ones((3, 2)), 2)
-
-
-class TestColumnMajorFlatten:
-    def test_order(self):
-        a = np.array([[1, 2], [3, 4]])
-        assert column_major_flatten(a).tolist() == [1, 3, 2, 4]
-
-    def test_rejects_1d(self):
-        with pytest.raises(ValidationError):
-            column_major_flatten(np.zeros(3))
-
-
-class TestSegments:
-    def test_maxima(self):
-        v = np.array([1, 5, 2, 7, 3])
-        assert segment_maxima(v, 2).tolist() == [5, 7, 3]
-
-    def test_sums(self):
-        v = np.array([1, 5, 2, 7, 3])
-        assert segment_sums(v, 2).tolist() == [6, 9, 3]
-
-    def test_empty(self):
-        assert segment_maxima(np.zeros(0, dtype=np.int64), 4).size == 0
-
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=64),
-           st.integers(1, 16))
-    def test_maxima_match_python(self, values, seg):
-        v = np.array(values, dtype=np.int64)
-        got = segment_maxima(v, seg)
-        expected = [max(values[i:i + seg])
-                    for i in range(0, len(values), seg)]
-        assert got.tolist() == expected
 
 
 class TestInversePermutation:

@@ -7,12 +7,8 @@ from repro.errors import ValidationError
 from repro.utils.validation import (
     check_1d,
     check_2d,
-    check_dtype,
     check_index_array,
-    check_nonnegative,
-    check_positive,
     check_probability_vector,
-    check_square,
 )
 
 
@@ -47,24 +43,6 @@ class TestCheck2d:
         with pytest.raises(ValidationError):
             check_2d(np.zeros(3), "m")
 
-    def test_square(self):
-        check_square(np.zeros((3, 3)), "m")
-        with pytest.raises(ValidationError, match="square"):
-            check_square(np.zeros((2, 3)), "m")
-
-
-class TestScalars:
-    def test_positive(self):
-        assert check_positive(2, "v") == 2.0
-        for bad in (0, -1, float("nan"), float("inf")):
-            with pytest.raises(ValidationError):
-                check_positive(bad, "v")
-
-    def test_nonnegative(self):
-        assert check_nonnegative(0, "v") == 0.0
-        with pytest.raises(ValidationError):
-            check_nonnegative(-0.1, "v")
-
 
 class TestProbabilityVector:
     def test_valid(self):
@@ -82,13 +60,6 @@ class TestProbabilityVector:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match="non-empty"):
             check_probability_vector([])
-
-
-class TestCheckDtype:
-    def test_exact_match_required(self):
-        with pytest.raises(ValidationError, match="dtype"):
-            check_dtype(np.zeros(3, dtype=np.float32), "x", np.float64)
-        check_dtype(np.zeros(3), "x", np.float64)
 
 
 class TestIndexArray:
