@@ -16,8 +16,9 @@ Two synchronization modes:
     parent drives exactly the batch/renormalize/check/rollback loop of
     :meth:`repro.solvers.base.IterativeSolverBase.solve` — including
     the product-reuse step, in-loop renormalization cadence, guardrail
-    checkpoints and the warm-start fast path — so the iterates (and
-    therefore results, histories and stop reasons) are **bitwise
+    checkpoints, the warm-start fast path and the extrapolated stop
+    (its candidate formed and tested in the parent) — so the iterates
+    (and therefore results, histories and stop reasons) are **bitwise
     equal** to the serial :class:`~repro.solvers.jacobi.JacobiSolver`.
     This is the correctness anchor the conformance suite pins.
 
@@ -33,7 +34,8 @@ Two synchronization modes:
     residual check before stopping — so a ``CONVERGED`` result always
     satisfies the serial tolerance even though intermediate iterates
     are nondeterministic.  Per-shard staleness counters record how far
-    ahead of the slowest peer each shard ran.
+    ahead of the slowest peer each shard ran.  This loop keeps the
+    plain stop: its checked iterates do not follow one trajectory.
 
 Resilience reuses the existing machinery: guardrail checkpoints and
 rollback cover shard results exactly as in the serial loop,
@@ -60,7 +62,7 @@ from repro.errors import SingularSystemError, ValidationError, \
 from repro.solvers.base import IterativeSolverBase
 from repro.solvers.normalization import renormalize
 from repro.solvers.result import SolverResult, StopReason
-from repro.solvers.stopping import StoppingCriterion
+from repro.solvers.stopping import Extrapolator, StoppingCriterion
 from repro.sparse.base import as_csr
 from repro.telemetry import tracing
 from repro.telemetry.metrics import get_registry
@@ -367,6 +369,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=accel)
+        extrapolator = Extrapolator()
         history: list[tuple[int, float]] = []
         t0 = time.perf_counter()
         iteration = 0
@@ -391,6 +394,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             report.record(iteration, kind, "rollback",
                           detail=f"checkpoint@{checkpoint_iteration}")
             count_recovery(kind, iteration)
+            extrapolator.reset()
             return checkpoint.copy()
 
         def x_cur() -> np.ndarray:
@@ -607,6 +611,15 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 best_residual = min(best_residual, residual)
                 if hooks is not None:
                     hooks.on_iteration(iteration, residual, True)
+                if stop is None:
+                    hit = extrapolator.stop(x_cur(), lambda z: self.A @ z,
+                                            criterion)
+                    if hit is not None:
+                        z, residual = hit
+                        write_cur(z)
+                        history.append((iteration, residual))
+                        stop = StopReason.CONVERGED
+                        span.set_attribute("extrapolated", True)
                 if stop is not None:
                     reason = stop
                     return
@@ -637,7 +650,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             if checkpointer is not None:
                 meta = self._checkpoint_meta(history, best_residual,
                                              checks_done, recoveries,
-                                             criterion)
+                                             criterion, extrapolator)
                 meta["sharding"] = {
                     "shards": pool.shards,
                     "requested_shards": requested_shards,
@@ -647,7 +660,9 @@ class ShardedJacobiSolver(IterativeSolverBase):
                              for p in pool.parts],
                     "degradations": len(degradations),
                 }
-                checkpointer.maybe_save(iteration, {"x": x_cur()}, meta)
+                checkpointer.maybe_save(
+                    iteration, self._checkpoint_arrays(x_cur(), extrapolator),
+                    meta)
             if injector is not None:
                 injector.maybe_fail("shard.parent")
 
@@ -792,6 +807,8 @@ class ShardedJacobiSolver(IterativeSolverBase):
                              else float(saved_best))
             recoveries = int(meta.get("recoveries", 0))
             criterion.load_state(meta.get("criterion", {}))
+            extrapolator.restore(x, resumed.arrays.get("x_prev"),
+                                 int(meta.get("prev_depth", 0)))
             if policy is not None:
                 checkpoint = x.copy()
                 checkpoint_iteration = iteration

@@ -12,6 +12,7 @@ up to the retry budget; the final failure surfaces to the job as a
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 
@@ -25,6 +26,8 @@ from repro.errors import (
 )
 from repro.serve.fairness import FairPriorityQueue
 from repro.serve.jobs import JobState, SolveJob
+
+log = logging.getLogger("repro.serve")
 
 #: Errors worth a second attempt; anything else fails the job at once.
 #: Timeouts and convergence failures may clear with a warm(er) start;
@@ -40,12 +43,15 @@ def settle(job: SolveJob, on_done, outcome=None,
            error: SolveJobError | None = None) -> None:
     """End *job*: ``on_done(job, error)`` first, so a caller woken by
     the terminal transition finds the job already counted and
-    journaled, then ``finish``/``fail``.  The transition happens even
-    when ``on_done`` raises, so a failed journal append never leaves a
-    caller waiting."""
+    journaled, then ``finish``/``fail``.  An ``on_done`` that raises (a
+    failed journal append) is logged, not raised: the job still ends,
+    and the worker or batch settling it carries on with its other
+    jobs."""
     try:
         if on_done is not None:
             on_done(job, error)
+    except Exception:  # noqa: BLE001 - the job must still end
+        log.exception("job %s: on_done failed", job.id)
     finally:
         if error is None:
             job.finish(outcome)

@@ -28,7 +28,11 @@ Centralizing the loop means every solver gets, identically:
   (:func:`repro.telemetry.tracing.span`, a no-op unless a recorder is
   installed);
 * the warm-start fast path: a caller-supplied ``x0`` already within
-  tolerance returns immediately with ``iterations=0``.
+  tolerance returns immediately with ``iterations=0``;
+* the extrapolated stop (:class:`~repro.solvers.stopping.Extrapolator`):
+  at a check that does not stop, the last three checked iterates
+  extrapolate to a candidate, returned when it passes the same
+  residual test.  A rejected candidate leaves the trajectory alone.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from repro.errors import (
 )
 from repro.solvers.normalization import renormalize, uniform_probability
 from repro.solvers.result import SolverResult, StopReason
-from repro.solvers.stopping import StoppingCriterion
+from repro.solvers.stopping import Extrapolator, StoppingCriterion
 from repro.telemetry import tracing
 
 #: Matrix-derived quantities (row sums, inf-norm, diagonal) cached per
@@ -242,7 +246,7 @@ class IterativeSolverBase:
 
     @staticmethod
     def _checkpoint_meta(history, best_residual, checks_done, recoveries,
-                         criterion) -> dict:
+                         criterion, extrapolator) -> dict:
         """JSON-serializable loop state for a durable checkpoint."""
         return {
             "history": [[int(i), float(r)] for i, r in history],
@@ -251,7 +255,16 @@ class IterativeSolverBase:
             "checks_done": int(checks_done),
             "recoveries": int(recoveries),
             "criterion": criterion.state_dict(),
+            "prev_depth": extrapolator.depth,
         }
+
+    @staticmethod
+    def _checkpoint_arrays(x, extrapolator) -> dict:
+        """The iterate and, when held, the previous checked one."""
+        arrays = {"x": x}
+        if extrapolator.previous is not None:
+            arrays["x_prev"] = extrapolator.previous
+        return arrays
 
     def _initial_iterate(self, x0, *, validate: bool = True) -> np.ndarray:
         """Validate *x0* and project it onto the probability simplex.
@@ -320,16 +333,21 @@ class IterativeSolverBase:
         checkpointer:
             Optional :class:`~repro.durability.Checkpointer`.  The loop
             writes a durable checkpoint (iterate, iteration count,
-            residual history, stopping-criterion state) whenever the
-            checkpointer's policy says one is due — always at a
+            residual history, stopping-criterion state, and the
+            previous checked iterate ``x_prev`` of the extrapolated
+            stop) whenever the checkpointer's policy says one is due —
+            always at a
             residual-check boundary, where the iterate is renormalized
             and consistent.  When ``checkpointer.resume`` is set and an
             intact checkpoint matching the signature exists, the solve
             restores it (ignoring *x0*) and continues **bitwise
             identically** to the uninterrupted run: the iterate is
             taken verbatim (no re-renormalization), the stopping
-            criterion's stagnation state is reloaded, and the reusable
-            residual product is recomputed deterministically.
+            criterion's stagnation state and the extrapolated stop's
+            history are reloaded, and the reusable residual product is
+            recomputed deterministically.  A checkpoint without
+            ``x_prev`` resumes with that history empty: a valid answer,
+            but not bitwise the uninterrupted one.
         """
         # Lazy imports: repro.resilience imports repro.solvers (for the
         # registry and result types), so a module-level import here
@@ -363,6 +381,7 @@ class IterativeSolverBase:
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=self._active_backend)
+        extrapolator = Extrapolator()
         history: list[tuple[int, float]] = []
         t0 = time.perf_counter()
         iteration = 0
@@ -381,6 +400,7 @@ class IterativeSolverBase:
             report.record(iteration, kind, "rollback",
                           detail=f"checkpoint@{checkpoint_iteration}")
             count_recovery(kind, iteration)
+            extrapolator.reset()
             return checkpoint.copy()
 
         # The residual product ``y = A @ x`` of the latest check, valid
@@ -415,6 +435,8 @@ class IterativeSolverBase:
                              else float(saved_best))
             recoveries = int(meta.get("recoveries", 0))
             criterion.load_state(meta.get("criterion", {}))
+            extrapolator.restore(x, resumed.arrays.get("x_prev"),
+                                 int(meta.get("prev_depth", 0)))
             if policy is not None:
                 checkpoint = x.copy()
                 checkpoint_iteration = iteration
@@ -539,6 +561,14 @@ class IterativeSolverBase:
                 best_residual = min(best_residual, residual)
                 if hooks is not None:
                     hooks.on_iteration(iteration, residual, True)
+                if stop is None:
+                    hit = extrapolator.stop(x, lambda z: self.A @ z,
+                                           criterion)
+                    if hit is not None:
+                        x, residual = hit
+                        history.append((iteration, residual))
+                        stop = StopReason.CONVERGED
+                        span.set_attribute("extrapolated", True)
                 if stop is not None:
                     reason = stop
                     break
@@ -557,10 +587,10 @@ class IterativeSolverBase:
                     report.checkpoints += 1
                 if checkpointer is not None:
                     checkpointer.maybe_save(
-                        iteration, {"x": x},
+                        iteration, self._checkpoint_arrays(x, extrapolator),
                         self._checkpoint_meta(history, best_residual,
                                               checks_done, recoveries,
-                                              criterion))
+                                              criterion, extrapolator))
             span.set_attribute("iterations", iteration)
             span.set_attribute("residual", residual)
             span.set_attribute("stop_reason", reason.value)

@@ -28,7 +28,10 @@ Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion` (and optionally its
 own tolerance), and a column that converges, stagnates or diverges is
 *retired* — its result is recorded and the block is compacted so later
-sweeps do no work for it.  The arithmetic per column is identical to
+sweeps do no work for it.  Each column also has its own
+:class:`~repro.solvers.stopping.Extrapolator`: a column whose
+extrapolated candidate passes its tolerance retires with the
+candidate.  The arithmetic per column is identical to
 :class:`~repro.solvers.jacobi.JacobiSolver`'s, so a batched solve
 reproduces the serial answers.
 
@@ -52,7 +55,7 @@ from repro.errors import (
 from repro.solvers.base import matrix_derived
 from repro.solvers.normalization import renormalize, uniform_probability
 from repro.solvers.result import SolverResult, StopReason
-from repro.solvers.stopping import StoppingCriterion
+from repro.solvers.stopping import Extrapolator, StoppingCriterion
 from repro.sparse.base import SparseFormat, as_csr
 from repro.telemetry import tracing
 
@@ -221,9 +224,11 @@ class BatchedJacobiSolver:
             Optional :class:`~repro.durability.Checkpointer` writing
             durable snapshots (kind ``"batched"``) at residual-check
             boundaries: the whole block — retired columns' final
-            answers plus the live iterates — with per-column histories,
-            criterion states and retirement records, so a resumed batch
-            continues with the same retirements and iterates.
+            answers plus the live iterates — and each live column's
+            previous checked iterate (``X_prev``), with per-column
+            histories, criterion states, extrapolation depths and
+            retirement records, so a resumed batch continues with the
+            same retirements and iterates.
         """
         if x0s is None and k is None and self._systems is not None:
             k = len(self._systems)
@@ -260,6 +265,7 @@ class BatchedJacobiSolver:
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=be) for j in range(total)]
+        extrapolators = [Extrapolator() for _ in range(total)]
         histories: list[list[tuple[int, float]]] = [[] for _ in range(total)]
         active = list(range(total))
         # The iterates and diagonals are the columns of (n, k) blocks,
@@ -277,6 +283,7 @@ class BatchedJacobiSolver:
             return many.spmv_many([systems[j] for j in active], Xb)
         t0 = time.perf_counter()
         iteration = 0
+        extrapolated = 0   # columns retired by the extrapolated stop
 
         def retire(j: int, column: np.ndarray, reason: StopReason,
                    residual: float, iters: int) -> None:
@@ -298,6 +305,7 @@ class BatchedJacobiSolver:
             if checkpointer is None:
                 return
             X_all = np.zeros((self.n, total), dtype=np.float64)
+            X_prev = np.zeros((self.n, total), dtype=np.float64)
             retired: dict[str, dict] = {}
             for j, r in enumerate(results):
                 if r is None:
@@ -312,16 +320,19 @@ class BatchedJacobiSolver:
                 }
             for c, j in enumerate(active):
                 X_all[:, j] = X[:, c]
+                if extrapolators[j].previous is not None:
+                    X_prev[:, j] = extrapolators[j].previous
             meta = {
                 "iteration": int(iteration),
                 "active": [int(j) for j in active],
                 "histories": [[[int(i), float(r)] for i, r in h]
                               for h in histories],
                 "criteria": [criteria[j].state_dict() for j in active],
+                "prev_depths": [extrapolators[j].depth for j in active],
                 "retired": retired,
             }
-            checkpointer.maybe_save(iteration, {"X": X_all}, meta,
-                                    kind="batched")
+            checkpointer.maybe_save(iteration, {"X": X_all, "X_prev": X_prev},
+                                    meta, kind="batched")
 
         span = tracing.span(f"{self.span_name}.solve_many", n=self.n,
                             k=total)
@@ -358,6 +369,11 @@ class BatchedJacobiSolver:
                 active = [int(j) for j in meta.get("active", [])]
                 for j, state in zip(active, meta.get("criteria", [])):
                     criteria[j].load_state(state)
+                X_prev = resumed.arrays.get("X_prev")
+                for j, depth in zip(active, meta.get("prev_depths", [])):
+                    extrapolators[j].restore(
+                        X_all[:, j],
+                        None if X_prev is None else X_prev[:, j], depth)
                 if active:
                     X = take(X_all, active)
                     D = take(D, active)
@@ -448,6 +464,17 @@ class BatchedJacobiSolver:
                     stop, res = criteria[j].check(iteration, Y[:, c],
                                                   X[:, c])
                     histories[j].append((iteration, res))
+                    if stop is None:
+                        hit = extrapolators[j].stop(
+                            X[:, c], lambda z: systems[j] @ z, criteria[j])
+                        if hit is not None:
+                            z, res = hit
+                            histories[j].append((iteration, res))
+                            retire(j, z, StopReason.CONVERGED, res,
+                                   iteration)
+                            retired_cols.append(c)
+                            extrapolated += 1
+                            continue
                     if stop is None and expired:
                         stop = StopReason.TIMED_OUT
                     if stop is None and iteration >= self.max_iterations:
@@ -468,4 +495,6 @@ class BatchedJacobiSolver:
                 durable_save()
             span.set_attribute("iterations", iteration)
             span.set_attribute("products", self.products)
+            if extrapolated:
+                span.set_attribute("extrapolated", extrapolated)
         return results  # type: ignore[return-value]

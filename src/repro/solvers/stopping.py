@@ -13,6 +13,12 @@ slowly) between consecutive checks::
 
 Because the residual evaluation costs about as much as an iteration,
 the solver invokes this object only every ``check_interval`` steps.
+
+:class:`Extrapolator` can end the loop sooner: near convergence the
+error of a stationary iteration shrinks by a near-constant ratio ``r``
+per check, so the last three checked iterates extrapolate to the limit
+of their geometric tail.  The extrapolation is returned only when it
+passes the same residual test.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.solvers.normalization import renormalize
 from repro.solvers.result import StopReason
 
 
@@ -143,3 +150,86 @@ class StoppingCriterion:
         self._best_residual = None if best is None else float(best)
         self._checks = int(state.get("checks", 0))
         self._stagnant_streak = int(state.get("stagnant_streak", 0))
+
+
+class Extrapolator:
+    """The extrapolated stop, from the last three checked iterates.
+
+    A loop hands every checked, renormalized iterate that did not stop
+    to :meth:`stop`.  With the two previous ones ``x0`` and ``x1`` and
+    the current ``x2``::
+
+        d1 = x1 - x0,   d2 = x2 - x1,   r = (d2 . d1) / (d1 . d1)
+
+    and for ``0 < r < 1`` the candidate is ``x2 + d2 r / (1 - r)``,
+    clipped at 0 and renormalized: the limit of a geometric tail with
+    ratio ``r``.  :meth:`stop` returns it only when its own residual
+    passes the criterion's ``tol``.  A rejected candidate is discarded;
+    the loop's iterate and product are untouched, so the trajectory is
+    the plain loop's.
+
+    It holds two n-vectors.  Each candidate costs one more product.
+    The vectors are contiguous copies and the dot products NumPy's
+    pairwise sums, so any loop that feeds it the same iterates gets the
+    same bits (a strided batch column included).  A rollback clears it
+    (:meth:`reset`): the iterates must come from consecutive checks.
+    """
+
+    def __init__(self):
+        self._x0: np.ndarray | None = None
+        self._x1: np.ndarray | None = None
+
+    @property
+    def depth(self) -> int:
+        """Checked iterates held (0, 1 or 2)."""
+        return (self._x0 is not None) + (self._x1 is not None)
+
+    @property
+    def previous(self) -> np.ndarray | None:
+        """The iterate checked before the latest one (checkpoints save
+        it; the latest is the loop's own iterate)."""
+        return self._x0
+
+    def reset(self) -> None:
+        self._x0 = self._x1 = None
+
+    def restore(self, x: np.ndarray, previous: np.ndarray | None,
+                depth: int) -> None:
+        """Reload the state a checkpoint saved with the iterate *x*.
+        A depth-2 state whose *previous* is missing restarts empty."""
+        self.reset()
+        if depth >= 2 and previous is None:
+            return
+        if depth >= 1:
+            self._x1 = np.array(x, dtype=np.float64)
+        if depth >= 2:
+            self._x0 = np.array(previous, dtype=np.float64)
+
+    def candidate(self, x: np.ndarray) -> np.ndarray | None:
+        """Record the checked iterate *x*; return the extrapolation of
+        the last three, or ``None`` when ``r`` is outside (0, 1)."""
+        x2 = np.array(x, dtype=np.float64)
+        z = None
+        if self._x0 is not None:
+            d1 = self._x1 - self._x0
+            d2 = x2 - self._x1
+            dd = float((d1 * d1).sum())
+            r = float((d2 * d1).sum()) / dd if dd > 0.0 else 0.0
+            if 0.0 < r < 1.0:
+                try:
+                    z = renormalize(x2 + d2 * (r / (1.0 - r)))
+                except ValidationError:
+                    z = None
+        self._x0, self._x1 = self._x1, x2
+        return z
+
+    def stop(self, x: np.ndarray, product, criterion: StoppingCriterion
+             ) -> tuple[np.ndarray, float] | None:
+        """``(candidate, its residual)`` when the candidate of *x*
+        passes ``criterion.tol``, else ``None``.  ``product(z)`` is the
+        loop's ``A @ z``."""
+        z = self.candidate(x)
+        if z is None:
+            return None
+        res = criterion.normalized_residual(product(z), z)
+        return (z, res) if res <= criterion.tol else None

@@ -6,6 +6,9 @@ the iterate is restored verbatim, and the recomputed pending product is
 deterministic — so the resumed trajectory is the uninterrupted one.
 The batched and FSP layers assert the same identity on their richer
 state (retired columns, per-column histories, round trajectories).
+The extrapolated stop's state is the previous checked iterate
+(``x_prev``, ``X_prev``), so a resume from the check just before an
+extrapolated stop takes the same stop.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ from repro.cme.models import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import enumerate_state_space
 from repro.durability import CheckpointPolicy, Checkpointer, system_signature
+from repro.durability import read_checkpoint, write_checkpoint
 from repro.errors import ValidationError
 from repro.solvers import GaussSeidelSolver, JacobiSolver, PowerIterationSolver
+from repro.solvers.batched import BatchedJacobiSolver
+from repro.solvers.result import StopReason
 from repro.sparse.base import as_csr
 from repro.sparse.conversion import to_scipy
+from tests.solvers import test_oracle as oracle
 
 DAMPING = 0.7
 TOL = 1e-10
@@ -118,6 +125,111 @@ class TestBatchedResume:
             assert res.iterations == ref.iterations
             assert res.residual == ref.residual
             np.testing.assert_array_equal(res.x, ref.x)
+
+
+def extrapolated_stop(result) -> int:
+    """The iteration of *result*'s extrapolated stop: its history ends
+    with that check's residual and then the candidate's."""
+    (check, _), (stop, _) = result.residual_history[-2:]
+    assert result.stop_reason is StopReason.CONVERGED
+    assert check == stop == result.iterations
+    return stop
+
+
+def drop_previous_iterate(directory) -> None:
+    """Rewrite the newest checkpoint without the extrapolated stop's
+    state, as a build without the stop wrote it."""
+    path = sorted(directory.glob("ckpt-*.ckpt"))[-1]
+    data = read_checkpoint(path)
+    write_checkpoint(
+        path, signature=data.signature, kind=data.kind,
+        iteration=data.iteration,
+        arrays={k: v for k, v in data.arrays.items()
+                if k not in ("x_prev", "X_prev")},
+        meta={k: v for k, v in data.meta.items()
+              if k not in ("prev_depth", "prev_depths")})
+
+
+class TestResumeAcrossExtrapolatedStop:
+    """The oracle's toggle switch at its damping and tolerance; the
+    partial run saves at every check and ends half an interval past
+    the check just before the stop, so that check holds the newest
+    checkpoint."""
+
+    @pytest.fixture(scope="class")
+    def toggle(self):
+        A = build_rate_matrix(enumerate_state_space(
+            oracle.MODELS["toggle"][0]()))
+        return A, oracle.direct_solve(A)
+
+    def checkpointer(self, directory, A, *, resume=False):
+        return Checkpointer(
+            directory, resume=resume,
+            signature=system_signature(as_csr(A), method="jacobi",
+                                       tol=oracle.TOL),
+            policy=CheckpointPolicy(every_iterations=1, keep_last=2))
+
+    def solver(self, A, **kwargs):
+        return JacobiSolver(A, tol=oracle.TOL, damping=oracle.DAMPING,
+                            **kwargs)
+
+    def batched(self, A, **kwargs):
+        return BatchedJacobiSolver(A, tol=oracle.TOL,
+                                   damping=oracle.DAMPING, **kwargs)
+
+    def test_serial_resume_takes_the_same_stop(self, toggle, tmp_path):
+        A, _ = toggle
+        reference = self.solver(A).solve()
+        stop = extrapolated_stop(reference)
+        self.solver(A, max_iterations=stop - 50).solve(
+            checkpointer=self.checkpointer(tmp_path, A))
+        ck = self.checkpointer(tmp_path, A, resume=True)
+        resumed = self.solver(A).solve(checkpointer=ck)
+        assert read_checkpoint(ck.resumed_from).iteration == stop - 100
+        assert_identical(reference, resumed)
+
+    def test_batched_resume_takes_the_same_stop(self, toggle, tmp_path):
+        A, _ = toggle
+        tols = [oracle.TOL, oracle.TOL / 10]
+        reference = self.batched(A).solve_many(k=2, tols=tols)
+        stop = max(extrapolated_stop(r) for r in reference)
+        self.batched(A, max_iterations=stop - 50).solve_many(
+            k=2, tols=tols, checkpointer=self.checkpointer(tmp_path, A))
+        ck = self.checkpointer(tmp_path, A, resume=True)
+        resumed = self.batched(A).solve_many(k=2, tols=tols,
+                                             checkpointer=ck)
+        assert read_checkpoint(ck.resumed_from).iteration == stop - 100
+        for ref, res in zip(reference, resumed):
+            assert_identical(ref, res)
+
+    def test_serial_checkpoint_without_previous_iterate(self, toggle,
+                                                        tmp_path):
+        A, exact = toggle
+        stop = extrapolated_stop(self.solver(A).solve())
+        self.solver(A, max_iterations=stop - 50).solve(
+            checkpointer=self.checkpointer(tmp_path, A))
+        drop_previous_iterate(tmp_path)
+        ck = self.checkpointer(tmp_path, A, resume=True)
+        resumed = self.solver(A).solve(checkpointer=ck)
+        assert ck.resumed_from is not None
+        oracle.assert_within([resumed], [exact],
+                             oracle.BOUNDS["toggle"]["jacobi"])
+
+    def test_batched_checkpoint_without_previous_iterate(self, toggle,
+                                                         tmp_path):
+        A, exact = toggle
+        tols = [oracle.TOL, oracle.TOL / 10]
+        stop = max(extrapolated_stop(r) for r in
+                   self.batched(A).solve_many(k=2, tols=tols))
+        self.batched(A, max_iterations=stop - 50).solve_many(
+            k=2, tols=tols, checkpointer=self.checkpointer(tmp_path, A))
+        drop_previous_iterate(tmp_path)
+        ck = self.checkpointer(tmp_path, A, resume=True)
+        resumed = self.batched(A).solve_many(k=2, tols=tols,
+                                             checkpointer=ck)
+        assert ck.resumed_from is not None
+        oracle.assert_within(resumed, [exact, exact],
+                             oracle.BOUNDS["toggle"]["shared"])
 
 
 class TestFspResume:

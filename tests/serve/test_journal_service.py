@@ -10,6 +10,7 @@ one idempotent replay instead of dropping or duplicating work.
 from __future__ import annotations
 
 import errno
+import logging
 import threading
 import time
 
@@ -143,10 +144,6 @@ class TestBooksCloseBeforeResult:
             assert out.key not in {r["key"] for r in
                                    svc.journal.open_entries()}
 
-    # The append's OSError still propagates out of the worker thread
-    # once the job is finished, and ends that thread.
-    @pytest.mark.filterwarnings(
-        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_failed_terminal_append_still_answers(self, network, tmp_path,
                                                   monkeypatch):
         journal = JobJournal(tmp_path / "jobs.journal")
@@ -158,6 +155,54 @@ class TestBooksCloseBeforeResult:
         with make_service(network, journal) as svc:
             out = svc.submit({"degA": 0.5}).result(timeout=5)
             assert out.result.converged
+
+    def test_failed_terminal_append_keeps_the_worker(self, network,
+                                                     tmp_path, monkeypatch,
+                                                     caplog):
+        """The append's error is logged, and the worker that ran the
+        job keeps serving: the lone worker answers a second job."""
+        journal = JobJournal(tmp_path / "jobs.journal")
+
+        def disk_error(key):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(journal, "completed", disk_error)
+        with caplog.at_level(logging.ERROR, logger="repro.serve"), \
+                make_service(network, journal, workers=1) as svc:
+            first = svc.submit({"degA": 0.5}).result(timeout=5)
+            second = svc.submit({"degA": 2.0}).result(timeout=30)
+            workers = solve_workers()
+            assert workers and all(t.is_alive() for t in workers)
+        assert first.result.converged and second.result.converged
+        assert any(r.exc_info and isinstance(r.exc_info[1], OSError)
+                   for r in caplog.records)
+
+    def test_failed_terminal_append_in_a_batch_answers_every_job(
+            self, network, tmp_path, monkeypatch):
+        """One solve answers a coalesced batch of three; every terminal
+        append fails, and still every job is answered."""
+        journal = JobJournal(tmp_path / "jobs.journal")
+
+        def disk_error(key):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(journal, "completed", disk_error)
+        svc = make_service(network, journal, batch_max=3)
+        try:
+            # Stop the workers so the jobs queue, then run the batch by
+            # hand: its composition is then exact, not a race.
+            svc._scheduler._stop.set()
+            for t in svc._scheduler._threads:
+                t.join(timeout=5.0)
+            jobs = [svc.submit(tol=TOL / 10 ** i) for i in range(3)]
+            primary = svc._scheduler.queue.get(timeout=0)
+            assert primary is jobs[0]
+            svc._scheduler._run_job(primary)
+            assert svc.snapshot()["batched"] == 2
+            outs = [job.result(timeout=0) for job in jobs]
+        finally:
+            svc.close(wait=False)
+        assert all(out.result.converged for out in outs)
 
 
 class TestRestartReplay:

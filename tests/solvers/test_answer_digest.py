@@ -16,9 +16,9 @@ residual history.  The cases cover every path a Jacobi answer takes:
 * the serve pool's :func:`~repro.serve.pool.run_task` with ``tols``;
 * a batched solve checkpointed at 400 iterations and resumed.
 
-The value was recorded before a coalesced batch became a stack of one
-system and before the serial loop's batch bodies were merged.  Every
-backend must reproduce it.
+The value was re-recorded once, on purpose, when every Jacobi loop
+gained the extrapolated stop (the answers move there; the value before
+it was ``e4cd23babf85d991``).  Every backend must reproduce it.
 """
 
 import hashlib
@@ -46,9 +46,9 @@ MODELS = {
 #: converge stay cheap.
 MAX_ITERATIONS = 20_000
 
-#: The digest of :func:`answer_digest`, recorded before the rewiring
-#: named in the module docstring.
-EXPECTED = "e4cd23babf85d991"
+#: The digest of :func:`answer_digest`, recorded with the extrapolated
+#: stop (see the module docstring).
+EXPECTED = "0a5a63bb41670e92"
 
 
 def _update(h, results) -> None:

@@ -191,7 +191,9 @@ class TestStackedMode:
 
         be = Counting()
         mats = [chain(death=d) for d in (0.8, 1.0, 1.3, 1.6)]
-        tols = [1e-5, 1e-7, 1e-9, 1e-11]
+        # Spread so that the extrapolated stop still retires each
+        # column at its own check (200, 240, 260 and 280 sweeps).
+        tols = [1e-5, 1e-7, 1e-10, 1e-13]
         kw = dict(damping=DAMPING, check_interval=20)
         got = BatchedJacobiSolver.stacked(
             mats, backend=be, **kw).solve_many(tols=tols)

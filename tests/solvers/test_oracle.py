@@ -23,6 +23,12 @@ its thread executor and on one process pool shared by every model's
 service, and a pair of requests the service batches into one
 batched solve of their generator; and a checkpointed Jacobi solve stopped partway and
 resumed.
+
+Every loop ends with the extrapolated stop
+(:class:`~repro.solvers.stopping.Extrapolator`), and the bounds above
+were not moved for it.  Its sweep counts are pinned below, next to the
+plain loop's, which the same solver reproduces with the candidates
+switched off.
 """
 
 import numpy as np
@@ -45,6 +51,7 @@ from repro.solvers import (
     JacobiSolver,
 )
 from repro.solvers.result import StopReason
+from repro.solvers.stopping import Extrapolator, StoppingCriterion
 from repro.sparse.base import as_csr
 from tests.cme.test_random_networks_property import random_networks
 
@@ -93,6 +100,11 @@ METHOD_BOUNDS = {
 #: 10x the worst L1 error (1.53e-6) over the 200 random networks below,
 #: every one of which converged on both backends.
 RANDOM_BOUND = 1.6e-5
+
+#: ``JacobiSolver`` sweeps at ``DAMPING`` and ``TOL``: with the
+#: extrapolated stop, and on the plain loop.
+STOP_SWEEPS = {"toggle": 600, "phage": 1_900}
+PLAIN_SWEEPS = {"toggle": 1_300, "phage": 4_700}
 
 
 def direct_solve(A) -> np.ndarray:
@@ -236,6 +248,47 @@ def test_resumed_jacobi_matches_oracle(case, backend, tmp_path):
     resumed = JacobiSolver(A, **options).solve(checkpointer=resumed_ck)
     assert resumed_ck.resumed_from is not None
     assert_within([resumed], [exact], BOUNDS[name]["jacobi"])
+
+
+@pytest.mark.parametrize("name", sorted(STOP_SWEEPS))
+def test_extrapolated_stop_sweep_counts(name, monkeypatch):
+    """Both backends stop at the pinned count, well below the plain
+    loop's, and the answer passes the residual test on a product
+    recomputed from scratch."""
+    A = build_rate_matrix(enumerate_state_space(MODELS[name][0]()))
+    results = [JacobiSolver(A, tol=TOL, damping=DAMPING,
+                            backend=backend).solve() for backend in BACKENDS]
+    criterion = StoppingCriterion(float(abs(A).sum(axis=1).max()), tol=TOL)
+    for r in results:
+        assert r.stop_reason is StopReason.CONVERGED
+        assert r.iterations == STOP_SWEEPS[name] < PLAIN_SWEEPS[name]
+        assert criterion.normalized_residual(as_csr(A) @ r.x, r.x) <= TOL
+        np.testing.assert_array_equal(r.x, results[0].x)
+    monkeypatch.setattr(Extrapolator, "candidate", lambda self, x: None)
+    for backend in BACKENDS:
+        plain = JacobiSolver(A, tol=TOL, damping=DAMPING,
+                             backend=backend).solve()
+        assert plain.iterations == PLAIN_SWEEPS[name]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_undamped_phage_stagnates_as_before(backend, candidates,
+                                            monkeypatch):
+    """Undamped phage (8, 4) oscillates on its Jacobi eigenvalue at -1.
+    Checks 100 sweeps apart see the oscillation in one phase, so ``r``
+    settles near 0.83 and a candidate is formed at every check; the
+    oscillation does not decay, so each fails the residual test, and
+    the solve stagnates exactly where and as the plain loop does."""
+    A = build_rate_matrix(enumerate_state_space(
+        phage_lambda(max_monomer=8, max_dimer=4)))
+    result = JacobiSolver(A, tol=TOL, backend=backend).solve()
+    assert result.stop_reason is StopReason.STAGNATED
+    assert result.iterations == 3_500
+    assert candidates
+    monkeypatch.setattr(Extrapolator, "candidate", lambda self, x: None)
+    plain = JacobiSolver(A, tol=TOL, backend=backend).solve()
+    assert result.residual_history == plain.residual_history
+    np.testing.assert_array_equal(result.x, plain.x)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -4,8 +4,10 @@ Historically each residual check recomputed ``A @ x`` on top of the
 product :meth:`step_once` had already formed, charging an extra SpMV
 every ``check_interval`` iterations.  With product reuse
 (:attr:`IterativeSolverBase.supports_product_step`), a solve of ``I``
-iterations performs exactly ``I + 1`` products: one per iteration plus
-the final check's product, whose iterate is never advanced again.
+iterations performs exactly ``I + 1 + C`` products: one per iteration,
+the final check's product, whose iterate is never advanced again, and
+one for each of the ``C`` extrapolated candidates the stop tests
+(counted by a spy on :class:`~repro.solvers.stopping.Extrapolator`).
 
 The scipy ``@`` counts below pin the reference backend, whose sweeps
 are those products; the native counterpart counts its fused sweeps
@@ -60,45 +62,51 @@ def counting_solver(backend="numpy", **kwargs):
     return solver, counted
 
 
-def test_one_spmv_per_iteration_cold_start():
+def test_one_spmv_per_iteration_cold_start(candidates):
     # damping < 1: the bipartite birth-death chain oscillates plain.
     solver, counted = counting_solver(tol=1e-10, check_interval=25,
                                       damping=0.6)
     result = solver.solve()
     assert result.converged
     assert result.iterations > 25  # several check batches exercised
-    assert counted.matmul_count == result.iterations + 1
+    assert candidates  # the stop's products are exercised too
+    assert counted.matmul_count == result.iterations + 1 + len(candidates)
 
 
-def test_one_spmv_per_iteration_warm_start():
+def test_one_spmv_per_iteration_warm_start(candidates):
     solver, counted = counting_solver(tol=1e-12, check_interval=30,
                                       damping=0.6)
     x0 = np.random.default_rng(0).random(solver.n)
     result = solver.solve(x0=x0)
-    assert counted.matmul_count == result.iterations + 1
+    assert counted.matmul_count == result.iterations + 1 + len(candidates)
 
 
-def test_one_spmv_per_iteration_with_damping():
+def test_one_spmv_per_iteration_with_damping(candidates):
     solver, counted = counting_solver(tol=1e-10, check_interval=20,
                                       damping=0.8)
     result = solver.solve()
-    assert counted.matmul_count == result.iterations + 1
+    assert counted.matmul_count == result.iterations + 1 + len(candidates)
 
 
-def test_one_product_per_iteration_native():
-    """Native: scipy products (checks) plus fused sweeps, one interval
-    per kernel call, still total one product per iteration."""
+def test_one_product_per_iteration_native(candidates):
+    """Native: scipy products (checks and candidates) plus fused
+    sweeps, one interval per kernel call, still total one product per
+    iteration plus one per candidate."""
     be = CountingNative()
     solver, counted = counting_solver(backend=be, tol=1e-10,
                                       check_interval=25, damping=0.6)
     result = solver.solve(x0=np.random.default_rng(2).random(solver.n))
     assert result.converged
     assert result.iterations > 25
-    assert counted.matmul_count + be.sweeps == result.iterations + 1
+    assert candidates
+    assert counted.matmul_count + be.sweeps == \
+        result.iterations + 1 + len(candidates)
     # One kernel call per renormalization interval, split at most once
-    # more by each residual check.
+    # more by each residual check (an extrapolated stop adds a history
+    # entry, not a check).
     intervals = -(-result.iterations // solver.normalize_interval)
-    assert 0 < be.calls <= intervals + len(result.residual_history)
+    checks = {i for i, _ in result.residual_history}
+    assert 0 < be.calls <= intervals + len(checks)
 
 
 def test_product_reuse_matches_plain_loop():
