@@ -6,7 +6,10 @@ each answer before sending the next can never observe queueing delay.
 This script offers load the way production traffic arrives: **Poisson
 arrivals at a fixed rate, submitted whether or not earlier jobs have
 finished**, so the latency distribution includes every queueing,
-coalescing, and fairness effect the service actually imposes.
+single-flight and fairness effect the service actually imposes.  Each
+job is timed from its *scheduled* arrival, not from the moment the
+generator got round to submitting it, so a generator that falls behind
+cannot hide its lag from the latencies (no coordinated omission).
 
 What one run records:
 
@@ -17,9 +20,9 @@ What one run records:
   stop-reason, iterations, and wall time.
 * ``load`` — for each offered arrival rate (at least two): sustained
   jobs/s, end-to-end latency p50/p90/p99 (measured caller-side,
-  submission to completion callback), per-tenant counts under a skewed
-  (~10:1 gold:free) tenant mix, over a traffic blend of four paper
-  models with both repeat (cache/coalesce-friendly) and unique
+  scheduled arrival to completion callback), per-tenant counts under
+  a skewed (~10:1 gold:free) tenant mix, over a traffic blend of four
+  paper models with both repeat (cache/coalesce-friendly) and unique
   conditions.
 * ``faulted`` — the same loop with ``serve.pool`` kill faults injected
   (process executor only): offered == completed shows crash recovery
@@ -73,8 +76,9 @@ MODEL_MIX = [
 #: Tenant skew: gold offers ~10x free's traffic.
 TENANT_MIX = [("gold", 10), ("free", 1)]
 
-#: Fraction of arrivals drawn from a small repeat set (cache hits and
-#: batch coalescing); the rest are unique rate points (real solves).
+#: Fraction of arrivals drawn from a small repeat set (cache hits, or
+#: single-flight onto an in-flight solve of the same request); the rest
+#: are unique rate points (real solves).
 REPEAT_FRACTION = 0.5
 REPEAT_SET_SIZE = 4
 
@@ -101,7 +105,7 @@ def make_services(networks: dict, *, executor: str, workers: int,
     for name, net in networks.items():
         services[name] = SolveService(
             net, workers=workers, executor=executor, pool=pool,
-            batch_max=4, tol=1e-6, max_iterations=20_000, retries=1,
+            tol=1e-6, max_iterations=20_000, retries=1,
             tenant_weights={t: w for t, w in TENANT_MIX},
             metrics_registry=registry)
     return services
@@ -124,9 +128,10 @@ def run_load(services: dict, *, rate_per_s: float, duration_s: float,
     """Offer an open-loop Poisson stream; return the latency report.
 
     Arrivals are scheduled on the wall clock: if the generator falls
-    behind (a submit blocked on backpressure), subsequent arrivals
-    fire immediately — offered load stays open-loop rather than
-    silently degrading to closed-loop.
+    behind (a slow or blocked submit), subsequent arrivals fire
+    immediately — offered load stays open-loop rather than silently
+    degrading to closed-loop — and each job's latency still counts
+    from its scheduled arrival.
     """
     rng = np.random.default_rng(seed)
     rate_names = {name: rname for name, _, rname in MODEL_MIX}
@@ -141,13 +146,13 @@ def run_load(services: dict, *, rate_per_s: float, duration_s: float,
     latencies: list[float] = []
     failures: list[str] = []
 
-    def record(t_submit: float):
+    def record(due: float):
         def _cb(job):
             with lock:
                 if job.exception() is not None:
                     failures.append(type(job.exception()).__name__)
                 else:
-                    latencies.append(time.perf_counter() - t_submit)
+                    latencies.append(time.perf_counter() - due)
         return _cb
 
     jobs = []
@@ -161,6 +166,7 @@ def run_load(services: dict, *, rate_per_s: float, duration_s: float,
         if now < next_arrival:
             time.sleep(min(next_arrival - now, 0.01))
             continue
+        due = next_arrival
         next_arrival += float(rng.exponential(1.0 / rate_per_s))
         model = model_names[int(rng.choice(len(model_names), p=model_w))]
         tenant = tenant_names[int(rng.choice(len(tenant_names),
@@ -171,14 +177,13 @@ def run_load(services: dict, *, rate_per_s: float, duration_s: float,
             mult = 1.0 + 0.1 * int(rng.integers(REPEAT_SET_SIZE))
         else:
             mult = float(rng.uniform(0.5, 2.0))
-        t_submit = time.perf_counter()
         try:
             job = services[model].submit({rname: base * mult},
                                          tenant=tenant)
         except Exception:
             rejected += 1
             continue
-        job.add_done_callback(record(t_submit))
+        job.add_done_callback(record(due))
         jobs.append(job)
     offered_window = time.perf_counter() - t0
 

@@ -296,7 +296,7 @@ def bench_serve(quick: bool) -> dict:
     for name, net, rate in models:
         base = next(r.rate for r in net.reactions if r.name == rate)
         conds = [{rate: base * (1.0 + 0.05 * i)} for i in range(jobs)]
-        with SolveService(net, workers=2, batch_max=4) as service:
+        with SolveService(net, workers=2) as service:
             t0 = time.perf_counter()
             outcomes = service.map(conds)
             elapsed = time.perf_counter() - t0

@@ -20,7 +20,7 @@ class ValidationError(ReproError, ValueError):
 class IterateSizeError(ValidationError):
     """An iterate's length disagrees with the system dimension.
 
-    Raised when a warm-start vector (``x0``/``x0s[j]``) does not match
+    Raised when a warm-start vector (``x0``) does not match
     the matrix size ``n``.  The mismatch is carried structurally in
     ``expected`` and ``got`` so callers that *remap* iterates across
     changing state spaces (the adaptive FSP loop) can distinguish a

@@ -25,13 +25,13 @@ import numpy as np
 
 from repro.errors import SingularSystemError, ValidationError
 from repro.resilience.guardrails import RecoveryReport
+from repro.solvers.jacobi import JACOBI_OPTIONS
 from repro.telemetry import tracing
 
 # NOTE: repro.solvers types (SolverResult, StopReason, SOLVER_REGISTRY)
 # are imported lazily inside methods — repro.solvers/__init__ imports
-# this module to register "resilient", so a module-level import back
-# into the package would be circular whenever repro.resilience loads
-# first.
+# this module to register "resilient", after ``repro.solvers.jacobi``
+# (imported above) but before the registry is complete.
 
 #: The default fallback order (see module docstring).
 DEFAULT_CHAIN = ("jacobi", "gauss-seidel", "gmres")
@@ -40,8 +40,7 @@ DEFAULT_CHAIN = ("jacobi", "gauss-seidel", "gmres")
 #: caller passes is validated against the union and filtered per
 #: method, so one options dict can configure the whole chain.
 _METHOD_OPTIONS = {
-    "jacobi": frozenset({"check_interval", "normalize_interval",
-                         "stagnation_tol", "damping", "backend"}),
+    "jacobi": JACOBI_OPTIONS,
     "gauss-seidel": frozenset({"check_interval", "normalize_interval",
                                "stagnation_tol", "backend"}),
     "power": frozenset({"check_interval", "stagnation_tol",

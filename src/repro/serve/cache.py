@@ -164,12 +164,25 @@ class SolutionCache:
     # -- updates ------------------------------------------------------------
 
     def put(self, entry: CacheEntry) -> None:
-        """Insert (or refresh) an entry; evicts LRU items over budget."""
+        """Insert (or refresh) an entry; evicts LRU items over budget.
+
+        A write-through that fails (a full or read-only disk) is logged
+        and its partial file removed; the entry stays in memory, since
+        the answer it holds is valid either way.
+        """
         with self._lock:
             self.stats.stores += 1
             self._insert(entry)
-            if self.disk_dir is not None:
+            if self.disk_dir is None:
+                return
+            try:
                 self._store_disk(entry)
+            except OSError as exc:
+                path = self._path(entry.key)
+                log.warning("could not write cache file %s (%s)",
+                            path.name, exc)
+                with suppress(OSError):
+                    path.with_suffix(".tmp.npz").unlink()
 
     def clear(self) -> None:
         with self._lock:

@@ -27,7 +27,7 @@ import time
 from typing import Mapping
 
 from repro.errors import JobRejectedError, ValidationError
-from repro.serve.jobs import JobState, SolveJob, _QueueItem
+from repro.serve.jobs import SolveJob, _QueueItem
 
 __all__ = ["FairPriorityQueue"]
 
@@ -49,8 +49,8 @@ class _TenantLane:
 class FairPriorityQueue:
     """A bounded queue serving tenants by deficit round robin.
 
-    The scheduler's queue (``put`` / ``get`` / ``drain_matching`` /
-    ``close`` / ``len``).  Jobs are routed to per-tenant heaps by
+    The scheduler's queue (``put`` / ``get`` / ``close`` / ``len``).
+    Jobs are routed to per-tenant heaps by
     ``job.tenant``; ``get`` serves lanes in round-robin order, up to
     ``weight`` jobs per lane per round (see module docstring).  Only
     backlogged tenants hold a lane: a lane is dropped when its heap
@@ -58,10 +58,7 @@ class FairPriorityQueue:
     work queued, not with every tenant id ever submitted.
 
     ``weights`` maps tenant ids to integer weights ``>= 1``; unlisted
-    tenants get weight 1.  Batch draining (:meth:`drain_matching`)
-    charges no credit: the companions are answered by the primary's
-    single solve, which already consumed one serve from its tenant's
-    quantum.
+    tenants get weight 1.
     """
 
     def __init__(self, capacity: int = 1024, *,
@@ -117,19 +114,6 @@ class FairPriorityQueue:
 
     # -- consumer side -------------------------------------------------------
 
-    def _drop_lane(self, i: int) -> None:
-        """Forget the emptied lane in round-robin slot *i* (under lock).
-
-        DRR resets an idle flow's credit anyway; a tenant that queues
-        again gets a fresh lane, with no credit, at the end of the
-        round order.
-        """
-        del self._lanes[self._order.pop(i)]
-        if i < self._cursor:
-            self._cursor -= 1
-        if self._cursor >= len(self._order):
-            self._cursor = 0
-
     def _pop_locked(self) -> SolveJob | None:
         """One DRR serve: next backlogged lane with credit, under lock."""
         while self._size:
@@ -145,8 +129,12 @@ class FairPriorityQueue:
                 # Serve a lane's whole quantum contiguously (DRR), then
                 # move on; an exhausted or drained lane yields the turn.
                 if not lane.heap:
-                    self._cursor = i
-                    self._drop_lane(i)
+                    # Forget the emptied lane; the next one moves into
+                    # slot i.  DRR resets an idle flow's credit anyway: a
+                    # tenant that queues again gets a fresh lane, with no
+                    # credit, at the end of the round order.
+                    del self._lanes[self._order.pop(i)]
+                    self._cursor = i if i < len(self._order) else 0
                 else:
                     self._cursor = i if lane.credit > 0 else (i + 1) % n
                 return item.job
@@ -169,44 +157,6 @@ class FairPriorityQueue:
                     return None
                 self._not_empty.wait(remaining)
             return self._pop_locked()
-
-    def drain_matching(self, predicate, limit: int) -> list[SolveJob]:
-        """Atomically remove up to *limit* queued jobs passing *predicate*.
-
-        Lanes are scanned in the current round-robin order, each in
-        its own priority/FIFO order, so batching respects the order a
-        worker would have served.  No DRR credit is charged — the
-        drained companions ride the primary's single solve.
-        """
-        matched: list[SolveJob] = []
-        if limit <= 0:
-            return matched
-        with self._lock:
-            if not self._size:
-                return matched
-            n = len(self._order)
-            emptied: list[int] = []
-            for step in range(n):
-                if len(matched) >= limit:
-                    break
-                i = (self._cursor + step) % n
-                lane = self._lanes[self._order[i]]
-                kept: list[_QueueItem] = []
-                while lane.heap and len(matched) < limit:
-                    item = heapq.heappop(lane.heap)
-                    if (item.job.state is JobState.PENDING
-                            and predicate(item.job)):
-                        matched.append(item.job)
-                    else:
-                        kept.append(item)
-                for item in kept:
-                    heapq.heappush(lane.heap, item)
-                if not lane.heap:
-                    emptied.append(i)
-            for i in sorted(emptied, reverse=True):
-                self._drop_lane(i)
-            self._size -= len(matched)
-        return matched
 
     def close(self) -> None:
         """Stop accepting jobs and wake all waiters."""

@@ -29,14 +29,8 @@ import numpy as np
 from repro.cme.landscape import ProbabilityLandscape
 from repro.cme.network import ReactionNetwork
 from repro.errors import JobCancelledError, SolveJobError, ValidationError
+from repro.solvers.jacobi import JACOBI_OPTIONS
 from repro.solvers.result import SolverResult
-
-#: Solver options a request may carry; anything else is rejected early
-#: so typos do not silently fork the cache-key space.
-SOLVER_OPTION_KEYS = frozenset({
-    "damping", "check_interval", "normalize_interval", "stagnation_tol",
-    "backend",
-})
 
 
 def matrix_signature(A) -> str:
@@ -69,7 +63,10 @@ class SolveRequest:
         Jacobi stopping parameters.
     solver_options:
         Extra :class:`~repro.solvers.jacobi.JacobiSolver` keyword
-        options (restricted to :data:`SOLVER_OPTION_KEYS`).
+        options (restricted to
+        :data:`~repro.solvers.jacobi.JACOBI_OPTIONS`; anything else is
+        rejected early so typos do not silently fork the cache-key
+        space).
     """
 
     def __init__(self, network: ReactionNetwork,
@@ -93,11 +90,11 @@ class SolveRequest:
         if int(max_iterations) <= 0:
             raise ValidationError("max_iterations must be positive")
         options = dict(solver_options or {})
-        bad = set(options) - SOLVER_OPTION_KEYS
+        bad = set(options) - JACOBI_OPTIONS
         if bad:
             raise ValidationError(
                 f"unknown solver options {sorted(bad)}; "
-                f"expected a subset of {sorted(SOLVER_OPTION_KEYS)}")
+                f"expected a subset of {sorted(JACOBI_OPTIONS)}")
         self.network = network
         self.overrides = {name: float(overrides[name])
                           for name in sorted(overrides)}
@@ -151,8 +148,8 @@ class SolveRequest:
         Unlike :meth:`cache_key` this excludes tolerances, iteration
         caps and solver options: two requests with equal matrix keys
         describe the **same linear system** (network + overrides) and
-        can therefore share one assembled matrix — and, when their loop
-        parameters agree, one batched multi-RHS solve.
+        can therefore share one assembled matrix, in the service's
+        memo and in a pool worker's.
         """
         if self._matrix_key is None:
             payload = json.dumps({
@@ -306,20 +303,6 @@ class SolveJob:
             if self._state is not JobState.PENDING:
                 return False
             self._state = JobState.RUNNING
-            return True
-
-    def requeue(self) -> bool:
-        """Return a running job to PENDING (batched → solo fallback).
-
-        A companion drained into a batched solve that could not be
-        answered there (batch failure, per-column timeout) goes back
-        through the queue for an individual attempt; the transition is
-        refused once the job is done.
-        """
-        with self._lock:
-            if self._state is not JobState.RUNNING or self._done.is_set():
-                return False
-            self._state = JobState.PENDING
             return True
 
     def finish(self, outcome: SolveOutcome) -> None:

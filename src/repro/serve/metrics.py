@@ -45,7 +45,6 @@ COUNTER_NAMES = (
     "failed",           # terminal failures after the retry budget
     "rejected",         # backpressure rejections
     "retried",          # retry attempts consumed
-    "batched",          # companion jobs coalesced into a batched solve
     "warm_started",     # solves seeded from a neighbor
     "cold_started",     # solves from the uniform vector
     "breaker_open",     # attempts shed by the open circuit breaker

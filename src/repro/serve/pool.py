@@ -76,12 +76,7 @@ WORKER_SYSTEM_MEMO = 64
 
 @dataclass
 class SolveTask:
-    """One serve solve, picklable for the trip to a pool worker.
-
-    ``tols`` (one tolerance per column) makes the task a batched
-    multi-RHS Jacobi solve of ``len(tols)`` columns, every column
-    starting from ``x0``; otherwise it is one ``method`` solve.
-    """
+    """One serve solve, picklable for the trip to a pool worker."""
 
     method: str
     tol: float
@@ -89,32 +84,22 @@ class SolveTask:
     options: dict
     x0: np.ndarray | None = None
     time_budget_s: float | None = None
-    tols: list[float] | None = None
 
 
-def run_task(A, task: SolveTask) -> list[SolverResult]:
+def run_task(A, task: SolveTask) -> SolverResult:
     """Build the solver for *task* on the rate matrix *A* and solve.
 
     The one place a serve job's solver is constructed: a pool worker
     calls it on its memoized system, the thread executor in place.
-    Returns one result per column (a single one for a solo task).
     """
     # Imported on first use: a spawned worker pins its OpenMP thread
     # count before any kernel library loads.
-    from repro.solvers import SOLVER_REGISTRY, BatchedJacobiSolver
+    from repro.solvers import SOLVER_REGISTRY
 
-    if task.tols is None:
-        solver = SOLVER_REGISTRY[task.method](
-            A, tol=task.tol, max_iterations=task.max_iterations,
-            **task.options)
-        return [solver.solve(x0=task.x0, time_budget_s=task.time_budget_s)]
-    solver = BatchedJacobiSolver(
+    solver = SOLVER_REGISTRY[task.method](
         A, tol=task.tol, max_iterations=task.max_iterations,
         **task.options)
-    k = len(task.tols)
-    return solver.solve_many(None if task.x0 is None else [task.x0] * k,
-                             k=k, tols=task.tols,
-                             time_budget_s=task.time_budget_s)
+    return solver.solve(x0=task.x0, time_budget_s=task.time_budget_s)
 
 
 def _result_payload(result) -> dict:
@@ -177,7 +162,7 @@ def worker_main(conn, backend_name: str | None, parent_pid: int) -> None:
         systems.move_to_end(key)
         task.options.setdefault("backend", backend_name)
         try:
-            conn.send(("ok", [_result_payload(r) for r in run_task(A, task)]))
+            conn.send(("ok", _result_payload(run_task(A, task))))
         except Exception as exc:  # noqa: BLE001 - marshalled to parent
             err = {"error": type(exc).__name__, "message": str(exc)}
             rows = getattr(exc, "rows", None)
@@ -320,27 +305,24 @@ class ProcessSolverPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def run(self, system_key: str, matrix,
-            task: SolveTask) -> list[SolverResult]:
-        """Run :func:`run_task` on a pool worker; blocks for the results.
+    def run(self, system_key: str, matrix, task: SolveTask) -> SolverResult:
+        """Run :func:`run_task` on a pool worker; blocks for the result.
 
         Raises :class:`WorkerCrashError` if the worker dies mid-solve
         (after respawning it) and reconstructs solver-side exceptions
         (:class:`SingularSystemError` with its rows, validation
         errors) in the parent.
         """
-        return [self._to_result(r)
-                for r in self._dispatch(system_key, matrix, task)]
+        return self._to_result(self._dispatch(system_key, matrix, task))
 
     def solve(self, *, system_key: str, matrix, method: str, tol: float,
               max_iterations: int, options, x0=None,
               time_budget_s: float | None = None) -> SolverResult:
         """Run one solve on a pool worker; blocks for the result."""
-        [result] = self.run(system_key, matrix, SolveTask(
+        return self.run(system_key, matrix, SolveTask(
             method=method, tol=float(tol),
             max_iterations=int(max_iterations), options=dict(options),
             x0=x0, time_budget_s=time_budget_s))
-        return result
 
     def _checkout(self) -> _WorkerHandle:
         while True:

@@ -45,8 +45,7 @@ def settle(job: SolveJob, on_done, outcome=None,
     the terminal transition finds the job already counted and
     journaled, then ``finish``/``fail``.  An ``on_done`` that raises (a
     failed journal append) is logged, not raised: the job still ends,
-    and the worker or batch settling it carries on with its other
-    jobs."""
+    and the worker settling it carries on with the next job."""
     try:
         if on_done is not None:
             on_done(job, error)

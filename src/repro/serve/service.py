@@ -68,7 +68,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import ProcessSolverPool, SolveTask, run_task
-from repro.serve.scheduler import SolveScheduler, settle
+from repro.serve.scheduler import SolveScheduler
 from repro.serve.warmstart import WarmStartIndex, blend_donors
 from repro.solvers import DEFAULT_DAMPING
 from repro.solvers.result import SolverResult, StopReason
@@ -126,8 +126,7 @@ class _Workspace:
         """The assembled rate matrix for one request (memoized).
 
         Keyed by :meth:`SolveRequest.matrix_key`, so requests differing
-        only in tolerance or solver options share one assembly — and
-        batched companions are guaranteed the identical matrix object.
+        only in tolerance or solver options share one assembly.
         """
         memo_key = request.matrix_key()
         with self._lock:
@@ -146,10 +145,9 @@ class _Workspace:
 class SolveService:
     """Concurrent, cached, warm-starting steady-state solve service.
 
-    Every answer is a Jacobi solve of the full enumerated space
-    (:class:`~repro.solvers.JacobiSolver`, or one
-    :class:`~repro.solvers.batched.BatchedJacobiSolver` for a batch);
-    adaptive FSP has its own entry points,
+    Every answer is one request's own
+    :class:`~repro.solvers.JacobiSolver` solve of the full enumerated
+    space; adaptive FSP has its own entry points,
     :class:`repro.fsp.AdaptiveFspController` and ``repro fsp``.
 
     Parameters
@@ -186,17 +184,6 @@ class SolveService:
         ``warm_start_iterations_saved`` metric.  Audits cost one extra
         solve each, so the default samples 1 in 8; set ``1`` to audit
         every warm start, ``0`` to disable auditing.
-    batch_max:
-        When > 1, a worker picking up a job
-        also *drains* up to ``batch_max - 1`` queued jobs describing
-        the same linear system
-        (:meth:`SolveRequest.matrix_key`) with the same loop parameters
-        (only ``tol`` may differ) and answers them all in one
-        :class:`~repro.solvers.batched.BatchedJacobiSolver` multi-RHS
-        solve — one fused product per sweep instead of one solve per
-        job.  Companions that cannot be answered by the batch (a
-        per-column timeout, a batch failure) go back through the queue
-        for an individual attempt.  ``1`` (default) disables batching.
     tol, max_iterations, solver_options:
         Request defaults (overridable per submit).  The kernel backend
         is chosen with ``solver_options={"backend": ...}``.  A request
@@ -254,7 +241,6 @@ class SolveService:
                  timeout_s: float | None = None,
                  retries: int = 0,
                  warm_audit_interval: int = 8,
-                 batch_max: int = 1,
                  tol: float = 1e-8, max_iterations: int = 200_000,
                  solver_options: Mapping | None = None,
                  reuse_state_space: bool = True,
@@ -281,10 +267,6 @@ class SolveService:
         if warm_audit_interval < 0:
             raise ValidationError("warm_audit_interval must be >= 0")
         self.warm_audit_interval = int(warm_audit_interval)
-        if batch_max < 1:
-            raise ValidationError(
-                f"batch_max must be >= 1, got {batch_max}")
-        self.batch_max = int(batch_max)
         self._warm_count = itertools.count()
         self.timeout_s = timeout_s
         executor = str(executor).lower()
@@ -593,13 +575,7 @@ class SolveService:
         return budget
 
     def _execute_solve(self, job: SolveJob) -> SolveOutcome:
-        """One attempt: a solo solve, or a batched one with companions.
-
-        Companions are finished (or re-queued) here directly — the
-        scheduler only knows about the primary, whose outcome (or
-        timeout) is returned/raised exactly as in a solo solve, so its
-        retry/breaker handling is the same either way.
-        """
+        """One attempt: assemble, pick a warm start, solve, record."""
         req = job.request
         t0 = time.perf_counter()
         time_budget_s = self._attempt_budget(job)
@@ -624,52 +600,29 @@ class SolveService:
                     x0 = blend_donors(donors, distances)
             warm = x0 is not None
 
-            companions: list[SolveJob] = []
-            if self.batch_max > 1:
-                companions = self._drain_companions(job)
-                self.metrics.incr("batched", len(companions))
             task = SolveTask(
                 method="jacobi", tol=req.tol,
                 max_iterations=req.max_iterations,
                 options=req.solver_options, x0=x0,
-                time_budget_s=time_budget_s,
-                tols=([req.tol] + [j.request.tol for j in companions]
-                      if companions else None))
+                time_budget_s=time_budget_s)
             solve_t0 = time.perf_counter()
-            try:
-                with tracing.span("serve.solve", warm=warm,
-                                  k=1 + len(companions),
-                                  executor=self.executor):
-                    primary, *rest = self._run(job, A, task)
-            except Exception:
-                # The batch never produced answers: release the
-                # companions back to the queue for individual attempts,
-                # then let the primary's error flow through the normal
-                # retry path.
-                self._requeue_solo(companions)
-                raise
+            with tracing.span("serve.solve", warm=warm,
+                              executor=self.executor):
+                result = self._run(job, A, task)
             self.metrics.observe_stage(
                 "solve", time.perf_counter() - solve_t0)
-            for companion, result in zip(companions, rest):
-                if result.stop_reason is StopReason.TIMED_OUT:
-                    self._requeue_solo([companion])
-                    continue
-                outcome = self._record(companion, result, space, warm, t0)
-                companion.finished_at = time.perf_counter()
-                settle(companion, self._on_done, outcome)
-
-            ex_span.set_attribute("iterations", primary.iterations)
-            ex_span.set_attribute("stop_reason", primary.stop_reason.value)
-            if primary.stop_reason is StopReason.TIMED_OUT:
+            ex_span.set_attribute("iterations", result.iterations)
+            ex_span.set_attribute("stop_reason", result.stop_reason.value)
+            if result.stop_reason is StopReason.TIMED_OUT:
                 raise JobTimeoutError(
                     f"job {job.id} exceeded its {time_budget_s:.3g}s budget "
-                    f"after {primary.iterations} iterations", key=job.key,
-                    iterations=primary.iterations, residual=primary.residual)
-            if warm and not companions:
-                self._maybe_audit(job, A, task, primary)
-            return self._record(job, primary, space, warm, t0)
+                    f"after {result.iterations} iterations", key=job.key,
+                    iterations=result.iterations, residual=result.residual)
+            if warm:
+                self._maybe_audit(job, A, task, result)
+            return self._record(job, result, space, warm, t0)
 
-    def _run(self, job: SolveJob, A, task: SolveTask) -> list[SolverResult]:
+    def _run(self, job: SolveJob, A, task: SolveTask) -> SolverResult:
         """Run *task* on the process pool, or in place on this thread.
 
         A zero diagonal or all-zero row is a property of the system,
@@ -695,7 +648,7 @@ class SolveService:
     def _record(self, job: SolveJob, result: SolverResult, space,
                 warm: bool, t0: float) -> SolveOutcome:
         """Cache *job*'s answer, index it as a warm-start donor, and
-        build its outcome (solo and batched jobs alike)."""
+        build its outcome."""
         self.metrics.incr("warm_started" if warm else "cold_started")
         cache_t0 = time.perf_counter()
         with tracing.span("serve.cache_put"):
@@ -717,49 +670,6 @@ class SolveService:
             key=job.key, cached=False, warm_started=warm,
             solve_seconds=time.perf_counter() - t0)
 
-    # -- batched execution ---------------------------------------------------
-
-    def _drain_companions(self, primary: SolveJob) -> list[SolveJob]:
-        """Pull queued jobs that can share *primary*'s batched solve.
-
-        Compatible means: the identical linear system (matrix key) with
-        identical loop parameters — only the tolerance may differ per
-        column.  Jobs carrying a deadline stay solo so their budget
-        arithmetic is never entangled with a batch.
-        """
-        req = primary.request
-
-        def compatible(other: SolveJob) -> bool:
-            r = other.request
-            return (other.deadline_at is None
-                    and r.matrix_key() == req.matrix_key()
-                    and r.solver_options == req.solver_options
-                    and r.max_iterations == req.max_iterations)
-
-        drained = self._scheduler.queue.drain_matching(
-            compatible, self.batch_max - 1)
-        companions = []
-        for j in drained:
-            if j.mark_running():
-                j.started_at = time.perf_counter()
-                companions.append(j)
-        return companions
-
-    def _requeue_solo(self, companions: list[SolveJob]) -> None:
-        """Send batch companions back through the queue, one by one."""
-        for j in companions:
-            if not j.requeue():
-                continue  # already terminal (e.g. cancelled meanwhile)
-            try:
-                self._scheduler.queue.put(j)
-            except SolveJobError as exc:
-                error = SolveJobError(
-                    f"job {j.id} could not return to the queue after its "
-                    f"batch: {exc}", key=j.key, attempts=j.attempts)
-                error.__cause__ = exc
-                j.finished_at = time.perf_counter()
-                settle(j, self._on_done, error=error)
-
     def _maybe_audit(self, job: SolveJob, A, task: SolveTask,
                      warm_result: SolverResult) -> None:
         """Measure one warm start against the uniform start, sampled.
@@ -776,7 +686,7 @@ class SolveService:
         if next(self._warm_count) % self.warm_audit_interval != 0:
             return
         try:
-            [cold] = self._run(job, A, dataclasses.replace(
+            cold = self._run(job, A, dataclasses.replace(
                 task, x0=None, time_budget_s=self.timeout_s))
         except SolveJobError:
             return

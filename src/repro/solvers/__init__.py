@@ -10,9 +10,9 @@
   no parallelism per iteration (the trade-off Section IV weighs).
 * :class:`BatchedJacobiSolver` — K steady states in lockstep on one
   ``(n, K)`` block, one stacked sweep per iteration over K same-shaped
-  generators (one generator K times for a batch of one system), with
-  per-column stopping and early retirement.  Not in the registry:
-  ``solve_many`` has a different signature than the unified ``solve``.
+  generators (a sweep's rate conditions), with per-column stopping and
+  early retirement.  Not in the registry: ``stacked(...).solve_many()``
+  takes K generators where the unified ``solve`` takes one.
 * :func:`gmres_steady_state` — a GMRES attempt on the (ill-conditioned,
   singular) steady-state system, reproducing the paper's observation
   that Krylov methods fail to converge here.

@@ -1,20 +1,17 @@
-"""Blocked multi-RHS Jacobi: K steady states per sweep, one product each.
+"""Stacked multi-RHS Jacobi: K steady states per sweep, one product each.
 
 The paper's motivating workload (Section I) is *many* steady-state
-solves — a parameter sweep or a queue of near-identical requests — and
-each plain solve spends its time in memory-bound SpMV sweeps.  Batching
-K iterates into the columns of an ``(n, K)`` block turns K SpMVs into
-one SpMM per sweep: the matrix is streamed from memory once per sweep
-instead of K times, which is exactly how multi-RHS GPU kernels amortize
-bandwidth.  On the CPU reference the same restructuring amortizes the
-per-product traversal and loop overhead.
+solves — a parameter sweep over rate conditions — and each plain solve
+spends its time in memory-bound SpMV sweeps.  Batching K iterates into
+the columns of an ``(n, K)`` block turns K SpMVs into one stacked
+product per sweep, which is how multi-RHS GPU kernels amortize
+bandwidth; on the CPU the same restructuring amortizes the per-product
+traversal and loop overhead.
 
-Every batch is a stack of K same-shaped generators in one ``(n, K)``
-block, system-interleaved: column ``s`` belongs to system ``s``.
-:meth:`BatchedJacobiSolver.stacked` takes K generators (a sweep's rate
-conditions over one state space); the constructor takes one generator
-and sweeps it as the stack ``[A] * K`` (coalesced service requests on
-one condition with different tolerances or warm starts).  Each
+:meth:`BatchedJacobiSolver.stacked` takes K same-shaped generators (a
+sweep's rate conditions over one state space) and sweeps them in one
+``(n, K)`` block, system-interleaved: column ``s`` belongs to system
+``s`` and every column starts from the uniform distribution.  Each
 renormalization interval is one ``jacobi_sweep_many(..., sweeps=k)``
 call and its residual products one ``spmv_many`` call.  The backend
 picks the kernel (the native one vectorizes across systems that share
@@ -25,14 +22,13 @@ C-contiguous so the kernels keep serving it.  The first sweep after a
 residual check consumes the check's product.
 
 Columns run in lockstep but stop independently: each has its own
-:class:`~repro.solvers.stopping.StoppingCriterion` (and optionally its
-own tolerance), and a column that converges, stagnates or diverges is
-*retired* — its result is recorded and the block is compacted so later
-sweeps do no work for it.  Each column also has its own
-:class:`~repro.solvers.stopping.Extrapolator`: a column whose
-extrapolated candidate passes its tolerance retires with the
-candidate.  The arithmetic per column is identical to
-:class:`~repro.solvers.jacobi.JacobiSolver`'s, so a batched solve
+:class:`~repro.solvers.stopping.StoppingCriterion`, and a column that
+converges, stagnates or diverges is *retired* — its result is recorded
+and the block is compacted so later sweeps do no work for it.  Each
+column also has its own :class:`~repro.solvers.stopping.Extrapolator`:
+a column whose extrapolated candidate passes the tolerance retires
+with the candidate.  The arithmetic per column is identical to
+:class:`~repro.solvers.jacobi.JacobiSolver`'s, so a stacked solve
 reproduces the serial answers.
 
 Note: the batched loop is fail-fast (no guardrail rollbacks) — a
@@ -48,7 +44,6 @@ import numpy as np
 from repro import backends
 from repro.errors import (
     CheckpointError,
-    IterateSizeError,
     SingularSystemError,
     ValidationError,
 )
@@ -83,40 +78,28 @@ def _check_system(A) -> None:
 
 
 class BatchedJacobiSolver:
-    """Lockstep Jacobi over the columns of one ``(n, K)`` block.
+    """Lockstep Jacobi over K same-shaped generators, one column each.
 
-    Parameters mirror :class:`~repro.solvers.jacobi.JacobiSolver`;
-    ``tol`` is the default per-column tolerance, which :meth:`solve_many`
-    can override per column.  A solver built on one generator batches
-    any number of columns of it; :meth:`stacked` builds one with a
-    column per generator.
+    ``matrices`` is a sequence of generators (built through
+    :meth:`stacked`); the other parameters mirror
+    :class:`~repro.solvers.jacobi.JacobiSolver`'s, and ``tol`` holds
+    for every column.
     """
 
     span_name = "jacobi.batched"
 
-    def __init__(self, matrix, *, tol: float = 1e-8,
+    def __init__(self, matrices, *, tol: float = 1e-8,
                  max_iterations: int = 1_000_000,
                  check_interval: int = 100,
                  normalize_interval: int = 10,
                  stagnation_tol: float | None = 1e-6,
                  damping: float = 1.0,
                  backend=None):
-        self._init_params(tol=tol, max_iterations=max_iterations,
-                          check_interval=check_interval,
-                          normalize_interval=normalize_interval,
-                          stagnation_tol=stagnation_tol, damping=damping,
-                          backend=backend)
-        A = _to_csr(matrix)
-        if A.shape[0] != A.shape[1]:
-            raise ValidationError("steady-state solve needs a square matrix")
-        _check_system(A)
-        self.A = A
-        self.n = A.shape[0]
-        self._systems = None
-
-    @classmethod
-    def stacked(cls, matrices, **kwargs) -> "BatchedJacobiSolver":
-        """K same-shaped generators, one per column (see module doc)."""
+        if hasattr(matrices, "shape"):
+            # Iterating one matrix would walk its rows.
+            raise ValidationError(
+                "BatchedJacobiSolver takes a sequence of generators, one "
+                "per column; got a single matrix")
         systems = [_to_csr(m) for m in matrices]
         if not systems:
             raise ValidationError("stacked batch needs at least one matrix")
@@ -128,22 +111,6 @@ class BatchedJacobiSolver:
                 raise ValidationError(
                     f"stacked systems must share one shape; got {A.shape} "
                     f"vs {shape} (sweep a single state space)")
-        self = cls.__new__(cls)
-        self._init_params(**{**dict(tol=1e-8, max_iterations=1_000_000,
-                                    check_interval=100, normalize_interval=10,
-                                    stagnation_tol=1e-6, damping=1.0,
-                                    backend=None),
-                             **kwargs})
-        for A in systems:
-            _check_system(A)
-        self.A = None
-        self.n = shape[0]
-        self._systems = systems
-        return self
-
-    def _init_params(self, *, tol, max_iterations, check_interval,
-                     normalize_interval, stagnation_tol, damping,
-                     backend=None) -> None:
         if check_interval <= 0 or (normalize_interval is not None
                                    and normalize_interval <= 0):
             raise ValidationError("intervals must be positive")
@@ -152,6 +119,10 @@ class BatchedJacobiSolver:
         self.backend = backend
         if backend is not None:
             backends.resolve(backend)   # fail fast on unknown names
+        for A in systems:
+            _check_system(A)
+        self.n = shape[0]
+        self._systems = systems
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.check_interval = int(check_interval)
@@ -165,90 +136,31 @@ class BatchedJacobiSolver:
         self.products = 0
         self.sweeps = 0
 
+    @classmethod
+    def stacked(cls, matrices, **kwargs) -> "BatchedJacobiSolver":
+        """K same-shaped generators, one per column (see module doc)."""
+        return cls(matrices, **kwargs)
+
     # -- solve ---------------------------------------------------------------
 
-    def _initial_block(self, x0s, k: int | None):
-        if x0s is None:
-            if k is None:
-                raise ValidationError(
-                    "solve_many needs x0s or an explicit column count k")
-            cols = [None] * int(k)
-        else:
-            cols = list(x0s)
-            if k is not None and k != len(cols):
-                raise ValidationError(
-                    f"k={k} disagrees with len(x0s)={len(cols)}")
-        if self._systems is not None and len(cols) != len(self._systems):
-            raise ValidationError(
-                f"stacked batch has {len(self._systems)} systems but "
-                f"{len(cols)} columns were requested")
-        X = np.empty((self.n, len(cols)), dtype=np.float64)
-        warm = np.zeros(len(cols), dtype=bool)
-        for j, col in enumerate(cols):
-            if col is None:
-                X[:, j] = uniform_probability(self.n)
-                continue
-            x = np.asarray(col, dtype=np.float64)
-            if x.shape != (self.n,):
-                raise IterateSizeError(self.n, x.shape, name=f"x0s[{j}]")
-            if not np.all(np.isfinite(x)):
-                raise ValidationError(f"x0s[{j}] contains non-finite entries")
-            if np.any(x < 0.0):
-                raise ValidationError(f"x0s[{j}] contains negative entries")
-            X[:, j] = renormalize(x)
-            warm[j] = True
-        return X, warm
+    def solve_many(self, *, checkpointer=None) -> list[SolverResult]:
+        """Solve all K columns; returns results in system order.
 
-    def solve_many(self, x0s=None, *, k: int | None = None,
-                   tols=None,
-                   time_budget_s: float | None = None,
-                   checkpointer=None) -> list[SolverResult]:
-        """Solve all K columns; returns results in input order.
-
-        Parameters
-        ----------
-        x0s:
-            Optional initial iterates, one per column (``None`` entries
-            start uniform).  A warm column already within its tolerance
-            retires immediately with ``iterations=0``.
-        k:
-            Column count when ``x0s`` is omitted (a :meth:`stacked`
-            solver infers K from its systems).
-        tols:
-            Optional per-column tolerances overriding the constructor's
-            ``tol`` — the one loop parameter that may vary per column.
-        time_budget_s:
-            Wall-clock budget for the whole batch; on expiry every
-            still-active column returns ``TIMED_OUT``.
-        checkpointer:
-            Optional :class:`~repro.durability.Checkpointer` writing
-            durable snapshots (kind ``"batched"``) at residual-check
-            boundaries: the whole block — retired columns' final
-            answers plus the live iterates — and each live column's
-            previous checked iterate (``X_prev``), with per-column
-            histories, criterion states, extrapolation depths and
-            retirement records, so a resumed batch continues with the
-            same retirements and iterates.
+        ``checkpointer``, an optional
+        :class:`~repro.durability.Checkpointer`, writes durable
+        snapshots (kind ``"batched"``) at residual-check boundaries:
+        the whole block — retired columns' final answers plus the live
+        iterates — and each live column's previous checked iterate
+        (``X_prev``), with per-column histories, criterion states,
+        extrapolation depths and retirement records, so a resumed batch
+        continues with the same retirements and iterates.
         """
-        if x0s is None and k is None and self._systems is not None:
-            k = len(self._systems)
-        X, warm = self._initial_block(x0s, k)
-        total = X.shape[1]
-        if tols is not None and len(tols) != total:
-            raise ValidationError(
-                f"tols must have one entry per column ({total}), "
-                f"got {len(tols)}")
-        if time_budget_s is not None and time_budget_s <= 0:
-            raise ValidationError(
-                f"time_budget_s must be positive, got {time_budget_s}")
+        systems = self._systems
+        total = len(systems)
+        X = np.repeat(uniform_probability(self.n)[:, None], total, axis=1)
         self.products = 0
         self.sweeps = 0
         results: list[SolverResult | None] = [None] * total
-        if total == 0:
-            return []
-
-        # One generator is swept once per column, as the stack [A] * K.
-        systems = self._systems or [self.A] * total
         derived = [matrix_derived(A) for A in systems]
 
         # Kernel backends (resolved once per solve so ambient use() /
@@ -260,11 +172,9 @@ class BatchedJacobiSolver:
         norm = backends.serving("", "renormalize_columns", self.backend)
 
         criteria = [StoppingCriterion(
-            derived[j]["inf_norm"],
-            tol=float(self.tol if tols is None else tols[j]),
+            d["inf_norm"], tol=self.tol,
             max_iterations=self.max_iterations,
-            stagnation_tol=self.stagnation_tol,
-            backend=be) for j in range(total)]
+            stagnation_tol=self.stagnation_tol, backend=be) for d in derived]
         extrapolators = [Extrapolator() for _ in range(total)]
         histories: list[list[tuple[int, float]]] = [[] for _ in range(total)]
         active = list(range(total))
@@ -382,25 +292,8 @@ class BatchedJacobiSolver:
                 # loop carried as pending_Y.
                 pending_Y = None
             else:
-                # The initial product doubles as the warm-start residual
-                # test and the seed of the first sweep (product reuse).
-                Y = block_product(X)
-                for j in list(active):
-                    if not warm[j]:
-                        continue
-                    res = criteria[j].normalized_residual(Y[:, j],
-                                                          X[:, j])
-                    histories[j].append((0, res))
-                    if res <= criteria[j].tol:
-                        retire(j, X[:, j].copy(), StopReason.CONVERGED,
-                               res, 0)
-                        active.remove(j)
-                if len(active) < total and active:
-                    mask = [j in active for j in range(total)]
-                    X = take(X, mask)
-                    Y = take(Y, mask)
-                    D = take(D, mask)
-                pending_Y = Y if active else None
+                # The initial product seeds the first sweep.
+                pending_Y = block_product(X)
             norm_every = self.normalize_interval
             while active:
                 budget = min(self.check_interval,
@@ -451,8 +344,6 @@ class BatchedJacobiSolver:
                 # survivors) seeds the next batch's first sweep.
                 col_ok = norm.renormalize_columns(X)
                 Y = block_product(X)
-                expired = (time_budget_s is not None
-                           and time.perf_counter() - t0 >= time_budget_s)
                 retired_cols: list[int] = []
                 for c, j in enumerate(active):
                     if not col_ok[c]:
@@ -475,8 +366,6 @@ class BatchedJacobiSolver:
                             retired_cols.append(c)
                             extrapolated += 1
                             continue
-                    if stop is None and expired:
-                        stop = StopReason.TIMED_OUT
                     if stop is None and iteration >= self.max_iterations:
                         stop = StopReason.MAX_ITERATIONS
                     if stop is not None:

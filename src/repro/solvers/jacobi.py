@@ -40,6 +40,13 @@ from repro.sparse.base import as_csr
 #: to ``1 - 2*omega``, inside the unit circle.
 DEFAULT_DAMPING = 0.9
 
+#: The keyword options :class:`JacobiSolver` takes besides ``tol`` and
+#: ``max_iterations``: what a served request, a stacked sweep and the
+#: resilient chain's Jacobi stage may pass on.
+JACOBI_OPTIONS = frozenset({"damping", "check_interval",
+                            "normalize_interval", "stagnation_tol",
+                            "backend"})
+
 
 class JacobiSolver(IterativeSolverBase):
     """Steady-state Jacobi solver on the kernel backend's fused sweep.

@@ -42,6 +42,7 @@ from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import enumerate_state_space
 from repro.errors import ValidationError
 from repro.solvers import JacobiSolver
+from repro.solvers.jacobi import JACOBI_OPTIONS
 from repro.solvers.result import SolverResult
 from repro.utils.tables import Table
 
@@ -240,9 +241,7 @@ class ParameterSweep:
         if batch <= 0:
             raise ValidationError(f"batch must be positive, got {batch}")
         kwargs = dict(solver_kwargs or {})
-        unsupported = set(kwargs) - {"damping", "check_interval",
-                                     "normalize_interval", "stagnation_tol",
-                                     "backend"}
+        unsupported = set(kwargs) - JACOBI_OPTIONS
         if unsupported:
             raise ValidationError(
                 f"batched sweep does not support solver options "

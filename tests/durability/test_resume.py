@@ -18,7 +18,7 @@ import pytest
 
 from repro.cme.models import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
-from repro.cme.statespace import enumerate_state_space
+from repro.cme.statespace import StateSpace, enumerate_state_space
 from repro.durability import CheckpointPolicy, Checkpointer, system_signature
 from repro.durability import read_checkpoint, write_checkpoint
 from repro.errors import ValidationError
@@ -38,6 +38,16 @@ def system():
     A = build_rate_matrix(
         enumerate_state_space(toggle_switch(max_protein=10)))
     return A
+
+
+def rate_conditions(network, multipliers, rate="degA"):
+    """*network*'s generators with *rate* scaled by each multiplier,
+    over one state space (the stacked solve's columns)."""
+    space = enumerate_state_space(network)
+    base = {r.name: r.rate for r in network.reactions}[rate]
+    return [build_rate_matrix(StateSpace(
+        network=network.with_rates({rate: base * m}), states=space.states))
+        for m in multipliers]
 
 
 def make_ck(tmp_path, A, *, every=50, resume=False, method="jacobi"):
@@ -101,30 +111,30 @@ class TestSerialResume:
 
 
 class TestBatchedResume:
-    def test_multi_rhs_resume_is_bitwise(self, system, tmp_path):
-        from repro.solvers.batched import BatchedJacobiSolver
+    def test_multi_rhs_resume_is_bitwise(self, tmp_path):
+        """Three rate conditions stop at 200, 400 and 500 sweeps.  The
+        partial run's last checkpoint, at 300, holds a column retired
+        before it and two live ones; the first check after it takes an
+        extrapolated stop, from the saved previous iterate."""
+        mats = rate_conditions(toggle_switch(max_protein=10),
+                               (0.25, 1.6, 2.0))
 
-        tols = [1e-10, 1e-8, 1e-9]
-        solver = BatchedJacobiSolver(system, tol=1e-10, damping=DAMPING)
-        reference = solver.solve_many(None, k=3, tols=tols)
+        def solver(**kwargs):
+            return BatchedJacobiSolver.stacked(mats, tol=TOL,
+                                               damping=DAMPING, **kwargs)
 
-        ck = make_ck(tmp_path, system, every=100, method="batched")
-        partial = BatchedJacobiSolver(system, tol=1e-10,
-                                      max_iterations=400,
-                                      damping=DAMPING)
-        partial.solve_many(None, k=3, tols=tols, checkpointer=ck)
-        assert ck.saves >= 1
+        reference = solver().solve_many()
+        assert [r.iterations for r in reference] == [200, 400, 500]
+        assert extrapolated_stop(reference[1]) == 400
 
-        ck2 = make_ck(tmp_path, system, every=100, resume=True,
+        ck = make_ck(tmp_path, mats[0], every=100, method="batched")
+        solver(max_iterations=400).solve_many(checkpointer=ck)
+        ck2 = make_ck(tmp_path, mats[0], every=100, resume=True,
                       method="batched")
-        resumed = BatchedJacobiSolver(
-            system, tol=1e-10, damping=DAMPING).solve_many(
-            None, k=3, tols=tols, checkpointer=ck2)
-        assert ck2.resumed_from is not None
+        resumed = solver().solve_many(checkpointer=ck2)
+        assert read_checkpoint(ck2.resumed_from).iteration == 300
         for ref, res in zip(reference, resumed):
-            assert res.iterations == ref.iterations
-            assert res.residual == ref.residual
-            np.testing.assert_array_equal(res.x, ref.x)
+            assert_identical(ref, res)
 
 
 def extrapolated_stop(result) -> int:
@@ -162,6 +172,15 @@ class TestResumeAcrossExtrapolatedStop:
             oracle.MODELS["toggle"][0]()))
         return A, oracle.direct_solve(A)
 
+    @pytest.fixture(scope="class")
+    def toggle_conditions(self):
+        """The base rates and the oracle's two stacked conditions, with
+        their exact answers: the base column stops at 600 sweeps, well
+        before the other two (2,000)."""
+        mats = rate_conditions(oracle.MODELS["toggle"][0](),
+                               (1.0,) + oracle.MULTIPLIERS)
+        return mats, [oracle.direct_solve(A) for A in mats]
+
     def checkpointer(self, directory, A, *, resume=False):
         return Checkpointer(
             directory, resume=resume,
@@ -173,9 +192,9 @@ class TestResumeAcrossExtrapolatedStop:
         return JacobiSolver(A, tol=oracle.TOL, damping=oracle.DAMPING,
                             **kwargs)
 
-    def batched(self, A, **kwargs):
-        return BatchedJacobiSolver(A, tol=oracle.TOL,
-                                   damping=oracle.DAMPING, **kwargs)
+    def batched(self, mats, **kwargs):
+        return BatchedJacobiSolver.stacked(mats, tol=oracle.TOL,
+                                           damping=oracle.DAMPING, **kwargs)
 
     def test_serial_resume_takes_the_same_stop(self, toggle, tmp_path):
         A, _ = toggle
@@ -188,16 +207,16 @@ class TestResumeAcrossExtrapolatedStop:
         assert read_checkpoint(ck.resumed_from).iteration == stop - 100
         assert_identical(reference, resumed)
 
-    def test_batched_resume_takes_the_same_stop(self, toggle, tmp_path):
-        A, _ = toggle
-        tols = [oracle.TOL, oracle.TOL / 10]
-        reference = self.batched(A).solve_many(k=2, tols=tols)
+    def test_batched_resume_takes_the_same_stop(self, toggle_conditions,
+                                                tmp_path):
+        mats, _ = toggle_conditions
+        reference = self.batched(mats).solve_many()
         stop = max(extrapolated_stop(r) for r in reference)
-        self.batched(A, max_iterations=stop - 50).solve_many(
-            k=2, tols=tols, checkpointer=self.checkpointer(tmp_path, A))
-        ck = self.checkpointer(tmp_path, A, resume=True)
-        resumed = self.batched(A).solve_many(k=2, tols=tols,
-                                             checkpointer=ck)
+        assert reference[0].iterations < stop - 100
+        self.batched(mats, max_iterations=stop - 50).solve_many(
+            checkpointer=self.checkpointer(tmp_path, mats[0]))
+        ck = self.checkpointer(tmp_path, mats[0], resume=True)
+        resumed = self.batched(mats).solve_many(checkpointer=ck)
         assert read_checkpoint(ck.resumed_from).iteration == stop - 100
         for ref, res in zip(reference, resumed):
             assert_identical(ref, res)
@@ -215,21 +234,19 @@ class TestResumeAcrossExtrapolatedStop:
         oracle.assert_within([resumed], [exact],
                              oracle.BOUNDS["toggle"]["jacobi"])
 
-    def test_batched_checkpoint_without_previous_iterate(self, toggle,
-                                                         tmp_path):
-        A, exact = toggle
-        tols = [oracle.TOL, oracle.TOL / 10]
+    def test_batched_checkpoint_without_previous_iterate(
+            self, toggle_conditions, tmp_path):
+        mats, exacts = toggle_conditions
         stop = max(extrapolated_stop(r) for r in
-                   self.batched(A).solve_many(k=2, tols=tols))
-        self.batched(A, max_iterations=stop - 50).solve_many(
-            k=2, tols=tols, checkpointer=self.checkpointer(tmp_path, A))
+                   self.batched(mats).solve_many())
+        self.batched(mats, max_iterations=stop - 50).solve_many(
+            checkpointer=self.checkpointer(tmp_path, mats[0]))
         drop_previous_iterate(tmp_path)
-        ck = self.checkpointer(tmp_path, A, resume=True)
-        resumed = self.batched(A).solve_many(k=2, tols=tols,
-                                             checkpointer=ck)
+        ck = self.checkpointer(tmp_path, mats[0], resume=True)
+        resumed = self.batched(mats).solve_many(checkpointer=ck)
         assert ck.resumed_from is not None
-        oracle.assert_within(resumed, [exact, exact],
-                             oracle.BOUNDS["toggle"]["shared"])
+        oracle.assert_within(resumed, exacts,
+                             oracle.BOUNDS["toggle"]["stacked"])
 
 
 class TestFspResume:

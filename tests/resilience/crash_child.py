@@ -12,9 +12,14 @@ The sharded mode kills through the ``shard.parent`` fault site instead,
 which fires *after* the parent's durable epoch snapshot — same
 guarantee, exercised through the injector path the chaos CI uses.
 
+The batched mode solves three ``degA`` conditions stacked; they stop
+at 200, 400 (an extrapolated stop) and 500 sweeps, so a kill after the
+third save (at 300) leaves one column retired before the checkpoint and
+two live after it.
+
 On clean exit the child writes ``<out-prefix>.npy`` (the solution, one
-column per RHS for the batched mode) and ``<out-prefix>.json`` with
-diagnostics the parent test asserts on.
+column per condition for the batched mode) and ``<out-prefix>.json``
+with diagnostics the parent test asserts on.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 
 from repro.cme.models import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
-from repro.cme.statespace import enumerate_state_space
+from repro.cme.statespace import StateSpace, enumerate_state_space
 from repro.durability import (
     CheckpointPolicy,
     Checkpointer,
@@ -41,7 +46,8 @@ from repro.sparse.conversion import to_scipy
 
 TOL = 1e-10
 DAMPING = 0.7
-BATCH_TOLS = [1e-10, 1e-8, 1e-9]
+#: ``degA`` multipliers of the batched mode's stacked conditions.
+BATCH_MULTIPLIERS = (0.25, 1.6, 2.0)
 
 
 class KillingCheckpointer(Checkpointer):
@@ -91,11 +97,16 @@ def run_serial(ck, A):
                       "stop_reason": result.stop_reason.name}
 
 
-def run_batched(ck, A):
+def run_batched(ck, network):
     from repro.solvers.batched import BatchedJacobiSolver
 
-    results = BatchedJacobiSolver(A, tol=1e-10, damping=DAMPING).solve_many(
-        None, k=len(BATCH_TOLS), tols=BATCH_TOLS, checkpointer=ck)
+    space = enumerate_state_space(network)
+    base = {r.name: r.rate for r in network.reactions}["degA"]
+    mats = [build_rate_matrix(StateSpace(
+        network=network.with_rates({"degA": base * m}),
+        states=space.states)) for m in BATCH_MULTIPLIERS]
+    results = BatchedJacobiSolver.stacked(
+        mats, tol=TOL, damping=DAMPING).solve_many(checkpointer=ck)
     x = np.stack([r.x for r in results], axis=1)
     return x, {"iterations": [r.iterations for r in results],
                "residuals": [r.residual for r in results]}
@@ -144,7 +155,7 @@ def main(argv):
     if mode == "serial":
         x, diag = run_serial(ck, A)
     elif mode == "batched":
-        x, diag = run_batched(ck, A)
+        x, diag = run_batched(ck, network)
     elif mode == "fsp":
         x, diag = run_fsp(ck, network)
     elif mode == "sharded":
@@ -152,7 +163,8 @@ def main(argv):
     else:
         raise SystemExit(f"unknown mode {mode!r}")
 
-    diag["resumed"] = ck.resumed_from is not None
+    diag["resumed"] = (None if ck.resumed_from is None
+                       else Path(ck.resumed_from).name)
     diag["saves"] = ck.saves
     np.save(out.with_suffix(".npy"), x)
     out.with_suffix(".json").write_text(json.dumps(diag) + "\n",

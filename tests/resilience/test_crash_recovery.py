@@ -49,12 +49,12 @@ def run_child(mode, ckdir, out, *, resume=False, kill_after=0):
         env=env, capture_output=True, text=True, timeout=300)
 
 
-def kill_and_resume(mode, tmp_path):
+def kill_and_resume(mode, tmp_path, *, kill_after=1):
     """Run the kill → resume → reference cycle, return all three."""
     ckdir = tmp_path / "ck"
     out = tmp_path / "resumed"
 
-    killed = run_child(mode, ckdir, out, kill_after=1)
+    killed = run_child(mode, ckdir, out, kill_after=kill_after)
     assert killed.returncode == -signal.SIGKILL, (
         f"expected SIGKILL, got rc={killed.returncode}\n{killed.stderr}")
     assert not out.with_suffix(".json").exists()  # it really died mid-run
@@ -90,7 +90,12 @@ class TestKillAndResume:
         np.testing.assert_array_equal(x, ref_x)
 
     def test_batched(self, tmp_path):
-        x, ref_x, diag, ref_diag = kill_and_resume("batched", tmp_path)
+        # Killed after its third save, at 300 sweeps: one column retired
+        # at 200, and the others stop at 400 and 500.
+        x, ref_x, diag, ref_diag = kill_and_resume("batched", tmp_path,
+                                                   kill_after=3)
+        assert diag["resumed"] == "ckpt-000000000300.ckpt"
+        assert ref_diag["iterations"] == [200, 400, 500]
         assert diag["iterations"] == ref_diag["iterations"]
         np.testing.assert_allclose(x, ref_x, rtol=0, atol=1e-12)
 

@@ -1,10 +1,15 @@
 """Tests for the content-addressed solution cache."""
 
+import errno
+import logging
+
 import numpy as np
 import pytest
 
+from repro import toggle_switch
 from repro.errors import ValidationError
-from repro.serve import CacheEntry, SolutionCache, state_space_layout
+from repro.serve import CacheEntry, SolutionCache, SolveService
+from repro.serve import state_space_layout
 from repro.serve.cache import ENTRY_OVERHEAD_BYTES
 
 
@@ -97,6 +102,31 @@ class TestDiskPersistence:
         cache = SolutionCache(disk_dir=tmp_path)
         (tmp_path / "bad.npz").write_bytes(b"not an npz")
         assert cache.get("bad") is None
+
+    def test_failed_write_keeps_the_entry_in_memory(self, tmp_path,
+                                                     monkeypatch, caplog):
+        """A full disk fails no solved job: every job answers, the
+        breaker stays closed, a repeat is a hit from memory, and no
+        partial file is left behind."""
+
+        def full_disk(fh, **arrays):
+            fh.write(b"partial")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "savez", full_disk)
+        cache = SolutionCache(disk_dir=tmp_path)
+        with caplog.at_level(logging.WARNING, logger="repro.serve"), \
+                SolveService(toggle_switch(max_protein=10), cache=cache,
+                             solver_options={"damping": 0.8}) as svc:
+            outs = [svc.solve({"degA": 0.8 + 0.1 * i}) for i in range(7)]
+            repeat = svc.solve({"degA": 0.8})
+            snap = svc.snapshot()
+        assert all(out.result.converged for out in outs)
+        assert repeat.cached
+        assert snap["failed"] == 0
+        assert snap["breaker_state"] == "closed"
+        assert not list(tmp_path.iterdir())
+        assert "No space left" in caplog.text
 
     def test_entries_are_readonly(self):
         cache = SolutionCache()

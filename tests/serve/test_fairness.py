@@ -89,17 +89,6 @@ class TestFairPriorityQueue:
         with pytest.raises(JobRejectedError):
             q.put(FakeJob("c"))
 
-    def test_drain_matching_spares_credit(self):
-        q = FairPriorityQueue(weights={"a": 1, "b": 1})
-        for i in range(2):
-            q.put(FakeJob("a", key=f"a{i}"))
-        q.put(FakeJob("b", key="b0"))
-        drained = q.drain_matching(lambda j: j.tenant == "a", 2)
-        assert sorted(j.key for j in drained) == ["a0", "a1"]
-        assert len(q) == 1
-        # The drain charged no credit: b is served normally next.
-        assert q.get(timeout=0).key == "b0"
-
     def test_unknown_tenant_gets_default_weight(self):
         q = FairPriorityQueue(weights={"a": 1})
         q.put(FakeJob("mystery"))
@@ -112,23 +101,21 @@ class TestFairPriorityQueue:
         for i in range(1000):
             q.put(FakeJob(f"t{i}"))
             assert q.get(timeout=0).tenant == f"t{i}"
-        for tenant in ("drained-1", "live", "drained-2"):
+        for tenant in ("drained-1", "drained-2", "live"):
             q.put(FakeJob(tenant))
-        assert [j.tenant for j in q.drain_matching(
-            lambda j: j.tenant != "live", 5)] == ["drained-1", "drained-2"]
+        q.put(FakeJob("live"))
+        assert [q.get(timeout=0).tenant for _ in range(3)] \
+            == ["drained-1", "drained-2", "live"]
         assert list(q._lanes) == ["live"]
         assert q._order == ["live"]
 
     def test_lane_drops_keep_drr_order(self):
         q = FairPriorityQueue()
-        for key in ("a0", "a1", "b0", "b1", "c0", "c1"):
+        for key in ("a0", "b0", "b1", "c0", "c1"):
             q.put(FakeJob(key[0], key=key))
-        served = [q.get(timeout=0).key]
-        # The cursor now points at b; emptying lane a, which sits
-        # before it, must not hand b's turn to c.
-        assert [j.key for j in q.drain_matching(
-            lambda j: j.tenant == "a", 5)] == ["a1"]
-        served += [q.get(timeout=0).key for _ in range(4)]
+        # Serving a0 empties lane a; b, which moves into its slot, must
+        # keep its turn instead of handing it to c.
+        served = [q.get(timeout=0).key for _ in range(5)]
         assert served == ["a0", "b0", "c0", "b1", "c1"]
         assert len(q) == 0 and not q._lanes
 
@@ -149,13 +136,11 @@ class TestFairPriorityQueue:
         def consume():
             try:
                 while True:
-                    got = q.drain_matching(lambda j: j.priority == 2, 2)
                     job = q.get(timeout=0.01)
                     if job is not None:
-                        got.append(job)
-                    with lock:
-                        out.extend(got)
-                    if not got and produced.is_set() and not len(q):
+                        with lock:
+                            out.append(job)
+                    elif produced.is_set() and not len(q):
                         return
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)

@@ -177,33 +177,6 @@ class TestBooksCloseBeforeResult:
         assert any(r.exc_info and isinstance(r.exc_info[1], OSError)
                    for r in caplog.records)
 
-    def test_failed_terminal_append_in_a_batch_answers_every_job(
-            self, network, tmp_path, monkeypatch):
-        """One solve answers a coalesced batch of three; every terminal
-        append fails, and still every job is answered."""
-        journal = JobJournal(tmp_path / "jobs.journal")
-
-        def disk_error(key):
-            raise OSError(errno.EIO, "Input/output error")
-
-        monkeypatch.setattr(journal, "completed", disk_error)
-        svc = make_service(network, journal, batch_max=3)
-        try:
-            # Stop the workers so the jobs queue, then run the batch by
-            # hand: its composition is then exact, not a race.
-            svc._scheduler._stop.set()
-            for t in svc._scheduler._threads:
-                t.join(timeout=5.0)
-            jobs = [svc.submit(tol=TOL / 10 ** i) for i in range(3)]
-            primary = svc._scheduler.queue.get(timeout=0)
-            assert primary is jobs[0]
-            svc._scheduler._run_job(primary)
-            assert svc.snapshot()["batched"] == 2
-            outs = [job.result(timeout=0) for job in jobs]
-        finally:
-            svc.close(wait=False)
-        assert all(out.result.converged for out in outs)
-
 
 class TestRestartReplay:
     def test_failed_replay_stops_the_workers(self, network, tmp_path,

@@ -28,7 +28,7 @@ from repro.errors import (
     SolveJobError,
     ValidationError,
 )
-from repro.serve.pool import ProcessSolverPool, SolveTask
+from repro.serve.pool import ProcessSolverPool
 from repro.solvers import JacobiSolver
 from repro.solvers.result import StopReason
 
@@ -76,17 +76,6 @@ class TestDispatch:
                 pool_solve(p, system)
             assert p.stats["dispatches"] == 4
             assert p.stats["systems_shipped"] == 1
-
-    def test_batched_matches_individual(self, pool, system):
-        solo = pool_solve(pool, system)
-        results = pool.run("sys", system, SolveTask(
-            method="jacobi", tol=TOL, max_iterations=50_000,
-            options=dict(OPTS), tols=[TOL, TOL * 10]))
-        assert len(results) == 2
-        for r in results:
-            assert r.stop_reason is StopReason.CONVERGED
-        np.testing.assert_allclose(results[0].x, solo.x,
-                                   rtol=0, atol=1e-10)
 
     def test_closed_pool_rejects(self, system):
         p = ProcessSolverPool(workers=1)

@@ -49,6 +49,16 @@ class TestBasics:
         with pytest.raises(SolveJobError, match="closed"):
             svc.submit({})
 
+    @pytest.mark.parametrize("keyword", [
+        "warm_neighbors", "queue_policy", "put_timeout", "retry_policy",
+        "breaker_threshold", "breaker_reset_s", "max_states",
+        "default_damping", "method", "fsp_options", "degraded_mode",
+        "admission", "batch_max"])
+    def test_removed_keywords_raise(self, tiny_toggle_network, keyword):
+        """Keywords no caller set are gone, not silently ignored."""
+        with pytest.raises(TypeError, match=keyword):
+            SolveService(tiny_toggle_network, **{keyword: 4})
+
     def test_warm_start_requires_cache(self, tiny_toggle_network):
         with pytest.raises(ValidationError, match="warm_start"):
             SolveService(tiny_toggle_network, cache=False, warm_start=True)

@@ -8,21 +8,18 @@ row ``sum(x) = 1``.  The cases are the four paper models at sizes where
 that LU takes well under a second (toggle switch ``max_protein=20``,
 n = 441; Brusselator and Schnakenberg at ``max_x=30, max_y=15``, n = 496
 each; phage lambda ``(6, 3)``, n = 2,296), solved by
-:class:`JacobiSolver` and by :class:`BatchedJacobiSolver` on one
-generator (a cold and a warm column, the "shared" case) and on two
-rate conditions (the "stacked" case), on every backend at damping 0.9 and ``tol=1e-10``, plus random
-networks.  Each bound is 10x the L1 error the case had before the
-solvers called every backend through one sweep path (the results are
-bitwise unchanged by that rewiring), rounded up.  The other registry
+:class:`JacobiSolver` and by :class:`BatchedJacobiSolver` on two rate
+conditions (the "stacked" case), on every backend at damping 0.9 and
+``tol=1e-10``, plus random networks.  Each bound is 10x the L1 error
+the case had before the solvers called every backend through one sweep
+path (the results are bitwise unchanged by that rewiring), rounded up.  The other registry
 methods (Gauss-Seidel, power iteration and the resilient fallback
 chain) run at their own defaults on the same models and backends,
 each bound 10x its error when the solve service stopped running them.
 
 The same bounds hold the answers a :class:`SolveService` serves, on
 its thread executor and on one process pool shared by every model's
-service, and a pair of requests the service batches into one
-batched solve of their generator; and a checkpointed Jacobi solve stopped partway and
-resumed.
+service, and a checkpointed Jacobi solve stopped partway and resumed.
 
 Every loop ends with the extrapolated stop
 (:class:`~repro.solvers.stopping.Extrapolator`), and the bounds above
@@ -71,15 +68,14 @@ MODELS = {
 MULTIPLIERS = (0.8, 1.25)
 
 #: L1 bounds per model and solver.  The errors they are 10x of:
-#: Jacobi 6.4e-9, 1.2e-8, 2.1e-9, 3.1e-7; shared (worst column) 7.4e-8,
-#: 1.2e-8, 2.1e-9, 3.3e-7; stacked (worst condition) 1.3e-7, 2.2e-8,
-#: 3.6e-8, 4.5e-7, for toggle, Brusselator, Schnakenberg and phage.
+#: Jacobi 6.4e-9, 1.2e-8, 2.1e-9, 3.1e-7; stacked (worst condition)
+#: 1.3e-7, 2.2e-8, 3.6e-8, 4.5e-7, for toggle, Brusselator,
+#: Schnakenberg and phage.
 BOUNDS = {
-    "toggle": {"jacobi": 6.5e-8, "shared": 7.4e-7, "stacked": 1.4e-6},
-    "brusselator": {"jacobi": 1.3e-7, "shared": 1.3e-7, "stacked": 2.2e-7},
-    "schnakenberg": {"jacobi": 2.2e-8, "shared": 2.2e-8,
-                     "stacked": 3.7e-7},
-    "phage": {"jacobi": 3.1e-6, "shared": 3.3e-6, "stacked": 4.6e-6},
+    "toggle": {"jacobi": 6.5e-8, "stacked": 1.4e-6},
+    "brusselator": {"jacobi": 1.3e-7, "stacked": 2.2e-7},
+    "schnakenberg": {"jacobi": 2.2e-8, "stacked": 3.7e-7},
+    "phage": {"jacobi": 3.1e-6, "stacked": 4.6e-6},
 }
 
 #: L1 bounds of the other registry methods per model, at their own
@@ -157,15 +153,6 @@ def test_jacobi_matches_oracle(case, backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batched_shared_matches_oracle(case, backend):
-    name, A, exact, _, _ = case
-    warm = np.random.default_rng(3).random(A.shape[0]) + 0.5
-    results = BatchedJacobiSolver(A, tol=TOL, damping=DAMPING,
-                                  backend=backend).solve_many([None, warm])
-    assert_within(results, [exact, exact], BOUNDS[name]["shared"])
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_batched_stacked_matches_oracle(case, backend):
     name, _, _, conditions, exacts = case
     results = BatchedJacobiSolver.stacked(
@@ -205,28 +192,6 @@ def test_served_solve_matches_oracle(case, executor, request):
     np.testing.assert_array_equal(served.x, direct.x)
     assert (served.iterations, served.residual) == \
         (direct.iterations, direct.residual)
-
-
-def test_served_batch_matches_oracle(case):
-    """Two queued requests for one system, differing only in ``tol``,
-    answered by one batched solve of their generator."""
-    name, _, exact, _, _ = case
-    svc = SolveService(MODELS[name][0](), batch_max=2, tol=TOL)
-    try:
-        # Stop the worker so both jobs queue, then play it by hand:
-        # the batch's composition is then exact, not a race.
-        svc._scheduler._stop.set()
-        for t in svc._scheduler._threads:
-            t.join(timeout=5.0)
-        jobs = [svc.submit(tol=TOL), svc.submit(tol=TOL / 10)]
-        primary = svc._scheduler.queue.get(timeout=0)
-        assert primary is jobs[0] and primary.mark_running()
-        primary.finish(svc._execute(primary))
-        assert svc.snapshot()["batched"] == 1
-        results = [job.result(timeout=0).result for job in jobs]
-    finally:
-        svc.close(wait=False)
-    assert_within(results, [exact, exact], BOUNDS[name]["shared"])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
