@@ -7,9 +7,8 @@ Every entry names the kernel backend (:mod:`repro.backends`) that
 produced it; the hot sections run once per available backend so the
 reference and JIT paths are tracked side by side:
 
-* ``formats`` — per backend, per-format ``spmv`` vs. multi-RHS ``spmm``
-  (K=8) on the toggle-switch generator, with the amortization ratio
-  ``K * t_spmv / t_spmm``.
+* ``formats`` — per backend, per-format ``spmv`` time on the
+  toggle-switch generator.
 * ``solver`` — per backend, Jacobi iterations/s; the reference entry
   additionally counts SpMVs per iteration (product reuse means a solve
   of ``I`` iterations performs exactly ``I + 1`` products — the fused
@@ -45,8 +44,8 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py            # full
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick
     PYTHONPATH=src python benchmarks/run_benchmarks.py \
-        --quick --check-memo-speedup 5 --check-fsp --check-spmm 1.0 \
-        --check-sharded --check-checkpoint 5
+        --quick --check-memo-speedup 5 --check-fsp --check-sharded \
+        --check-checkpoint 5
 
 ``--check-sharded`` exits nonzero when 4-shard barrier scaling falls
 below 1.5× the 1-shard time — enforced only on machines with >= 4
@@ -56,10 +55,7 @@ analysis is less than ``X``× faster than the cold one; ``--check-fsp``
 exits nonzero unless the adaptive phage-lambda solve certifies its
 tolerance with a projection strictly smaller than the full enumeration,
 from a final-round inner solve whose residual reached the solve's
-``tol``;
-``--check-spmm X`` exits nonzero unless every format's multi-RHS
-amortization under the best non-reference backend reaches ``X``
-(default 1.0); ``--check-checkpoint PCT`` exits nonzero when the
+``tol``; ``--check-checkpoint PCT`` exits nonzero when the
 median per-pair overhead of checkpointing every 1,000 iterations
 exceeds ``PCT`` percent of a phage-lambda solve — the CI smoke gates.
 All timings are single-process wall clock on whatever machine runs
@@ -133,24 +129,17 @@ class CountingCSR(sp.csr_matrix):
 
 
 def bench_formats(csr, repeats: int, backend_names: list[str]) -> dict:
-    """Per-backend, per-format spmv/spmm timings on the toggle generator."""
-    n = csr.shape[0]
-    rng = np.random.default_rng(0)
-    x = rng.random(n)
-    X = rng.random((n, 8))
+    """Per-backend, per-format spmv timings on the toggle generator."""
+    x = np.random.default_rng(0).random(csr.shape[0])
     out = {}
     for backend in backend_names:
         table = {}
         for cls in FORMATS:
             fmt = cls(csr)
             spmv_s = best_of(lambda: fmt.spmv(x, backend=backend), repeats)
-            spmm_s = best_of(lambda: fmt.spmm(X, backend=backend), repeats)
             table[cls.__name__] = {
                 "backend": backend,
                 "spmv_us": round(spmv_s * 1e6, 2),
-                "spmm_k8_us": round(spmm_s * 1e6, 2),
-                # > 1 means the fused multi-RHS pass beats K single SpMVs.
-                "amortization_x": round(8 * spmv_s / spmm_s, 3),
             }
         out[backend] = table
     return out
@@ -589,11 +578,6 @@ def main(argv=None) -> int:
                              "phage lambda with a projection strictly "
                              "smaller than the full enumeration, from a "
                              "final inner solve that reached its tol")
-    parser.add_argument("--check-spmm", type=float, nargs="?", const=1.0,
-                        default=None, metavar="X",
-                        help="exit nonzero unless every format's multi-RHS "
-                             "amortization under the best non-reference "
-                             "backend reaches X (default 1.0)")
     parser.add_argument("--check-sharded", action="store_true",
                         help="exit nonzero unless 4-shard barrier scaling "
                              "reaches 1.5x the 1-shard time (enforced only "
@@ -655,14 +639,8 @@ def main(argv=None) -> int:
     print("[bench] durability: checkpoint overhead at default cadence")
     report["durability"] = bench_durability(args.quick)
 
-    # The JIT backend the gates grade: the one with the best worst-case
-    # spmm amortization (there is normally exactly one — "native").
-    gate_backend = None
-    if jit_names:
-        gate_backend = max(
-            jit_names,
-            key=lambda b: min(e["amortization_x"]
-                              for e in report["formats"][b].values()))
+    # The JIT backend the batched target reads (normally "native").
+    gate_backend = jit_names[0] if jit_names else None
 
     report["acceptance"] = {
         "batched_workload_speedup_x":
@@ -698,10 +676,6 @@ def main(argv=None) -> int:
     if gate_backend is not None:
         report["acceptance"].update({
             "gate_backend": gate_backend,
-            "spmm_amortization_min_x": min(
-                e["amortization_x"]
-                for e in report["formats"][gate_backend].values()),
-            "spmm_amortization_target_x": 1.0,
             "batched_solver_only_speedup_x":
                 report["batched"]["solver_only"]["batched"]
                       [gate_backend]["speedup_x"],
@@ -774,21 +748,6 @@ def main(argv=None) -> int:
         print(f"[bench] checkpoint gate: overhead {measured}% <= "
               f"{args.check_checkpoint}%")
 
-    if args.check_spmm is not None:
-        if gate_backend is None:
-            print("[bench] FAIL: --check-spmm needs a non-reference "
-                  "backend, none available", file=sys.stderr)
-            return 1
-        table = report["formats"][gate_backend]
-        failing = {name: e["amortization_x"] for name, e in table.items()
-                   if e["amortization_x"] < args.check_spmm}
-        if failing:
-            print(f"[bench] FAIL: spmm gate — {gate_backend} amortization "
-                  f"below {args.check_spmm}x for {failing}", file=sys.stderr)
-            return 1
-        worst = min(e["amortization_x"] for e in table.values())
-        print(f"[bench] spmm gate: {gate_backend} amortization >= "
-              f"{args.check_spmm}x on every format (worst {worst}x)")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Pluggable kernel backends for the sparse/solver hot paths.
 
-Every hot operation — per-format SpMV/SpMM, the fused Jacobi sweep
-of one system or of a stack, the solver's vector primitives, the DFS
+Every hot operation — per-format SpMV, the fused Jacobi sweep of one
+system or of a stack, the solver's vector primitives, the DFS
 state-space walk and state-key membership — dispatches through a
 :class:`~repro.backends.protocol.KernelBackend` selected here.
 

@@ -64,26 +64,6 @@ void csr_spmv(int64_t n, const int64_t *indptr, const int32_t *cols,
     }
 }
 
-void csr_spmm(int64_t n, int64_t kr, const int64_t *indptr,
-              const int32_t *cols, const double *vals,
-              const double *X, double *Y)
-{
-    int64_t i;
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        double *yr = Y + i * kr;
-        int64_t jj, kk;
-        for (kk = 0; kk < kr; ++kk)
-            yr[kk] = 0.0;
-        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
-            const double a = vals[jj];
-            const double *xr = X + (int64_t)cols[jj] * kr;
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] += a * xr[kk];
-        }
-    }
-}
-
 /* ---- ELL / ELLR (row-major (n_padded, k) value/col arrays) ---------- */
 
 void ell_spmv(int64_t n, int64_t k, const int32_t *cols,
@@ -105,30 +85,6 @@ void ell_spmv(int64_t n, int64_t k, const int32_t *cols,
     }
 }
 
-void ell_spmm(int64_t n, int64_t k, int64_t kr, const int32_t *cols,
-              const double *vals, const double *X, double *Y)
-{
-    int64_t i;
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        const double *vrow = vals + i * k;
-        const int32_t *crow = cols + i * k;
-        double *yr = Y + i * kr;
-        int64_t c, kk;
-        for (kk = 0; kk < kr; ++kk)
-            yr[kk] = 0.0;
-        for (c = 0; c < k; ++c) {
-            const int32_t col = crow[c];
-            if (col >= 0) {
-                const double a = vrow[c];
-                const double *xr = X + (int64_t)col * kr;
-                for (kk = 0; kk < kr; ++kk)
-                    yr[kk] += a * xr[kk];
-            }
-        }
-    }
-}
-
 void ellr_spmv(int64_t n, int64_t k, const int32_t *cols,
                const double *vals, const int32_t *rl,
                const double *x, double *y)
@@ -144,29 +100,6 @@ void ellr_spmv(int64_t n, int64_t k, const int32_t *cols,
         for (c = 0; c < len; ++c)
             sum += vrow[c] * x[crow[c]];
         y[i] = sum;
-    }
-}
-
-void ellr_spmm(int64_t n, int64_t k, int64_t kr, const int32_t *cols,
-               const double *vals, const int32_t *rl,
-               const double *X, double *Y)
-{
-    int64_t i;
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        const double *vrow = vals + i * k;
-        const int32_t *crow = cols + i * k;
-        const int64_t len = rl[i];
-        double *yr = Y + i * kr;
-        int64_t c, kk;
-        for (kk = 0; kk < kr; ++kk)
-            yr[kk] = 0.0;
-        for (c = 0; c < len; ++c) {
-            const double a = vrow[c];
-            const double *xr = X + (int64_t)crow[c] * kr;
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] += a * xr[kk];
-        }
     }
 }
 
@@ -196,35 +129,6 @@ void sell_spmv(int64_t n_slices, int64_t slice_size,
     }
 }
 
-void sell_spmm(int64_t n_slices, int64_t slice_size, int64_t kr,
-               const int64_t *slice_ptr, const int64_t *slice_k,
-               const int32_t *cols, const double *vals,
-               const double *X, double *Y)
-{
-    int64_t s;
-    #pragma omp parallel for schedule(static)
-    for (s = 0; s < n_slices; ++s) {
-        const int64_t base = slice_ptr[s];
-        const int64_t k = slice_k[s];
-        int64_t lane, c, kk;
-        for (lane = 0; lane < slice_size; ++lane) {
-            double *yr = Y + (s * slice_size + lane) * kr;
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] = 0.0;
-            for (c = 0; c < k; ++c) {
-                const int64_t flat = base + c * slice_size + lane;
-                const int32_t col = cols[flat];
-                if (col >= 0) {
-                    const double a = vals[flat];
-                    const double *xr = X + (int64_t)col * kr;
-                    for (kk = 0; kk < kr; ++kk)
-                        yr[kk] += a * xr[kk];
-                }
-            }
-        }
-    }
-}
-
 /* ---- DIA (row-aligned (ndiag, n_rows) data) ------------------------- */
 
 void dia_spmv(int64_t n_rows, int64_t n_cols, int64_t ndiag,
@@ -244,32 +148,6 @@ void dia_spmv(int64_t n_rows, int64_t n_cols, int64_t ndiag,
         #pragma omp parallel for schedule(static)
         for (i = lo; i < hi; ++i)
             y[i] += row[i] * x[i + off];
-    }
-}
-
-void dia_spmm(int64_t n_rows, int64_t n_cols, int64_t ndiag, int64_t kr,
-              const int64_t *offsets, const double *data,
-              const double *X, double *Y)
-{
-    int64_t i, d;
-    for (i = 0; i < n_rows * kr; ++i)
-        Y[i] = 0.0;
-    for (d = 0; d < ndiag; ++d) {
-        const int64_t off = offsets[d];
-        const int64_t lo = off < 0 ? -off : 0;
-        int64_t hi = n_cols - off;
-        const double *row = data + d * n_rows;
-        if (hi > n_rows)
-            hi = n_rows;
-        #pragma omp parallel for schedule(static)
-        for (i = lo; i < hi; ++i) {
-            const double a = row[i];
-            const double *xr = X + (i + off) * kr;
-            double *yr = Y + i * kr;
-            int64_t kk;
-            for (kk = 0; kk < kr; ++kk)
-                yr[kk] += a * xr[kk];
-        }
     }
 }
 
@@ -1333,24 +1211,14 @@ def _compile_library() -> str:
 
 def _bind(lib) -> None:
     lib.csr_spmv.argtypes = [ctypes.c_int64, _I64, _I32, _F64, _F64, _F64]
-    lib.csr_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64, _I32,
-                             _F64, _F64, _F64]
     lib.ell_spmv.argtypes = [ctypes.c_int64, ctypes.c_int64, _I32, _F64,
                              _F64, _F64]
-    lib.ell_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                             _I32, _F64, _F64, _F64]
     lib.ellr_spmv.argtypes = [ctypes.c_int64, ctypes.c_int64, _I32, _F64,
                               _I32, _F64, _F64]
-    lib.ellr_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                              _I32, _F64, _I32, _F64, _F64]
     lib.sell_spmv.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64, _I64,
                               _I32, _F64, _F64, _F64]
-    lib.sell_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                              _I64, _I64, _I32, _F64, _F64, _F64]
     lib.dia_spmv.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                              _I64, _F64, _F64, _F64]
-    lib.dia_spmm.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                             ctypes.c_int64, _I64, _F64, _F64, _F64]
     lib.csr_jacobi_sweep_block.argtypes = [ctypes.c_int64, ctypes.c_int64,
                                            _I64, _I32, _F64, _F64, _F64,
                                            ctypes.c_double, _F64]
@@ -1388,10 +1256,8 @@ def _bind(lib) -> None:
     lib.key_index_insert.restype = ctypes.c_int64
     lib.key_index_lookup.argtypes = [ctypes.c_int64, _I64, ctypes.c_int64,
                                      _I32, _I64, _I64]
-    for name in ("csr_spmv", "csr_spmm", "ell_spmv", "ell_spmm",
-                 "ellr_spmv", "ellr_spmm", "sell_spmv", "sell_spmm",
-                 "dia_spmv", "dia_spmm", "csr_jacobi_sweep_block",
-                 "sliced_fill",
+    for name in ("csr_spmv", "ell_spmv", "ellr_spmv", "sell_spmv",
+                 "dia_spmv", "csr_jacobi_sweep_block", "sliced_fill",
                  "sliced_jacobi_sweep", "sliced_jacobi_sweep_column",
                  "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby",
                  "renormalize_columns", "key_index_lookup"):
@@ -1655,15 +1521,6 @@ def _csr_spmv(fmt, x):
     return y
 
 
-def _csr_spmm(fmt, X):
-    lib = get_library()
-    _, _, _, pi, pc, pv = _csr_arrays(fmt)
-    X = _f64(X)
-    Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    lib.csr_spmm(fmt.shape[0], X.shape[1], pi, pc, pv, _vec(X), _vec(Y))
-    return Y
-
-
 def _ell_spmv(fmt, x):
     lib = get_library()
     vals, cols = _ell_arrays(fmt)
@@ -1674,16 +1531,6 @@ def _ell_spmv(fmt, x):
     return y
 
 
-def _ell_spmm(fmt, X):
-    lib = get_library()
-    vals, cols = _ell_arrays(fmt)
-    X = _f64(X)
-    Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    lib.ell_spmm(fmt.shape[0], fmt.k, X.shape[1], _pi32(cols), _p64(vals),
-                 _vec(X), _vec(Y))
-    return Y
-
-
 def _ellr_spmv(fmt, x):
     lib = get_library()
     vals, cols, rl = _ellr_arrays(fmt)
@@ -1692,16 +1539,6 @@ def _ellr_spmv(fmt, x):
     lib.ellr_spmv(fmt.shape[0], fmt.k, _pi32(cols), _p64(vals), _pi32(rl),
                   _vec(x), _vec(y))
     return y
-
-
-def _ellr_spmm(fmt, X):
-    lib = get_library()
-    vals, cols, rl = _ellr_arrays(fmt)
-    X = _f64(X)
-    Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    lib.ellr_spmm(fmt.shape[0], fmt.k, X.shape[1], _pi32(cols), _p64(vals),
-                  _pi32(rl), _vec(X), _vec(Y))
-    return Y
 
 
 def _sell_core_spmv(fmt, x):
@@ -1715,23 +1552,8 @@ def _sell_core_spmv(fmt, x):
     return y
 
 
-def _sell_core_spmm(fmt, X):
-    lib = get_library()
-    slice_ptr, slice_k, cols, vals = _sell_arrays(fmt)
-    X = _f64(X)
-    Y = np.empty((fmt.n_padded, X.shape[1]), dtype=np.float64)
-    lib.sell_spmm(fmt.n_slices, fmt.slice_size, X.shape[1],
-                  _pi64(slice_ptr), _pi64(slice_k), _pi32(cols), _p64(vals),
-                  _vec(X), _vec(Y))
-    return Y
-
-
 def _sell_spmv(fmt, x):
     return _sell_core_spmv(fmt, x)[: fmt.shape[0]]
-
-
-def _sell_spmm(fmt, X):
-    return _sell_core_spmm(fmt, X)[: fmt.shape[0]]
 
 
 def _permuted_spmv(fmt, x):
@@ -1745,16 +1567,6 @@ def _permuted_spmv(fmt, x):
     return y
 
 
-def _permuted_spmm(fmt, X):
-    Y_storage = _sell_core_spmm(fmt, X)[: fmt.shape[0]]
-    diag = getattr(fmt, "diagonal_values", None)
-    if diag is not None:
-        Y_storage = Y_storage + diag[:, None] * X[fmt.row_ids, :]
-    Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    Y[fmt.row_ids] = Y_storage
-    return Y
-
-
 def _dia_spmv(fmt, x):
     lib = get_library()
     offsets, data = _dia_arrays(fmt)
@@ -1765,22 +1577,8 @@ def _dia_spmv(fmt, x):
     return y
 
 
-def _dia_spmm(fmt, X):
-    lib = get_library()
-    offsets, data = _dia_arrays(fmt)
-    X = _f64(X)
-    Y = np.empty((fmt.shape[0], X.shape[1]), dtype=np.float64)
-    lib.dia_spmm(fmt.shape[0], fmt.shape[1], offsets.shape[0], X.shape[1],
-                 _pi64(offsets), _p64(data), _vec(X), _vec(Y))
-    return Y
-
-
 def _ell_dia_spmv(fmt, x):
     return _dia_spmv(fmt.dia, x) + _ell_spmv(fmt.ell, x)
-
-
-def _ell_dia_spmm(fmt, X):
-    return _dia_spmm(fmt.dia, X) + _ell_spmm(fmt.ell, X)
 
 
 # -- DFS state-space enumeration -------------------------------------------
@@ -1887,17 +1685,6 @@ _SPMV = {
     "ell+dia": _ell_dia_spmv,
 }
 
-_SPMM = {
-    "csr": _csr_spmm,
-    "ell": _ell_spmm,
-    "ellr": _ellr_spmm,
-    "sell": _sell_spmm,
-    "sell-c-sigma": _permuted_spmm,
-    "warped-ell": _permuted_spmm,
-    "dia": _dia_spmm,
-    "ell+dia": _ell_dia_spmm,
-}
-
 #: Format-independent ops this backend provides.
 _PRIMITIVES = frozenset({"jacobi_sweep", "jacobi_sweep_many", "spmv_many",
                          "axpy", "residual", "renormalize_columns",
@@ -1927,17 +1714,10 @@ class NativeBackend:
     def supports(self, format_name: str, op: str) -> bool:
         if op in _PRIMITIVES:
             return True
-        if op == "spmv":
-            return format_name in _SPMV
-        if op == "spmm":
-            return format_name in _SPMM
-        return False
+        return op == "spmv" and format_name in _SPMV
 
     def spmv(self, fmt, x: np.ndarray) -> np.ndarray:
         return _SPMV[fmt.format_name](fmt, x)
-
-    def spmm(self, fmt, X: np.ndarray) -> np.ndarray:
-        return _SPMM[fmt.format_name](fmt, X)
 
     def jacobi_sweep(self, A, diag: np.ndarray, X: np.ndarray,
                      damping: float = 1.0,

@@ -1,11 +1,11 @@
 """The :class:`KernelBackend` protocol — one seam per hot operation.
 
 Every hot numeric operation in the reproduction (format-faithful SpMV,
-multi-RHS SpMM, the fused Jacobi sweep of one system or of a stack of
-them, the small vector primitives the solver loop is made of, the
-batched solver's column renormalization, the DFS state-space walk and
-state-key membership) goes through a *kernel backend*.  A backend is an object implementing
-this protocol; the package ships two:
+the fused Jacobi sweep of one system or of a stack of them, the small
+vector primitives the solver loop is made of, the batched solver's
+column renormalization, the DFS state-space walk and state-key
+membership) goes through a *kernel backend*.  A backend is an object
+implementing this protocol; the package ships two:
 
 ``numpy``
     The reference backend (:mod:`repro.backends.reference`): the exact
@@ -22,11 +22,11 @@ this protocol; the package ships two:
 Operations
 ----------
 
-``spmv(fmt, x)`` / ``spmm(fmt, X)``
-    The per-format products.  Arguments are already validated (dtype
+``spmv(fmt, x)``
+    The per-format product.  Its argument is already validated (dtype
     float64, contiguous, right shape) by the
-    :class:`~repro.sparse.base.SparseFormat` entry points; backends may
-    rely on that.
+    :meth:`~repro.sparse.base.SparseFormat.spmv` entry point; backends
+    may rely on that.
 ``jacobi_sweep(A, diag, X, damping=1.0, out=None, sweeps=1)``
     One fused weighted-Jacobi sweep for ``A x = 0`` on a SciPy CSR
     generator: ``x' = (d∘x - A x) / d`` blended with ``damping``.
@@ -134,9 +134,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 #: Every operation a backend may implement.
-OPS = ("spmv", "spmm", "jacobi_sweep", "jacobi_sweep_many", "spmv_many",
-       "axpy", "residual", "renormalize_columns", "dfs_enumerate",
-       "key_index")
+OPS = ("spmv", "jacobi_sweep", "jacobi_sweep_many", "spmv_many", "axpy",
+       "residual", "renormalize_columns", "dfs_enumerate", "key_index")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -159,8 +158,6 @@ class KernelBackend(Protocol):
         ...
 
     def spmv(self, fmt, x: np.ndarray) -> np.ndarray: ...
-
-    def spmm(self, fmt, X: np.ndarray) -> np.ndarray: ...
 
     def jacobi_sweep(self, A, diag: np.ndarray, X: np.ndarray,
                      damping: float = 1.0,

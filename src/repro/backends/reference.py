@@ -2,11 +2,11 @@
 
 This is the arithmetic ground truth of the kernel protocol: the exact
 per-format NumPy kernels the sparse formats have always carried (each
-format keeps its implementation as ``_reference_spmv``/``_reference_spmm``
-— the moved inner loops), plus the solver primitives (the Jacobi sweep
-of one system and, as a loop over the systems, of a stack), the DFS
-state-space walk of :mod:`repro.cme.statespace` and the sorted key
-index state spaces and projection assembly look states up in.
+format keeps its implementation as ``_reference_spmv``), plus the
+solver primitives (the Jacobi sweep of one system and, as a loop over
+the systems, of a stack), the DFS state-space walk of
+:mod:`repro.cme.statespace` and the sorted key index state spaces and
+projection assembly look states up in.
 
 It supports every format and every op, which makes it the automatic
 fallback whenever a faster backend lacks a kernel for a ``(format,
@@ -135,17 +135,14 @@ class NumpyBackend:
         return True
 
     def supports(self, format_name: str, op: str) -> bool:
-        # The reference implements every op for every format (the base
-        # class supplies generic fallbacks where a format has none).
+        # The reference implements every op for every format (each
+        # format carries its own ``_reference_spmv``).
         return True
 
     # -- per-format products ---------------------------------------------
 
     def spmv(self, fmt, x: np.ndarray) -> np.ndarray:
         return fmt._reference_spmv(x)
-
-    def spmm(self, fmt, X: np.ndarray) -> np.ndarray:
-        return fmt._reference_spmm(X)
 
     # -- solver primitives -----------------------------------------------
 

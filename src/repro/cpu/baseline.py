@@ -73,19 +73,10 @@ class CSRDIABaseline:
         """Full product ``A @ x`` (band + remainder)."""
         return self.dia.spmv(x) + self.csr.spmv(x)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Fast product path used by solver inner loops.
-
-        Routes the CSR remainder through the ``matvec`` alias (cached
-        SciPy product under the reference backend, the dispatched
-        ``spmv`` kernel otherwise — see ``repro.sparse.base``).
-        """
-        return self.dia.spmv(x) + self.csr.matvec(x)
-
     def jacobi_step(self, x: np.ndarray) -> np.ndarray:
         """One Jacobi iteration ``x' = -D^{-1}(A - D) x`` for ``A x = 0``."""
         off_band = self.dia.spmv(x) - self.diagonal * x
-        return -(off_band + self.csr.matvec(x)) / self.diagonal
+        return -(off_band + self.csr.spmv(x)) / self.diagonal
 
     def to_scipy(self):
         """The recombined generator (band + remainder) as SciPy CSR."""

@@ -68,9 +68,9 @@ def spmv_traffic(matrix: SparseFormat, *,
     the original sliced ELL couples it to the slice size).  ``csr_kernel``
     selects the scalar or vector CSR variant.
 
-    Traffic depends only on the structure, so by default the report is
-    memoized under the structural fingerprint (see
-    :mod:`repro.gpusim.memo`): repeat analyses of an
+    Traffic depends only on the structure and the nonzero count, so by
+    default the report is memoized under the structural fingerprint
+    (see :mod:`repro.gpusim.memo`): repeat analyses of an
     already-fingerprinted matrix are O(1).  Pass ``memoize=False`` to
     force the full structure walk.
     """

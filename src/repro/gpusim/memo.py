@@ -3,21 +3,25 @@
 Building a :class:`~repro.gpusim.kernels.base.TrafficReport` walks every
 warp-step of a format's layout — O(nnz) NumPy work — yet the result
 depends only on the matrix *structure* (which column each lane reads,
-how slices are cut, whether a dense diagonal is peeled), never on the
-stored values.  Sweeps, the serving layer and repeated profiling runs
-analyse the same structures over and over, so the executor memoizes:
+how slices are cut, whether a dense diagonal is peeled) and on the
+nonzero count its useful flops are normalized by.  The structure fixes
+that count except where a format stores a dense band (DIA, the band of
+ELL+DIA, warped ELL's peeled diagonal): a zero there is a stored value,
+so those formats add their nonzero count to the key.  Sweeps, the
+serving layer and repeated profiling runs analyse the same structures
+over and over, so the executor memoizes:
 
 * **Fingerprint** — a SHA-256 digest of the format's structural arrays
   (per-format: CSR ``indptr``/``col_indices``, ELL ``cols``, sliced
   ``slice_ptr``/``slice_k``/``cols`` plus permutations, DIA ``offsets``
-  …) together with the format name and shape.  The digest is cached on
-  the matrix instance itself (formats are immutable after
-  construction), so every analysis after the first costs one dict
-  probe — not a re-hash of O(nnz) data.
+  and nonzero count …) together with the format name and shape.  The
+  digest is cached on the matrix instance itself (formats are immutable
+  after construction), so every analysis after the first costs one
+  dict probe — not a re-hash of O(nnz) data.
 * **Key** — ``(fingerprint, kernel kind, sorted kernel parameters)``;
-  two matrices with identical structure but different values share an
-  entry, the same matrix at a different precision or block size does
-  not.
+  two matrices with identical structure and nonzero count but
+  different values share an entry, the same matrix at a different
+  precision or block size does not.
 * **Cache** — a bounded LRU (:data:`MEMO_CAPACITY` entries) guarded by
   one lock.  Hits return the *same* ``TrafficReport`` object (it is a
   frozen dataclass; treat the ``breakdown`` dict as read-only).
@@ -76,10 +80,12 @@ def _structural_parts(matrix: SparseFormat) -> list[tuple[str, object]]:
     and configuration on top of the sliced layout.
     """
     if isinstance(matrix, WarpedELLMatrix):
+        # The peeled diagonal is a dense vector: its zeros are values.
         return (_sliced_parts(matrix)
                 + [("row_ids", matrix.row_ids),
                    ("reorder", matrix.reorder),
-                   ("separate_diagonal", matrix.separate_diagonal)])
+                   ("separate_diagonal", matrix.separate_diagonal),
+                   ("nnz", matrix.nnz)])
     if isinstance(matrix, SellCSigmaMatrix):
         return (_sliced_parts(matrix)
                 + [("row_ids", matrix.row_ids),
@@ -88,7 +94,8 @@ def _structural_parts(matrix: SparseFormat) -> list[tuple[str, object]]:
     if isinstance(matrix, SlicedELLMatrix):
         return _sliced_parts(matrix)
     if isinstance(matrix, ELLDIAMatrix):
-        return ([("offsets", matrix.dia.offsets)]
+        return ([("dia_" + label, value)
+                 for label, value in _structural_parts(matrix.dia)]
                 + [("ell_" + label, value)
                    for label, value in _structural_parts(matrix.ell)])
     if isinstance(matrix, ELLRMatrix):
@@ -100,7 +107,7 @@ def _structural_parts(matrix: SparseFormat) -> list[tuple[str, object]]:
         return [("indptr", matrix.indptr),
                 ("col_indices", matrix.col_indices)]
     if isinstance(matrix, DIAMatrix):
-        return [("offsets", matrix.offsets)]
+        return [("offsets", matrix.offsets), ("nnz", matrix.nnz)]
     if isinstance(matrix, COOMatrix):
         return [("rows", matrix.rows), ("cols", matrix.cols)]
     # Unknown SparseFormat subclasses fall back to canonical CSR

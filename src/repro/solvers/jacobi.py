@@ -18,8 +18,9 @@ Every iteration is the kernel backend's fused sweep
 call per renormalization interval (the native backend sweeps an 8-row
 sliced copy of the matrix; the ``numpy`` reference evaluates the NumPy
 expression).  The iterates are bitwise identical on every backend.  The
-formats' own ``jacobi_step`` methods keep the exact arithmetic of the
-corresponding fused GPU/CPU kernels for the gpusim cross-checks.
+formats' own ``jacobi_step`` methods write out the arithmetic of the
+corresponding fused GPU/CPU kernels; no solver calls them, and only
+their unit tests run them.
 """
 
 from __future__ import annotations

@@ -17,15 +17,12 @@ uses or compares against:
                      format belongs to (ablation studies)
 ==================  =====================================================
 
-All formats share the :class:`SparseFormat` interface: ``spmv(x)`` and
-``spmm(X)`` are the two documented product entry points, each validating
-once and dispatching to the selected :mod:`repro.backends` kernel (the
-reference backend runs the format-faithful traversal — the exact
-arithmetic a GPU kernel would perform); ``matvec``/``matmat`` survive
-only as thin aliases of them (see :mod:`repro.sparse.base` for the
-alias policy).  Every format also provides byte-exact
-device ``footprint`` accounting and lossless conversion to/from
-:mod:`scipy.sparse`.
+All formats share the :class:`SparseFormat` interface: ``spmv(x)`` is
+the one product entry point, validating once and dispatching to the
+selected :mod:`repro.backends` kernel (the reference backend runs the
+format-faithful traversal — the exact arithmetic a GPU kernel would
+perform).  Every format also provides byte-exact device ``footprint``
+accounting and lossless conversion to/from :mod:`scipy.sparse`.
 """
 
 from repro.sparse.base import SparseFormat

@@ -1,30 +1,19 @@
 """Common interface for all sparse formats.
 
-Since the backend redesign every format exposes **one documented entry
-point per multiply op**:
+Every format exposes **one documented product entry point**:
 
-``spmv(x, *, backend=None)`` / ``spmm(X, *, backend=None)``
-    The sparse products ``y = A @ x`` and ``Y = A @ X`` (``X`` of shape
-    ``(n, k)``).  The entry points validate the operand once, then
-    dispatch to a :mod:`repro.backends` kernel: the ``numpy`` reference
-    backend runs the format's own *format-faithful* kernel
-    (:meth:`_reference_spmv` / :meth:`_reference_spmm` — exactly the
+``spmv(x, *, backend=None)``
+    The sparse product ``y = A @ x``.  The entry point validates the
+    operand once, then dispatches to a :mod:`repro.backends` kernel:
+    the ``numpy`` reference backend runs the format's own
+    *format-faithful* kernel (:meth:`_reference_spmv` — exactly the
     arithmetic of the corresponding GPU kernel, same traversal order,
     same padding-skip semantics), while JIT backends run compiled
     kernels that reproduce the identical accumulation order (the
-    conformance suite asserts bitwise agreement).  Column ``j`` of
-    ``spmm`` matches ``spmv(X[:, j])`` exactly on every backend.
+    conformance suite asserts bitwise agreement).
 
-``matvec(x)`` / ``matmat(X)``
-    Thin cached aliases of ``spmv``/``spmm`` kept for solver inner
-    loops: when a non-reference backend serves this format they forward
-    to the dispatched product; otherwise they run a cached SciPy CSR
-    product (numerically equal to ``spmv``, faster than the Python
-    traversal).  They add no third semantic — ``spmv`` is *the* seam.
-
-Subclasses implement ``_reference_spmv`` (and optionally a vectorized
-``_reference_spmm``); a subclass that overrides ``spmv``/``spmm``
-directly raises ``TypeError`` at class definition.
+Subclasses implement ``_reference_spmv``; a subclass that overrides
+``spmv`` directly raises ``TypeError`` at class definition.
 
 Footprint accounting follows the paper: 8 bytes per double value, 4 bytes
 per (column) index, 4 bytes per pointer/offset entry.
@@ -61,20 +50,18 @@ class SparseFormat(abc.ABC):
     shape: tuple[int, int]
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Refuse direct ``spmv``/``spmm`` overrides at class definition.
+        """Refuse a direct ``spmv`` override at class definition.
 
         Such an override would shadow the dispatching entry point and
         bypass every backend; a format implements ``_reference_spmv``
-        (and optionally ``_reference_spmm``) instead.
+        instead.
         """
         super().__init_subclass__(**kwargs)
-        for name in ("spmv", "spmm"):
-            if name in cls.__dict__:
-                raise TypeError(
-                    f"{cls.__name__} overrides {name}() directly; implement "
-                    f"_reference_{name}() instead, which the {name}() "
-                    f"entry point dispatches to through the kernel "
-                    f"backends")
+        if "spmv" in cls.__dict__:
+            raise TypeError(
+                f"{cls.__name__} overrides spmv() directly; implement "
+                f"_reference_spmv() instead, which the spmv() entry "
+                f"point dispatches to through the kernel backends")
 
     # -- core interface ----------------------------------------------------
 
@@ -118,74 +105,9 @@ class SparseFormat(abc.ABC):
         be = backends.serving(self.format_name, "spmv", backend)
         return be.spmv(self, x)
 
-    def spmm(self, X: np.ndarray, *, backend=None) -> np.ndarray:
-        """Multi-RHS product ``Y = A @ X`` with ``X`` of shape ``(n, k)``.
-
-        Dispatches like :meth:`spmv`; every backend's ``spmm(X)[:, j]``
-        equals its ``spmv(X[:, j])`` bit for bit (the amortization a
-        batched kernel exploits changes traffic, not arithmetic).
-        """
-        X = self.check_X(X)
-        be = backends.serving(self.format_name, "spmm", backend)
-        return be.spmm(self, X)
-
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Generic reference multi-RHS kernel: ``_reference_spmv`` per column.
-
-        Formats with a vectorized sweep override this; the fallback
-        preserves each column's exact arithmetic.
-        """
-        Y = np.zeros((self.n_rows, X.shape[1]), dtype=np.float64)
-        for j in range(X.shape[1]):
-            Y[:, j] = self._reference_spmv(np.ascontiguousarray(X[:, j]))
-        return Y
-
-    def matvec(self, x: np.ndarray, *, backend=None) -> np.ndarray:
-        """Fast ``A @ x`` — a thin alias of :meth:`spmv`.
-
-        With a non-reference backend serving this format it *is*
-        ``spmv`` (same kernel, same bits); under the reference backend
-        it runs a cached SciPy CSR product instead of the Python-level
-        format traversal (numerically equal, faster on this host).
-        """
-        be = backends.resolve(backend)
-        if not be.is_reference and be.supports(self.format_name, "spmv"):
-            return self.spmv(x, backend=be)
-        x = check_1d(x, "x", n=self.n_cols, dtype=np.float64)
-        return self._cached_csr() @ x
-
-    def matmat(self, X: np.ndarray, *, backend=None) -> np.ndarray:
-        """Fast ``A @ X`` — a thin alias of :meth:`spmm` (see :meth:`matvec`)."""
-        be = backends.resolve(backend)
-        if not be.is_reference and be.supports(self.format_name, "spmm"):
-            return self.spmm(X, backend=be)
-        X = self.check_X(X)
-        return self._cached_csr() @ X
-
-    def _cached_csr(self) -> sp.csr_matrix:
-        csr = getattr(self, "_csr_cache", None)
-        if csr is None:
-            csr = self.to_scipy()
-            self._csr_cache = csr
-        return csr
-
-    def _invalidate_cache(self) -> None:
-        self._csr_cache = None
-
     def check_x(self, x: np.ndarray) -> np.ndarray:
         """Validate a multiplicand vector (contiguous float64 on return)."""
         return check_1d(x, "x", n=self.n_cols, dtype=np.float64)
-
-    def check_X(self, X: np.ndarray) -> np.ndarray:
-        """Validate a multi-RHS block: shape ``(n_cols, k)``, float64."""
-        arr = np.asarray(X)
-        if arr.ndim != 2:
-            raise ValidationError(
-                f"X must be 2-D (n, k), got ndim={arr.ndim}")
-        if arr.shape[0] != self.n_cols:
-            raise ValidationError(
-                f"X must have {self.n_cols} rows, got {arr.shape[0]}")
-        return np.ascontiguousarray(arr, dtype=np.float64)
 
     def density(self) -> float:
         """Fraction of nonzero entries, ``nnz / (n_rows * n_cols)``."""

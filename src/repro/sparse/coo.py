@@ -93,7 +93,6 @@ class COOMatrix(SparseFormat):
         self.rows = rows[first][keep]
         self.cols = cols[first][keep]
         self.values = summed[keep]
-        self._invalidate_cache()
 
     # -- SparseFormat interface --------------------------------------------
 
@@ -112,12 +111,6 @@ class COOMatrix(SparseFormat):
         y = np.zeros(self.shape[0], dtype=np.float64)
         np.add.at(y, self.rows, self.values * x[self.cols])
         return y
-
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS COO product: one scatter-add over whole ``X`` rows."""
-        Y = np.zeros((self.shape[0], X.shape[1]), dtype=np.float64)
-        np.add.at(Y, self.rows, self.values[:, None] * X[self.cols, :])
-        return Y
 
     def to_scipy(self) -> sp.csr_matrix:
         coo = sp.coo_matrix(

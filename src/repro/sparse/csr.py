@@ -65,14 +65,13 @@ class CSRMatrix(SparseFormat):
         """
         return self._cached_csr() @ x
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS CSR product: the structure is read once for all k.
-
-        SciPy's ``csr_matvecs`` accumulates row-sequentially per output
-        column (an axpy per nonzero), so ``spmm(X)[:, j]`` equals
-        ``spmv(X[:, j])`` bit for bit.
-        """
-        return self._cached_csr() @ X
+    def _cached_csr(self) -> sp.csr_matrix:
+        """The SciPy twin :meth:`_reference_spmv` multiplies by, built
+        on first use and kept (a format does not change once built)."""
+        csr = getattr(self, "_csr_cache", None)
+        if csr is None:
+            csr = self._csr_cache = self.to_scipy()
+        return csr
 
     def diagonal(self) -> np.ndarray:
         """Main-diagonal entries as a dense vector (zeros where absent)."""

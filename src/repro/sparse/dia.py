@@ -135,16 +135,6 @@ class DIAMatrix(SparseFormat):
                 y[lo:hi] += self.data[k, lo:hi] * x[lo + off: hi + off]
         return y
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS DIA product: one shifted block multiply per diagonal."""
-        Y = np.zeros((self.shape[0], X.shape[1]), dtype=np.float64)
-        for k, off in enumerate(self.offsets):
-            off = int(off)
-            lo, hi = self._valid_range(off)
-            if hi > lo:
-                Y[lo:hi] += self.data[k, lo:hi, None] * X[lo + off: hi + off]
-        return Y
-
     def to_scipy(self) -> sp.csr_matrix:
         n, m = self.shape
         rows_list = []

@@ -110,20 +110,6 @@ class ELLMatrix(SparseFormat):
             y[active] += self.values[active, c] * x[col[active]]
         return y[: self.shape[0]]
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS ELL product: k column-major sweeps over all columns.
-
-        Identical traversal to :meth:`_reference_spmv` — each of the
-        ``k_ell`` steps loads one value/column pair per row and gathers a
-        whole row of ``X`` instead of one ``x`` element.
-        """
-        Y = np.zeros((self.n_padded, X.shape[1]), dtype=np.float64)
-        for c in range(self.k):
-            col = self.cols[:, c]
-            active = col != PAD_COL
-            Y[active] += self.values[active, c, None] * X[col[active], :]
-        return Y[: self.shape[0]]
-
     def to_scipy(self) -> sp.csr_matrix:
         active = self.active_mask()
         rows, pos = np.nonzero(active)

@@ -108,10 +108,6 @@ class ELLDIAMatrix(SparseFormat):
         """DIA band product plus ELL remainder product."""
         return self.dia._reference_spmv(x) + self.ell._reference_spmv(x)
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS hybrid product: DIA band block plus ELL remainder block."""
-        return self.dia._reference_spmm(X) + self.ell._reference_spmm(X)
-
     def jacobi_step(self, x: np.ndarray) -> np.ndarray:
         """One Jacobi iteration ``x' = -D^{-1}(A - D) x`` for ``A x = 0``.
 

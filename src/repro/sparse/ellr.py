@@ -58,18 +58,6 @@ class ELLRMatrix(ELLMatrix):
             y[active] += self.values[active, c] * x[cols]
         return y[: self.shape[0]]
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Row-length-guided multi-RHS product (lane ``i``: ``rl[i]`` steps)."""
-        Y = np.zeros((self.n_padded, X.shape[1]), dtype=np.float64)
-        for c in range(self.k):
-            active = self.rl > c
-            if not active.any():
-                break
-            cols = self.cols[active, c]
-            assert (cols != PAD_COL).all()
-            Y[active] += self.values[active, c, None] * X[cols, :]
-        return Y[: self.shape[0]]
-
     def footprint(self) -> int:
         """ELL's dense slots plus the 4-byte row-length array."""
         return (self.n_padded * self.k * (VALUE_BYTES + INDEX_BYTES)

@@ -102,13 +102,6 @@ class SellCSigmaMatrix(SlicedELLMatrix):
         y[self.row_ids] = y_storage
         return y
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Chunked multi-RHS product over the sorted rows, scattered back."""
-        Y_storage = SlicedELLMatrix._reference_spmm(self, X)
-        Y = np.empty((self.shape[0], X.shape[1]), dtype=np.float64)
-        Y[self.row_ids] = Y_storage
-        return Y
-
     def to_scipy(self) -> sp.csr_matrix:
         permuted = SlicedELLMatrix.to_scipy(self)
         return as_csr(permuted[self._inverse_ids, :])

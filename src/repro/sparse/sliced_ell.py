@@ -165,41 +165,6 @@ class SlicedELLMatrix(SparseFormat):
             y[row_base.ravel()] += contrib.ravel()
         return y[: self.shape[0]]
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Multi-RHS sliced product: the same equal-k batching as
-        :meth:`_reference_spmv` with a trailing RHS axis, so each slice's
-        local structure is gathered once for all ``k`` right-hand sides
-        (and the same sequential local-column accumulation).
-        """
-        kr = X.shape[1]
-        Y = np.zeros((self.n_padded, kr), dtype=np.float64)
-        if self._nnz == 0 or kr == 0:
-            return Y[: self.shape[0]]
-        s = self.slice_size
-        for k in np.unique(self.slice_k):
-            k = int(k)
-            if k == 0:
-                continue
-            which = np.flatnonzero(self.slice_k == k)
-            base = self.slice_ptr[which][:, None, None]
-            offs = (np.arange(k)[None, None, :] * s
-                    + np.arange(s)[None, :, None])
-            flat = base + offs
-            vals = self.values[flat]
-            cols = self.cols[flat]
-            active = cols != PAD_COL
-            # (num_slices, s, k, kr): the X-row gather, padding zeroed.
-            gathered = np.where(active[..., None],
-                                X[np.clip(cols, 0, None), :], 0.0)
-            prods = vals[..., None] * gathered
-            contrib = np.zeros((which.size, s, kr), dtype=np.float64)
-            for c in range(k):
-                contrib += prods[:, :, c, :]
-            row_base = (which[:, None] * s
-                        + np.arange(s)[None, :]).ravel()
-            Y[row_base] += contrib.reshape(-1, kr)
-        return Y[: self.shape[0]]
-
     def to_scipy(self) -> sp.csr_matrix:
         rows_list, cols_list, vals_list = [], [], []
         for i in range(self.n_slices):

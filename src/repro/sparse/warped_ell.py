@@ -150,16 +150,6 @@ class WarpedELLMatrix(SlicedELLMatrix):
         y[self.row_ids] = y_storage
         return y
 
-    def _reference_spmm(self, X: np.ndarray) -> np.ndarray:
-        """Warp-sliced multi-RHS product over the permuted rows."""
-        Y_storage = SlicedELLMatrix._reference_spmm(self, X)
-        if self.diagonal_values is not None:
-            Y_storage = (Y_storage
-                         + self.diagonal_values[:, None] * X[self.row_ids, :])
-        Y = np.empty((self.shape[0], X.shape[1]), dtype=np.float64)
-        Y[self.row_ids] = Y_storage
-        return Y
-
     def jacobi_step(self, x: np.ndarray) -> np.ndarray:
         """One Jacobi iteration ``x' = -D^{-1}(A - D) x`` for ``A x = 0``.
 

@@ -32,9 +32,6 @@ class _StubBackend:
     def spmv(self, fmt, x):
         return np.zeros(fmt.shape[0])
 
-    def spmm(self, fmt, X):
-        return np.zeros((fmt.shape[0], X.shape[1]))
-
     def jacobi_sweep(self, A, diag, X, damping=1.0, out=None):
         raise NotImplementedError
 

@@ -7,6 +7,9 @@ and that backend selection reaches every solver entry point (ctor arg,
 ``use()`` context, batched modes, the resilient chain).
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,11 +21,11 @@ from repro import (
     enumerate_state_space,
     toggle_switch,
 )
-from repro import backends
+from repro import backends, sparse
+from repro.cpu.baseline import CSRDIABaseline
 from repro.errors import ValidationError
 from repro.solvers.batched import BatchedJacobiSolver
-from repro.sparse.base import SparseFormat, as_csr
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.base import SparseFormat
 
 #: Every available non-reference backend — each must reproduce the
 #: reference solve bit for bit.  References pin ``backend="numpy"``:
@@ -196,41 +199,52 @@ def test_resilient_solver_forwards_backend_and_validate():
     assert np.array_equal(result.x, baseline.x)
 
 
-# -- entry-point collapse ----------------------------------------------------
+# -- spmv, the one product entry point ----------------------------------------
+
+RUN_BENCHMARKS = (Path(__file__).resolve().parents[2] / "benchmarks"
+                  / "run_benchmarks.py")
 
 
-def dense_system(n=60, seed=21):
-    rng = np.random.default_rng(seed)
-    A = sp.random(n, n, density=0.08, random_state=seed, format="csr")
-    return as_csr(A + sp.diags(rng.random(n) + 0.5))
+def test_spmv_is_the_only_product():
+    """No format, nor the CPU baseline, offers a multi-RHS product or
+    an alias of ``spmv``; no backend op, native kernel or benchmark
+    gate is left for one."""
+    formats = [obj for obj in vars(sparse).values()
+               if isinstance(obj, type) and issubclass(obj, SparseFormat)]
+    assert len(formats) >= 10          # SparseFormat and nine formats
+    for cls in formats + [CSRDIABaseline]:
+        for name in ("spmm", "matmat", "matvec"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+    assert "spmm" not in backends.OPS
+    if "native" in backends.available_backends():
+        from repro.backends.native import get_library
 
+        lib = get_library()
+        for fmt in ("csr", "ell", "ellr", "sell", "dia"):
+            assert not hasattr(lib, f"{fmt}_spmm")
+            assert hasattr(lib, f"{fmt}_spmv")
+    spec = importlib.util.spec_from_file_location("run_benchmarks",
+                                                  RUN_BENCHMARKS)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
 
-def test_matvec_is_a_thin_alias_of_spmv():
-    A = dense_system()
-    fmt = CSRMatrix(A)
-    rng = np.random.default_rng(22)
-    x = rng.standard_normal(A.shape[1])
-    X = rng.standard_normal((A.shape[1], 3))
-    # Reference ambient: matvec runs the cached CSR product.
-    np.testing.assert_allclose(fmt.matvec(x), fmt.spmv(x),
-                               rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(fmt.matmat(X), fmt.spmm(X),
-                               rtol=0.0, atol=1e-12)
-    for name in NATIVE:
-        with backends.use(name):
-            assert np.array_equal(fmt.matvec(x), fmt.spmv(x))
-            assert np.array_equal(fmt.matmat(X), fmt.spmm(X))
+    def accepted(**_):                  # main's first call after parsing
+        raise AssertionError("run_benchmarks.py accepted --check-spmm")
+
+    bench.toggle_switch = accepted
+    with pytest.raises(SystemExit) as refused:
+        bench.main(["--check-spmm", "1.0"])
+    assert refused.value.code == 2
 
 
 def test_direct_spmv_override_is_refused():
-    """Overriding an entry point would bypass backend dispatch, so the
-    class statement itself raises, for ``spmv`` and ``spmm`` alike."""
+    """Overriding the entry point would bypass backend dispatch, so the
+    class statement itself raises."""
     def product(self, x):               # a direct override
         return self.d * x
 
-    for name in ("spmv", "spmm"):
-        with pytest.raises(TypeError, match=f"_reference_{name}"):
-            type("LegacyDiag", (SparseFormat,), {name: product})
+    with pytest.raises(TypeError, match="_reference_spmv"):
+        type("LegacyDiag", (SparseFormat,), {"spmv": product})
 
 
 def test_modern_subclass_does_not_warn():

@@ -45,7 +45,6 @@ class TestBaselineFunctional:
         x = rng.random(tiny_toggle_matrix.shape[1])
         np.testing.assert_allclose(b.spmv(x), tiny_toggle_matrix @ x,
                                    rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(b.matvec(x), b.spmv(x), rtol=1e-12)
 
     def test_jacobi_step_formula(self, tiny_toggle_matrix, rng):
         b = CSRDIABaseline(tiny_toggle_matrix)

@@ -132,9 +132,16 @@ class TestBatchedResume:
         ck2 = make_ck(tmp_path, mats[0], every=100, resume=True,
                       method="batched")
         resumed = solver().solve_many(checkpointer=ck2)
-        assert read_checkpoint(ck2.resumed_from).iteration == 300
+        assert ck2.resumed_from.name == checkpoint_name(300)
         for ref, res in zip(reference, resumed):
             assert_identical(ref, res)
+
+
+def checkpoint_name(iteration: int) -> str:
+    """The file name ``Checkpointer.save`` gives *iteration*'s
+    checkpoint.  Tests check the resumed-from name, not the file: the
+    resumed solve's own saves may already have rotated it away."""
+    return f"ckpt-{iteration:012d}.ckpt"
 
 
 def extrapolated_stop(result) -> int:
@@ -204,7 +211,7 @@ class TestResumeAcrossExtrapolatedStop:
             checkpointer=self.checkpointer(tmp_path, A))
         ck = self.checkpointer(tmp_path, A, resume=True)
         resumed = self.solver(A).solve(checkpointer=ck)
-        assert read_checkpoint(ck.resumed_from).iteration == stop - 100
+        assert ck.resumed_from.name == checkpoint_name(stop - 100)
         assert_identical(reference, resumed)
 
     def test_batched_resume_takes_the_same_stop(self, toggle_conditions,
@@ -217,7 +224,7 @@ class TestResumeAcrossExtrapolatedStop:
             checkpointer=self.checkpointer(tmp_path, mats[0]))
         ck = self.checkpointer(tmp_path, mats[0], resume=True)
         resumed = self.batched(mats).solve_many(checkpointer=ck)
-        assert read_checkpoint(ck.resumed_from).iteration == stop - 100
+        assert ck.resumed_from.name == checkpoint_name(stop - 100)
         for ref, res in zip(reference, resumed):
             assert_identical(ref, res)
 

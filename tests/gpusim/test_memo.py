@@ -8,6 +8,7 @@ from repro.gpusim import (
     clear_memo,
     jacobi_performance,
     memo_stats,
+    spmv_performance,
     spmv_traffic,
     structure_fingerprint,
 )
@@ -15,6 +16,7 @@ from repro.gpusim.kernels.base import Precision
 from repro.gpusim.memo import MEMO_CAPACITY, memoized_traffic
 from repro.sparse.base import as_csr
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.dia import DIAMatrix
 from repro.sparse.ell import ELLMatrix
 from repro.sparse.ell_dia import ELLDIAMatrix
 from repro.sparse.ellr import ELLRMatrix
@@ -117,6 +119,25 @@ class TestMemoizedTraffic:
             assert warm.streamed_bytes == cold.streamed_bytes
             assert warm.flops == cold.flops
             assert warm.gather.transactions == cold.gather.transactions
+
+    @pytest.mark.parametrize("build,offset", [
+        (lambda A: DIAMatrix.from_scipy(A, offsets=[-1, 0, 1]), -1),
+        (lambda A: ELLDIAMatrix(A, offsets=[-1, 0, 1]), -1),
+        (lambda A: WarpedELLMatrix(A, separate_diagonal=True), 0),
+    ], ids=["dia", "ell+dia", "warped+dia"])
+    def test_stored_band_zeros_split_entries(self, build, offset):
+        # A band stores its zeros as values: the same offsets (and
+        # remainder) with fewer band nonzeros is fewer useful flops.
+        A = banded()
+        holes = A.tolil()
+        for i in range(1, 64):
+            holes[i, i + offset] = 0.0
+        full, sparser = build(A), build(as_csr(holes))
+        assert full.nnz > sparser.nnz
+        for fmt in (full, sparser):
+            assert (spmv_performance(fmt).gflops
+                    == spmv_performance(fmt, memoize=False).gflops)
+        assert memo_stats()["misses"] == 2
 
     def test_jacobi_performance_memoizes(self):
         fmt = ELLDIAMatrix(banded())

@@ -22,21 +22,17 @@ class TestValidateShape:
 
 
 class TestBaseBehaviour:
-    def test_matvec_uses_cache(self, random_square, rng):
-        # The CSR cache belongs to the reference backend's product.
-        fmt = ELLMatrix(random_square)
+    def test_spmv_uses_cache(self, random_square, rng):
+        # The SciPy twin belongs to CSR's reference product.
+        fmt = CSRMatrix(random_square)
         x = rng.random(random_square.shape[1])
         with backends.use("numpy"):
-            first = fmt.matvec(x)
-            assert fmt._csr_cache is not None
-            second = fmt.matvec(x)
+            first = fmt.spmv(x)
+            cached = fmt._csr_cache
+            assert cached is not None
+            second = fmt.spmv(x)
+            assert fmt._csr_cache is cached
         np.testing.assert_array_equal(first, second)
-
-    def test_cache_invalidation(self, random_square, rng):
-        fmt = ELLMatrix(random_square)
-        fmt.matvec(rng.random(random_square.shape[1]))
-        fmt._invalidate_cache()
-        assert fmt._csr_cache is None
 
     def test_check_x_validates_length(self, random_square):
         fmt = CSRMatrix(random_square)

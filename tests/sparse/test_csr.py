@@ -36,11 +36,6 @@ class TestSpmv:
         y = m.spmv(np.array([1.0, 1.0]))
         assert y[0] == 0.0 and y[1] == 2.0
 
-    def test_matvec_matches_spmv(self, random_square, rng):
-        m = CSRMatrix(random_square)
-        x = rng.random(random_square.shape[1])
-        np.testing.assert_allclose(m.matvec(x), m.spmv(x), rtol=1e-13)
-
 
 class TestDiagonal:
     def test_diagonal_extraction(self):
