@@ -1,8 +1,8 @@
 """Open-loop load generator for the serve path: write ``BENCH_10.json``.
 
-Closed-loop benchmarks (``bench_serve`` in ``run_benchmarks.py``) only
-measure how fast the service drains a batch — a client that waits for
-each answer before sending the next can never observe queueing delay.
+A closed-loop benchmark only measures how fast the service drains a
+batch — a client that waits for each answer before sending the next
+can never observe queueing delay.
 This script offers load the way production traffic arrives: **Poisson
 arrivals at a fixed rate, submitted whether or not earlier jobs have
 finished**, so the latency distribution includes every queueing,

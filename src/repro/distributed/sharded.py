@@ -647,7 +647,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             SIGKILL leaves an intact checkpoint at this very boundary,
             which is exactly what the crash-recovery suite resumes.
             """
-            if checkpointer is not None:
+            if checkpointer is not None and checkpointer.due(iteration):
                 meta = self._checkpoint_meta(history, best_residual,
                                              checks_done, recoveries,
                                              criterion, extrapolator)
@@ -660,7 +660,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
                              for p in pool.parts],
                     "degradations": len(degradations),
                 }
-                checkpointer.maybe_save(
+                checkpointer.save(
                     iteration, self._checkpoint_arrays(x_cur(), extrapolator),
                     meta)
             if injector is not None:

@@ -339,16 +339,14 @@ class Checkpointer:
             return data
         return None
 
-    def maybe_save(self, iteration: int, arrays: dict[str, np.ndarray],
-                   meta: dict | None = None, *, kind: str = "solver") -> bool:
-        """Save if the policy says a checkpoint is due; returns whether
-        a file was written."""
-        now = time.monotonic()
-        if not self.policy.due(iteration - self._last_iteration,
-                               now - self._last_wall):
-            return False
-        self.save(iteration, arrays, meta, kind=kind)
-        return True
+    def due(self, iteration: int) -> bool:
+        """Whether the policy wants a save at *iteration*.
+
+        Solver loops ask this before building a snapshot, so a check
+        that saves nothing copies nothing.
+        """
+        return self.policy.due(iteration - self._last_iteration,
+                               time.monotonic() - self._last_wall)
 
     def save(self, iteration: int, arrays: dict[str, np.ndarray],
              meta: dict | None = None, *, kind: str = "solver") -> Path:

@@ -585,8 +585,8 @@ class IterativeSolverBase:
                     checkpoint = x.copy()
                     checkpoint_iteration = iteration
                     report.checkpoints += 1
-                if checkpointer is not None:
-                    checkpointer.maybe_save(
+                if checkpointer is not None and checkpointer.due(iteration):
+                    checkpointer.save(
                         iteration, self._checkpoint_arrays(x, extrapolator),
                         self._checkpoint_meta(history, best_residual,
                                               checks_done, recoveries,

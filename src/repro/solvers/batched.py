@@ -212,8 +212,6 @@ class BatchedJacobiSolver:
             the next batch, so a resume recomputing the seeding product
             from the saved block replays the sweeps bitwise.
             """
-            if checkpointer is None:
-                return
             X_all = np.zeros((self.n, total), dtype=np.float64)
             X_prev = np.zeros((self.n, total), dtype=np.float64)
             retired: dict[str, dict] = {}
@@ -241,8 +239,8 @@ class BatchedJacobiSolver:
                 "prev_depths": [extrapolators[j].depth for j in active],
                 "retired": retired,
             }
-            checkpointer.maybe_save(iteration, {"X": X_all, "X_prev": X_prev},
-                                    meta, kind="batched")
+            checkpointer.save(iteration, {"X": X_all, "X_prev": X_prev},
+                              meta, kind="batched")
 
         span = tracing.span(f"{self.span_name}.solve_many", n=self.n,
                             k=total)
@@ -381,7 +379,8 @@ class BatchedJacobiSolver:
                     Y = take(Y, keep)
                     D = take(D, keep)
                 pending_Y = Y
-                durable_save()
+                if checkpointer is not None and checkpointer.due(iteration):
+                    durable_save()
             span.set_attribute("iterations", iteration)
             span.set_attribute("products", self.products)
             if extrapolated:

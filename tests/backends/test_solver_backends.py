@@ -7,9 +7,6 @@ and that backend selection reaches every solver entry point (ctor arg,
 ``use()`` context, batched modes, the resilient chain).
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -201,14 +198,10 @@ def test_resilient_solver_forwards_backend_and_validate():
 
 # -- spmv, the one product entry point ----------------------------------------
 
-RUN_BENCHMARKS = (Path(__file__).resolve().parents[2] / "benchmarks"
-                  / "run_benchmarks.py")
-
-
 def test_spmv_is_the_only_product():
     """No format, nor the CPU baseline, offers a multi-RHS product or
-    an alias of ``spmv``; no backend op, native kernel or benchmark
-    gate is left for one."""
+    an alias of ``spmv``; no backend op or native kernel is left for
+    one."""
     formats = [obj for obj in vars(sparse).values()
                if isinstance(obj, type) and issubclass(obj, SparseFormat)]
     assert len(formats) >= 10          # SparseFormat and nine formats
@@ -223,18 +216,6 @@ def test_spmv_is_the_only_product():
         for fmt in ("csr", "ell", "ellr", "sell", "dia"):
             assert not hasattr(lib, f"{fmt}_spmm")
             assert hasattr(lib, f"{fmt}_spmv")
-    spec = importlib.util.spec_from_file_location("run_benchmarks",
-                                                  RUN_BENCHMARKS)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    def accepted(**_):                  # main's first call after parsing
-        raise AssertionError("run_benchmarks.py accepted --check-spmm")
-
-    bench.toggle_switch = accepted
-    with pytest.raises(SystemExit) as refused:
-        bench.main(["--check-spmm", "1.0"])
-    assert refused.value.code == 2
 
 
 def test_direct_spmv_override_is_refused():

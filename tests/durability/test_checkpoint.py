@@ -1,4 +1,5 @@
-"""Checkpoint file format, validation, policy and fallback behavior.
+"""Checkpoint file format, validation, policy and fallback behavior,
+and what checkpointing costs a solve.
 
 The contract under test: a checkpoint either reads back exactly as
 written or raises :class:`~repro.errors.CheckpointError` — never
@@ -9,10 +10,14 @@ files to the newest intact one (the torn-write recovery ladder).
 from __future__ import annotations
 
 import logging
+import statistics
+import time
 
 import numpy as np
 import pytest
 
+from repro.cme import StateSpace, build_rate_matrix, enumerate_state_space
+from repro.cme.models import phage_lambda
 from repro.durability import (
     CheckpointError,
     CheckpointPolicy,
@@ -23,6 +28,8 @@ from repro.durability import (
     write_checkpoint,
 )
 from repro.errors import ValidationError
+from repro.solvers import BatchedJacobiSolver, JacobiSolver
+from repro.solvers.stopping import StoppingCriterion
 
 
 def make_arrays():
@@ -133,13 +140,16 @@ class TestCheckpointer:
         assert names == ["ckpt-000000000030.ckpt",
                          "ckpt-000000000040.ckpt"]
 
-    def test_maybe_save_follows_cadence(self, tmp_path):
+    def test_due_follows_cadence(self, tmp_path):
         ck = Checkpointer(tmp_path, signature="s",
                           policy=CheckpointPolicy(every_iterations=100))
-        assert not ck.maybe_save(50, {"x": np.ones(3)})
-        assert ck.maybe_save(100, {"x": np.ones(3)})
-        assert not ck.maybe_save(150, {"x": np.ones(3)})
-        assert ck.maybe_save(205, {"x": np.ones(3)})
+        assert not ck.due(50)
+        assert ck.due(100)
+        ck.save(100, {"x": np.ones(3)})
+        assert not ck.due(150)
+        assert ck.due(205)
+        ck.save(205, {"x": np.ones(3)})
+        assert not ck.due(300)
         assert ck.saves == 2
 
     def test_load_latest_returns_newest(self, tmp_path):
@@ -187,6 +197,88 @@ class TestCheckpointer:
                               policy=CheckpointPolicy(every_iterations=1))
         assert reader.load_latest() is None
         assert reader.rejected == 1
+
+
+class TestSolverSnapshots:
+    """A solve builds its checkpoint payload only for a save the policy
+    wants.  Each snapshot records every live column's stopping state
+    once, so counting ``StoppingCriterion.state_dict`` counts the
+    snapshots built."""
+
+    # Never converges, so every column is live at every check.
+    KWARGS = dict(tol=1e-300, max_iterations=1000, stagnation_tol=None,
+                  check_interval=100)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        recorded = []
+        state_dict = StoppingCriterion.state_dict
+
+        def counting(criterion):
+            recorded.append(criterion)
+            return state_dict(criterion)
+
+        monkeypatch.setattr(StoppingCriterion, "state_dict", counting)
+        return recorded
+
+    @staticmethod
+    def checkpointer(tmp_path):
+        return Checkpointer(tmp_path, signature="s",
+                            policy=CheckpointPolicy(every_iterations=300))
+
+    def test_serial_solve(self, tiny_toggle_matrix, tmp_path, built):
+        ck = self.checkpointer(tmp_path)
+        JacobiSolver(tiny_toggle_matrix, **self.KWARGS).solve(
+            checkpointer=ck)
+        assert ck.saves == 3
+        assert len(built) == ck.saves
+
+    def test_stacked_solve(self, tiny_toggle_network, tiny_toggle_space,
+                           tmp_path, built):
+        mats = [build_rate_matrix(StateSpace(
+            network=tiny_toggle_network.with_rates({"degA": d}),
+            states=tiny_toggle_space.states)) for d in (0.8, 1.0, 1.2)]
+        ck = self.checkpointer(tmp_path)
+        BatchedJacobiSolver.stacked(mats, **self.KWARGS).solve_many(
+            checkpointer=ck)
+        assert ck.saves == 3
+        assert len(built) == len(mats) * ck.saves
+
+
+class TestOverhead:
+    def test_default_cadence_costs_at_most_5_percent(self, tmp_path):
+        """One save of the phage-lambda (15, 7) solve's own snapshot
+        (median of 21) against the 1,000 sweeps between two saves at
+        the default cadence.  Timing the save alone keeps the solve's
+        run-to-run noise out of the ratio, and a solve builds its
+        payload only when a save is due, so the save is all that
+        checkpointing adds.  The sweeps take the fastest of three, so
+        a host slowed by other load reads the ratio high, not low."""
+        A = build_rate_matrix(enumerate_state_space(phage_lambda()))
+        cadence = CheckpointPolicy().every_iterations
+        kwargs = dict(tol=1e-300, stagnation_tol=None, check_interval=100)
+        ck = Checkpointer(tmp_path, signature="s")
+        JacobiSolver(A, max_iterations=cadence + 200, **kwargs).solve(
+            checkpointer=ck)
+        assert ck.saves == 1
+        snapshot = read_checkpoint(ck.files()[-1])
+
+        saves = []
+        for k in range(1, 22):
+            t0 = time.perf_counter()
+            ck.save(snapshot.iteration + k * cadence, snapshot.arrays,
+                    snapshot.meta)
+            saves.append(time.perf_counter() - t0)
+        save_s = statistics.median(saves)
+
+        solver = JacobiSolver(A, max_iterations=cadence, **kwargs)
+        sweeps_s = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            solver.solve()
+            sweeps_s = min(sweeps_s, time.perf_counter() - t0)
+        overhead_pct = save_s / sweeps_s * 100.0
+        assert overhead_pct <= 5.0, (save_s, sweeps_s)
 
 
 class TestWriteFaultSite:

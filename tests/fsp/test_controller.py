@@ -150,12 +150,21 @@ class TestTelemetry:
 
 
 class TestPhageLambda:
-    def test_small_phage_certifies_below_full(self):
-        net = phage_lambda(max_monomer=6, max_dimer=3)
+    @pytest.mark.parametrize("max_monomer,max_dimer,fsp_tol", [
+        pytest.param(6, 3, 1e-3, id="6-3"),
+        # FSP's claim at a tight target: a certified answer from
+        # strictly fewer states than the full enumeration.
+        pytest.param(8, 4, 1e-6, id="8-4"),
+    ])
+    def test_small_phage_certifies_below_full(self, max_monomer, max_dimer,
+                                              fsp_tol):
+        net = phage_lambda(max_monomer=max_monomer, max_dimer=max_dimer)
         full = enumerate_state_space(net)
-        controller = AdaptiveFspController(net, fsp_tol=1e-3,
-                                           initial_size=64)
+        controller = AdaptiveFspController(net, fsp_tol=fsp_tol)
         result = controller.solve()
         assert result.converged
-        assert result.truncation_mass <= 1e-3
+        assert result.truncation_mass <= fsp_tol
         assert result.space.size < full.size
+        # Certified from a final inner solve run to tol, not from an
+        # early round's looser one.
+        assert result.rounds[-1].residual <= controller.tol
