@@ -10,9 +10,10 @@ semantics), so serve workers overlap kernels across threads.
 
 Parity with the reference backend is structural, not accidental: each
 kernel walks the format's storage in exactly the order the NumPy
-reference does (per-row sequential accumulation for CSR, also inside
-each SIMD lane of the one-column Jacobi sweep's 8-row slices;
-local-column order for the ELL family; offsets order for DIA),
+reference does (per-row sequential accumulation for CSR; inside each
+SIMD lane of the one-column Jacobi sweep's 8-row slices, the row's
+off-band entries in stored order and then its peeled band; local-column
+order for the ELL family; offsets order for DIA),
 products are rounded before accumulation (``-ffp-contract=off``
 forbids FMA contraction), and ``-ffast-math`` is never passed.  The
 conformance suite asserts bitwise agreement on every format.
@@ -31,11 +32,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.backends.reference import NumpyBackend, check_out, stacked_blocks
+from repro.backends.reference import (NumpyBackend, cached, check_out,
+                                     stacked_blocks, sweep_split)
 from repro.errors import StateSpaceOverflowError
 
 _C_SOURCE = r"""
@@ -151,38 +154,6 @@ void dia_spmv(int64_t n_rows, int64_t n_cols, int64_t ndiag,
     }
 }
 
-/* ---- fused Jacobi sweep on a CSR generator -------------------------- */
-
-/* Row-block sweep for the sharded solver: the caller owns rows
- * [row0, row0 + m) of the global system as a rectangular (m, n) CSR
- * slice and reads the full-length x.  Each row sums in CSR order with
- * the same update expression as a lane of the sliced sweep below, so
- * the owned block stays bitwise equal to the corresponding slice of a
- * whole-matrix sweep. */
-void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
-                            const int32_t *cols, const double *vals,
-                            const double *diag, const double *x,
-                            double damping, double *out)
-{
-    const double om = 1.0 - damping;
-    int64_t i;
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < m; ++i) {
-        double sum = 0.0;
-        const double d = diag[i];
-        const double xi = x[row0 + i];
-        int64_t jj;
-        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj)
-            sum += vals[jj] * x[cols[jj]];
-        if (damping == 1.0) {
-            out[i] = (d * xi - sum) / d;
-        } else {
-            const double t = (d * xi - sum) / d;
-            out[i] = om * xi + damping * t;
-        }
-    }
-}
-
 /* Fused kernels over m stacked systems sharing one sparsity pattern
  * (same indptr/cols, different values) — the parameter-sweep workload.
  *
@@ -211,9 +182,15 @@ void csr_jacobi_sweep_block(int64_t m, int64_t row0, const int64_t *indptr,
  * scalar loop, so results stay bitwise identical — vectorizing across
  * SYSTEMS never reassociates any single system's accumulation.
  *
- * Per system the terms accumulate in column order with the exact
- * values the per-system matrices hold, so results are bit-identical
- * to m independent sliced_jacobi_sweep / csr_spmv calls. */
+ * The product walks a stream whose rows keep their stored (CSR)
+ * order.  The sweep walks a second stream of the same shape that holds
+ * each row's entries in the single-system sweep's order (see the
+ * sliced sweep below): its off-band entries in stored order, then its
+ * peeled -1 entry, then its peeled +1 entry, and never its diagonal;
+ * the update is t = -s / d, then the damping blend.  Per system the
+ * terms accumulate in that order with the exact values the per-system
+ * matrices hold, so results are bit-identical to m independent
+ * sliced_jacobi_sweep / csr_spmv calls. */
 
 #define REPRO_MAX_STACK 64
 
@@ -238,6 +215,13 @@ static double stacked_row_1(int64_t i, const int64_t *indptr,
 static inline __mmask8 lanes_512(int64_t left)
 {
     return (__mmask8)((1u << left) - 1u);
+}
+
+/* -v: its sign bits flipped, as the scalar -v is compiled. */
+static inline __m512d neg_512(__m512d v)
+{
+    return _mm512_castsi512_pd(_mm512_xor_si512(
+        _mm512_castpd_si512(v), _mm512_set1_epi64(INT64_MIN)));
 }
 
 /* Full chunks use plain loads, the tail chunk masked ones; `full` is a
@@ -295,11 +279,11 @@ static inline void stacked_sweep_512(int64_t i, int64_t m, int64_t c0,
 {
     const __m512d sum = stacked_row_512(i, m, c0, k, full, indptr, cols,
                                         vstream, vofs, X);
-    const __m512d d = load_512(diag + i * m + c0, k, full);
-    const __m512d xi = load_512(X + i * m + c0, k, full);
-    __m512d t = _mm512_div_pd(_mm512_sub_pd(_mm512_mul_pd(d, xi), sum), d);
+    __m512d t = _mm512_div_pd(neg_512(sum),
+                              load_512(diag + i * m + c0, k, full));
     if (damping != 1.0)
-        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping), xi),
+        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping),
+                                        load_512(X + i * m + c0, k, full)),
                           _mm512_mul_pd(_mm512_set1_pd(damping), t));
     store_512(out + i * m + c0, k, full, t);
 }
@@ -365,11 +349,11 @@ static inline void stacked_sweep_256(int64_t i, int64_t m, int64_t c0,
 {
     const __m256d sum = stacked_row_256(i, m, c0, k, full, indptr, cols,
                                         vstream, vofs, X);
-    const __m256d d = load_256(diag + i * m + c0, k, full);
-    const __m256d xi = load_256(X + i * m + c0, k, full);
-    __m256d t = _mm256_div_pd(_mm256_sub_pd(_mm256_mul_pd(d, xi), sum), d);
+    __m256d t = _mm256_div_pd(_mm256_xor_pd(sum, _mm256_set1_pd(-0.0)),
+                              load_256(diag + i * m + c0, k, full));
     if (damping != 1.0)
-        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping), xi),
+        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping),
+                                        load_256(X + i * m + c0, k, full)),
                           _mm256_mul_pd(_mm256_set1_pd(damping), t));
     store_256(out + i * m + c0, k, full, t);
 }
@@ -444,7 +428,7 @@ static void stacked_sweep_once(int64_t n, int64_t m, const int64_t *indptr,
         int64_t s;
         stacked_row_generic(i, m, indptr, cols, vstream, vofs, X, sum);
         for (s = 0; s < m; ++s) {
-            const double t = (dr[s] * xr[s] - sum[s]) / dr[s];
+            const double t = -sum[s] / dr[s];
             orow[s] = damping == 1.0 ? t : om * xr[s] + damping * t;
         }
     }
@@ -529,83 +513,223 @@ void csr_spmv_stacked(int64_t n, int64_t m, const int64_t *indptr,
 
 /* ---- sliced single-system Jacobi sweep ------------------------------ */
 
-/* The one-column sweep runs over a second copy of the generator laid
- * out like the paper's sliced ELL: rows in their own order, cut into
- * slices of SLICE_ROWS = 8, each slice as wide as its longest row, with
- * cols (int32) and vals stored column-major inside the slice, so entry
- * c of the slice's 8 rows is one contiguous 8-wide run, plus every
- * row's length (rows past n have length 0).  Slice s starts at slot
- * slice_ptr[s] and is (slice_ptr[s + 1] - slice_ptr[s]) / 8 entries
- * wide; padding slots hold column 0 and value 0.0 and are never read.
+/* The one-column sweep is the paper's Jacobi on sliced ELL plus DIA
+ * (Section V, Table IV).  For A x = 0 its update
  *
- * One lane walks one row: lane r adds row r's products in CSR order,
- * each product rounded before the add, and once row r has ended its
- * lane neither gathers nor adds, so a NaN or inf in x reaches only the
- * rows that read it.  The rows of one Jacobi sweep are independent, so
- * running 8 of them side by side changes no row's summation and the
- * result is bitwise the scalar CSR loop's. */
+ *     x_i <- -(1/a_ii) * sum_{j != i} a_ij x_j
+ *
+ * never multiplies the diagonal: the caller's diag is the divisor and
+ * A's stored diagonal is never read.  Offset -1 or +1 leaves the
+ * slices when its stored entries fill more than 8/12 of its slots
+ * (peel_rule: Section V's rule, as select_band_offsets in
+ * repro.sparse.ell_dia applies it) and lives in a dense vector with a
+ * presence bit per row.  Every other stored entry sits in a second
+ * copy of the generator laid out like the paper's sliced ELL: rows in
+ * their own order, cut into slices of SLICE_ROWS = 8, each slice as
+ * wide as its longest row, with cols (int32) and vals stored
+ * column-major inside the slice, so entry c of the slice's 8 rows is
+ * one contiguous 8-wide run, plus every row's length (rows past the
+ * end have length 0).  Slice s starts at slot slice_ptr[s] and is
+ * (slice_ptr[s + 1] - slice_ptr[s]) / 8 entries wide; padding slots
+ * hold column 0 and value 0.0 and are never read.
+ *
+ * One lane walks one row.  Lane r adds row r's slice entries in stored
+ * order, then a_{i,i-1} x_{i-1}, then a_{i,i+1} x_{i+1}, each band term
+ * only where that entry is stored and every product rounded before
+ * the add; then t = -s / d and the damping blend.  A lane whose row
+ * has ended neither gathers nor adds and an absent band entry is
+ * masked off, so a NaN or inf in x reaches only the rows that store
+ * its column (and its own row, when the damping blend reads x_i).  The
+ * rows of one Jacobi sweep are independent, so running 8 of them side
+ * by side changes no row's summation and the result is bitwise the
+ * scalar loop's.
+ *
+ * A layout may also hold rows [row0, row0 + m) of a larger matrix with
+ * its global columns (a sharded worker's block): layout row r is
+ * matrix row row0 + r, so its diagonal and band sit at columns
+ * row0 + r and row0 + r -+ 1, and its x_i is X[row0 + r]. */
 
 #define SLICE_ROWS 8
 
-/* Fills slice_ptr[0 .. n_slices] and returns the slot count. */
-int64_t sliced_plan(int64_t n, const int64_t *indptr, int64_t *slice_ptr)
+/* The band offsets a layout peels. */
+#define PEEL_LO 1    /* offset -1 */
+#define PEEL_HI 2    /* offset +1 */
+
+typedef struct {
+    int64_t *slice_ptr;  /* n_slices + 1 slot starts */
+    int32_t *lens;       /* n_slices * 8 slice-entry counts */
+    int32_t *cols;
+    double *vals;
+    double *lo;          /* n_slices * 8 entries a_{i,i-1}, 0.0 where
+                            absent; NULL unless PEEL_LO */
+    double *hi;          /* likewise a_{i,i+1}; NULL unless PEEL_HI */
+    uint8_t *pres;       /* bit r of pres[s] (pres[n_slices + s]): row
+                            8 s + r stores its -1 (+1) entry */
+} sliced_layout;
+
+/* Section V's rule, as select_band_offsets applies it to stored
+ * entries: offset -1 (+1) is peeled when its lo (hi) stored entries over
+ * its n - 1 slots exceed 8/12.  Returns the PEEL_* bits. */
+static int64_t peel_rule(int64_t lo, int64_t hi, int64_t n)
 {
-    const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
-    int64_t s, total = 0;
-    slice_ptr[0] = 0;
+    int64_t peel = 0;
+    if (n > 1 && (double)lo / (double)(n - 1) > 8.0 / 12.0)
+        peel |= PEEL_LO;
+    if (n > 1 && (double)hi / (double)(n - 1) > 8.0 / 12.0)
+        peel |= PEEL_HI;
+    return peel;
+}
+
+/* The rule on a square (n, n) CSR pattern. */
+int64_t band_peel(int64_t n, const int64_t *indptr, const int32_t *cols)
+{
+    int64_t i, jj, lo = 0, hi = 0;
+    for (i = 0; i < n; ++i) {
+        const int32_t row = (int32_t)i;
+        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+            const int32_t gap = cols[jj] - row;
+            lo += gap == -1;
+            hi += gap == 1;
+        }
+    }
+    return peel_rule(lo, hi, n);
+}
+
+/* Where an entry of matrix row i at column col goes: 0 into the
+ * slices, 3 nowhere (the diagonal), PEEL_LO or PEEL_HI into a band. */
+static inline int entry_band(int64_t col, int64_t i, int64_t peel)
+{
+    const int64_t gap = col - i;
+    if (gap == 0)
+        return 3;
+    if (gap == -1 && (peel & PEEL_LO))
+        return PEEL_LO;
+    if (gap == 1 && (peel & PEEL_HI))
+        return PEEL_HI;
+    return 0;
+}
+
+/* Sizes the layout of rows [row0, row0 + m) (their indptr and cols):
+ * fills L->lens and L->slice_ptr and returns the slot count.  *peel
+ * holds the PEEL_* bits to apply, or -1 to apply the rule to this
+ * square matrix, and then receives the bits chosen.  One pass over the
+ * entries counts each row's entries off the band {-1, 0, +1} into
+ * L->lens and its -1 and +1 entries into near[2 i] and near[2 i + 1]
+ * (2 m int32 of scratch); a pass over the rows then adds back the
+ * offsets that stay in the slices. */
+int64_t sliced_plan(int64_t m, int64_t row0, int64_t *peel,
+                    const int64_t *indptr, const int32_t *cols,
+                    int32_t *near, sliced_layout *L)
+{
+    const int64_t n_slices = (m + SLICE_ROWS - 1) / SLICE_ROWS;
+    int64_t i, s, lo = 0, hi = 0, total = 0;
+    for (i = 0; i < m; ++i) {
+        const int32_t row = (int32_t)(row0 + i);
+        int32_t far = 0, below = 0, above = 0;
+        int64_t jj;
+        for (jj = indptr[i]; jj < indptr[i + 1]; ++jj) {
+            const int32_t gap = cols[jj] - row;
+            far += (uint32_t)gap + 1u > 2u;
+            below += gap == -1;
+            above += gap == 1;
+        }
+        L->lens[i] = far;
+        near[2 * i] = below;
+        near[2 * i + 1] = above;
+        lo += below;
+        hi += above;
+    }
+    if (*peel < 0)
+        *peel = peel_rule(lo, hi, m);
+    L->slice_ptr[0] = 0;
     for (s = 0; s < n_slices; ++s) {
-        int64_t i, width = 0;
-        for (i = s * SLICE_ROWS; i < n && i < (s + 1) * SLICE_ROWS; ++i)
-            if (indptr[i + 1] - indptr[i] > width)
-                width = indptr[i + 1] - indptr[i];
+        int64_t r, width = 0;
+        for (r = 0; r < SLICE_ROWS; ++r) {
+            const int64_t k = s * SLICE_ROWS + r;
+            int64_t len = 0;
+            if (k < m)
+                len = L->lens[k] + (*peel & PEEL_LO ? 0 : near[2 * k])
+                      + (*peel & PEEL_HI ? 0 : near[2 * k + 1]);
+            L->lens[k] = (int32_t)len;
+            if (len > width)
+                width = len;
+        }
         total += width * SLICE_ROWS;
-        slice_ptr[s + 1] = total;
+        L->slice_ptr[s + 1] = total;
     }
     return total;
 }
 
-/* lens holds n_slices * SLICE_ROWS entries, scols/svals the planned
- * slot count. */
-void sliced_fill(int64_t n, const int64_t *indptr, const int32_t *cols,
-                 const double *vals, const int64_t *slice_ptr,
-                 int32_t *lens, int32_t *scols, double *svals)
+/* Fills a planned layout: its slots, band vectors and presence bits.
+ * Returns -1, or the first row (of the m) that stores a peeled offset
+ * twice, which a band vector cannot hold. */
+int64_t sliced_fill(int64_t m, int64_t row0, int64_t peel,
+                    const int64_t *indptr, const int32_t *cols,
+                    const double *vals, const sliced_layout *L)
 {
-    const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
+    const int64_t n_slices = (m + SLICE_ROWS - 1) / SLICE_ROWS;
     int64_t s;
     for (s = 0; s < n_slices; ++s) {
-        const int64_t base = slice_ptr[s];
-        const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
-        int64_t r, c;
+        const int64_t base = L->slice_ptr[s];
+        const int64_t width = (L->slice_ptr[s + 1] - base) / SLICE_ROWS;
+        unsigned bits[PEEL_HI + 1] = {0, 0, 0};
+        int64_t r;
         for (r = 0; r < SLICE_ROWS; ++r) {
             const int64_t i = s * SLICE_ROWS + r;
-            const int64_t start = i < n ? indptr[i] : 0;
-            const int64_t len = i < n ? indptr[i + 1] - start : 0;
-            lens[i] = (int32_t)len;
-            for (c = 0; c < width; ++c) {
-                const int64_t slot = base + c * SLICE_ROWS + r;
-                scols[slot] = c < len ? cols[start + c] : 0;
-                svals[slot] = c < len ? vals[start + c] : 0.0;
+            int64_t jj, c = 0;
+            if (L->lo)
+                L->lo[i] = 0.0;
+            if (L->hi)
+                L->hi[i] = 0.0;
+            for (jj = i < m ? indptr[i] : 0; i < m && jj < indptr[i + 1];
+                 ++jj) {
+                const int band = entry_band(cols[jj], row0 + i, peel);
+                if (band == 0) {
+                    L->cols[base + c * SLICE_ROWS + r] = cols[jj];
+                    L->vals[base + c * SLICE_ROWS + r] = vals[jj];
+                    ++c;
+                } else if (band != 3) {
+                    if (bits[band] >> r & 1u)
+                        return i;
+                    bits[band] |= 1u << r;
+                    (band == PEEL_LO ? L->lo : L->hi)[i] = vals[jj];
+                }
+            }
+            for (; c < width; ++c) {
+                L->cols[base + c * SLICE_ROWS + r] = 0;
+                L->vals[base + c * SLICE_ROWS + r] = 0.0;
             }
         }
+        L->pres[s] = (uint8_t)bits[PEEL_LO];
+        L->pres[n_slices + s] = (uint8_t)bits[PEEL_HI];
     }
+    return -1;
 }
 
 #if defined(__AVX512F__)
 
+/* sum + b[r] * x[r] in the lanes of k; the other lanes keep sum and
+ * load nothing. */
+static inline __m512d band_512(__m512d sum, __mmask8 k, const double *b,
+                               const double *x)
+{
+    return _mm512_mask_add_pd(sum, k, sum, _mm512_mul_pd(
+        _mm512_loadu_pd(b), _mm512_maskz_loadu_pd(k, x)));
+}
+
 /* One zmm lane per row of the slice. */
-static inline void sliced_slice(int64_t s, int64_t n,
-                                const int64_t *slice_ptr,
-                                const int32_t *lens, const int32_t *cols,
-                                const double *vals, const double *diag,
+static inline void sliced_slice(int64_t s, int64_t m, int64_t row0,
+                                const sliced_layout *L, const double *diag,
                                 const double *X, double damping,
                                 double *out)
 {
-    const int64_t base = slice_ptr[s];
-    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t base = L->slice_ptr[s];
+    const int64_t width = (L->slice_ptr[s + 1] - base) / SLICE_ROWS;
     const int64_t i0 = s * SLICE_ROWS;
+    const double *xr = X + row0 + i0;    /* x of the slice's rows */
     const __m512i len = _mm512_cvtepi32_epi64(
-        _mm256_loadu_si256((const __m256i *)(lens + i0)));
-    const __mmask8 rows = n - i0 >= SLICE_ROWS ? 0xff : lanes_512(n - i0);
+        _mm256_loadu_si256((const __m256i *)(L->lens + i0)));
+    const __mmask8 rows = m - i0 >= SLICE_ROWS ? 0xff : lanes_512(m - i0);
     __m512d sum = _mm512_setzero_pd(), t;
     int64_t c;
     for (c = 0; c < width; ++c) {
@@ -614,53 +738,75 @@ static inline void sliced_slice(int64_t s, int64_t n,
             len, _mm512_set1_epi64(c));
         const __m512d xv = _mm512_mask_i32gather_pd(
             _mm512_setzero_pd(), live,
-            _mm256_loadu_si256((const __m256i *)(cols + at)), X, 8);
+            _mm256_loadu_si256((const __m256i *)(L->cols + at)), X, 8);
         sum = _mm512_mask_add_pd(sum, live, sum,
-                                 _mm512_mul_pd(_mm512_loadu_pd(vals + at),
+                                 _mm512_mul_pd(_mm512_loadu_pd(L->vals + at),
                                                xv));
     }
-    const __m512d d = _mm512_maskz_loadu_pd(rows, diag + i0);
-    const __m512d xi = _mm512_maskz_loadu_pd(rows, X + i0);
-    t = _mm512_div_pd(_mm512_sub_pd(_mm512_mul_pd(d, xi), sum), d);
+    if (L->lo)
+        sum = band_512(sum, L->pres[s], L->lo + i0, xr - 1);
+    if (L->hi)
+        sum = band_512(sum, L->pres[(m + SLICE_ROWS - 1) / SLICE_ROWS + s],
+                       L->hi + i0, xr + 1);
+    t = _mm512_div_pd(neg_512(sum), _mm512_maskz_loadu_pd(rows, diag + i0));
     if (damping != 1.0)
-        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping), xi),
+        t = _mm512_add_pd(_mm512_mul_pd(_mm512_set1_pd(1.0 - damping),
+                                        _mm512_maskz_loadu_pd(rows, xr)),
                           _mm512_mul_pd(_mm512_set1_pd(damping), t));
     _mm512_mask_storeu_pd(out + i0, rows, t);
 }
 
 #elif defined(__AVX2__)
 
-/* The update of one 4-row half of a slice: rows i0 .. i0 + left - 1. */
+/* The lanes of a 4-bit presence nibble. */
+static inline __m256i bits_256(unsigned bits)
+{
+    const __m256i bit = _mm256_set_epi64x(8, 4, 2, 1);
+    return _mm256_cmpeq_epi64(
+        _mm256_and_si256(_mm256_set1_epi64x((long long)bits), bit), bit);
+}
+
+/* As band_512, for the 4 rows of one half of a slice. */
+static inline __m256d band_256(__m256d sum, unsigned bits, const double *b,
+                               const double *x)
+{
+    const __m256i k = bits_256(bits);
+    return _mm256_blendv_pd(sum, _mm256_add_pd(sum, _mm256_mul_pd(
+        _mm256_loadu_pd(b), _mm256_maskload_pd(x, k))),
+        _mm256_castsi256_pd(k));
+}
+
+/* The update of one 4-row half of a slice: rows i0 .. i0 + left - 1,
+ * whose x starts at xr. */
 static inline void sliced_update_256(int64_t i0, int64_t left, __m256d sum,
-                                     const double *diag, const double *X,
+                                     const double *diag, const double *xr,
                                      double damping, double *out)
 {
     const __m256i k = lanes_256(left);
     const int full = left >= 4;
-    const __m256d d = load_256(diag + i0, k, full);
-    const __m256d xi = load_256(X + i0, k, full);
-    __m256d t = _mm256_div_pd(_mm256_sub_pd(_mm256_mul_pd(d, xi), sum), d);
+    __m256d t = _mm256_div_pd(_mm256_xor_pd(sum, _mm256_set1_pd(-0.0)),
+                              load_256(diag + i0, k, full));
     if (damping != 1.0)
-        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping), xi),
+        t = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(1.0 - damping),
+                                        load_256(xr, k, full)),
                           _mm256_mul_pd(_mm256_set1_pd(damping), t));
     store_256(out + i0, k, full, t);
 }
 
 /* Two 4-lane halves per slice; ended rows keep their sum by blend. */
-static inline void sliced_slice(int64_t s, int64_t n,
-                                const int64_t *slice_ptr,
-                                const int32_t *lens, const int32_t *cols,
-                                const double *vals, const double *diag,
+static inline void sliced_slice(int64_t s, int64_t m, int64_t row0,
+                                const sliced_layout *L, const double *diag,
                                 const double *X, double damping,
                                 double *out)
 {
-    const int64_t base = slice_ptr[s];
-    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t base = L->slice_ptr[s];
+    const int64_t width = (L->slice_ptr[s + 1] - base) / SLICE_ROWS;
     const int64_t i0 = s * SLICE_ROWS;
+    const double *xr = X + row0 + i0;    /* x of the slice's rows */
     const __m256i len_lo = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128((const __m128i *)(lens + i0)));
+        _mm_loadu_si128((const __m128i *)(L->lens + i0)));
     const __m256i len_hi = _mm256_cvtepi32_epi64(
-        _mm_loadu_si128((const __m128i *)(lens + i0 + 4)));
+        _mm_loadu_si128((const __m128i *)(L->lens + i0 + 4)));
     __m256d sum_lo = _mm256_setzero_pd(), sum_hi = _mm256_setzero_pd();
     int64_t c;
     for (c = 0; c < width; ++c) {
@@ -672,55 +818,74 @@ static inline void sliced_slice(int64_t s, int64_t n,
             _mm256_cmpgt_epi64(len_hi, cc));
         const __m256d x_lo = _mm256_mask_i32gather_pd(
             _mm256_setzero_pd(), X,
-            _mm_loadu_si128((const __m128i *)(cols + at)), live_lo, 8);
+            _mm_loadu_si128((const __m128i *)(L->cols + at)), live_lo, 8);
         const __m256d x_hi = _mm256_mask_i32gather_pd(
             _mm256_setzero_pd(), X,
-            _mm_loadu_si128((const __m128i *)(cols + at + 4)), live_hi, 8);
+            _mm_loadu_si128((const __m128i *)(L->cols + at + 4)), live_hi,
+            8);
         sum_lo = _mm256_blendv_pd(sum_lo, _mm256_add_pd(sum_lo,
-            _mm256_mul_pd(_mm256_loadu_pd(vals + at), x_lo)), live_lo);
+            _mm256_mul_pd(_mm256_loadu_pd(L->vals + at), x_lo)), live_lo);
         sum_hi = _mm256_blendv_pd(sum_hi, _mm256_add_pd(sum_hi,
-            _mm256_mul_pd(_mm256_loadu_pd(vals + at + 4), x_hi)), live_hi);
+            _mm256_mul_pd(_mm256_loadu_pd(L->vals + at + 4), x_hi)),
+            live_hi);
     }
-    sliced_update_256(i0, n - i0, sum_lo, diag, X, damping, out);
-    if (n - i0 > 4)
-        sliced_update_256(i0 + 4, n - i0 - 4, sum_hi, diag, X, damping, out);
+    if (L->lo) {
+        const unsigned p = L->pres[s];
+        sum_lo = band_256(sum_lo, p & 15u, L->lo + i0, xr - 1);
+        sum_hi = band_256(sum_hi, p >> 4, L->lo + i0 + 4, xr + 3);
+    }
+    if (L->hi) {
+        const unsigned p = L->pres[(m + SLICE_ROWS - 1) / SLICE_ROWS + s];
+        sum_lo = band_256(sum_lo, p & 15u, L->hi + i0, xr + 1);
+        sum_hi = band_256(sum_hi, p >> 4, L->hi + i0 + 4, xr + 5);
+    }
+    sliced_update_256(i0, m - i0, sum_lo, diag, xr, damping, out);
+    if (m - i0 > 4)
+        sliced_update_256(i0 + 4, m - i0 - 4, sum_hi, diag, xr + 4,
+                          damping, out);
 }
 
 #else
 
 /* Portable build: the same layout, one lane at a time per entry. */
-static void sliced_slice(int64_t s, int64_t n, const int64_t *slice_ptr,
-                         const int32_t *lens, const int32_t *cols,
-                         const double *vals, const double *diag,
+static void sliced_slice(int64_t s, int64_t m, int64_t row0,
+                         const sliced_layout *L, const double *diag,
                          const double *X, double damping, double *out)
 {
-    const int64_t base = slice_ptr[s];
-    const int64_t width = (slice_ptr[s + 1] - base) / SLICE_ROWS;
+    const int64_t base = L->slice_ptr[s];
+    const int64_t width = (L->slice_ptr[s + 1] - base) / SLICE_ROWS;
     const int64_t i0 = s * SLICE_ROWS;
+    const double *xr = X + row0 + i0;    /* x of the slice's rows */
+    const unsigned p_lo = L->pres[s];
+    const unsigned p_hi = L->pres[(m + SLICE_ROWS - 1) / SLICE_ROWS + s];
     double sum[SLICE_ROWS] = {0.0};
     int64_t c, r;
     for (c = 0; c < width; ++c) {
         const int64_t at = base + c * SLICE_ROWS;
         for (r = 0; r < SLICE_ROWS; ++r)
-            if (c < lens[i0 + r])
-                sum[r] += vals[at + r] * X[cols[at + r]];
+            if (c < L->lens[i0 + r])
+                sum[r] += L->vals[at + r] * X[L->cols[at + r]];
     }
-    for (r = 0; r < SLICE_ROWS && i0 + r < n; ++r) {
+    for (r = 0; r < SLICE_ROWS && i0 + r < m; ++r) {
         const int64_t i = i0 + r;
-        const double t = (diag[i] * X[i] - sum[r]) / diag[i];
-        out[i] = damping == 1.0 ? t : (1.0 - damping) * X[i] + damping * t;
+        double t;
+        if (L->lo && (p_lo >> r & 1u))
+            sum[r] += L->lo[i] * xr[r - 1];
+        if (L->hi && (p_hi >> r & 1u))
+            sum[r] += L->hi[i] * xr[r + 1];
+        t = -sum[r] / diag[i];
+        out[i] = damping == 1.0 ? t : (1.0 - damping) * xr[r] + damping * t;
     }
 }
 
 #endif
 
-/* `sweeps` one-column sweeps over the sliced layout, ping-ponging
- * between out and scratch like csr_jacobi_sweep_stacked. */
-void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
-                         const int32_t *lens, const int32_t *cols,
-                         const double *vals, const double *diag,
-                         const double *X, double damping, double *out,
-                         double *scratch, int64_t sweeps)
+/* `sweeps` one-column sweeps of a whole (n, n) matrix's layout,
+ * ping-ponging between out and scratch like csr_jacobi_sweep_stacked. */
+void sliced_jacobi_sweep(int64_t n, const sliced_layout *L,
+                         const double *diag, const double *X,
+                         double damping, double *out, double *scratch,
+                         int64_t sweeps)
 {
     const int64_t n_slices = (n + SLICE_ROWS - 1) / SLICE_ROWS;
     const double *src = X;
@@ -729,11 +894,25 @@ void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
     for (k = 0; k < sweeps; ++k) {
         #pragma omp parallel for schedule(static)
         for (s = 0; s < n_slices; ++s)
-            sliced_slice(s, n, slice_ptr, lens, cols, vals, diag, src,
-                         damping, dst);
+            sliced_slice(s, n, 0, L, diag, src, damping, dst);
         src = dst;
         dst = dst == out ? scratch : out;
     }
+}
+
+/* One sweep of a block layout of rows [row0, row0 + m): x is the whole
+ * iterate, diag and out the block's m rows.  Each row is computed as
+ * in sliced_jacobi_sweep, so a matrix's blocks, built with the whole
+ * matrix's peel, reassemble its sweep bit for bit. */
+void sliced_jacobi_sweep_block(int64_t m, int64_t row0,
+                               const sliced_layout *L, const double *diag,
+                               const double *x, double damping, double *out)
+{
+    const int64_t n_slices = (m + SLICE_ROWS - 1) / SLICE_ROWS;
+    int64_t s;
+    #pragma omp parallel for schedule(static)
+    for (s = 0; s < n_slices; ++s)
+        sliced_slice(s, m, row0, L, diag, x, damping, out);
 }
 
 /* ---- narrow stacked blocks -------------------------------------------- */
@@ -743,13 +922,13 @@ void sliced_jacobi_sweep(int64_t n, const int64_t *slice_ptr,
  * walks every row once per chunk of lanes, so its cost per sweep
  * barely moves from 1 system to a full chunk, while m sliced sweeps
  * cost m times one.  Each value is the crossover measured for its
- * build with one thread (DESIGN §13): 4 under AVX-512's 8 lanes, 3
+ * build with one thread (DESIGN §13): 4 under AVX-512's 8 lanes, 2
  * under AVX2's 4, and 6 in the portable build, whose interleaved loop
  * decodes every entry in scalar code. */
 #if defined(__AVX512F__)
 #define STACK_NARROW_MAX 4
 #elif defined(__AVX2__)
-#define STACK_NARROW_MAX 3
+#define STACK_NARROW_MAX 2
 #else
 #define STACK_NARROW_MAX 6
 #endif
@@ -764,9 +943,7 @@ int64_t stacked_narrow_max(void)
  * swept there as by sliced_jacobi_sweep, and the last sweep is copied
  * into its column of out.  The other columns are not touched. */
 void sliced_jacobi_sweep_column(int64_t n, int64_t m, int64_t s,
-                                const int64_t *slice_ptr,
-                                const int32_t *lens, const int32_t *cols,
-                                const double *vals, const double *diag,
+                                const sliced_layout *L, const double *diag,
                                 const double *X, double damping,
                                 double *out, double *work, int64_t sweeps)
 {
@@ -776,8 +953,7 @@ void sliced_jacobi_sweep_column(int64_t n, int64_t m, int64_t s,
         d[i] = diag[i * m + s];
         x[i] = X[i * m + s];
     }
-    sliced_jacobi_sweep(n, slice_ptr, lens, cols, vals, d, x, damping, y,
-                        work + 3 * n, sweeps);
+    sliced_jacobi_sweep(n, L, d, x, damping, y, work + 3 * n, sweeps);
     for (i = 0; i < n; ++i)
         out[i * m + s] = y[i];
 }
@@ -1107,6 +1283,17 @@ _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
 
+class _SlicedLayout(ctypes.Structure):
+    """``sliced_layout`` in the C source: the single-system sweep's
+    arrays, passed to every sliced kernel as one pointer."""
+
+    _fields_ = [("slice_ptr", _I64), ("lens", _I32), ("cols", _I32),
+                ("vals", _F64), ("lo", _F64), ("hi", _F64), ("pres", _U8)]
+
+
+_LAYOUT = ctypes.POINTER(_SlicedLayout)
+
+
 class NativeCompileError(RuntimeError):
     """Raised when the native kernel library cannot be built or loaded."""
 
@@ -1219,21 +1406,25 @@ def _bind(lib) -> None:
                               _I32, _F64, _F64, _F64]
     lib.dia_spmv.argtypes = [ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                              _I64, _F64, _F64, _F64]
-    lib.csr_jacobi_sweep_block.argtypes = [ctypes.c_int64, ctypes.c_int64,
-                                           _I64, _I32, _F64, _F64, _F64,
-                                           ctypes.c_double, _F64]
-    lib.sliced_plan.argtypes = [ctypes.c_int64, _I64, _I64]
+    lib.band_peel.argtypes = [ctypes.c_int64, _I64, _I32]
+    lib.band_peel.restype = ctypes.c_int64
+    lib.sliced_plan.argtypes = [ctypes.c_int64, ctypes.c_int64, _I64,
+                                _I64, _I32, _I32, _LAYOUT]
     lib.sliced_plan.restype = ctypes.c_int64
-    lib.sliced_fill.argtypes = [ctypes.c_int64, _I64, _I32, _F64, _I64,
-                                _I32, _I32, _F64]
-    lib.sliced_jacobi_sweep.argtypes = [ctypes.c_int64, _I64, _I32, _I32,
-                                        _F64, _F64, _F64, ctypes.c_double,
-                                        _F64, _F64, ctypes.c_int64]
+    lib.sliced_fill.argtypes = [ctypes.c_int64, ctypes.c_int64,
+                                ctypes.c_int64, _I64, _I32, _F64, _LAYOUT]
+    lib.sliced_fill.restype = ctypes.c_int64
+    lib.sliced_jacobi_sweep.argtypes = [ctypes.c_int64, _LAYOUT, _F64, _F64,
+                                        ctypes.c_double, _F64, _F64,
+                                        ctypes.c_int64]
+    lib.sliced_jacobi_sweep_block.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, _LAYOUT, _F64, _F64,
+        ctypes.c_double, _F64]
     lib.stacked_narrow_max.argtypes = []
     lib.stacked_narrow_max.restype = ctypes.c_int64
     lib.sliced_jacobi_sweep_column.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _I64, _I32, _I32,
-        _F64, _F64, _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _LAYOUT, _F64, _F64,
+        ctypes.c_double, _F64, _F64, ctypes.c_int64]
     lib.csr_jacobi_sweep_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
         _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
@@ -1257,8 +1448,8 @@ def _bind(lib) -> None:
     lib.key_index_lookup.argtypes = [ctypes.c_int64, _I64, ctypes.c_int64,
                                      _I32, _I64, _I64]
     for name in ("csr_spmv", "ell_spmv", "ellr_spmv", "sell_spmv",
-                 "dia_spmv", "csr_jacobi_sweep_block", "sliced_fill",
-                 "sliced_jacobi_sweep", "sliced_jacobi_sweep_column",
+                 "dia_spmv", "sliced_jacobi_sweep",
+                 "sliced_jacobi_sweep_block", "sliced_jacobi_sweep_column",
                  "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby",
                  "renormalize_columns", "key_index_lookup"):
         getattr(lib, name).restype = None
@@ -1356,21 +1547,11 @@ def _check_sweeps(sweeps) -> int:
 
 _PREP_ATTR = "_repro_native_prep"
 _SLICED_ATTR = "_repro_native_sliced"
+_BLOCK_ATTR = "_repro_native_block"
 
 #: Rows per slice of the single-system sweep's layout (``SLICE_ROWS`` in
 #: the C source): one AVX-512 register of doubles.
 _SLICE_ROWS = 8
-
-
-def _prep(obj, build, attr=_PREP_ATTR):
-    cached = getattr(obj, attr, None)
-    if cached is None:
-        cached = build()
-        try:
-            setattr(obj, attr, cached)
-        except (AttributeError, TypeError):
-            pass
-    return cached
 
 
 def _csr_arrays(A):
@@ -1392,37 +1573,90 @@ def _csr_arrays(A):
         vals = _f64(vals)
         return (indptr, cols, vals,
                 _pi64(indptr), _pi32(cols), _p64(vals))
-    return _prep(A, build)
+    return cached(A, _PREP_ATTR, None, build)
 
 
-def _build_sliced(A):
-    """The single-system sweep's 8-row sliced layout of CSR *A* (see
-    ``sliced_plan`` in the C source): one O(n) pass sizes it and one
-    pass over the slots fills it.  Returns ``(slice_ptr, lens, cols,
-    vals)`` followed by their four pointers."""
+#: ``PEEL_LO``/``PEEL_HI`` in the C source: the bit of each band offset.
+_PEEL_BITS = {-1: 1, 1: 2}
+
+
+def _peeled(peel: int) -> tuple[int, ...]:
+    """The band offsets of the ``PEEL_*`` bits *peel*."""
+    return tuple(off for off, bit in _PEEL_BITS.items() if peel & bit)
+
+
+class _Layout(NamedTuple):
+    """The single-system sweep's layout of a CSR row block (see
+    ``sliced_layout`` in the C source): the arrays, the struct that
+    points at them, a reference to it for the kernels, and the band
+    offsets it peels."""
+
+    slice_ptr: np.ndarray
+    lens: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    lo: np.ndarray | None
+    hi: np.ndarray | None
+    pres: np.ndarray
+    struct: _SlicedLayout
+    ref: object
+    band: tuple[int, ...]
+
+
+def _build_sliced(A, row0: int = 0, band=None) -> _Layout:
+    """The sliced layout of CSR *A*'s rows, which are rows ``row0``
+    onward of their matrix.  *band* names the peeled offsets; ``None``
+    lets the plan decide on *A*, which must then be square.  One O(nnz)
+    pass counts, decides and sizes the slices, and one fills them and
+    the band.  Raises ``ValueError`` when a row stores a peeled offset
+    twice."""
     lib = get_library()
     _, _, _, pi, pc, pv = _csr_arrays(A)
-    n = A.shape[0]
-    n_slices = -(-n // _SLICE_ROWS)
+    m = A.shape[0]
+    if band is None:
+        peel = np.array([-1], dtype=np.int64)
+    else:
+        band = tuple(band)
+        if not set(band) <= set(_PEEL_BITS):
+            raise ValueError(f"a sweep peels offsets -1 and +1, got {band}")
+        peel = np.array([sum(_PEEL_BITS[off] for off in set(band))],
+                        dtype=np.int64)
+    n_slices = -(-m // _SLICE_ROWS)
+    padded = n_slices * _SLICE_ROWS
     slice_ptr = np.empty(n_slices + 1, dtype=np.int64)
-    slots = lib.sliced_plan(n, pi, _pi64(slice_ptr))
-    lens = np.empty(n_slices * _SLICE_ROWS, dtype=np.int32)
+    lens = np.empty(padded, dtype=np.int32)
+    struct = _SlicedLayout(slice_ptr=_pi64(slice_ptr), lens=_pi32(lens))
+    ref = ctypes.byref(struct)
+    slots = lib.sliced_plan(m, row0, _pi64(peel), pi, pc,
+                            _pi32(np.empty(2 * m, dtype=np.int32)), ref)
+    peel = int(peel[0])
+    band = _peeled(peel)
     cols = np.empty(slots, dtype=np.int32)
     vals = np.empty(slots, dtype=np.float64)
-    arrays = (slice_ptr, lens, cols, vals)
-    ptrs = (_pi64(slice_ptr), _pi32(lens), _pi32(cols), _p64(vals))
-    lib.sliced_fill(n, pi, pc, pv, *ptrs)
-    return arrays + ptrs
+    lo = np.empty(padded) if peel & 1 else None
+    hi = np.empty(padded) if peel & 2 else None
+    pres = np.empty(2 * n_slices, dtype=np.uint8)
+    struct.cols, struct.vals, struct.pres = _pi32(cols), _p64(vals), \
+        _pu8(pres)
+    struct.lo = None if lo is None else _p64(lo)
+    struct.hi = None if hi is None else _p64(hi)
+    dup = lib.sliced_fill(m, row0, peel, pi, pc, pv, ref)
+    if dup >= 0:
+        raise ValueError(f"row {row0 + dup} stores a peeled band entry "
+                         f"twice")
+    return _Layout(slice_ptr, lens, cols, vals, lo, hi, pres, struct, ref,
+                   band)
 
 
-def _sliced_arrays(A):
+def _sliced_arrays(A) -> _Layout:
     """The cached sliced layout of *A*; it lives as long as *A*."""
-    return _prep(A, lambda: _build_sliced(A), _SLICED_ATTR)
+    return cached(A, _SLICED_ATTR, None, lambda: _build_sliced(A))
 
 
-# Stacked-system preparation for the fused multi-system sweep: checked
-# shared structure plus the interleaved (nnz, m) value block, cached on
-# the first system keyed by the ids of the whole list.  The entry pins
+# Stacked-system preparation for the fused multi-system kernels:
+# checked shared structure plus a compressed value stream, cached on
+# the first system keyed by the ids of the whole list (the product's
+# stream and the sweep's under their own attributes).  The entry pins
 # the other systems, so no id in the key can be recycled while it lives
 # (the head owns it).  It pins only the distinct systems other than the
 # head: a sweep's lists keep their order as columns retire, and a batch
@@ -1432,57 +1666,82 @@ def _sliced_arrays(A):
 # share structure" so the check runs once, not per sweep.
 
 _STACK_ATTR = "_repro_native_stacked"
+_STACK_SWEEP_ATTR = "_repro_native_stacked_sweep"
 _STACK_MAX = 64
 
 
-def _stacked_arrays(systems):
+def _stacked(systems, attr, build):
+    """``build(indptr, cols, V)`` for a list of CSR systems sharing one
+    pattern, ``V`` holding their values as ``(nnz, m)`` columns; ``None``
+    for any other list.  Cached on the head under *attr*."""
     head = systems[0]
     key = tuple(map(id, systems))
-    cached = getattr(head, _STACK_ATTR, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    hit = getattr(head, attr, None)
+    if hit is not None and hit[0] == key:
+        return hit[1]
     payload = None
     if all(sp.issparse(A) and A.format == "csr" for A in systems):
         preps = [_csr_arrays(A) for A in systems]
         indptr, cols = preps[0][0], preps[0][1]
         if all(np.array_equal(p[0], indptr) and np.array_equal(p[1], cols)
                for p in preps[1:]):
-            m = len(systems)
-            nnz = cols.shape[0]
-            V = np.empty((nnz, m), dtype=np.float64)
+            V = np.empty((cols.shape[0], len(systems)), dtype=np.float64)
             for s, p in enumerate(preps):
                 V[:, s] = p[2]
-            # Compress: entries uniform across every system are stored
-            # once in the stream, varying entries as m interleaved
-            # doubles; the tag rides in the column index's sign bit.
-            uni = np.all(V == V[:, :1], axis=1)
-            sizes = np.where(uni, 1, m).astype(np.int64)
-            starts = np.concatenate(([0], np.cumsum(sizes)))
-            vstream = np.empty(starts[-1], dtype=np.float64)
-            vstream[starts[:-1][uni]] = V[uni, 0]
-            vary = np.flatnonzero(~uni)
-            if vary.size:
-                idx = starts[:-1][vary, None] + np.arange(m)
-                vstream[idx] = V[vary]
-            vofs = starts[indptr[:-1]]
-            tagged = cols.copy()
-            tagged[~uni] |= np.int32(-2147483648)
-            payload = (indptr, tagged, vstream, vofs,
-                       _pi64(indptr), _pi32(tagged), _p64(vstream),
-                       _pi64(vofs))
+            payload = build(indptr, cols, V)
     try:
         pinned = {id(A): A for A in systems if A is not head}
-        setattr(head, _STACK_ATTR, (key, payload, tuple(pinned.values())))
+        setattr(head, attr, (key, payload, tuple(pinned.values())))
     except (AttributeError, TypeError):
         pass
     return payload
+
+
+def _value_stream(indptr, cols, V):
+    """The stacked kernels' arrays for pattern ``(indptr, cols)`` with
+    values ``V``: entries uniform across every system are stored once
+    in the stream, varying entries as m interleaved doubles, and the tag
+    rides in the column index's sign bit.  Returns ``(indptr, tagged,
+    vstream, vofs)`` followed by their four pointers."""
+    m = V.shape[1]
+    uni = np.all(V == V[:, :1], axis=1)
+    sizes = np.where(uni, 1, m).astype(np.int64)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    vstream = np.empty(starts[-1], dtype=np.float64)
+    vstream[starts[:-1][uni]] = V[uni, 0]
+    vary = np.flatnonzero(~uni)
+    if vary.size:
+        idx = starts[:-1][vary, None] + np.arange(m)
+        vstream[idx] = V[vary]
+    vofs = starts[indptr[:-1]]
+    tagged = np.array(cols, dtype=np.int32)
+    tagged[~uni] |= np.int32(-2147483648)
+    return (indptr, tagged, vstream, vofs,
+            _pi64(indptr), _pi32(tagged), _p64(vstream), _pi64(vofs))
+
+
+def _sweep_stream(indptr, cols, V):
+    """:func:`_value_stream` of the entries the single-system sweep
+    reads, in its order: per row the off-band entries in stored order,
+    then the peeled -1 entry, then the peeled +1 entry; no diagonal.
+    The peel is ``band_peel``'s on the shared pattern."""
+    n = indptr.size - 1
+    band = _peeled(get_library().band_peel(n, _pi64(indptr), _pi32(cols)))
+    rows, keep, peeled = sweep_split(indptr, cols, 0, band)
+    pos = np.concatenate([keep] + [p for _, _, p in peeled])
+    rank = np.concatenate([3 * rows[keep]] + [3 * at + (1 if off < 0 else 2)
+                                              for off, at, _ in peeled])
+    order = pos[np.argsort(rank, kind="stable")]
+    sweep_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[order], minlength=n), out=sweep_ptr[1:])
+    return _value_stream(sweep_ptr, cols[order], V[order])
 
 
 def _ell_arrays(fmt):
     def build():
         return (np.ascontiguousarray(fmt.values, dtype=np.float64),
                 np.ascontiguousarray(fmt.cols, dtype=np.int32))
-    return _prep(fmt, build)
+    return cached(fmt, _PREP_ATTR, None, build)
 
 
 def _ellr_arrays(fmt):
@@ -1490,7 +1749,7 @@ def _ellr_arrays(fmt):
         return (np.ascontiguousarray(fmt.values, dtype=np.float64),
                 np.ascontiguousarray(fmt.cols, dtype=np.int32),
                 np.ascontiguousarray(fmt.rl, dtype=np.int32))
-    return _prep(fmt, build)
+    return cached(fmt, _PREP_ATTR, None, build)
 
 
 def _sell_arrays(fmt):
@@ -1499,14 +1758,14 @@ def _sell_arrays(fmt):
                 np.ascontiguousarray(fmt.slice_k, dtype=np.int64),
                 np.ascontiguousarray(fmt.cols, dtype=np.int32),
                 np.ascontiguousarray(fmt.values, dtype=np.float64))
-    return _prep(fmt, build)
+    return cached(fmt, _PREP_ATTR, None, build)
 
 
 def _dia_arrays(fmt):
     def build():
         return (np.ascontiguousarray(fmt.offsets, dtype=np.int64),
                 np.ascontiguousarray(fmt.data, dtype=np.float64))
-    return _prep(fmt, build)
+    return cached(fmt, _PREP_ATTR, None, build)
 
 
 # -- kernel wrappers -------------------------------------------------------
@@ -1724,10 +1983,10 @@ class NativeBackend:
                      out: np.ndarray | None = None,
                      sweeps: int = 1) -> np.ndarray:
         """Fused sweep of one ``(n,)`` column on a CSR generator, over
-        the matrix's 8-row sliced layout (built on the first sweep and
-        cached on *A*).  ``sweeps=k`` runs k sweeps in one C call over
-        two ping-pong buffers, bit-identical to k single calls.  *X* is
-        only read.
+        the matrix's sliced ELL+DIA layout (built on the first sweep
+        and cached on *A*; see ``sliced_layout`` in the C source).
+        ``sweeps=k`` runs k sweeps in one C call over two ping-pong
+        buffers, bit-identical to k single calls.  *X* is only read.
         """
         if not (sp.issparse(A) and A.format == "csr"):
             # Non-CSR generators (dense test doubles, format objects)
@@ -1748,32 +2007,41 @@ class NativeBackend:
         if out is None:
             out = np.empty_like(X)
         scratch = _vec(np.empty_like(X)) if k > 1 else None
-        lib.sliced_jacobi_sweep(n, *_sliced_arrays(A)[4:], _vec(diag),
+        lib.sliced_jacobi_sweep(n, _sliced_arrays(A).ref, _vec(diag),
                                 _vec(X), float(damping), _vec(out),
                                 scratch, k)
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,
-                           row_start: int,
-                           damping: float = 1.0) -> np.ndarray:
-        """Row-block sweep for the sharded solver (see the reference).
-
-        *local* is the owned rows' rectangular ``(m, n)`` CSR slice,
-        *x* the full-length iterate.  Falls back to the reference
-        formula for non-CSR slices.  An extension method discovered
-        via ``getattr`` (not part of the core protocol ops).
+                           row_start: int, damping: float = 1.0,
+                           band=()) -> np.ndarray:
+        """Row-block sweep for the sharded solver (see the reference):
+        one sliced sweep of *local*'s rows, the rectangular ``(m, n)``
+        CSR slice owning rows ``[row_start, row_start + m)``, laid out
+        with the whole matrix's peeled *band* and cached on *local*.
+        *x* is the full-length iterate.  Non-CSR slices take the
+        reference.  An extension method discovered via ``getattr``
+        (not part of the core protocol ops).
         """
         if not (sp.issparse(local) and local.format == "csr"):
             return NumpyBackend().jacobi_sweep_block(
-                local, diag, x, row_start, damping)
-        lib = get_library()
-        _, _, _, pi, pc, pv = _csr_arrays(local)
+                local, diag, x, row_start, damping, band)
+        m, n = local.shape
+        row0 = int(row_start)
         diag = _f64(diag)
         x = _f64(x)
-        out = np.empty(local.shape[0], dtype=np.float64)
-        lib.csr_jacobi_sweep_block(local.shape[0], int(row_start),
-                                   pi, pc, pv, _vec(diag), _vec(x),
-                                   float(damping), _vec(out))
+        if diag.shape != (m,) or x.shape != (n,) or not 0 <= row0 <= n - m:
+            raise ValueError(
+                f"jacobi_sweep_block needs diag ({m},), x ({n},) and rows "
+                f"{row0}..{row0 + m} inside the matrix; got {diag.shape} "
+                f"and {x.shape}")
+        band = tuple(band)
+        layout = cached(local, _BLOCK_ATTR, (row0, band),
+                        lambda: _build_sliced(local, row0, band))
+        out = np.empty(m, dtype=np.float64)
+        get_library().sliced_jacobi_sweep_block(
+            m, row0, layout.ref, _vec(diag), _vec(x), float(damping),
+            _vec(out))
         return out
 
     def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
@@ -1801,7 +2069,7 @@ class NativeBackend:
         m = len(systems)
         # The cached stacked preparation vouches for the whole list (CSR,
         # one pattern); any other stack is checked system by system.
-        prep = (_stacked_arrays(systems)
+        prep = (_stacked(systems, _STACK_SWEEP_ATTR, _sweep_stream)
                 if lib.stacked_narrow_max() < m <= _STACK_MAX else None)
         if prep is None and not all(sp.issparse(A) and A.format == "csr"
                                     for A in systems):
@@ -1818,7 +2086,7 @@ class NativeBackend:
             work = _vec(np.empty(4 * n))
             for s, A in enumerate(systems):
                 lib.sliced_jacobi_sweep_column(
-                    n, m, s, *_sliced_arrays(A)[4:], pd, px,
+                    n, m, s, _sliced_arrays(A).ref, pd, px,
                     float(damping), po, work, k)
             return out
         pi, pc, pv, po = prep[4:]
@@ -1839,7 +2107,7 @@ class NativeBackend:
         are bit-equal to per-system products (scipy's CSR accumulation
         order).
         """
-        prep = (_stacked_arrays(systems)
+        prep = (_stacked(systems, _STACK_ATTR, _value_stream)
                 if 1 <= len(systems) <= _STACK_MAX else None)
         if prep is None:
             return NumpyBackend().spmv_many(systems, X, out)

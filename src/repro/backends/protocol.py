@@ -29,14 +29,23 @@ Operations
     may rely on that.
 ``jacobi_sweep(A, diag, X, damping=1.0, out=None, sweeps=1)``
     One fused weighted-Jacobi sweep for ``A x = 0`` on a SciPy CSR
-    generator: ``x' = (d∘x - A x) / d`` blended with ``damping``.
-    ``X`` is one ``(n,)`` column; any other shape raises
-    ``ValueError`` (a block of columns is a stack, swept by
-    ``jacobi_sweep_many``, with ``[A] * k`` for one generator).
-    ``out`` follows the ``out`` contract below.  ``sweeps=k`` applies
-    k sweeps and returns the last, bitwise equal to k single calls
-    (the solver loops pass one renormalization interval, so a backend
-    can amortize its call overhead).
+    generator (rows may be unsorted), the paper's ELL+DIA sweep: the
+    update is ``x'_i = -s_i / d_i`` blended with ``damping`` as
+    ``(1 - damping) x_i + damping x'_i``, where ``d = diag`` and
+    ``s_i`` sums, from 0.0 with each product rounded, row i's stored
+    entries except its diagonal (A's stored diagonal is not read) in
+    stored order, except an entry at an offset the sweep peels, then
+    ``a_{i,i-1} x_{i-1}`` and then ``a_{i,i+1} x_{i+1}`` where those
+    are peeled and stored.  Offset -1 (+1) is peeled when its stored
+    entries exceed 8/12 of its ``n - 1`` slots (Section V's rule,
+    :func:`~repro.backends.reference.band_offsets`); a row storing a
+    peeled offset twice raises ``ValueError``.  ``X`` is one ``(n,)``
+    column; any other shape raises ``ValueError`` (a block of columns
+    is a stack, swept by ``jacobi_sweep_many``, with ``[A] * k`` for
+    one generator).  ``out`` follows the ``out`` contract below.
+    ``sweeps=k`` applies k sweeps and returns the last, bitwise equal
+    to k single calls (the solver loops pass one renormalization
+    interval, so a backend can amortize its call overhead).
 ``jacobi_sweep_many(systems, diag, X, damping=1.0, out=None, sweeps=1)``
     :meth:`jacobi_sweep` over a stack of same-shaped CSR generators at
     once.  ``diag``, ``X`` and ``out`` are ``(n, m)`` system-interleaved
@@ -49,8 +58,17 @@ Operations
     only read.
 ``spmv_many(systems, X, out=None)``
     The stacked products ``Y[:, s] = systems[s] @ X[:, s]`` on the same
-    blocks, bitwise equal to SciPy's per-system CSR products, with the
-    same ``ValueError`` contract.
+    blocks, bitwise equal to SciPy's per-system CSR products (each row
+    in stored order, diagonal included), with the same ``ValueError``
+    contract.
+``jacobi_sweep_block(local, diag, x, row_start, damping=1.0, band=())``
+    An extension op, discovered with ``getattr``, that the sharded
+    solver's workers run: ``jacobi_sweep``'s update of the rows
+    ``[row_start, row_start + m)`` that the rectangular ``(m, n)`` CSR
+    slice *local* holds (global columns), from the full-length iterate
+    *x*, peeling exactly the offsets in *band*.  With *band* the whole
+    matrix's ``band_offsets``, the blocks of any row partition
+    reassemble the whole matrix's ``jacobi_sweep`` bit for bit.
 ``axpy(alpha, x, y, beta=1.0, out=None)``
     The blend primitive ``alpha*x + beta*y`` (the damping update), with
     ``x`` in the role of ``X`` for the ``out`` contract.

@@ -3,10 +3,10 @@
 This is the arithmetic ground truth of the kernel protocol: the exact
 per-format NumPy kernels the sparse formats have always carried (each
 format keeps its implementation as ``_reference_spmv``), plus the
-solver primitives (the Jacobi sweep of one system and, as a loop over
-the systems, of a stack), the DFS state-space walk of
-:mod:`repro.cme.statespace` and the sorted key index state spaces and
-projection assembly look states up in.
+solver primitives (the Jacobi sweep of one system on the paper's
+ELL+DIA split and, as a loop over the systems, of a stack), the DFS
+state-space walk of :mod:`repro.cme.statespace` and the sorted key
+index state spaces and projection assembly look states up in.
 
 It supports every format and every op, which makes it the automatic
 fallback whenever a faster backend lacks a kernel for a ``(format,
@@ -17,6 +17,7 @@ order bit for bit (see :mod:`repro.backends.protocol`).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.errors import StateSpaceOverflowError, ValidationError
 
@@ -93,6 +94,136 @@ def stacked_blocks(systems, X, diag=None, out=None):
     return X, diag, out
 
 
+# -- the Jacobi sweep's split of a generator ----------------------------------
+#
+# The sweep is Section V's Jacobi on ELL plus DIA: the main diagonal is
+# only the divisor, and offset -1 or +1 leaves the off-band entries when
+# it is denser than 8/12 (``select_band_offsets``).  Each row sums its
+# off-band entries in stored order, then its -1 entry, then its +1
+# entry, each band term only where that entry is stored.  The split is
+# built once per matrix object and cached on it, as the native layout is.
+
+#: Attributes caching a matrix's split (whole system / sharded block).
+_SPLIT_ATTR = "_repro_sweep_split"
+_BLOCK_SPLIT_ATTR = "_repro_block_split"
+
+
+def cached(obj, attr: str, key, build):
+    """``build()``, cached on *obj* under *attr* for *key*; rebuilt when
+    the key differs.  Objects that refuse attributes are not cached."""
+    hit = getattr(obj, attr, None)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    value = build()
+    try:
+        setattr(obj, attr, (key, value))
+    except (AttributeError, TypeError):
+        pass
+    return value
+
+
+def sweep_csr(A) -> sp.csr_matrix:
+    """*A* as SciPy CSR, keeping a CSR matrix's stored order."""
+    if sp.issparse(A) and A.format == "csr":
+        return A
+    if hasattr(A, "to_scipy"):
+        return sp.csr_matrix(A.to_scipy())
+    return sp.csr_matrix(A)
+
+
+def band_offsets(A) -> tuple[int, ...]:
+    """The offsets of ``{-1, +1}`` the Jacobi sweep peels from the square
+    generator *A*: Section V's 8/12 rule on its stored entries, through
+    :func:`~repro.sparse.ell_dia.select_band_offsets`.  It depends on the
+    sparsity pattern alone."""
+    from repro.sparse.ell_dia import select_band_offsets
+    return tuple(off for off in select_band_offsets(sweep_csr(A)) if off)
+
+
+def sweep_split(indptr, cols, row0: int, band):
+    """How the sweep reads the stored entries of CSR rows ``[row0, row0 +
+    m)`` (their *indptr* and global *cols*).
+
+    Returns ``(rows, off_band, peeled)``: each entry's row in the block,
+    the positions of the off-band entries in stored order (no diagonal,
+    no peeled offset), and one ``(offset, rows, positions)`` per offset
+    of *band*, in the order -1, +1.  Raises ``ValueError`` when a row
+    stores a peeled offset twice: a band holds one entry per row.
+    """
+    indptr = np.asarray(indptr, dtype=np.int64)
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    gap = np.asarray(cols, dtype=np.int64) - (rows + row0)
+    off_band = gap != 0
+    peeled = []
+    for off in (-1, 1):
+        if off not in band:
+            continue
+        pos = np.flatnonzero(gap == off)
+        at = rows[pos]
+        dup = np.flatnonzero(at[1:] == at[:-1])
+        if dup.size:
+            raise ValueError(
+                f"row {row0 + int(at[dup[0]])} stores its {off:+d} band "
+                f"entry twice")
+        off_band[pos] = False
+        peeled.append((off, at, pos))
+    return rows, np.flatnonzero(off_band), peeled
+
+
+class SweepSplit:
+    """A CSR row block's split for the reference sweep: the off-band
+    entries as CSR in stored order, and per peeled offset its values
+    over the rows whose neighbour column exists, with the rows among
+    them that do not store the entry."""
+
+    def __init__(self, csr, row0: int, band) -> None:
+        m = csr.shape[0]
+        rows, keep, peeled = sweep_split(csr.indptr, csr.indices, row0,
+                                         band)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=m), out=indptr[1:])
+        self.off_band = sp.csr_matrix(
+            (csr.data[keep], csr.indices[keep], indptr), shape=csr.shape)
+        self.row0 = row0
+        self.band = []
+        for off, at, pos in peeled:
+            # Rows whose column row0 + r + off lies inside the matrix.
+            lo = max(0, -(row0 + off))
+            hi = min(m, csr.shape[1] - row0 - off)
+            present = np.zeros(m, dtype=bool)
+            present[at] = True
+            values = np.zeros(m)
+            values[at] = csr.data[pos]
+            self.band.append((off, lo, hi, values[lo:hi],
+                              np.flatnonzero(~present[lo:hi])))
+
+    def sweep(self, diag, x, damping):
+        """One sweep of the block's rows from the whole iterate *x*."""
+        s = self.off_band @ x
+        with np.errstate(invalid="ignore"):     # 0.0 * inf, overwritten
+            for off, lo, hi, values, absent in self.band:
+                start = self.row0 + off
+                term = values * x[start + lo:start + hi]
+                # An absent entry adds -0.0, which leaves any sum as it
+                # is; 0.0 times a non-finite x would not.
+                term[absent] = -0.0
+                s[lo:hi] += term
+        new = np.divide(np.negative(s, out=s), diag, out=s)
+        if damping != 1.0:
+            xb = x[self.row0:self.row0 + new.shape[0]]
+            new = (1.0 - damping) * xb + damping * new
+        return new
+
+
+def sweep_split_of(A) -> SweepSplit:
+    """The cached split of the square generator *A* for its own
+    :func:`band_offsets`."""
+    def build():
+        csr = sweep_csr(A)
+        return SweepSplit(csr, 0, band_offsets(csr))
+    return cached(A, _SPLIT_ATTR, None, build)
+
+
 class SortedKeyIndex:
     """The reference ``key_index``: the keys sorted once, probes
     answered by ``searchsorted``.  :meth:`extend` re-sorts."""
@@ -150,8 +281,10 @@ class NumpyBackend:
                      damping: float = 1.0,
                      out: np.ndarray | None = None,
                      sweeps: int = 1) -> np.ndarray:
-        """``x' = -(A x - d∘x) / d`` for one ``(n,)`` column *X*,
-        optionally damping-blended.  ``sweeps=k`` applies the sweep k
+        """``x'_i = -s_i / d_i`` for one ``(n,)`` column *X*, optionally
+        damping-blended, where ``s_i`` sums row i's stored off-diagonal
+        entries times *X* in the order the module notes give (A's
+        stored diagonal is not read).  ``sweeps=k`` applies the sweep k
         times; only the last lands in *out*, which must pass
         :func:`check_out`.  A block of columns is a stack: see
         :meth:`jacobi_sweep_many`.
@@ -163,19 +296,19 @@ class NumpyBackend:
             raise ValueError(
                 f"jacobi_sweep takes one (n,) column, got shape "
                 f"{np.shape(X)}")
-        for _ in range(int(sweeps) - 1):
-            X = self._sweep_once(A, diag, X, damping, None)
-        return self._sweep_once(A, diag, X, damping, out)
-
-    @staticmethod
-    def _sweep_once(A, diag, x, damping, out):
-        new = -(A @ x - diag * x) / diag
-        if damping != 1.0:
-            new = (1.0 - damping) * x + damping * new
+        n = np.shape(X)[0]
+        if A.shape != (n, n) or np.shape(diag) != (n,):
+            raise ValueError(
+                f"jacobi_sweep needs a square A, diag ({n},) and X "
+                f"({n},); got {A.shape}, {np.shape(diag)} and ({n},)")
+        split = sweep_split_of(A)
+        x = np.asarray(X, dtype=np.float64)
+        for _ in range(int(sweeps)):
+            x = split.sweep(diag, x, damping)
         if out is not None:
-            np.copyto(out, new)
+            np.copyto(out, x)
             return out
-        return new
+        return x
 
     def jacobi_sweep_many(self, systems, diag: np.ndarray, X: np.ndarray,
                           damping: float = 1.0,
@@ -201,24 +334,25 @@ class NumpyBackend:
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,
-                           row_start: int,
-                           damping: float = 1.0) -> np.ndarray:
+                           row_start: int, damping: float = 1.0,
+                           band=()) -> np.ndarray:
         """Row-block Jacobi sweep for the sharded solver.
 
-        *local* is the rectangular ``(m, n)`` slice of the generator
+        *local* is the rectangular ``(m, n)`` CSR slice of the generator
         owning rows ``[row_start, row_start + m)``; *x* is the
         full-length iterate and *diag* the owned rows' diagonal.
-        Returns the updated owned block.  Because elementwise ufuncs
-        are value-wise, the result is bitwise equal to the owned slice
-        of a full :meth:`jacobi_sweep` on the whole matrix — the
-        property the barrier-mode parity guarantee rests on.
+        *band* names the offsets the whole matrix peels
+        (:func:`band_offsets` of it).  Returns the updated owned block:
+        each row is computed as :meth:`jacobi_sweep` computes it, so
+        the blocks reassemble the whole matrix's sweep bit for bit —
+        the property the barrier-mode parity guarantee rests on.  The
+        split is cached on *local*.
         """
-        y = local @ x
-        xb = x[row_start:row_start + diag.shape[0]]
-        new = -(y - diag * xb) / diag
-        if damping != 1.0:
-            new = (1.0 - damping) * xb + damping * new
-        return new
+        band = tuple(band)
+        split = cached(local, _BLOCK_SPLIT_ATTR, (int(row_start), band),
+                       lambda: SweepSplit(sweep_csr(local), int(row_start),
+                                          band))
+        return split.sweep(diag, np.asarray(x, dtype=np.float64), damping)
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,
              beta: float = 1.0,

@@ -26,8 +26,9 @@ class WorkerSpec:
     The matrix slice travels as raw CSR arrays (``indptr`` int64,
     ``indices`` int32, ``data`` float64) with the *global* column
     space, so the worker reconstructs exactly the rectangular slice
-    the parent partitioned — same values, same ordering, which is what
-    keeps barrier-mode sweeps bitwise equal to the serial solver.
+    the parent partitioned — same values, same ordering — and ``band``
+    carries the offsets the whole matrix's sweep peels.  Together they
+    keep barrier-mode sweeps bitwise equal to the serial solver.
     """
 
     shard: int
@@ -40,6 +41,7 @@ class WorkerSpec:
     data: np.ndarray
     diag: np.ndarray
     halo: np.ndarray
+    band: tuple[int, ...]
     damping: float
     max_iterations: int
     backend: str | None
@@ -50,7 +52,8 @@ class WorkerSpec:
     plan_json: str | None
 
 
-def build_specs(A, diagonal: np.ndarray, *, shards: int, damping: float,
+def build_specs(A, diagonal: np.ndarray, *, shards: int,
+                band: tuple[int, ...], damping: float,
                 max_iterations: int, backend: str | None,
                 data_name: str, ctrl_name: str, parent_pid: int,
                 plan_json: str | None
@@ -72,6 +75,7 @@ def build_specs(A, diagonal: np.ndarray, *, shards: int, damping: float,
             diag=np.ascontiguousarray(
                 diagonal[part.row_start:part.row_stop], dtype=np.float64),
             halo=np.ascontiguousarray(part.halo_columns, dtype=np.int64),
+            band=tuple(band),
             damping=float(damping),
             max_iterations=int(max_iterations),
             backend=backend,

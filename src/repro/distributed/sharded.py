@@ -15,12 +15,16 @@ Two synchronization modes:
     Every sweep is globally synchronized on the epoch protocol and the
     parent drives exactly the batch/renormalize/check/rollback loop of
     :meth:`repro.solvers.base.IterativeSolverBase.solve` — including
-    the product-reuse step, in-loop renormalization cadence, guardrail
-    checkpoints, the warm-start fast path and the extrapolated stop
-    (its candidate formed and tested in the parent) — so the iterates
-    (and therefore results, histories and stop reasons) are **bitwise
-    equal** to the serial :class:`~repro.solvers.jacobi.JacobiSolver`.
-    This is the correctness anchor the conformance suite pins.
+    the in-loop renormalization cadence, guardrail checkpoints, the
+    warm-start fast path and the extrapolated stop (its candidate
+    formed and tested in the parent).  The parent decides the sweep's
+    peeled band once on the whole matrix
+    (:func:`~repro.backends.reference.band_offsets`) and ships it to
+    every worker, so the blocks' sweeps reassemble the serial sweep bit
+    for bit, and the iterates (and therefore results, histories and
+    stop reasons) are **bitwise equal** to the serial
+    :class:`~repro.solvers.jacobi.JacobiSolver`.  This is the
+    correctness anchor the conformance suite pins.
 
 ``sync="chaotic"``
     Free-running chaotic relaxation (asynchronous iterations in the
@@ -54,6 +58,7 @@ import time
 import numpy as np
 
 from repro import backends
+from repro.backends.reference import band_offsets
 from repro.distributed import shm as S
 from repro.distributed.plan import build_specs
 from repro.distributed.worker import worker_main
@@ -107,7 +112,7 @@ class _ShardPool:
         data_name, ctrl_name = self.state.names
         self.parts, self._specs = build_specs(
             solver.A, solver.diagonal, shards=self.shards,
-            damping=solver.damping,
+            band=band_offsets(solver.A), damping=solver.damping,
             max_iterations=solver.max_iterations,
             backend=self.backend_name,
             data_name=data_name, ctrl_name=ctrl_name,
@@ -312,7 +317,6 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 f"min_shards must be in [1, shards={shards}], "
                 f"got {min_shards}")
         self.min_shards = min_shards
-        self.supports_product_step = True
 
     def _select_backend(self):
         """Resolve the kernel backend the shard workers will run."""
@@ -382,7 +386,6 @@ class ShardedJacobiSolver(IterativeSolverBase):
         best_residual = float("inf")
         pool: _ShardPool | None = None
         cur = 0          # which iterate buffer holds the current x
-        pending = False  # pool.state.y holds A @ x for the current x
         requested_shards = self.shards
         per_shard_respawns: dict[int, int] = {}
         degradations: list[dict] = []
@@ -413,7 +416,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             serial solver survives the topology change (the partition
             distributes arithmetic, it does not alter it).
             """
-            nonlocal pool, cur, pending
+            nonlocal pool, cur
             old = pool
             x_snapshot = (checkpoint.copy() if checkpoint is not None
                           else old.state.x(cur).copy())
@@ -437,7 +440,6 @@ class ShardedJacobiSolver(IterativeSolverBase):
             # refire in the replacement pool.
             pool.state.sweeps[:] = max(entry["sweeps"], default=0)
             cur = 0
-            pending = False
             per_shard_respawns.clear()
             degradations.append(entry)
             if report is not None:
@@ -484,14 +486,12 @@ class ShardedJacobiSolver(IterativeSolverBase):
 
         def product_epoch() -> bool:
             """Run ``y = A @ x`` on the pool; False if a shard died."""
-            nonlocal pending
             halo0 = int(pool.state.halo_bytes.sum())
             try:
                 pool.epoch(S.CMD_PRODUCT, read=cur)
             except _WorkerLost as lost:
                 handle_death(lost.shard, rejoin_current=False)
                 write_cur(rollback("worker-crash"))
-                pending = False
                 return False
             with tracing.span(
                     "shard.halo_exchange", shards=self.shards,
@@ -509,8 +509,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             iterates bitwise equal to :class:`JacobiSolver`'s.
             """
             nonlocal iteration, reason, residual, checkpoint, \
-                checkpoint_iteration, checks_done, best_residual, \
-                cur, pending
+                checkpoint_iteration, checks_done, best_residual, cur
             norm_every = self.normalize_interval
             guarded = inject or sweep_guard
             while True:
@@ -520,11 +519,8 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 with tracing.span("shard.sweep", shards=self.shards,
                                   sweeps=budget, iteration=iteration):
                     for i in range(budget):
-                        cmd = (S.CMD_STEP_FROM_Y if pending
-                               else S.CMD_SWEEP)
-                        pending = False
                         try:
-                            pool.epoch(cmd, read=cur)
+                            pool.epoch(S.CMD_SWEEP, read=cur)
                         except _WorkerLost as lost:
                             handle_death(lost.shard, rejoin_current=False)
                             write_cur(rollback("worker-crash"))
@@ -605,9 +601,6 @@ class ShardedJacobiSolver(IterativeSolverBase):
                     if hooks is not None:
                         hooks.on_iteration(iteration, residual, True)
                     return
-                # x survives this check unchanged, so the product seeds
-                # the next batch's first step (no recomputation).
-                pending = True
                 best_residual = min(best_residual, residual)
                 if hooks is not None:
                     hooks.on_iteration(iteration, residual, True)
@@ -820,19 +813,12 @@ class ShardedJacobiSolver(IterativeSolverBase):
             span.set_attribute("backend", self._active_backend.name)
         try:
             with span:
-                pending_y0 = None
                 if resumed is not None:
                     span.set_attribute("resumed_iteration", iteration)
-                    # Deterministic SpMV on the restored iterate — the
-                    # same bits the uninterrupted run's product-reuse
-                    # step carried into its next batch.
-                    pending_y0 = self.A @ x
                 elif x0 is not None:
                     # Warm-start fast path, serial on purpose: within
                     # tolerance it returns before any worker spawns.
-                    y0 = self.A @ x
-                    residual = criterion.normalized_residual(y0, x)
-                    pending_y0 = y0
+                    residual = criterion.normalized_residual(self.A @ x, x)
                     if residual <= self.tol:
                         history.append((0, residual))
                         if hooks is not None:
@@ -848,9 +834,6 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 pool = _ShardPool(self, plan_json)
                 span.set_attribute("start_method", pool.start_method)
                 pool.state.x(0)[:] = x
-                if pending_y0 is not None:
-                    pool.state.y[:] = pending_y0
-                    pending = True
 
                 if self.sync == "barrier":
                     barrier_loop()

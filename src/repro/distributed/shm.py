@@ -41,7 +41,6 @@ import numpy as np
 # Commands the parent publishes (values are arbitrary but stable).
 CMD_IDLE = 0          #: initial state, never executed
 CMD_SWEEP = 1         #: gather halo from x[read], write block to x[1-read]
-CMD_STEP_FROM_Y = 2   #: advance from the shared product y (no gather)
 CMD_PRODUCT = 3       #: gather, write local rows of y = A @ x[read]
 CMD_CHAOTIC = 4       #: ack, then free-run on x0 until the epoch moves
 CMD_PAUSE = 5         #: ack only (exits chaotic free-running)

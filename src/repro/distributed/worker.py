@@ -4,10 +4,9 @@ Each worker owns one contiguous row block of the generator (a
 rectangular ``(m, n)`` CSR slice) and a *private* full-length gather
 buffer ``xl``.  Before a sweep it copies its own block plus the halo
 columns — the only out-of-block entries its slice references — from
-the shared iterate buffer into ``xl``, then runs the block sweep
-through the kernel-backend stack (the native backend's
-``csr_jacobi_sweep_block`` when available) and writes its rows of the
-result back to shared memory.  Only ``block + halo`` entries ever
+the shared iterate buffer into ``xl``, then runs the backend's
+``jacobi_sweep_block`` on it, with the band the parent decided on the
+whole matrix, and writes its rows of the result back to shared memory.  Only ``block + halo`` entries ever
 cross the process boundary per sweep; the worker counts the halo
 bytes in its ``halo_bytes`` slot.
 
@@ -15,7 +14,7 @@ Sync modes (see :mod:`repro.distributed.shm` for the protocol):
 
 barrier
     The worker executes exactly one command per epoch
-    (``SWEEP`` / ``STEP_FROM_Y`` / ``PRODUCT``) and acknowledges it.
+    (``SWEEP`` / ``PRODUCT``) and acknowledges it.
 chaotic
     On ``CMD_CHAOTIC`` the worker acknowledges once, then free-runs
     in-place on buffer 0 — gathering whatever (possibly stale) halo
@@ -82,9 +81,6 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
     damping = spec.damping
 
     be = backends.serving("", "jacobi_sweep", spec.backend)
-    # The block sweep is an extension method, not a protocol op: probe
-    # for it and keep the inline reference formula as the fallback.
-    block_sweep = getattr(be, "jacobi_sweep_block", None)
 
     fault_specs = ()
     if spec.plan_json:
@@ -119,16 +115,6 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
                     raise WorkerCrashError(
                         f"injected kill fault at shard {d}, sweep {idx}")
                 time.sleep(fs.delay_s)  # kind == "stall"
-
-    def block_update() -> np.ndarray:
-        """The (damped) Jacobi update of the owned block from ``xl``."""
-        if block_sweep is not None:
-            return block_sweep(local, diag, xl, lo, damping=damping)
-        y = local @ xl
-        new = -(y - diag * xl[lo:hi]) / diag
-        if damping != 1.0:
-            new = (1.0 - damping) * xl[lo:hi] + damping * new
-        return new
 
     parent = spec.parent_pid
 
@@ -180,17 +166,8 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
         if cmd == S.CMD_SWEEP:
             maybe_fault()
             gather(state.x(read))
-            state.x(1 - read)[lo:hi] = block_update()
-        elif cmd == S.CMD_STEP_FROM_Y:
-            # Consume the parent's residual product y = A @ x: no halo
-            # gather, mirrors JacobiSolver.step_from_product bitwise.
-            maybe_fault()
-            xb = state.x(read)[lo:hi]
-            yb = state.y[lo:hi]
-            new = -(yb - diag * xb) / diag
-            if damping != 1.0:
-                new = (1.0 - damping) * xb + damping * new
-            state.x(1 - read)[lo:hi] = new
+            state.x(1 - read)[lo:hi] = be.jacobi_sweep_block(
+                local, diag, xl, lo, damping=damping, band=spec.band)
         elif cmd == S.CMD_PRODUCT:
             gather(state.x(read))
             state.y[lo:hi] = local @ xl

@@ -200,12 +200,6 @@ class IterativeSolverBase:
 
     # -- to be provided by subclasses ----------------------------------------
 
-    #: When true, :meth:`step_from_product` can advance the iterate from
-    #: a residual product ``y = A @ x`` the loop already computed at a
-    #: check, so a check iteration costs no extra SpMV (the loop performs
-    #: exactly one product per iteration, plus the final check's).
-    supports_product_step: bool = False
-
     def _select_backend(self):
         """Resolve the kernel backend serving this solve.
 
@@ -232,15 +226,6 @@ class IterativeSolverBase:
         for _ in range(k):
             x = self.step_once(x)
         return x
-
-    def step_from_product(self, x: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
-        """One iteration reusing ``y = A @ x`` (already computed).
-
-        Must be numerically identical to :meth:`step_once` on the same
-        ``x``; only solvers setting :attr:`supports_product_step` need it.
-        """
-        raise NotImplementedError
 
     # -- the unified solve loop ----------------------------------------------
 
@@ -342,10 +327,9 @@ class IterativeSolverBase:
             intact checkpoint matching the signature exists, the solve
             restores it (ignoring *x0*) and continues **bitwise
             identically** to the uninterrupted run: the iterate is
-            taken verbatim (no re-renormalization), the stopping
+            taken verbatim (no re-renormalization), and the stopping
             criterion's stagnation state and the extrapolated stop's
-            history are reloaded, and the reusable residual product is
-            recomputed deterministically.  A checkpoint without
+            history are reloaded.  A checkpoint without
             ``x_prev`` resumes with that history empty: a valid answer,
             but not bitwise the uninterrupted one.
         """
@@ -403,13 +387,6 @@ class IterativeSolverBase:
             extrapolator.reset()
             return checkpoint.copy()
 
-        # The residual product ``y = A @ x`` of the latest check, valid
-        # for the *current* x.  When the solver supports product-reuse
-        # steps, the next batch's first iteration consumes it instead of
-        # recomputing the same product — one SpMV per iteration total.
-        pending_y = None
-        reuse = self.supports_product_step
-
         # Durable resume: restore the exact mid-solve state a previous
         # process persisted.  The iterate is taken verbatim — it was
         # saved post-renormalization, and renormalizing again would
@@ -448,18 +425,11 @@ class IterativeSolverBase:
         with span:
             if resumed is not None:
                 span.set_attribute("resumed_iteration", iteration)
-                if reuse:
-                    # Deterministic SpMV on the restored iterate: the
-                    # same bits the uninterrupted loop carried forward.
-                    pending_y = self.A @ x
             elif x0 is not None:
                 # A warm start may already satisfy the tolerance (e.g. a
                 # cached neighbor with identical dynamics); charge one
                 # residual evaluation instead of a full check interval.
-                y0 = self.A @ x
-                residual = criterion.normalized_residual(y0, x)
-                if reuse:
-                    pending_y = y0
+                residual = criterion.normalized_residual(self.A @ x, x)
                 if residual <= self.tol:
                     history.append((0, residual))
                     if hooks is not None:
@@ -473,19 +443,14 @@ class IterativeSolverBase:
             norm_every = self.normalize_interval
             # Hooks and the fault injector see every sweep; otherwise one
             # advance() call runs up to the next renormalization (Jacobi
-            # runs it in one backend call).  The first sweep after a
-            # check consumes the check's product.
+            # runs it in one backend call).
             stepwise = hooks is not None or inject
             while True:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
                 done = 0
                 while done < budget:
-                    if pending_y is not None:
-                        k = 1
-                        x = self.step_from_product(x, pending_y)
-                        pending_y = None
-                    elif stepwise:
+                    if stepwise:
                         k = 1
                         x = self.step_once(x)
                     else:
@@ -554,10 +519,6 @@ class IterativeSolverBase:
                     if hooks is not None:
                         hooks.on_iteration(iteration, residual, True)
                     break
-                # x survives this check unchanged, so the residual product
-                # seeds the next batch's first step (no recomputation).
-                if reuse:
-                    pending_y = y
                 best_residual = min(best_residual, residual)
                 if hooks is not None:
                     hooks.on_iteration(iteration, residual, True)

@@ -18,8 +18,7 @@ picks the kernel (the native one vectorizes across systems that share
 a sparsity pattern and sweeps any other stack one system at a time;
 the reference loops over the systems) and gives bitwise-identical
 iterates.  When a column retires the block is compacted, kept
-C-contiguous so the kernels keep serving it.  The first sweep after a
-residual check consumes the check's product.
+C-contiguous so the kernels keep serving it.
 
 Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion`, and a column that
@@ -130,9 +129,8 @@ class BatchedJacobiSolver:
                                    else int(normalize_interval))
         self.stagnation_tol = stagnation_tol
         self.damping = float(damping)
-        #: Multi-RHS products performed by the last :meth:`solve_many`
-        #: (one per sweep plus one per residual check batch, minus the
-        #: checks whose product seeded the following sweep).
+        #: Multi-RHS products performed by the last :meth:`solve_many`:
+        #: one per sweep plus one per residual check batch.
         self.products = 0
         self.sweeps = 0
 
@@ -209,8 +207,8 @@ class BatchedJacobiSolver:
 
             Taken at the residual-check boundary, after retirement and
             compaction — the same state the loop itself carries into
-            the next batch, so a resume recomputing the seeding product
-            from the saved block replays the sweeps bitwise.
+            the next batch, so a resume from the saved block replays
+            the sweeps bitwise.
             """
             X_all = np.zeros((self.n, total), dtype=np.float64)
             X_prev = np.zeros((self.n, total), dtype=np.float64)
@@ -285,51 +283,26 @@ class BatchedJacobiSolver:
                 if active:
                     X = take(X_all, active)
                     D = take(D, active)
-                # The seeding product is recomputed from the restored
-                # block on the first sweep — same bits the uninterrupted
-                # loop carried as pending_Y.
-                pending_Y = None
-            else:
-                # The initial product seeds the first sweep.
-                pending_Y = block_product(X)
             norm_every = self.normalize_interval
             while active:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
-                # Scratch for the sweeps: each writes its update in
-                # place, so the hot loop allocates nothing but the
-                # product.  The inline step's ``(D*X - Y)/D`` is the
-                # serial ``-(Y - D*X)/D`` with the negation folded into
-                # the subtraction — bitwise identical (IEEE rounding is
-                # symmetric under sign flip), one temporary instead of
-                # four.
+                # Scratch for the sweeps: each writes its update there,
+                # so the hot loop allocates nothing.
                 S = np.empty_like(X)
-                B = np.empty_like(X) if self.damping != 1.0 else None
                 live = [systems[j] for j in active]
                 done = 0
                 while done < budget:
-                    if pending_Y is None:
-                        # One renormalization interval per kernel call:
-                        # the products never materialize in Python, but
-                        # they happened — count them so the amortization
-                        # accounting (products per sweep) stays truthful.
-                        k = budget - done
-                        if norm_every is not None:
-                            k = min(k, norm_every - iteration % norm_every)
-                        self.products += k
-                        be.jacobi_sweep_many(live, D, X,
-                                             damping=self.damping,
-                                             out=S, sweeps=k)
-                    else:
-                        k = 1
-                        Y, pending_Y = pending_Y, None
-                        np.multiply(D, X, out=S)
-                        np.subtract(S, Y, out=S)
-                        np.divide(S, D, out=S)
-                        if B is not None:
-                            np.multiply(X, 1.0 - self.damping, out=B)
-                            np.multiply(S, self.damping, out=S)
-                            np.add(B, S, out=S)
+                    # One renormalization interval per kernel call: the
+                    # products never materialize in Python, but they
+                    # happened — count them so the amortization
+                    # accounting (products per sweep) stays truthful.
+                    k = budget - done
+                    if norm_every is not None:
+                        k = min(k, norm_every - iteration % norm_every)
+                    self.products += k
+                    be.jacobi_sweep_many(live, D, X, damping=self.damping,
+                                         out=S, sweeps=k)
                     X, S = S, X
                     iteration += k
                     self.sweeps += k
@@ -338,8 +311,7 @@ class BatchedJacobiSolver:
                         # A column that fails the gate is left as it was.
                         norm.renormalize_columns(X)
                 # Batch-end: renormalize the live columns, then one
-                # product serves every column's residual check and (for
-                # survivors) seeds the next batch's first sweep.
+                # product serves every column's residual check.
                 col_ok = norm.renormalize_columns(X)
                 Y = block_product(X)
                 retired_cols: list[int] = []
@@ -376,9 +348,7 @@ class BatchedJacobiSolver:
                     if not active:
                         break
                     X = take(X, keep)
-                    Y = take(Y, keep)
                     D = take(D, keep)
-                pending_Y = Y
                 if checkpointer is not None and checkpointer.due(iteration):
                     durable_save()
             span.set_attribute("iterations", iteration)

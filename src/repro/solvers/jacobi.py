@@ -13,12 +13,18 @@ probability vector every ``normalize_interval`` steps, and the
 (expensive) residual test runs only every ``check_interval`` steps —
 both as prescribed in Section IV.
 
-Every iteration is the kernel backend's fused sweep
-``x' = -(A x - d∘x) / d`` on the CSR generator, one ``jacobi_sweep``
-call per renormalization interval (the native backend sweeps an 8-row
-sliced copy of the matrix; the ``numpy`` reference evaluates the NumPy
-expression).  The iterates are bitwise identical on every backend.  The
-formats' own ``jacobi_step`` methods write out the arithmetic of the
+Every iteration is the kernel backend's fused sweep on the paper's
+ELL+DIA split (Section V, Table IV), one ``jacobi_sweep`` call per
+renormalization interval: the diagonal is only the divisor, offset -1
+or +1 is peeled into a dense band when it is denser than 8/12, and
+each row sums its other off-diagonal entries in stored order, then its
+-1 entry, then its +1 entry, before ``x'_i = -s_i / d_i`` and the
+damping blend.  The native backend sweeps an 8-row sliced copy of the
+matrix; the ``numpy`` reference sums the same terms with SciPy and
+NumPy.  The iterates are bitwise identical on every backend.  The
+residual check's product ``A @ x`` sums each row in CSR order, so it
+cannot stand in for a sweep; every iteration is a sweep.  The formats'
+own ``jacobi_step`` methods write out the arithmetic of the
 corresponding fused GPU/CPU kernels; no solver calls them, and only
 their unit tests run them.
 """
@@ -83,10 +89,6 @@ class JacobiSolver(IterativeSolverBase):
 
     span_name = "jacobi"
 
-    #: The sweep's product is the CSR ``A @ x`` the residual check also
-    #: computes, so the check's product seeds the next step bit-for-bit.
-    supports_product_step = True
-
     def __init__(self, matrix, *, tol: float = 1e-8,
                  max_iterations: int = 1_000_000,
                  check_interval: int = 100,
@@ -134,14 +136,6 @@ class JacobiSolver(IterativeSolverBase):
         be = self._active_backend or self._select_backend()
         return be.jacobi_sweep(self.A, self.diagonal, x,
                                damping=self.damping, sweeps=k)
-
-    def step_from_product(self, x: np.ndarray,
-                          y: np.ndarray) -> np.ndarray:
-        """One iteration from an existing ``y = A @ x``."""
-        new = -(y - self.diagonal * x) / self.diagonal
-        if self.damping != 1.0:
-            return (1.0 - self.damping) * x + self.damping * new
-        return new
 
     # ``solve(x0=None, *, time_budget_s=None, hooks=None)`` comes from
     # IterativeSolverBase — the unified Section IV loop.

@@ -8,9 +8,10 @@ serve the ops): every width from 1 to 16 plus 64 (whole SIMD chunks,
 masked tails, the scalar width-1 product loop), damped sweeps, blocks
 compacted after a column retires, ``sweeps=k`` against k single calls,
 each SIMD path of the C source built separately (the stacked kernels,
-the single-system sliced sweep's cases, the column renormalization and
-the scalar DFS walk, which must compile in every build; a build that
-fails to compile fails its tests), stacks the interleaved kernel
+the single-system sliced sweep's ragged and banded cases, FSP-like
+systems, banded stacks and blocks, the column renormalization and the
+scalar DFS walk, which must compile in every build; a build that fails
+to compile fails its tests), stacks the interleaved kernel
 cannot take (no shared sparsity pattern, more than 64 systems, non-CSR
 systems), which are still served bitwise, and the ``ValueError`` for
 malformed blocks.
@@ -39,8 +40,12 @@ from repro.sparse.base import as_csr
 from tests.backends.test_renormalize_columns import (
     LENGTHS, assert_renormalizes_like_reference, iterate_block,
     special_block)
-from tests.backends.test_sliced_sweep import (SLICED_CASES,
-                                              assert_sliced_case_matches)
+from tests.backends.test_block_sweep import reference_full_sweep
+from tests.backends.test_sliced_sweep import (BANDED_CASES, SLICED_CASES,
+                                              assert_banded_case_matches,
+                                              assert_sliced_case_matches,
+                                              banded_generator,
+                                              peel_rule_matrices)
 from tests.cme.test_enumeration_backends import (assert_same_walk,
                                                  gated_first_network,
                                                  nan_gate_network)
@@ -76,6 +81,20 @@ def shared_structure_systems(m, n=83, seed=7):
         # nothing to drop).
         A.data[::2] = A.data[::2] * (0.5 + 0.25 * s)
         systems.append(as_csr(A))
+    return systems
+
+
+def banded_systems(m, n=97, seed=7):
+    """``m`` CSR systems sharing one DFS-like banded pattern, whose
+    {-1, +1} band (90% full, with gaps) the sweep peels; every other
+    stored entry is scaled per system, as in
+    :func:`shared_structure_systems`."""
+    base = banded_generator(n, 86, 87, seed=seed)
+    systems = []
+    for s in range(m):
+        A = base.copy()
+        A.data[::2] = A.data[::2] * (0.5 + 0.25 * s)
+        systems.append(A)
     return systems
 
 
@@ -324,6 +343,54 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
         assert_sliced_case_matches(be, n, long_row, damping)
 
 
+@pytest.mark.parametrize("damping", [1.0, 0.9])
+def test_every_simd_build_sweeps_banded_systems(simd_library, monkeypatch,
+                                               damping):
+    """The peeled band in every build: the single-system banded cases
+    and FSP-like systems (a projection in non-DFS order and its sink
+    system, whose band stays in the slices), banded stacks at every
+    width (the narrow per-system path and the interleaved stream), and
+    banded blocks reassembling the whole sweep."""
+    monkeypatch.setattr(native, "_lib", simd_library)
+    be = native.NativeBackend()
+    for _, n, lo, hi, long_row, _ in BANDED_CASES:
+        assert_banded_case_matches(be, n, lo, hi, long_row, damping)
+    for A in fsp_like_systems():
+        diag = np.asarray(A.diagonal(), dtype=np.float64)
+        x = np.random.default_rng(A.shape[0]).random(A.shape[0])
+        assert np.array_equal(
+            be.jacobi_sweep(A, diag, x, damping=damping, sweeps=3),
+            REFERENCE.jacobi_sweep(A, diag, x, damping=damping, sweeps=3))
+    for m in WIDTHS:
+        systems = banded_systems(m, seed=89)
+        D, X = interleaved(systems, 91)
+        assert np.array_equal(
+            be.jacobi_sweep_many(systems, D, X, damping=damping, sweeps=3),
+            reference_sweeps(systems, D, X, damping, sweeps=3)), m
+        assert np.array_equal(be.spmv_many(systems, X),
+                              reference_products(systems, X)), m
+    A = systems[0]
+    diag = np.asarray(A.diagonal(), dtype=np.float64)
+    x = X[:, 0].copy()
+    out = np.empty_like(x)
+    for lo, hi in zip([0, 5, 41, 90], [5, 41, 90, 97]):
+        out[lo:hi] = be.jacobi_sweep_block(
+            A[lo:hi, :].tocsr(), diag[lo:hi], x, lo, damping=damping,
+            band=(-1, 1))
+    assert np.array_equal(out, reference_full_sweep(A, diag, x, damping,
+                                                    (-1, 1)))
+
+
+_FSP_LIKE = []
+
+
+def fsp_like_systems():
+    """An fsp-phage projection and its sink system (computed once)."""
+    if not _FSP_LIKE:
+        _FSP_LIKE.extend(peel_rule_matrices()[4:6])
+    return _FSP_LIKE
+
+
 def assert_identical_stacks_match(be, widths):
     """``[A] * m`` (one generator repeated, as a batch of one system
     sweeps it) through *be*'s stacked ops equals *be*'s per-system
@@ -348,8 +415,8 @@ def assert_identical_stacks_match(be, widths):
                               reference_products(systems, X)), m
 
 
-#: 2, both sides of every build's narrow threshold (3, 4 or 6), 8 and
-#: the widest stack.
+#: Both sides of every build's narrow threshold (2, 4 or 6), 8 and the
+#: widest stack.
 IDENTICAL_WIDTHS = [2, 3, 4, 5, 6, 7, 8, 64]
 
 

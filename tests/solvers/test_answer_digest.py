@@ -16,11 +16,14 @@ residual history.  The cases cover every path a Jacobi answer takes:
 * a stacked solve over three ``degA`` conditions checkpointed at 400
   iterations and resumed.
 
-The value was recorded when the batched solver kept only the stacked
-solve, on the tree before that change, which reproduced it; the
+The value was recorded when every sweep became the paper's ELL+DIA
+sweep (the diagonal only the divisor, a dense {-1, +1} band summed
+after the other entries) and the residual check's product stopped
+standing in for the next sweep; both backends reproduced it.  The
 earlier digests (``e4cd23babf85d991``, then ``0a5a63bb41670e92`` with
-the extrapolated stop) also covered single-generator batches and
-per-column tolerances.  Every backend must reproduce it.
+the extrapolated stop, then ``94777fc5272cc743`` once the batched
+solver kept only the stacked solve) summed each sweep in CSR order.
+Every backend must reproduce it.
 """
 
 import hashlib
@@ -48,7 +51,7 @@ MODELS = {
 MAX_ITERATIONS = 20_000
 
 #: The digest of :func:`answer_digest` (see the module docstring).
-EXPECTED = "94777fc5272cc743"
+EXPECTED = "313534c1a8e7d5aa"
 
 
 def _update(h, results) -> None:

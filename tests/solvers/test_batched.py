@@ -3,8 +3,8 @@
 The contract: each column of a stacked solve reproduces the serial
 :class:`JacobiSolver` result on its own generator (same iterate,
 iterations and residual), while the whole batch performs far fewer
-products than the serial solves combined — one fused product advances
-every live column.
+products than the serial solves combined — one fused sweep advances,
+and one fused product checks, every live column.
 
 The workhorse system is a small birth-death generator (bipartite, so
 every solve uses ``damping=0.6``; see ``test_jacobi.py``) — it
@@ -41,6 +41,12 @@ def chain(n=60, birth=4.0, death=1.0):
 
 def serial(A, **kwargs):
     return JacobiSolver(A, damping=DAMPING, **kwargs).solve()
+
+
+def checks(result) -> int:
+    """Residual checks of a solve (an extrapolated stop adds a history
+    entry at its check's iteration)."""
+    return len({i for i, _ in result.residual_history})
 
 
 def zero_transition(A, i, j):
@@ -103,10 +109,11 @@ class TestSharedMode:
         solver = BatchedJacobiSolver.stacked([A] * 3, tol=1e-9,
                                              damping=DAMPING)
         solver.solve_many()
-        # One fused product per sweep: three columns cost one solve's
-        # products, not three.
-        assert solver.products == solo.iterations + 1
-        assert solver.products < 3 * (solo.iterations + 1)
+        # One fused product per sweep and per check: three columns cost
+        # one solve's products, not three.
+        products = solo.iterations + checks(solo)
+        assert solver.products == products
+        assert solver.products < 3 * products
 
 
 class TestStackedMode:
@@ -120,10 +127,13 @@ class TestStackedMode:
             assert b.iterations == s.iterations
             assert b.residual == s.residual
             np.testing.assert_array_equal(b.x, s.x)
-        # One fused product per sweep: the batch costs the *slowest*
-        # column's products, not the sum of the serial solves'.
-        assert solver.products == max(s.iterations for s in expected) + 1
-        assert solver.products < sum(s.iterations + 1 for s in expected)
+        # One fused product per sweep and per check: the batch costs
+        # the *slowest* column's products, not the sum of the serial
+        # solves'.
+        slowest = max(expected, key=lambda s: s.iterations)
+        assert solver.products == slowest.iterations + checks(slowest)
+        assert solver.products < sum(s.iterations + checks(s)
+                                     for s in expected)
 
     def test_early_retirement_shrinks_block(self):
         """The column that converges first retires, and every later

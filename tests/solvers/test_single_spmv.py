@@ -1,23 +1,23 @@
-"""The solver loop performs exactly one SpMV per iteration.
+"""The solver loop's exact count: one sweep per iteration, one product
+per residual check.
 
-Historically each residual check recomputed ``A @ x`` on top of the
-product :meth:`step_once` had already formed, charging an extra SpMV
-every ``check_interval`` iterations.  With product reuse
-(:attr:`IterativeSolverBase.supports_product_step`), a solve of ``I``
-iterations performs exactly ``I + 1 + C`` products: one per iteration,
-the final check's product, whose iterate is never advanced again, and
-one for each of the ``C`` extrapolated candidates the stop tests
-(counted by a spy on :class:`~repro.solvers.stopping.Extrapolator`).
-
-The scipy ``@`` counts below pin the reference backend, whose sweeps
-are those products; the native counterpart counts its fused sweeps
-through the backend instead.
+Every iteration is a sweep, and each residual check computes its own
+product ``A @ x``: the check's product sums each row in CSR order, so
+it cannot stand in for the next sweep, which sums the paper's ELL+DIA
+split in its own order.  A solve of ``I`` iterations therefore runs
+exactly ``I`` sweeps and ``C + E`` products: one per residual check
+(the warm start's included) and one for each of the ``E`` extrapolated
+candidates the stop tests (counted by a spy on
+:class:`~repro.solvers.stopping.Extrapolator`).  The sweeps are
+counted through the kernel backend; the native one runs at most one
+kernel call per renormalization interval.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.backends.native import NativeBackend
+from repro.backends.reference import NumpyBackend
 from repro.sparse.base import as_csr
 from repro.solvers.base import matrix_derived
 from repro.solvers.jacobi import JacobiSolver
@@ -40,8 +40,8 @@ def birth_death_generator(n=80, birth=4.0, death=1.0):
     return as_csr(A)
 
 
-class CountingNative(NativeBackend):
-    """The native backend, counting fused sweeps and kernel calls."""
+class Counting:
+    """A backend counting its fused sweeps and kernel calls."""
 
     def __init__(self):
         self.sweeps = 0
@@ -53,7 +53,15 @@ class CountingNative(NativeBackend):
         return super().jacobi_sweep(A, diag, X, damping, out, sweeps)
 
 
-def counting_solver(backend="numpy", **kwargs):
+class CountingNumpy(Counting, NumpyBackend):
+    pass
+
+
+class CountingNative(Counting, NativeBackend):
+    pass
+
+
+def counting_solver(backend, **kwargs):
     A = birth_death_generator()
     solver = JacobiSolver(A, backend=backend, **kwargs)
     counted = CountingCSR(solver.A)
@@ -62,72 +70,61 @@ def counting_solver(backend="numpy", **kwargs):
     return solver, counted
 
 
+def checks(result, warm=False) -> int:
+    """Residual checks of a solve: one per checked iteration in its
+    history (an extrapolated stop adds an entry at the same
+    iteration), plus a warm start's check of ``x0``."""
+    return len({i for i, _ in result.residual_history}) + int(warm)
+
+
 def test_one_spmv_per_iteration_cold_start(candidates):
     # damping < 1: the bipartite birth-death chain oscillates plain.
-    solver, counted = counting_solver(tol=1e-10, check_interval=25,
+    be = CountingNumpy()
+    solver, counted = counting_solver(be, tol=1e-10, check_interval=25,
                                       damping=0.6)
     result = solver.solve()
     assert result.converged
     assert result.iterations > 25  # several check batches exercised
     assert candidates  # the stop's products are exercised too
-    assert counted.matmul_count == result.iterations + 1 + len(candidates)
+    assert be.sweeps == result.iterations
+    assert counted.matmul_count == checks(result) + len(candidates)
 
 
 def test_one_spmv_per_iteration_warm_start(candidates):
-    solver, counted = counting_solver(tol=1e-12, check_interval=30,
+    be = CountingNumpy()
+    solver, counted = counting_solver(be, tol=1e-12, check_interval=30,
                                       damping=0.6)
     x0 = np.random.default_rng(0).random(solver.n)
     result = solver.solve(x0=x0)
-    assert counted.matmul_count == result.iterations + 1 + len(candidates)
+    assert be.sweeps == result.iterations
+    assert counted.matmul_count == checks(result, warm=True) \
+        + len(candidates)
 
 
 def test_one_spmv_per_iteration_with_damping(candidates):
-    solver, counted = counting_solver(tol=1e-10, check_interval=20,
+    be = CountingNumpy()
+    solver, counted = counting_solver(be, tol=1e-10, check_interval=20,
                                       damping=0.8)
     result = solver.solve()
-    assert counted.matmul_count == result.iterations + 1 + len(candidates)
+    assert be.sweeps == result.iterations
+    assert counted.matmul_count == checks(result) + len(candidates)
 
 
 def test_one_product_per_iteration_native(candidates):
-    """Native: scipy products (checks and candidates) plus fused
-    sweeps, one interval per kernel call, still total one product per
-    iteration plus one per candidate."""
+    """Native: the same sweeps and products, and one kernel call per
+    renormalization interval (30 iterations between checks are three
+    whole intervals)."""
     be = CountingNative()
-    solver, counted = counting_solver(backend=be, tol=1e-10,
-                                      check_interval=25, damping=0.6)
+    solver, counted = counting_solver(be, tol=1e-10, check_interval=30,
+                                      damping=0.6)
     result = solver.solve(x0=np.random.default_rng(2).random(solver.n))
     assert result.converged
-    assert result.iterations > 25
+    assert result.iterations > 30
     assert candidates
-    assert counted.matmul_count + be.sweeps == \
-        result.iterations + 1 + len(candidates)
-    # One kernel call per renormalization interval, split at most once
-    # more by each residual check (an extrapolated stop adds a history
-    # entry, not a check).
-    intervals = -(-result.iterations // solver.normalize_interval)
-    checks = {i for i, _ in result.residual_history}
-    assert 0 < be.calls <= intervals + len(checks)
-
-
-def test_product_reuse_matches_plain_loop():
-    """Product reuse must not change the answer at the bit level."""
-    A = birth_death_generator()
-    reference = JacobiSolver(A, tol=1e-10, check_interval=17, damping=0.6)
-    reference.supports_product_step = False
-    baseline = reference.solve()
-    reused = JacobiSolver(A, tol=1e-10, check_interval=17,
-                          damping=0.6).solve()
-    assert reused.iterations == baseline.iterations
-    assert reused.residual == baseline.residual
-    np.testing.assert_array_equal(reused.x, baseline.x)
-
-
-def test_step_from_product_equals_step_once():
-    A = birth_death_generator()
-    solver = JacobiSolver(A, damping=0.9)
-    x = np.random.default_rng(1).random(solver.n)
-    np.testing.assert_array_equal(solver.step_from_product(x, solver.A @ x),
-                                  solver.step_once(x))
+    assert be.sweeps == result.iterations
+    assert counted.matmul_count == checks(result, warm=True) \
+        + len(candidates)
+    assert be.calls == result.iterations // solver.normalize_interval
 
 
 def test_matrix_derived_cached_per_object():

@@ -33,6 +33,30 @@ class TestDiagonalDensity:
         A = as_csr(sp.eye(3, format="csr"))
         assert diagonal_density(A, 5) == 0.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stored_entries_are_the_nonzeros_of_canonical_csr(self, seed):
+        """The density counts stored entries; on canonical CSR those
+        are the diagonal's nonzeros, so the formats' peel is as it was."""
+        rng = np.random.default_rng(seed)
+        n = 50 + 13 * seed
+        A = sp.random(n, n, density=0.05, random_state=seed, format="csr")
+        for off in (-1, 0, 1):
+            band = np.where(rng.random(n - abs(off)) < 0.7,
+                            rng.random(n - abs(off)), 0.0)
+            A = A + sp.diags(band, off, shape=(n, n))
+        A = as_csr(A)
+        for off in (-2, -1, 0, 1, 2):
+            nonzeros = np.count_nonzero(A.diagonal(k=off))
+            assert diagonal_density(A, off) == nonzeros / (n - abs(off))
+
+    def test_counts_explicit_zeros(self):
+        """A stored 0.0 is stored: the density is the pattern's."""
+        A = sp.csr_matrix((np.array([0.0, 1.0, 1.0]), np.array([1, 0, 2]),
+                           np.array([0, 1, 2, 3])), shape=(3, 3))
+        assert diagonal_density(A, 1) == 1 / 2
+        assert diagonal_density(A, -1) == 1 / 2
+        assert diagonal_density(A, 0) == 1 / 3
+
 
 class TestSelection:
     def test_threshold_is_eight_twelfths(self):
