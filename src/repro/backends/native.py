@@ -154,8 +154,9 @@ void dia_spmv(int64_t n_rows, int64_t n_cols, int64_t ndiag,
     }
 }
 
-/* Fused kernels over m stacked systems sharing one sparsity pattern
- * (same indptr/cols, different values) — the parameter-sweep workload.
+/* The fused Jacobi sweep over m stacked systems sharing one sparsity
+ * pattern (same indptr/cols, different values) — the parameter-sweep
+ * workload.
  *
  * Systems in a sweep differ in a handful of rate constants, so most
  * matrix entries carry the SAME double in every system.  The values
@@ -176,39 +177,24 @@ void dia_spmv(int64_t n_rows, int64_t n_cols, int64_t ndiag,
  * is walked once per chunk of lanes — 8-lane zmm chunks under
  * __AVX512F__, 4-lane ymm chunks under __AVX2__ — and the last chunk
  * is masked to the lanes below m, so masked-off lanes neither load
- * nor store.  The product's m == 1 takes a scalar loop; the sweep
- * never sees a block that narrow (see STACK_NARROW_MAX).  Each lane
- * performs the same round-to-nearest multiply, then add, as the
- * scalar loop, so results stay bitwise identical — vectorizing across
- * SYSTEMS never reassociates any single system's accumulation.
+ * nor store (the op sends it only blocks wider than STACK_NARROW_MAX).
+ * Each lane performs the same round-to-nearest multiply, then add, as
+ * the scalar loop, so results stay bitwise identical — vectorizing
+ * across SYSTEMS never reassociates any single system's accumulation.
  *
- * The product walks a stream whose rows keep their stored (CSR)
- * order.  The sweep walks a second stream of the same shape that holds
- * each row's entries in the single-system sweep's order (see the
- * sliced sweep below): its off-band entries in stored order, then its
- * peeled -1 entry, then its peeled +1 entry, and never its diagonal;
- * the update is t = -s / d, then the damping blend.  Per system the
- * terms accumulate in that order with the exact values the per-system
- * matrices hold, so results are bit-identical to m independent
- * sliced_jacobi_sweep / csr_spmv calls. */
+ * The stream holds each row's entries in the single-system sweep's
+ * order (see the sliced sweep below): its off-band entries in stored
+ * order, then its peeled -1 entry, then its peeled +1 entry, and never
+ * its diagonal; the update is t = -s / d, then the damping blend.  Per
+ * system the terms accumulate in that order with the exact values the
+ * per-system matrices hold, so results are bit-identical to m
+ * independent sliced_jacobi_sweep calls. */
 
 #define REPRO_MAX_STACK 64
 
 #if defined(__AVX512F__) || defined(__AVX2__)
 #include <immintrin.h>
 #endif
-
-/* Width 1: every entry is uniform (one stream value, untagged column). */
-static double stacked_row_1(int64_t i, const int64_t *indptr,
-                            const int32_t *cols, const double *vstream,
-                            const int64_t *vofs, const double *X)
-{
-    double sum = 0.0;
-    int64_t jj, vp = vofs[i];
-    for (jj = indptr[i]; jj < indptr[i + 1]; ++jj)
-        sum += vstream[vp++] * X[cols[jj] & 0x7fffffff];
-    return sum;
-}
 
 #if defined(__AVX512F__)
 
@@ -239,7 +225,7 @@ static inline void store_512(double *p, __mmask8 k, int full, __m512d v)
         _mm512_mask_storeu_pd(p, k, v);
 }
 
-/* Lanes [c0, c0 + 8) of row i's stacked product. */
+/* Lanes [c0, c0 + 8) of row i's stacked sum of products. */
 static inline __m512d stacked_row_512(int64_t i, int64_t m, int64_t c0,
                                       __mmask8 k, int full,
                                       const int64_t *indptr,
@@ -454,61 +440,6 @@ void csr_jacobi_sweep_stacked(int64_t n, int64_t m, const int64_t *indptr,
         src = dst;
         dst = dst == out ? scratch : out;
     }
-}
-
-void csr_spmv_stacked(int64_t n, int64_t m, const int64_t *indptr,
-                      const int32_t *cols, const double *vstream,
-                      const int64_t *vofs, const double *X, double *Y)
-{
-    int64_t i;
-    if (m == 1) {
-        #pragma omp parallel for schedule(static)
-        for (i = 0; i < n; ++i)
-            Y[i] = stacked_row_1(i, indptr, cols, vstream, vofs, X);
-        return;
-    }
-#if defined(__AVX512F__)
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        int64_t c0;
-        for (c0 = 0; c0 + 8 <= m; c0 += 8)
-            store_512(Y + i * m + c0, 0xff, 1,
-                      stacked_row_512(i, m, c0, 0xff, 1, indptr, cols,
-                                      vstream, vofs, X));
-        if (c0 < m) {
-            const __mmask8 k = lanes_512(m - c0);
-            store_512(Y + i * m + c0, k, 0,
-                      stacked_row_512(i, m, c0, k, 0, indptr, cols,
-                                      vstream, vofs, X));
-        }
-    }
-#elif defined(__AVX2__)
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        const __m256i all = lanes_256(4);
-        int64_t c0;
-        for (c0 = 0; c0 + 4 <= m; c0 += 4)
-            store_256(Y + i * m + c0, all, 1,
-                      stacked_row_256(i, m, c0, all, 1, indptr, cols,
-                                      vstream, vofs, X));
-        if (c0 < m) {
-            const __m256i k = lanes_256(m - c0);
-            store_256(Y + i * m + c0, k, 0,
-                      stacked_row_256(i, m, c0, k, 0, indptr, cols,
-                                      vstream, vofs, X));
-        }
-    }
-#else
-    #pragma omp parallel for schedule(static)
-    for (i = 0; i < n; ++i) {
-        double sum[REPRO_MAX_STACK];
-        double *yr = Y + i * m;
-        int64_t s;
-        stacked_row_generic(i, m, indptr, cols, vstream, vofs, X, sum);
-        for (s = 0; s < m; ++s)
-            yr[s] = sum[s];
-    }
-#endif
 }
 
 /* ---- sliced single-system Jacobi sweep ------------------------------ */
@@ -1428,9 +1359,6 @@ def _bind(lib) -> None:
     lib.csr_jacobi_sweep_stacked.argtypes = [
         ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
         _F64, ctypes.c_double, _F64, _F64, ctypes.c_int64]
-    lib.csr_spmv_stacked.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, _I64, _I32, _F64, _I64, _F64,
-        _F64]
     lib.axpby.argtypes = [ctypes.c_int64, ctypes.c_double, _F64,
                           ctypes.c_double, _F64, _F64]
     lib.maxabs.argtypes = [ctypes.c_int64, _F64]
@@ -1450,7 +1378,7 @@ def _bind(lib) -> None:
     for name in ("csr_spmv", "ell_spmv", "ellr_spmv", "sell_spmv",
                  "dia_spmv", "sliced_jacobi_sweep",
                  "sliced_jacobi_sweep_block", "sliced_jacobi_sweep_column",
-                 "csr_jacobi_sweep_stacked", "csr_spmv_stacked", "axpby",
+                 "csr_jacobi_sweep_stacked", "axpby",
                  "renormalize_columns", "key_index_lookup"):
         getattr(lib, name).restype = None
 
@@ -1653,30 +1581,28 @@ def _sliced_arrays(A) -> _Layout:
     return cached(A, _SLICED_ATTR, None, lambda: _build_sliced(A))
 
 
-# Stacked-system preparation for the fused multi-system kernels:
-# checked shared structure plus a compressed value stream, cached on
-# the first system keyed by the ids of the whole list (the product's
-# stream and the sweep's under their own attributes).  The entry pins
-# the other systems, so no id in the key can be recycled while it lives
-# (the head owns it).  It pins only the distinct systems other than the
-# head: a sweep's lists keep their order as columns retire, and a batch
-# of one generator repeats its head, so entries form no reference cycle
-# and die with their matrices rather than waiting for the cyclic
-# collector.  A cached ``None`` payload records "this list does not
-# share structure" so the check runs once, not per sweep.
+# Stacked-system preparation for the fused multi-system sweep: checked
+# shared structure plus a compressed value stream in the sweep's order,
+# cached on the first system keyed by the ids of the whole list.  The
+# entry pins the other systems, so no id in the key can be recycled
+# while it lives (the head owns it).  It pins only the distinct systems
+# other than the head: a sweep's lists keep their order as columns
+# retire, and a batch of one generator repeats its head, so entries
+# form no reference cycle and die with their matrices rather than
+# waiting for the cyclic collector.  A cached ``None`` payload records
+# "this list does not share structure" so the check runs once, not per
+# sweep.
 
-_STACK_ATTR = "_repro_native_stacked"
 _STACK_SWEEP_ATTR = "_repro_native_stacked_sweep"
 _STACK_MAX = 64
 
 
-def _stacked(systems, attr, build):
-    """``build(indptr, cols, V)`` for a list of CSR systems sharing one
-    pattern, ``V`` holding their values as ``(nnz, m)`` columns; ``None``
-    for any other list.  Cached on the head under *attr*."""
+def _stacked(systems):
+    """:func:`_sweep_stream` for a list of CSR systems sharing one
+    pattern; ``None`` for any other list.  Cached on the head."""
     head = systems[0]
     key = tuple(map(id, systems))
-    hit = getattr(head, attr, None)
+    hit = getattr(head, _STACK_SWEEP_ATTR, None)
     if hit is not None and hit[0] == key:
         return hit[1]
     payload = None
@@ -1688,17 +1614,18 @@ def _stacked(systems, attr, build):
             V = np.empty((cols.shape[0], len(systems)), dtype=np.float64)
             for s, p in enumerate(preps):
                 V[:, s] = p[2]
-            payload = build(indptr, cols, V)
+            payload = _sweep_stream(indptr, cols, V)
     try:
         pinned = {id(A): A for A in systems if A is not head}
-        setattr(head, attr, (key, payload, tuple(pinned.values())))
+        setattr(head, _STACK_SWEEP_ATTR,
+                (key, payload, tuple(pinned.values())))
     except (AttributeError, TypeError):
         pass
     return payload
 
 
 def _value_stream(indptr, cols, V):
-    """The stacked kernels' arrays for pattern ``(indptr, cols)`` with
+    """The stacked sweep's arrays for pattern ``(indptr, cols)`` with
     values ``V``: entries uniform across every system are stored once
     in the stream, varying entries as m interleaved doubles, and the tag
     rides in the column index's sign bit.  Returns ``(indptr, tagged,
@@ -1945,8 +1872,8 @@ _SPMV = {
 }
 
 #: Format-independent ops this backend provides.
-_PRIMITIVES = frozenset({"jacobi_sweep", "jacobi_sweep_many", "spmv_many",
-                         "axpy", "residual", "renormalize_columns",
+_PRIMITIVES = frozenset({"jacobi_sweep", "jacobi_sweep_many", "axpy",
+                         "residual", "renormalize_columns",
                          "dfs_enumerate", "key_index"})
 
 
@@ -2069,7 +1996,7 @@ class NativeBackend:
         m = len(systems)
         # The cached stacked preparation vouches for the whole list (CSR,
         # one pattern); any other stack is checked system by system.
-        prep = (_stacked(systems, _STACK_SWEEP_ATTR, _sweep_stream)
+        prep = (_stacked(systems)
                 if lib.stacked_narrow_max() < m <= _STACK_MAX else None)
         if prep is None and not all(sp.issparse(A) and A.format == "csr"
                                     for A in systems):
@@ -2094,28 +2021,6 @@ class NativeBackend:
         lib.csr_jacobi_sweep_stacked(n, m, pi, pc, pv, po, _vec(diag),
                                      _vec(X), float(damping), _vec(out),
                                      scratch, k)
-        return out
-
-    def spmv_many(self, systems, X: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked products ``Y[:, s] = systems[s] @ X[:, s]``.
-
-        Same blocks and ``ValueError`` contract as
-        :meth:`jacobi_sweep_many`.  A stack of at most ``_STACK_MAX``
-        CSR systems sharing one sparsity pattern runs one fused C call;
-        any other takes the reference's per-system products.  Results
-        are bit-equal to per-system products (scipy's CSR accumulation
-        order).
-        """
-        prep = (_stacked(systems, _STACK_ATTR, _value_stream)
-                if 1 <= len(systems) <= _STACK_MAX else None)
-        if prep is None:
-            return NumpyBackend().spmv_many(systems, X, out)
-        X, _, out = stacked_blocks(systems, X, out=out)
-        n, m = X.shape
-        pi, pc, pv, po = prep[4:]
-        get_library().csr_spmv_stacked(n, m, pi, pc, pv, po, _vec(X),
-                                       _vec(out))
         return out
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,

@@ -55,12 +55,8 @@ Operations
     generator may appear in the stack more than once.  An
     empty stack, a system or block of the wrong shape, or an ``out``
     that breaks the ``out`` contract raises ``ValueError``.  *X* is
-    only read.
-``spmv_many(systems, X, out=None)``
-    The stacked products ``Y[:, s] = systems[s] @ X[:, s]`` on the same
-    blocks, bitwise equal to SciPy's per-system CSR products (each row
-    in stored order, diagonal included), with the same ``ValueError``
-    contract.
+    only read.  (The batched solver checks each column with its own
+    SciPy product, so the stack has no product op.)
 ``jacobi_sweep_block(local, diag, x, row_start, damping=1.0, band=())``
     An extension op, discovered with ``getattr``, that the sharded
     solver's workers run: ``jacobi_sweep``'s update of the rows
@@ -126,8 +122,8 @@ pairs a backend can serve.  The registry consults it on every dispatch
 and silently falls back to the reference backend for unsupported pairs
 (the fallback is recorded in the kernel telemetry counters, see
 :func:`repro.backends.kernel_stats`).  Vector primitives
-(``jacobi_sweep``, the stacked ``jacobi_sweep_many``/``spmv_many``,
-``axpy``, ``residual``, ``renormalize_columns``),
+(``jacobi_sweep``, the stacked ``jacobi_sweep_many``, ``axpy``,
+``residual``, ``renormalize_columns``),
 ``dfs_enumerate`` and ``key_index`` are format-independent: a backend
 either has them or not, signalled by ``supports("", op)``.
 
@@ -152,8 +148,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 #: Every operation a backend may implement.
-OPS = ("spmv", "jacobi_sweep", "jacobi_sweep_many", "spmv_many", "axpy",
-       "residual", "renormalize_columns", "dfs_enumerate", "key_index")
+OPS = ("spmv", "jacobi_sweep", "jacobi_sweep_many", "axpy", "residual",
+       "renormalize_columns", "dfs_enumerate", "key_index")
 
 #: Format keys (``SparseFormat.format_name``) a structured backend is
 #: expected to cover to accelerate the whole paper pipeline.
@@ -186,9 +182,6 @@ class KernelBackend(Protocol):
                           damping: float = 1.0,
                           out: np.ndarray | None = None,
                           sweeps: int = 1) -> np.ndarray: ...
-
-    def spmv_many(self, systems, X: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray: ...
 
     def axpy(self, alpha: float, x: np.ndarray, y: np.ndarray,
              beta: float = 1.0,

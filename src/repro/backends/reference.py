@@ -61,16 +61,15 @@ def check_out(op: str, out, X, *inputs) -> None:
             raise ValueError(f"{op} out must not alias an input")
 
 
-def stacked_blocks(systems, X, diag=None, out=None):
+def stacked_blocks(systems, X, diag, out=None):
     """Validate the ``(n, m)`` system-interleaved blocks of a stacked op.
 
-    Returns ``(X, diag, out)``: *X* and *diag* (when given) as
-    C-contiguous float64 arrays, and *out*, allocated when ``None``.
-    Raises ``ValueError`` for an empty stack, a first system that is
-    not square (``(n, n)`` sets the block shape), a block that is not
-    ``(n, m)``, or an *out* that breaks :func:`check_out`.  The other
-    systems' shapes are checked by the kernel that reads them (SciPy's
-    products raise on a mismatch).
+    Returns ``(X, diag, out)``: *X* and *diag* as C-contiguous float64
+    arrays, and *out*, allocated when ``None``.  Raises ``ValueError``
+    for an empty stack, a first system that is not square (``(n, n)``
+    sets the block shape), a block that is not ``(n, m)``, or an *out*
+    that breaks :func:`check_out`.  The other systems' shapes are
+    checked by the kernel that reads them.
     """
     m = len(systems)
     if m == 0:
@@ -80,10 +79,9 @@ def stacked_blocks(systems, X, diag=None, out=None):
         raise ValueError(
             f"stacked systems must be square, got {systems[0].shape}")
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if diag is not None:
-        diag = np.ascontiguousarray(diag, dtype=np.float64)
+    diag = np.ascontiguousarray(diag, dtype=np.float64)
     for label, block in (("X", X), ("diag", diag)):
-        if block is not None and block.shape != (n, m):
+        if block.shape != (n, m):
             raise ValueError(
                 f"stacked {label} must be an ({n}, {m}) block, got "
                 f"{block.shape}")
@@ -322,15 +320,6 @@ class NumpyBackend:
             out[:, s] = self.jacobi_sweep(
                 A, np.ascontiguousarray(diag[:, s]),
                 np.ascontiguousarray(X[:, s]), damping, sweeps=sweeps)
-        return out
-
-    def spmv_many(self, systems, X: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-        """``out[:, s] = systems[s] @ X[:, s]``, one SciPy product per
-        system."""
-        X, _, out = stacked_blocks(systems, X, out=out)
-        for s, A in enumerate(systems):
-            out[:, s] = A @ np.ascontiguousarray(X[:, s])
         return out
 
     def jacobi_sweep_block(self, local, diag: np.ndarray, x: np.ndarray,

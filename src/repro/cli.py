@@ -381,7 +381,10 @@ def cmd_profile(args) -> int:
                 # end-to-end solve_latency_seconds histogram (and its
                 # derivable p50/p99), not just solver-loop counters.
                 from repro.serve import SolveService
-                rxn = network.reactions[0]
+                # The first mass-action reaction: a custom propensity
+                # ignores its rate, so the service refuses to vary it.
+                rxn = next(r for r in network.reactions
+                           if r.propensity_fn is None)
                 with tracing.span("serve-sample", jobs=args.serve_sample):
                     with SolveService(
                             network, workers=1, tol=args.tol,

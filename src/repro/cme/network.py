@@ -123,19 +123,33 @@ class ReactionNetwork:
                     pairs.append((k, l))
         return pairs
 
+    def check_overrides(self, names: Iterable[str]) -> None:
+        """Refuse rate overrides that name no reaction, or a reaction
+        whose custom ``propensity_fn`` ignores its ``rate`` (overriding
+        it would solve the base system again under another label)."""
+        names = set(names)
+        by_name = {r.name: r for r in self.reactions}
+        unknown = names - set(by_name)
+        if unknown:
+            raise ValidationError(f"unknown reactions {sorted(unknown)}")
+        custom = sorted(n for n in names
+                        if by_name[n].propensity_fn is not None)
+        if custom:
+            raise ValidationError(
+                f"cannot override the rate of {custom}: a custom "
+                f"propensity_fn ignores rate")
+
     def with_rates(self, overrides: dict[str, float]) -> "ReactionNetwork":
-        """A copy with some reaction rates replaced.
+        """A copy with some mass-action reaction rates replaced.
 
         This is the paper's motivating exploratory workload: the same
         network solved under many rate conditions (Section I).  Custom
         propensity functions are carried over unchanged, so a varied
         network keeps the exact dynamics of the base model except for
-        the overridden mass-action rates.
+        the overridden mass-action rates; see :meth:`check_overrides`.
         """
+        self.check_overrides(overrides)
         new_reactions = []
-        unknown = set(overrides) - {r.name for r in self.reactions}
-        if unknown:
-            raise ValidationError(f"unknown reactions {sorted(unknown)}")
         for rxn in self.reactions:
             rate = overrides.get(rxn.name, rxn.rate)
             new_reactions.append(Reaction(

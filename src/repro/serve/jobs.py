@@ -58,7 +58,8 @@ class SolveRequest:
         The base reaction network.
     overrides:
         Optional ``reaction name -> rate`` overrides applied through
-        :meth:`ReactionNetwork.with_rates`.
+        :meth:`ReactionNetwork.with_rates`, refused here as
+        :meth:`ReactionNetwork.check_overrides` refuses them.
     tol, max_iterations:
         Jacobi stopping parameters.
     solver_options:
@@ -76,11 +77,7 @@ class SolveRequest:
         if not isinstance(network, ReactionNetwork):
             raise ValidationError("network must be a ReactionNetwork")
         overrides = dict(overrides or {})
-        known = {r.name for r in network.reactions}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValidationError(
-                f"overrides reference unknown reactions {sorted(unknown)}")
+        network.check_overrides(overrides)
         for name, rate in overrides.items():
             if not float(rate) > 0.0:
                 raise ValidationError(

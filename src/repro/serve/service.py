@@ -5,10 +5,10 @@ into a job-serving layer for the paper's exploratory workload — many
 rate conditions of one network:
 
 *   The state space is enumerated **once** per service (rate changes
-    never alter reachability for strictly-positive propensities, the
-    same structure-reuse the serial sweep exploits) and shared across
-    all worker threads; assembled rate matrices are memoized per rate
-    condition so retries and repeated conditions skip assembly.
+    never alter reachability, the same structure reuse the in-process
+    sweep exploits) and shared across all worker threads; assembled
+    rate matrices are memoized per rate condition so retries and
+    repeated conditions skip assembly.
 *   Submissions are **content-addressed**: a request's cache key is
     checked first (hit → the job completes synchronously, no queue
     space consumed), then deduplicated onto any in-flight job with the
@@ -85,9 +85,8 @@ MATRIX_MEMO_ENTRIES = 64
 class _Workspace:
     """Per-service shared solve state: state space + matrix memo."""
 
-    def __init__(self, network: ReactionNetwork, *, reuse_state_space: bool):
+    def __init__(self, network: ReactionNetwork):
         self.network = network
-        self.reuse_state_space = reuse_state_space
         self._lock = threading.Lock()
         self._space: StateSpace | None = None
         self._layout: str | None = None
@@ -107,20 +106,22 @@ class _Workspace:
         return self._layout
 
     def space_for(self, request: SolveRequest) -> StateSpace:
-        """The (possibly rebound) state space for one request.
+        """The shared state space, rebound to one request's rates.
 
-        With ``reuse_state_space`` the shared DFS state list is rebound
-        to the varied network so propensities use the new rates over
-        identical state indices — bitwise the same construction as the
-        serial sweep.  Without it, each condition enumerates afresh.
+        The base DFS state list is rebound to the varied network, so
+        propensities use the new rates over identical state indices —
+        bitwise the same construction as
+        :class:`repro.sweep.ParameterSweep`'s.  Enumerating the varied
+        network would give the same list: rates are positive, a
+        mass-action reaction's support does not depend on its rate, and
+        an overridden reaction has no custom propensity
+        (:meth:`~repro.cme.network.ReactionNetwork.check_overrides`).
         """
-        varied = request.varied_network()
-        if not self.reuse_state_space:
-            return enumerate_state_space(varied)
         base = self.space()
         if not request.overrides:
             return base
-        return StateSpace(network=varied, states=base.states)
+        return StateSpace(network=request.varied_network(),
+                          states=base.states)
 
     def matrix(self, request: SolveRequest):
         """The assembled rate matrix for one request (memoized).
@@ -189,9 +190,6 @@ class SolveService:
         is chosen with ``solver_options={"backend": ...}``.  A request
         whose options carry no ``damping`` gets
         :data:`~repro.solvers.DEFAULT_DAMPING` (see :meth:`request`).
-    reuse_state_space:
-        Rebind one enumerated state space to every rate condition, as
-        in :class:`repro.sweep.ParameterSweep`.
     journal:
         Optional write-ahead job journal (a
         :class:`repro.durability.JobJournal` or a path to create one
@@ -243,7 +241,6 @@ class SolveService:
                  warm_audit_interval: int = 8,
                  tol: float = 1e-8, max_iterations: int = 200_000,
                  solver_options: Mapping | None = None,
-                 reuse_state_space: bool = True,
                  journal: JobJournal | str | Path | None = None,
                  metrics_registry=None,
                  executor: str = "thread",
@@ -281,8 +278,7 @@ class SolveService:
         self.max_iterations = int(max_iterations)
         self.solver_options = dict(solver_options or {})
         self.metrics = ServiceMetrics(metrics_registry)
-        self._workspace = _Workspace(network,
-                                     reuse_state_space=reuse_state_space)
+        self._workspace = _Workspace(network)
         self._warm_index = WarmStartIndex() if self.warm_start else None
         self._inflight: dict[str, SolveJob] = {}
         self._lock = threading.Lock()

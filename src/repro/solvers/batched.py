@@ -1,24 +1,25 @@
-"""Stacked multi-RHS Jacobi: K steady states per sweep, one product each.
+"""Stacked multi-RHS Jacobi: K steady states per sweep.
 
 The paper's motivating workload (Section I) is *many* steady-state
 solves — a parameter sweep over rate conditions — and each plain solve
 spends its time in memory-bound SpMV sweeps.  Batching K iterates into
-the columns of an ``(n, K)`` block turns K SpMVs into one stacked
-product per sweep, which is how multi-RHS GPU kernels amortize
-bandwidth; on the CPU the same restructuring amortizes the per-product
-traversal and loop overhead.
+the columns of an ``(n, K)`` block turns K sweeps into one stacked
+sweep, which is how multi-RHS GPU kernels amortize bandwidth; on the
+CPU the same restructuring amortizes the per-sweep traversal and loop
+overhead.
 
 :meth:`BatchedJacobiSolver.stacked` takes K same-shaped generators (a
 sweep's rate conditions over one state space) and sweeps them in one
 ``(n, K)`` block, system-interleaved: column ``s`` belongs to system
 ``s`` and every column starts from the uniform distribution.  Each
 renormalization interval is one ``jacobi_sweep_many(..., sweeps=k)``
-call and its residual products one ``spmv_many`` call.  The backend
-picks the kernel (the native one vectorizes across systems that share
-a sparsity pattern and sweeps any other stack one system at a time;
-the reference loops over the systems) and gives bitwise-identical
-iterates.  When a column retires the block is compacted, kept
-C-contiguous so the kernels keep serving it.
+call.  The backend picks the kernel (the native one vectorizes across
+systems that share a sparsity pattern and sweeps any other stack one
+system at a time; the reference loops over the systems) and gives
+bitwise-identical iterates.  Each live column's residual check is its
+own SciPy product ``A @ x``, the one the serial loop checks with.  When
+a column retires the block is compacted, kept C-contiguous so the
+kernels keep serving it.
 
 Columns run in lockstep but stop independently: each has its own
 :class:`~repro.solvers.stopping.StoppingCriterion`, and a column that
@@ -110,8 +111,8 @@ class BatchedJacobiSolver:
                 raise ValidationError(
                     f"stacked systems must share one shape; got {A.shape} "
                     f"vs {shape} (sweep a single state space)")
-        if check_interval <= 0 or (normalize_interval is not None
-                                   and normalize_interval <= 0):
+        if (check_interval <= 0 or normalize_interval is None
+                or normalize_interval <= 0):
             raise ValidationError("intervals must be positive")
         if not (0.0 < damping <= 1.0):
             raise ValidationError(f"damping must be in (0, 1], got {damping}")
@@ -125,12 +126,12 @@ class BatchedJacobiSolver:
         self.tol = float(tol)
         self.max_iterations = int(max_iterations)
         self.check_interval = int(check_interval)
-        self.normalize_interval = (None if normalize_interval is None
-                                   else int(normalize_interval))
+        self.normalize_interval = int(normalize_interval)
         self.stagnation_tol = stagnation_tol
         self.damping = float(damping)
-        #: Multi-RHS products performed by the last :meth:`solve_many`:
-        #: one per sweep plus one per residual check batch.
+        #: Products performed by the last :meth:`solve_many`: one per
+        #: stacked sweep (whatever its width) plus one per column
+        #: checked.
         self.products = 0
         self.sweeps = 0
 
@@ -166,7 +167,6 @@ class BatchedJacobiSolver:
         # + update + damping into one call per renormalization interval
         # on every backend, with bitwise-identical iterates.
         be = backends.serving("", "jacobi_sweep_many", self.backend)
-        many = backends.serving("", "spmv_many", self.backend)
         norm = backends.serving("", "renormalize_columns", self.backend)
 
         criteria = [StoppingCriterion(
@@ -186,9 +186,6 @@ class BatchedJacobiSolver:
         def take(M, idx):
             return np.ascontiguousarray(M[:, idx])
 
-        def block_product(Xb):
-            self.products += 1
-            return many.spmv_many([systems[j] for j in active], Xb)
         t0 = time.perf_counter()
         iteration = 0
         extrapolated = 0   # columns retired by the extrapolated stop
@@ -297,9 +294,8 @@ class BatchedJacobiSolver:
                     # products never materialize in Python, but they
                     # happened — count them so the amortization
                     # accounting (products per sweep) stays truthful.
-                    k = budget - done
-                    if norm_every is not None:
-                        k = min(k, norm_every - iteration % norm_every)
+                    k = min(budget - done,
+                            norm_every - iteration % norm_every)
                     self.products += k
                     be.jacobi_sweep_many(live, D, X, damping=self.damping,
                                          out=S, sweeps=k)
@@ -307,13 +303,12 @@ class BatchedJacobiSolver:
                     iteration += k
                     self.sweeps += k
                     done += k
-                    if norm_every is not None and iteration % norm_every == 0:
+                    if iteration % norm_every == 0:
                         # A column that fails the gate is left as it was.
                         norm.renormalize_columns(X)
-                # Batch-end: renormalize the live columns, then one
-                # product serves every column's residual check.
+                # Batch-end: renormalize the live columns, then check
+                # each with its own product, the serial loop's A @ x.
                 col_ok = norm.renormalize_columns(X)
-                Y = block_product(X)
                 retired_cols: list[int] = []
                 for c, j in enumerate(active):
                     if not col_ok[c]:
@@ -322,8 +317,9 @@ class BatchedJacobiSolver:
                                float("inf"), iteration)
                         retired_cols.append(c)
                         continue
-                    stop, res = criteria[j].check(iteration, Y[:, c],
-                                                  X[:, c])
+                    self.products += 1
+                    stop, res = criteria[j].check(
+                        iteration, systems[j] @ X[:, c], X[:, c])
                     histories[j].append((iteration, res))
                     if stop is None:
                         hit = extrapolators[j].stop(

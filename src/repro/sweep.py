@@ -8,8 +8,14 @@ that workload: a grid of rate overrides, one steady-state solve per
 condition, and a summary row per condition — the unit of work whose
 throughput the paper's GPU solver multiplies.
 
+In one process, :meth:`ParameterSweep.run` enumerates the state space
+once and solves the conditions ``batch`` at a time, each chunk one
+stacked :class:`~repro.solvers.batched.BatchedJacobiSolver` solve whose
+columns reproduce :class:`~repro.solvers.JacobiSolver`'s answers bit
+for bit.
+
 With ``workers``, the sweep runs through :class:`repro.serve.SolveService`
-instead of the serial loop: conditions are submitted level by level in
+instead: conditions are submitted level by level in
 *coarse-to-fine* order (the dyadic sub-grids of the rate grid), so every
 fine point is solved after the coarser points that surround it.  That
 ordering is what makes warm starting safe under concurrency — donors
@@ -22,7 +28,7 @@ Example
 >>> from repro import toggle_switch
 >>> from repro.sweep import ParameterSweep
 >>> sweep = ParameterSweep(toggle_switch(max_protein=30),
-...                        {"synA": [10.0, 30.0], "degA": [0.5, 1.0]})
+...                        {"degA": [0.5, 1.0], "degB": [0.5, 1.0]})
 >>> results = sweep.run(tol=1e-8)          # doctest: +SKIP
 >>> parallel = sweep.run(workers=4, warm_start=True)  # doctest: +SKIP
 >>> len(results)                           # doctest: +SKIP
@@ -39,9 +45,9 @@ from dataclasses import dataclass, field
 from repro.cme.landscape import ProbabilityLandscape
 from repro.cme.network import ReactionNetwork
 from repro.cme.ratematrix import build_rate_matrix
-from repro.cme.statespace import enumerate_state_space
+from repro.cme.statespace import StateSpace, enumerate_state_space
 from repro.errors import ValidationError
-from repro.solvers import JacobiSolver
+from repro.solvers import BatchedJacobiSolver
 from repro.solvers.jacobi import JACOBI_OPTIONS
 from repro.solvers.result import SolverResult
 from repro.utils.tables import Table
@@ -118,34 +124,27 @@ class ParameterSweep:
     ----------
     network:
         The base network; each grid point is solved on
-        ``network.with_rates(...)``.
+        ``network.with_rates(...)`` over the base network's state list
+        (enumerated once: the list does not depend on the rates, see
+        :meth:`~repro.cme.network.ReactionNetwork.check_overrides`) —
+        the structure reuse the paper's one-time GPU format transfer
+        exploits.
     grid:
         Mapping ``reaction name -> list of rates``; the sweep runs the
         full Cartesian product.
-    reuse_state_space:
-        Rate changes never alter *reachability* for strictly-positive
-        propensities, so by default the state space is enumerated once
-        and only the matrix is reassembled per point — the exact
-        structure-reuse opportunity the paper's one-time GPU format
-        transfer exploits.  Disable for custom propensities whose
-        support depends on the swept rates.
     """
 
     network: ReactionNetwork
     grid: dict
-    reuse_state_space: bool = True
     points: list = field(default_factory=list, init=False)
-    #: Metrics from the last served run (None after a serial run).
+    #: Metrics from the last served run (None after an in-process run).
     service_snapshot: dict | None = field(default=None, init=False)
     service_report: str | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not self.grid:
             raise ValidationError("sweep grid must not be empty")
-        unknown = set(self.grid) - {r.name for r in self.network.reactions}
-        if unknown:
-            raise ValidationError(
-                f"grid references unknown reactions {sorted(unknown)}")
+        self.network.check_overrides(self.grid)
         for name, values in self.grid.items():
             if not list(values):
                 raise ValidationError(f"empty value list for {name!r}")
@@ -162,108 +161,57 @@ class ParameterSweep:
             cache: bool = True,
             warm_start: bool = False,
             service=None,
-            batch: int | None = None,
+            batch: int = 8,
             progress=None) -> list[SweepPoint]:
         """Solve every condition; returns (and stores) the sweep points.
 
-        The default is the plain serial loop.  Passing ``workers`` (or a
-        prebuilt :class:`repro.serve.SolveService` via ``service``)
-        routes the sweep through the solve service: a worker pool over a
+        In process, conditions are solved ``batch`` at a time: each
+        chunk is one :meth:`BatchedJacobiSolver.stacked
+        <repro.solvers.batched.BatchedJacobiSolver.stacked>` solve that
+        advances its conditions together, one stacked sweep per
+        iteration, and retires each as it stops.  Every point equals
+        its own :class:`~repro.solvers.JacobiSolver` solve bit for bit
+        (``x``, iterations, stop reason), whatever ``batch`` is; a
+        column that goes non-finite retires as ``DIVERGED``.  A point's
+        ``solve_seconds`` is its chunk's wall time divided by the
+        chunk's conditions.  ``solver_kwargs`` may hold
+        :data:`~repro.solvers.jacobi.JACOBI_OPTIONS`.
+
+        Passing ``workers`` (or a prebuilt
+        :class:`repro.serve.SolveService` via ``service``) routes the
+        sweep through the solve service instead: a worker pool over a
         shared state space, content-addressed caching (``cache``), and
-        nearest-neighbor warm starting (``warm_start``).  Passing
-        ``batch=K`` instead runs the serial path through
-        :class:`~repro.solvers.batched.BatchedJacobiSolver`: conditions
-        are grouped K at a time into one stacked solve and advanced
-        together, one stacked sweep per iteration.  Points come
-        back in the same canonical condition order on every path, and
-        the solved systems are constructed identically, so the paths
-        agree on the results.
+        nearest-neighbor warm starting (``warm_start``).  Points come
+        back in the same canonical condition order on both paths.
         """
+        if batch <= 0:
+            raise ValidationError(f"batch must be positive, got {batch}")
         if service is not None or (workers is not None and workers != 1):
             return self._run_served(
                 tol=tol, max_iterations=max_iterations,
                 solver_kwargs=solver_kwargs, workers=workers or 1,
                 cache=cache, warm_start=warm_start, service=service,
                 progress=progress)
-        if batch is not None:
-            return self._run_batched(
-                tol=tol, max_iterations=max_iterations,
-                solver_kwargs=solver_kwargs, batch=batch,
-                progress=progress)
-        self.service_snapshot = None
-        self.service_report = None
-        base_space = (enumerate_state_space(self.network)
-                      if self.reuse_state_space else None)
-        self.points = []
-        for overrides in self.conditions():
-            varied = self.network.with_rates(overrides)
-            t0 = time.perf_counter()
-            space = self._space_for(varied, base_space)
-            A = build_rate_matrix(space)
-            solver = JacobiSolver(A, tol=tol,
-                                  max_iterations=max_iterations,
-                                  **(solver_kwargs or {}))
-            result = solver.solve()
-            elapsed = time.perf_counter() - t0
-            point = SweepPoint(
-                overrides=overrides,
-                result=result,
-                landscape=ProbabilityLandscape(space, result.x),
-                solve_seconds=elapsed,
-            )
-            self.points.append(point)
-            if progress is not None:
-                progress(point)
-        return self.points
-
-    def _space_for(self, varied, base_space):
-        """The (possibly shared) state space bound to *varied*'s rates."""
-        if base_space is None:
-            return enumerate_state_space(varied)
-        # Rebind the varied network so propensities use the new rates
-        # over the shared state list.
-        from repro.cme.statespace import StateSpace
-        return StateSpace(network=varied, states=base_space.states)
-
-    def _run_batched(self, *, tol, max_iterations, solver_kwargs, batch,
-                     progress) -> list[SweepPoint]:
-        """The stacked-batch sweep: K conditions per fused Jacobi solve.
-
-        Each chunk's conditions are the columns of one
-        system-interleaved block, iterated in lockstep (see
-        :class:`~repro.solvers.batched.BatchedJacobiSolver`); a
-        condition that converges retires early, so slow conditions never
-        hold finished ones hostage.  Per-point ``solve_seconds`` is the
-        chunk's wall time amortized over its conditions.
-        """
-        from repro.solvers import BatchedJacobiSolver
-
-        if batch <= 0:
-            raise ValidationError(f"batch must be positive, got {batch}")
         kwargs = dict(solver_kwargs or {})
         unsupported = set(kwargs) - JACOBI_OPTIONS
         if unsupported:
             raise ValidationError(
-                f"batched sweep does not support solver options "
-                f"{sorted(unsupported)}; run serially for those")
+                f"unsupported solver options {sorted(unsupported)}; "
+                f"expected a subset of {sorted(JACOBI_OPTIONS)}")
         self.service_snapshot = None
         self.service_report = None
-        base_space = (enumerate_state_space(self.network)
-                      if self.reuse_state_space else None)
+        states = enumerate_state_space(self.network).states
         conditions = self.conditions()
         self.points = []
         for lo in range(0, len(conditions), batch):
             chunk = conditions[lo:lo + batch]
             t0 = time.perf_counter()
-            spaces, matrices = [], []
-            for overrides in chunk:
-                space = self._space_for(self.network.with_rates(overrides),
-                                        base_space)
-                spaces.append(space)
-                matrices.append(build_rate_matrix(space))
-            solver = BatchedJacobiSolver.stacked(
-                matrices, tol=tol, max_iterations=max_iterations, **kwargs)
-            results = solver.solve_many()
+            # Each condition's network rebound to the shared state list.
+            spaces = [StateSpace(network=self.network.with_rates(overrides),
+                                 states=states) for overrides in chunk]
+            results = BatchedJacobiSolver.stacked(
+                [build_rate_matrix(space) for space in spaces], tol=tol,
+                max_iterations=max_iterations, **kwargs).solve_many()
             elapsed = (time.perf_counter() - t0) / len(chunk)
             for overrides, space, result in zip(chunk, spaces, results):
                 point = SweepPoint(
@@ -297,8 +245,7 @@ class ParameterSweep:
         svc = service if service is not None else SolveService(
             self.network, workers=workers, cache=cache,
             warm_start=warm_start, tol=tol, max_iterations=max_iterations,
-            solver_options=solver_kwargs or {},
-            reuse_state_space=self.reuse_state_space)
+            solver_options=solver_kwargs or {})
         outcomes: list = [None] * len(conditions)
         try:
             for depth, level in enumerate(coarse_to_fine_levels(shape)):

@@ -79,10 +79,11 @@ def assert_batched_matches_reference(systems, name):
         assert b.iterations == a.iterations
         assert b.stop_reason is a.stop_reason
         assert np.array_equal(b.x, a.x)
-    # Amortization accounting is backend-independent: the fused sweep
-    # counts its implicit product exactly like the materialized one.
+    # Amortization accounting is backend-independent: one product per
+    # stacked sweep, plus one per column per residual check.
     assert nat.sweeps == ref.sweeps
-    assert nat.products == ref.products
+    checks = sum(len({i for i, _ in r.residual_history}) for r in got)
+    assert nat.products == ref.products == nat.sweeps + checks
 
 
 @pytest.mark.parametrize("name", NATIVE)

@@ -1,20 +1,19 @@
-"""Conformance for the stacked ops (``jacobi_sweep_many``, ``spmv_many``).
+"""Conformance for the stacked sweep op, ``jacobi_sweep_many``.
 
-The stacked ops operate on ``(n, m)`` system-interleaved blocks —
-column ``s`` belongs to ``systems[s]`` — and promise results bit-equal
+The stacked op operates on ``(n, m)`` system-interleaved blocks —
+column ``s`` belongs to ``systems[s]`` — and promises results bit-equal
 to ``m`` independent per-system calls, computed here by the ``numpy``
 reference.  These tests pin that contract for every backend (both
-serve the ops): every width from 1 to 16 plus 64 (whole SIMD chunks,
-masked tails, the scalar width-1 product loop), damped sweeps, blocks
-compacted after a column retires, ``sweeps=k`` against k single calls,
-each SIMD path of the C source built separately (the stacked kernels,
-the single-system sliced sweep's ragged and banded cases, FSP-like
-systems, banded stacks and blocks, the column renormalization and the
-scalar DFS walk, which must compile in every build; a build that fails
-to compile fails its tests), stacks the interleaved kernel
-cannot take (no shared sparsity pattern, more than 64 systems, non-CSR
-systems), which are still served bitwise, and the ``ValueError`` for
-malformed blocks.
+serve the op): every width from 1 to 16 plus 64 (whole SIMD chunks and
+masked tails), damped sweeps, blocks compacted after a column retires,
+``sweeps=k`` against k single calls, each SIMD path of the C source
+built separately (the stacked sweep, the single-system sliced sweep's
+ragged and banded cases, FSP-like systems, banded stacks and blocks,
+the column renormalization and the scalar DFS walk, which must compile
+in every build; a build that fails to compile fails its tests), stacks
+the interleaved kernel cannot take (no shared sparsity pattern, more
+than 64 systems, non-CSR systems), which are still served bitwise, and
+the ``ValueError`` for malformed blocks.
 
 The native sweep op runs a block of at most ``stacked_narrow_max()``
 systems (a per-build constant of the C source) as one sliced sweep per
@@ -116,13 +115,6 @@ def reference_sweeps(systems, D, X, damping, sweeps=1):
         for s, A in enumerate(systems)], axis=1)
 
 
-def reference_products(systems, X):
-    # The documented contract: bit-equal to per-system products in
-    # scipy's CSR accumulation order.
-    return np.stack([A @ np.ascontiguousarray(X[:, s])
-                     for s, A in enumerate(systems)], axis=1)
-
-
 @pytest.mark.parametrize("m", WIDTHS)
 @pytest.mark.parametrize("damping", [1.0, 0.9])
 def test_sweep_many_bitwise_matches_per_system(backend, m, damping):
@@ -134,22 +126,12 @@ def test_sweep_many_bitwise_matches_per_system(backend, m, damping):
     assert np.array_equal(got, reference_sweeps(systems, D, X, damping))
 
 
-@pytest.mark.parametrize("m", WIDTHS)
-def test_spmv_many_bitwise_matches_per_system(backend, m):
-    systems = shared_structure_systems(m, seed=19)
-    _, X = interleaved(systems, 23)
-    got = backend.spmv_many(systems, X)
-    assert got is not None
-    assert got.shape == X.shape
-    assert np.array_equal(got, reference_products(systems, X))
-
-
 @pytest.mark.parametrize("m", [w for w in WIDTHS if w > 1])
 @pytest.mark.parametrize("damping", [1.0, 0.9])
 def test_compacted_blocks_match_per_system(backend, m, damping):
     """After retiring every third column, the compacted block (what
-    BatchedJacobiSolver carries on) still sweeps and multiplies
-    bitwise like the reference."""
+    BatchedJacobiSolver carries on) still sweeps bitwise like the
+    reference."""
     systems = shared_structure_systems(m, seed=47)
     D, X = interleaved(systems, 53)
     keep = [c for c in range(m) if c % 3 != 1]
@@ -159,8 +141,6 @@ def test_compacted_blocks_match_per_system(backend, m, damping):
     got = backend.jacobi_sweep_many(live, Dk, Xk, damping=damping,
                                     out=np.empty_like(Xk))
     assert np.array_equal(got, reference_sweeps(live, Dk, Xk, damping))
-    assert np.array_equal(backend.spmv_many(live, Xk),
-                          reference_products(live, Xk))
 
 
 def test_f_ordered_out_is_refused(backend):
@@ -173,8 +153,6 @@ def test_f_ordered_out_is_refused(backend):
     f_out = np.empty((X.shape[1], X.shape[0])).T
     with pytest.raises(ValueError, match="C-contiguous"):
         backend.jacobi_sweep_many(systems, D, X, out=f_out)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        backend.spmv_many(systems, X, out=f_out)
     with pytest.raises(ValueError, match="alias"):
         backend.jacobi_sweep_many(systems, D, X, out=X)
     d = D[:, 0].copy()
@@ -331,8 +309,6 @@ def test_every_simd_build_matches_reference(simd_library, monkeypatch,
         assert np.array_equal(
             be.jacobi_sweep_many(systems, D, X, damping=damping, sweeps=3),
             reference_sweeps(systems, D, X, damping, sweeps=3)), m
-        assert np.array_equal(be.spmv_many(systems, X),
-                              reference_products(systems, X)), m
     A = systems[0]
     diag = np.asarray(A.diagonal(), dtype=np.float64)
     x = X[:, 0].copy()
@@ -367,8 +343,6 @@ def test_every_simd_build_sweeps_banded_systems(simd_library, monkeypatch,
         assert np.array_equal(
             be.jacobi_sweep_many(systems, D, X, damping=damping, sweeps=3),
             reference_sweeps(systems, D, X, damping, sweeps=3)), m
-        assert np.array_equal(be.spmv_many(systems, X),
-                              reference_products(systems, X)), m
     A = systems[0]
     diag = np.asarray(A.diagonal(), dtype=np.float64)
     x = X[:, 0].copy()
@@ -393,7 +367,7 @@ def fsp_like_systems():
 
 def assert_identical_stacks_match(be, widths):
     """``[A] * m`` (one generator repeated, as a batch of one system
-    sweeps it) through *be*'s stacked ops equals *be*'s per-system
+    sweeps it) through *be*'s stacked op equals *be*'s per-system
     calls and the reference, bitwise, at every width in *widths*."""
     A = shared_structure_systems(1, seed=127)[0]
     n = A.shape[0]
@@ -411,8 +385,6 @@ def assert_identical_stacks_match(be, widths):
             assert np.array_equal(got, per_system), (m, damping)
             assert np.array_equal(
                 got, reference_sweeps(systems, D, X, damping, sweeps)), m
-        assert np.array_equal(be.spmv_many(systems, X),
-                              reference_products(systems, X)), m
 
 
 #: Both sides of every build's narrow threshold (2, 4 or 6), 8 and the
@@ -445,8 +417,7 @@ def test_identical_stack_prep_dies_with_its_matrix():
     gc.disable()
     try:
         be.jacobi_sweep_many([A] * 5, D, X, damping=0.9)
-        be.spmv_many([A] * 5, X)
-        assert getattr(A, native._STACK_ATTR, None) is not None
+        assert getattr(A, native._STACK_SWEEP_ATTR, None) is not None
         ref = weakref.ref(A)
         del A
         assert ref() is None
@@ -605,28 +576,24 @@ def mixed_sparsity_systems(m, seed=31):
 @pytest.mark.parametrize("damping", [1.0, 0.9])
 def test_mismatched_sparsity_sweeps_per_system(backend, m, damping):
     """Systems without one shared pattern are swept (native: one sliced
-    sweep per system) and multiplied bitwise like the reference."""
+    sweep per system) bitwise like the reference."""
     systems = mixed_sparsity_systems(m)
     D, X = interleaved(systems, 31)
     assert np.array_equal(
         backend.jacobi_sweep_many(systems, D, X, damping=damping,
                                   sweeps=3),
         reference_sweeps(systems, D, X, damping, sweeps=3))
-    assert np.array_equal(backend.spmv_many(systems, X),
-                          reference_products(systems, X))
 
 
 @pytest.mark.parametrize("m", [65, 70])
 def test_stacks_wider_than_the_kernel_sweep_per_system(backend, m):
-    """More than 64 systems sharing a pattern still sweep and multiply
-    bitwise like the reference (native: one sliced sweep per system)."""
+    """More than 64 systems sharing a pattern still sweep bitwise like
+    the reference (native: one sliced sweep per system)."""
     systems = shared_structure_systems(m, n=41)
     D, X = interleaved(systems, 37)
     assert np.array_equal(
         backend.jacobi_sweep_many(systems, D, X, damping=0.9, sweeps=2),
         reference_sweeps(systems, D, X, 0.9, sweeps=2))
-    assert np.array_equal(backend.spmv_many(systems, X),
-                          reference_products(systems, X))
 
 
 def test_wrong_block_shape_raises(backend):
@@ -640,13 +607,9 @@ def test_wrong_block_shape_raises(backend):
         backend.jacobi_sweep_many(systems, D, transposed)
     with pytest.raises(ValueError, match="diag must be"):
         backend.jacobi_sweep_many(systems, np.ones((4, n)), good)
-    with pytest.raises(ValueError, match="X must be"):
-        backend.spmv_many(systems, transposed)
     small = shared_structure_systems(1, n=n - 1)
     with pytest.raises(ValueError):
         backend.jacobi_sweep_many(systems[:3] + small, D, good)
-    with pytest.raises(ValueError):
-        backend.spmv_many(systems[:3] + small, good)
     with pytest.raises(ValueError, match="square"):
         backend.jacobi_sweep_many([sp.csr_matrix((n, n + 1))], D[:, :1],
                                   good[:, :1])
@@ -654,30 +617,28 @@ def test_wrong_block_shape_raises(backend):
 
 def test_non_csr_and_empty_lists_are_not_stackable(backend):
     """Dense systems take the reference's per-system loop (a dense
-    product sums in its own order, hence the tolerance); an empty
-    stack is refused."""
+    sweep sums in its own order, hence the tolerance); an empty stack
+    is refused."""
     systems = shared_structure_systems(2)
     dense = [np.asarray(A.todense()) for A in systems]
     D, X = interleaved(systems, 41)
     np.testing.assert_allclose(backend.jacobi_sweep_many(dense, D, X),
                                reference_sweeps(systems, D, X, 1.0),
                                rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(backend.spmv_many(dense, X),
-                               reference_products(systems, X),
-                               rtol=1e-12, atol=1e-14)
     n = systems[0].shape[0]
     with pytest.raises(ValueError, match="at least one system"):
         backend.jacobi_sweep_many([], np.ones((n, 0)), np.ones((n, 0)))
-    with pytest.raises(ValueError, match="at least one system"):
-        backend.spmv_many([], np.ones((n, 0)))
 
 
 def test_fresh_equal_lists_reuse_the_stacked_prep(backend):
-    """Re-listing the same matrices must not change results (or crash)."""
+    """Re-listing the same matrices must not change results (or crash),
+    and the native op keeps the preparation it cached for them."""
     systems = shared_structure_systems(8, seed=41)
-    n = systems[0].shape[0]
-    rng = np.random.default_rng(43)
-    X = np.ascontiguousarray(rng.random((n, 8)))
-    first = backend.spmv_many(systems, X)
-    again = backend.spmv_many(list(systems), X)
+    D, X = interleaved(systems, 43)
+    first = backend.jacobi_sweep_many(systems, D, X, damping=0.9)
+    prep = getattr(systems[0], native._STACK_SWEEP_ATTR, None)
+    again = backend.jacobi_sweep_many(list(systems), D, X, damping=0.9)
     assert np.array_equal(first, again)
+    assert getattr(systems[0], native._STACK_SWEEP_ATTR, None) is prep
+    if backend.name == "native":
+        assert prep is not None

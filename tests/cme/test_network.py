@@ -156,15 +156,37 @@ class TestCanonicalSignature:
 
 
 class TestWithRatesPreservesPropensities:
-    def test_custom_fn_carried_over(self):
+    @staticmethod
+    def custom_network():
         def doubled(state):
             return 2.0
 
-        net = ReactionNetwork(
+        return ReactionNetwork(
             [Species("A", 10)],
             [Reaction("syn", {}, {"A": 1}, 2.0, propensity_fn=doubled,
-                      strictly_positive=True)])
-        varied = net.with_rates({"syn": 5.0})
-        assert varied.reactions[0].rate == 5.0
-        assert varied.reactions[0].propensity_fn is doubled
+                      strictly_positive=True),
+             Reaction("deg", {"A": 1}, {}, 1.0)])
+
+    def test_custom_fn_carried_over(self):
+        net = self.custom_network()
+        varied = net.with_rates({"deg": 5.0})
+        assert varied.reactions[1].rate == 5.0
+        assert varied.reactions[0].propensity_fn is (
+            net.reactions[0].propensity_fn)
         assert varied.reactions[0].strictly_positive
+
+    def test_custom_fn_rate_override_refused(self):
+        """A custom propensity ignores ``rate``: overriding it would
+        build the base matrix under another label."""
+        net = self.custom_network()
+        with pytest.raises(ValidationError, match="ignores rate"):
+            net.with_rates({"syn": 5.0})
+        with pytest.raises(ValidationError, match="ignores rate"):
+            net.check_overrides(["deg", "syn"])
+        net.check_overrides(["deg"])
+
+    @pytest.mark.parametrize("name", ["synA", "synB", "bstA", "bstB"])
+    def test_toggle_custom_rates_refused(self, name):
+        from repro.cme.models.toggle_switch import toggle_switch
+        with pytest.raises(ValidationError, match="ignores rate"):
+            toggle_switch(max_protein=6).with_rates({name: 10.0})

@@ -60,6 +60,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="unknown"):
             SolveRequest(tiny_toggle_network, {"nope": 1.0})
 
+    @pytest.mark.parametrize("name", ["synA", "synB", "bstA", "bstB"])
+    def test_custom_propensity_override(self, tiny_toggle_network, name):
+        """Two such requests would carry different cache keys for one
+        system; the request refuses the override instead."""
+        with pytest.raises(ValidationError, match="ignores rate"):
+            SolveRequest(tiny_toggle_network, {name: 10.0})
+
     def test_nonpositive_override(self, tiny_toggle_network):
         with pytest.raises(ValidationError, match="positive"):
             SolveRequest(tiny_toggle_network, {"degA": 0.0})

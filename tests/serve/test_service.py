@@ -53,11 +53,19 @@ class TestBasics:
         "warm_neighbors", "queue_policy", "put_timeout", "retry_policy",
         "breaker_threshold", "breaker_reset_s", "max_states",
         "default_damping", "method", "fsp_options", "degraded_mode",
-        "admission", "batch_max"])
+        "admission", "batch_max", "reuse_state_space"])
     def test_removed_keywords_raise(self, tiny_toggle_network, keyword):
         """Keywords no caller set are gone, not silently ignored."""
         with pytest.raises(TypeError, match=keyword):
             SolveService(tiny_toggle_network, **{keyword: 4})
+
+    def test_custom_propensity_override_refused(self, service):
+        """``synA`` and ``synB`` would key two jobs apart and solve one
+        system twice; ``submit`` refuses at the door."""
+        for rate in (10.0, 30.0):
+            with pytest.raises(ValidationError, match="ignores rate"):
+                service.submit({"synA": rate})
+        assert service.snapshot()["submitted"] == 0
 
     def test_warm_start_requires_cache(self, tiny_toggle_network):
         with pytest.raises(ValidationError, match="warm_start"):

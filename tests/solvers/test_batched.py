@@ -3,8 +3,8 @@
 The contract: each column of a stacked solve reproduces the serial
 :class:`JacobiSolver` result on its own generator (same iterate,
 iterations and residual), while the whole batch performs far fewer
-products than the serial solves combined — one fused sweep advances,
-and one fused product checks, every live column.
+products than the serial solves combined — one fused sweep advances
+every live column, and each column's check is its own product.
 
 The workhorse system is a small birth-death generator (bipartite, so
 every solve uses ``damping=0.6``; see ``test_jacobi.py``) — it
@@ -20,6 +20,7 @@ from repro import backends
 from repro.backends import native
 from repro.backends.native import NativeBackend
 from repro.backends.reference import NumpyBackend
+from repro.cme.ratematrix import build_rate_matrix
 from repro.errors import ValidationError
 from repro.solvers import BatchedJacobiSolver, JacobiSolver
 from repro.solvers.result import StopReason
@@ -109,11 +110,10 @@ class TestSharedMode:
         solver = BatchedJacobiSolver.stacked([A] * 3, tol=1e-9,
                                              damping=DAMPING)
         solver.solve_many()
-        # One fused product per sweep and per check: three columns cost
-        # one solve's products, not three.
-        products = solo.iterations + checks(solo)
-        assert solver.products == products
-        assert solver.products < 3 * products
+        # One fused product per sweep and one per column per check:
+        # three columns cost one solve's sweeps, not three.
+        assert solver.products == solo.iterations + 3 * checks(solo)
+        assert solver.products < 3 * (solo.iterations + checks(solo))
 
 
 class TestStackedMode:
@@ -127,11 +127,12 @@ class TestStackedMode:
             assert b.iterations == s.iterations
             assert b.residual == s.residual
             np.testing.assert_array_equal(b.x, s.x)
-        # One fused product per sweep and per check: the batch costs
-        # the *slowest* column's products, not the sum of the serial
-        # solves'.
+        # One fused product per sweep and one per column per check: the
+        # batch costs the *slowest* column's sweeps, not the sum of the
+        # serial solves'.
         slowest = max(expected, key=lambda s: s.iterations)
-        assert solver.products == slowest.iterations + checks(slowest)
+        assert solver.products == (slowest.iterations
+                                   + sum(checks(s) for s in expected))
         assert solver.products < sum(s.iterations + checks(s)
                                      for s in expected)
 
@@ -329,6 +330,19 @@ class TestValidation:
         with pytest.raises(ValidationError):
             BatchedJacobiSolver.stacked([A], damping=0.0)
 
+    def test_no_normalize_interval_rejected(self, birth_death_network):
+        """Both Jacobi loops refuse ``normalize_interval=None``, and so
+        does the sweep that runs the stacked one."""
+        from repro.sweep import ParameterSweep
+        A = chain()
+        with pytest.raises(ValidationError, match="intervals"):
+            JacobiSolver(A, normalize_interval=None)
+        with pytest.raises(ValidationError, match="intervals"):
+            BatchedJacobiSolver.stacked([A], normalize_interval=None)
+        sweep = ParameterSweep(birth_death_network, {"death": [0.9]})
+        with pytest.raises(ValidationError, match="intervals"):
+            sweep.run(solver_kwargs={"normalize_interval": None})
+
     def test_non_square_rejected(self):
         with pytest.raises(ValidationError):
             BatchedJacobiSolver.stacked(
@@ -338,32 +352,34 @@ class TestValidation:
 class TestSweepBatch:
     GRID = {"death": [0.9, 1.0, 1.1], "birth": [3.5, 4.0]}
 
+    @staticmethod
+    def jacobi_answers(points, **kwargs):
+        """Each point's own :class:`JacobiSolver` solve."""
+        return [JacobiSolver(build_rate_matrix(p.landscape.space),
+                             **kwargs).solve() for p in points]
+
     def test_batched_sweep_matches_serial(self, birth_death_network):
+        """Chunks of four conditions reproduce each condition's own
+        serial solve bitwise."""
         from repro.sweep import ParameterSweep
-        kwargs = dict(tol=1e-7, solver_kwargs={"damping": DAMPING})
-        serial = ParameterSweep(birth_death_network, self.GRID).run(**kwargs)
-        batched = ParameterSweep(birth_death_network, self.GRID).run(
-            batch=4, **kwargs)
-        assert len(batched) == len(serial)
-        for s, b in zip(serial, batched):
-            assert b.overrides == s.overrides
-            assert b.result.iterations == s.result.iterations
-            np.testing.assert_array_equal(b.result.x, s.result.x)
+        sweep = ParameterSweep(birth_death_network, self.GRID)
+        points = sweep.run(batch=4, tol=1e-7,
+                           solver_kwargs={"damping": DAMPING})
+        assert [p.overrides for p in points] == sweep.conditions()
+        assert_same_results([p.result for p in points],
+                            self.jacobi_answers(points, tol=1e-7,
+                                                damping=DAMPING))
 
     @pytest.mark.parametrize("name", backends.available_backends())
     def test_batched_sweep_takes_backend(self, birth_death_network, name):
         """``backend`` reaches the batched solver, and every backend's
-        points equal the serial sweep's bitwise."""
+        points equal the serial solves' bitwise."""
         from repro.sweep import ParameterSweep
-        serial = ParameterSweep(birth_death_network, self.GRID).run(
-            tol=1e-7, solver_kwargs={"damping": DAMPING})
-        batched = ParameterSweep(birth_death_network, self.GRID).run(
-            batch=4, tol=1e-7,
-            solver_kwargs={"damping": DAMPING, "backend": name})
-        assert [b.overrides for b in batched] == [s.overrides
-                                                  for s in serial]
-        assert_same_results([b.result for b in batched],
-                            [s.result for s in serial])
+        opts = {"damping": DAMPING, "backend": name}
+        points = ParameterSweep(birth_death_network, self.GRID).run(
+            batch=4, tol=1e-7, solver_kwargs=opts)
+        assert_same_results([p.result for p in points],
+                            self.jacobi_answers(points, tol=1e-7, **opts))
 
     def test_unsupported_solver_kwargs_rejected(self, birth_death_network):
         from repro.sweep import ParameterSweep
