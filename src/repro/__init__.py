@@ -129,8 +129,8 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
         ``"jacobi"`` (the paper's solver), ``"gauss-seidel"``,
         ``"power"``, ``"resilient"`` (the self-healing
         jacobi → gauss-seidel → gmres fallback chain) or ``"sharded"``
-        (domain-decomposed Jacobi across a process pool; accepts
-        ``shards=`` and ``sync="barrier"|"chaotic"`` as ``options``).
+        (Jacobi with its sweeps split across a process pool, bitwise
+        the ``"jacobi"`` answer; accepts ``shards=`` as an option).
     tol, max_iterations:
         Stopping parameters (paper defaults scaled to typical
         reproduction sizes).
@@ -153,8 +153,8 @@ def solve_steady_state(network_or_matrix, method: str = "jacobi", *,
         With ``checkpoint``, first look for the newest intact
         checkpoint matching this exact system/method/tolerance and
         continue from it (torn, corrupt or mismatched files are
-        skipped with a warning).  A resumed Jacobi or barrier-sharded
-        solve replays bitwise identically to the uninterrupted run.
+        skipped with a warning).  A resumed Jacobi or sharded solve
+        replays bitwise identically to the uninterrupted run.
     checkpoint_every, checkpoint_seconds, checkpoint_keep:
         Cadence (iterations and/or wall-clock seconds) and retention
         for the checkpoint directory —

@@ -77,9 +77,8 @@ def cmd_solve(args) -> int:
         kwargs["damping"] = args.damping
     if args.method == "sharded":
         kwargs["shards"] = args.shards if args.shards is not None else 2
-        kwargs["sync"] = args.sync if args.sync is not None else "barrier"
-    elif args.shards is not None or args.sync is not None:
-        print("note: --shards/--sync only apply to --method sharded")
+    elif args.shards is not None:
+        print("note: --shards only applies to --method sharded")
 
     chaos = contextlib.nullcontext()
     if args.inject_faults:
@@ -476,10 +475,6 @@ def make_parser() -> argparse.ArgumentParser:
                         "domain-decomposed Jacobi across a process pool)")
     p.add_argument("--shards", type=int, default=None,
                    help="worker count for --method sharded (default 2)")
-    p.add_argument("--sync", choices=["barrier", "chaotic"], default=None,
-                   help="sharded sync mode: barrier is bitwise-equal to "
-                        "serial jacobi, chaotic relaxes asynchronously "
-                        "(default barrier)")
     p.add_argument("--inject-faults", metavar="PLAN.json", default=None,
                    help="run the solve under a seeded fault-injection plan")
     p.add_argument("--fault-seed", type=int, default=None,

@@ -1,21 +1,19 @@
 """Domain-decomposed (sharded) steady-state solving.
 
 The executional counterpart of :mod:`repro.multigpu`'s analytic
-multi-device model: :class:`ShardedJacobiSolver` actually runs the
-partitioned Jacobi iteration across a pool of worker processes with
-shared-memory halo exchange, in either barrier (bitwise-serial) or
-chaotic (asynchronous) synchronization.  Registered as
-``method="sharded"`` in :data:`repro.solvers.SOLVER_REGISTRY`.
+multi-device model: :class:`ShardedJacobiSolver` is the serial Jacobi
+solver with each sweep run across a pool of worker processes, one per
+row block, with shared-memory halo exchange; its answers are bitwise
+the serial solver's.  Registered as ``method="sharded"`` in
+:data:`repro.solvers.SOLVER_REGISTRY`.
 
-See DESIGN.md §14 for the partition contract, the halo-exchange
-protocol and the barrier-vs-chaotic semantics.
+See DESIGN.md §14 for the partition contract and the epoch protocol.
 """
 
 from repro.distributed.plan import WorkerSpec, build_specs
-from repro.distributed.sharded import SYNC_MODES, ShardedJacobiSolver
+from repro.distributed.sharded import ShardedJacobiSolver
 
 __all__ = [
-    "SYNC_MODES",
     "ShardedJacobiSolver",
     "WorkerSpec",
     "build_specs",

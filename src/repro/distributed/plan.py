@@ -6,7 +6,7 @@ model reasons about analytically.  This module repackages each
 :class:`~repro.multigpu.partition.Partition` into a
 :class:`WorkerSpec`: a plain dataclass of arrays and scalars that
 pickles cleanly under the ``spawn`` start method and carries everything
-a worker process needs (its matrix slice, shared-segment names, sync
+a worker process needs (its matrix slice, shared-segment names, sweep
 parameters and the shard-site fault schedule).
 """
 
@@ -28,7 +28,7 @@ class WorkerSpec:
     space, so the worker reconstructs exactly the rectangular slice
     the parent partitioned — same values, same ordering — and ``band``
     carries the offsets the whole matrix's sweep peels.  Together they
-    keep barrier-mode sweeps bitwise equal to the serial solver.
+    keep the sweeps bitwise equal to the serial solver's.
     """
 
     shard: int
@@ -43,7 +43,6 @@ class WorkerSpec:
     halo: np.ndarray
     band: tuple[int, ...]
     damping: float
-    max_iterations: int
     backend: str | None
     data_name: str
     ctrl_name: str
@@ -54,7 +53,7 @@ class WorkerSpec:
 
 def build_specs(A, diagonal: np.ndarray, *, shards: int,
                 band: tuple[int, ...], damping: float,
-                max_iterations: int, backend: str | None,
+                backend: str | None,
                 data_name: str, ctrl_name: str, parent_pid: int,
                 plan_json: str | None
                 ) -> tuple[list[Partition], list[WorkerSpec]]:
@@ -77,7 +76,6 @@ def build_specs(A, diagonal: np.ndarray, *, shards: int,
             halo=np.ascontiguousarray(part.halo_columns, dtype=np.int64),
             band=tuple(band),
             damping=float(damping),
-            max_iterations=int(max_iterations),
             backend=backend,
             data_name=data_name,
             ctrl_name=ctrl_name,

@@ -3,17 +3,15 @@
 One solve owns two POSIX shared-memory segments:
 
 ``data`` (float64)
-    ``[x0 | x1 | y | ynorm | xnorm]`` — two full-length iterate
-    buffers (ping-pong in barrier mode, only ``x0`` live in chaotic
-    mode), the residual-product buffer ``y`` and two ``shards``-wide
-    slots per-shard norm reports for the chaotic residual aggregator.
+    ``[x0 | x1]`` — two full-length iterate buffers, ping-ponged: a
+    sweep reads one and writes the other.
 
 ``ctrl`` (int64)
-    ``[epoch, cmd, read, …reserved… | done | sweeps | halo_bytes |
-    staleness]`` — the protocol header followed by four
-    ``shards``-wide counter blocks.  Each worker writes only its own
-    slot of each block; the parent only reads them (plus the header,
-    which only the parent writes).
+    ``[epoch, cmd, read, …reserved… | done | sweeps | halo_bytes]`` —
+    the protocol header followed by three ``shards``-wide counter
+    blocks.  Each worker writes only its own slot of each block; the
+    parent only reads them (plus the header, which only the parent
+    writes).
 
 The sync protocol is epoch-based rather than a
 :class:`multiprocessing.Barrier` so that a killed worker can be
@@ -22,8 +20,9 @@ respawned without wedging the survivors: the parent publishes
 epoch it has not seen, executes the command, and acknowledges by
 writing the epoch into its ``done`` slot.  The parent waits for
 ``done >= epoch`` everywhere.  An epoch aborted by a worker death is
-simply never awaited again — the next command gets a fresh epoch and
-every write buffer is fully rewritten by the shard that owns it.
+simply never awaited again: the parent respawns the worker and
+publishes the same sweep under a fresh epoch, whose write buffer is
+fully rewritten by the shards that own it.
 
 Aligned 8-byte loads/stores are atomic on every platform this runs
 on, and the single-writer discipline above means no slot is ever
@@ -41,10 +40,7 @@ import numpy as np
 # Commands the parent publishes (values are arbitrary but stable).
 CMD_IDLE = 0          #: initial state, never executed
 CMD_SWEEP = 1         #: gather halo from x[read], write block to x[1-read]
-CMD_PRODUCT = 3       #: gather, write local rows of y = A @ x[read]
-CMD_CHAOTIC = 4       #: ack, then free-run on x0 until the epoch moves
-CMD_PAUSE = 5         #: ack only (exits chaotic free-running)
-CMD_STOP = 6          #: ack and exit
+CMD_STOP = 2          #: ack and exit
 
 # ctrl header slots.
 IDX_EPOCH = 0
@@ -117,17 +113,17 @@ class SharedState:
         self._owner = owner
         self.n = int(n)
         self.shards = int(shards)
-        self.data = np.ndarray((3 * self.n + 2 * self.shards,),
-                               dtype=np.float64, buffer=data_seg.buf)
-        self.ctrl = np.ndarray((_HEADER + 4 * self.shards,),
+        self.data = np.ndarray((2 * self.n,), dtype=np.float64,
+                               buffer=data_seg.buf)
+        self.ctrl = np.ndarray((_HEADER + 3 * self.shards,),
                                dtype=np.int64, buffer=ctrl_seg.buf)
 
     @classmethod
     def create(cls, n: int, shards: int) -> "SharedState":
-        data_seg = shared_memory.SharedMemory(
-            create=True, size=max(8, (3 * n + 2 * shards) * 8))
+        data_seg = shared_memory.SharedMemory(create=True,
+                                              size=max(8, 2 * n * 8))
         ctrl_seg = shared_memory.SharedMemory(
-            create=True, size=(_HEADER + 4 * shards) * 8)
+            create=True, size=(_HEADER + 3 * shards) * 8)
         state = cls(data_seg, ctrl_seg, n, shards, owner=True)
         state.data[:] = 0.0
         state.ctrl[:] = 0
@@ -150,23 +146,6 @@ class SharedState:
         base = index * self.n
         return self.data[base:base + self.n]
 
-    @property
-    def y(self) -> np.ndarray:
-        """The residual-product buffer ``y = A @ x``."""
-        return self.data[2 * self.n:3 * self.n]
-
-    @property
-    def ynorm(self) -> np.ndarray:
-        """Per-shard ``||(A x)_block||_inf`` reports (chaotic mode)."""
-        base = 3 * self.n
-        return self.data[base:base + self.shards]
-
-    @property
-    def xnorm(self) -> np.ndarray:
-        """Per-shard ``||x_block||_inf`` reports (chaotic mode)."""
-        base = 3 * self.n + self.shards
-        return self.data[base:base + self.shards]
-
     # -- int64 views ------------------------------------------------------
 
     @property
@@ -186,12 +165,6 @@ class SharedState:
     def halo_bytes(self) -> np.ndarray:
         """Cumulative halo bytes gathered per shard."""
         base = _HEADER + 2 * self.shards
-        return self.ctrl[base:base + self.shards]
-
-    @property
-    def staleness(self) -> np.ndarray:
-        """Max observed sweep lead over the slowest peer (chaotic)."""
-        base = _HEADER + 3 * self.shards
         return self.ctrl[base:base + self.shards]
 
     def close(self) -> None:

@@ -2,26 +2,15 @@
 
 Each worker owns one contiguous row block of the generator (a
 rectangular ``(m, n)`` CSR slice) and a *private* full-length gather
-buffer ``xl``.  Before a sweep it copies its own block plus the halo
-columns — the only out-of-block entries its slice references — from
-the shared iterate buffer into ``xl``, then runs the backend's
+buffer ``xl``.  On each ``SWEEP`` epoch it copies its own block plus
+the halo columns — the only out-of-block entries its slice references
+— from the shared buffer ``x[read]`` into ``xl``, runs the backend's
 ``jacobi_sweep_block`` on it, with the band the parent decided on the
-whole matrix, and writes its rows of the result back to shared memory.  Only ``block + halo`` entries ever
-cross the process boundary per sweep; the worker counts the halo
-bytes in its ``halo_bytes`` slot.
-
-Sync modes (see :mod:`repro.distributed.shm` for the protocol):
-
-barrier
-    The worker executes exactly one command per epoch
-    (``SWEEP`` / ``PRODUCT``) and acknowledges it.
-chaotic
-    On ``CMD_CHAOTIC`` the worker acknowledges once, then free-runs
-    in-place on buffer 0 — gathering whatever (possibly stale) halo
-    values its peers last published — until the parent moves the
-    epoch.  Each sweep it reports its block's ``||A x||_inf`` /
-    ``||x||_inf`` for the parent's residual aggregator and tracks how
-    far it has run ahead of the slowest peer (``staleness``).
+whole matrix, writes its rows of the result to ``x[1 - read]`` and
+acknowledges the epoch (see :mod:`repro.distributed.shm` for the
+protocol).  Only ``block + halo`` entries ever cross the process
+boundary per sweep; the worker counts the halo bytes in its
+``halo_bytes`` slot.
 
 Fault injection (site ``"shard.worker"``) rides in the spec as a JSON
 fault plan rather than the process-global injector, which does not
@@ -49,8 +38,7 @@ def worker_main(spec) -> None:
     # Workers are pinned to one OpenMP thread each: the parent already
     # runs one process per shard, and nested OMP teams would thrash an
     # oversubscribed host.  Set before any kernel library loads.
-    os.environ["OMP_NUM_THREADS"] = os.environ.get(
-        "REPRO_SHARD_OMP_THREADS", "1")
+    os.environ["OMP_NUM_THREADS"] = "1"
     from repro import backends
     from repro.errors import WorkerCrashError
     from repro.resilience.faults import FaultPlan
@@ -61,7 +49,7 @@ def worker_main(spec) -> None:
         _run(spec, state, backends, FaultPlan, WorkerCrashError)
     except WorkerCrashError:
         # An injected kill: die silently with a nonzero status; the
-        # parent's liveness scan turns this into a recovery event.
+        # parent's liveness scan respawns the shard.
         os._exit(1)
     except Exception:  # pragma: no cover - defensive
         traceback.print_exc(file=sys.stderr)
@@ -75,11 +63,8 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
     lo, hi = spec.row_start, spec.row_stop
     local = sp.csr_matrix((spec.data, spec.indices, spec.indptr),
                           shape=(hi - lo, spec.n))
-    diag = spec.diag
     halo = spec.halo
     halo_delta = int(halo.size) * 8
-    damping = spec.damping
-
     be = backends.serving("", "jacobi_sweep", spec.backend)
 
     fault_specs = ()
@@ -92,16 +77,7 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
     done = state.done
     sweeps = state.sweeps
     halo_bytes = state.halo_bytes
-    staleness = state.staleness
-    ynorm = state.ynorm
-    xnorm = state.xnorm
     xl = np.zeros(spec.n, dtype=np.float64)
-
-    def gather(xb: np.ndarray) -> None:
-        xl[lo:hi] = xb[lo:hi]
-        if halo.size:
-            xl[halo] = xb[halo]
-            halo_bytes[d] += halo_delta
 
     def maybe_fault() -> None:
         # Count the attempt *before* evaluating the schedule so a
@@ -121,37 +97,6 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
     def orphaned() -> bool:
         return os.getppid() != parent
 
-    def chaotic_run(my_epoch: int) -> None:
-        xb = state.x(0)
-        while int(ctrl[S.IDX_EPOCH]) == my_epoch:
-            if orphaned():
-                return
-            if int(sweeps[d]) >= spec.max_iterations:
-                time.sleep(0.0005)
-                continue
-            maybe_fault()
-            gather(xb)
-            # The explicit product (instead of the fused kernel) keeps
-            # the block residual norm available for the aggregator.
-            y = local @ xl
-            new = -(y - diag * xl[lo:hi]) / diag
-            if damping != 1.0:
-                new = (1.0 - damping) * xl[lo:hi] + damping * new
-            xb[lo:hi] = new
-            ynorm[d] = float(np.abs(y).max()) if y.size else 0.0
-            xnorm[d] = float(np.abs(new).max()) if new.size else 0.0
-            mine = int(sweeps[d])
-            lag = mine - min(int(sweeps[j]) for j in range(spec.shards)
-                             if j != d) if spec.shards > 1 else 0
-            if lag > int(staleness[d]):
-                staleness[d] = lag
-            # Yield the core between sweeps: on an oversubscribed host
-            # the OS otherwise timeslices whole shards for ~100ms at a
-            # time, and a shard iterating against a frozen peer block
-            # makes no global progress (the Cormie-Bowins staleness
-            # pathology).  On a wide host this is a microsecond no-op.
-            time.sleep(0)
-
     seen = spec.start_epoch
     while True:
         if not S.wait_until(lambda: int(ctrl[S.IDX_EPOCH]) != seen,
@@ -159,21 +104,17 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
             return
         seen = int(ctrl[S.IDX_EPOCH])
         cmd = int(ctrl[S.IDX_CMD])
-        read = int(ctrl[S.IDX_READ])
-        if cmd == S.CMD_STOP:
-            done[d] = seen
-            return
         if cmd == S.CMD_SWEEP:
+            read = int(ctrl[S.IDX_READ])
             maybe_fault()
-            gather(state.x(read))
+            xb = state.x(read)
+            xl[lo:hi] = xb[lo:hi]
+            if halo.size:
+                xl[halo] = xb[halo]
+                halo_bytes[d] += halo_delta
             state.x(1 - read)[lo:hi] = be.jacobi_sweep_block(
-                local, diag, xl, lo, damping=damping, band=spec.band)
-        elif cmd == S.CMD_PRODUCT:
-            gather(state.x(read))
-            state.y[lo:hi] = local @ xl
-        elif cmd == S.CMD_CHAOTIC:
-            done[d] = seen
-            chaotic_run(seen)
-            continue
-        # CMD_PAUSE (and unknown commands) just acknowledge.
+                local, spec.diag, xl, lo, damping=spec.damping,
+                band=spec.band)
         done[d] = seen
+        if cmd == S.CMD_STOP:
+            return

@@ -10,9 +10,9 @@ performance model combines the per-device kernel estimate with the
 measured halo volume over an interconnect bandwidth.
 
 This subpackage *models* the decomposition; :mod:`repro.distributed`
-*executes* it — the same :func:`partition_rows` blocks run in real
-worker processes over shared memory (``method="sharded"``), with
-barrier and chaotic sync modes (DESIGN.md §14).
+*executes* it — the same :func:`partition_rows` blocks sweep in real
+worker processes over shared memory (``method="sharded"``), one
+synchronized sweep at a time (DESIGN.md §14).
 """
 
 from repro.multigpu.partition import Partition, partition_rows

@@ -55,12 +55,6 @@ Injection sites
     ``truncate``): only a prefix of the record reaches the file, as if
     the process died mid-``write``.  Replay must skip the damaged
     record and recover every intact one.
-``shard.parent``
-    Kill the *parent* process of the sharded solver with ``SIGKILL``
-    (kind ``kill``) — the crash no in-process guardrail can absorb.
-    Indices count parent-side checkpoint opportunities.  Only
-    meaningful in a sacrificial subprocess (the crash-recovery suite);
-    the process does not survive.
 
 Install an injector process-wide with :func:`install`/:func:`uninstall`
 or the :func:`injecting` context manager (mirroring
@@ -75,9 +69,7 @@ counted on the default metrics registry
 from __future__ import annotations
 
 import json
-import os
 import random
-import signal
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -95,8 +87,7 @@ from repro.telemetry.metrics import get_registry
 
 #: Every site an injector knows how to hit.
 SITES = ("solver.iterate", "gpusim.launch", "serve.worker", "serve.cache",
-         "shard.worker", "checkpoint.write", "serve.journal", "shard.parent",
-         "serve.pool")
+         "shard.worker", "checkpoint.write", "serve.journal", "serve.pool")
 
 #: Fault kinds accepted per site.
 SITE_KINDS = {
@@ -107,7 +98,6 @@ SITE_KINDS = {
     "shard.worker": ("kill", "stall"),
     "checkpoint.write": ("torn", "corrupt"),
     "serve.journal": ("truncate",),
-    "shard.parent": ("kill",),
     "serve.pool": ("kill", "stall"),
 }
 
@@ -370,11 +360,6 @@ class FaultInjector:
         spec = state.spec
         index = self._hits[site] - 1
         self._record(spec, index, detail)
-        if site == "shard.parent" and spec.kind == "kill":
-            # The real thing: no exception to catch, no cleanup — the
-            # crash-recovery suite runs this in a sacrificial subprocess
-            # and asserts the *resumed* run completes.
-            os.kill(os.getpid(), signal.SIGKILL)
         if spec.kind in ("raise", "kill"):
             error_cls = SITE_ERRORS.get(site, RuntimeError)
             raise error_cls(

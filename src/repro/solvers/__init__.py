@@ -19,10 +19,10 @@
 * :class:`~repro.resilience.resilient.ResilientSolver` — the
   self-healing fallback chain (jacobi → gauss-seidel → gmres),
   registered as ``"resilient"``.
-* :class:`~repro.distributed.sharded.ShardedJacobiSolver` — the
-  domain-decomposed Jacobi iteration across a pool of worker
-  processes with shared-memory halo exchange (barrier or chaotic
-  sync), registered as ``"sharded"``.  See DESIGN.md §14.
+* :class:`~repro.distributed.sharded.ShardedJacobiSolver` —
+  :class:`JacobiSolver` with each sweep split by rows across a pool
+  of worker processes with shared-memory halo exchange, bitwise the
+  serial answer; registered as ``"sharded"``.  See DESIGN.md §14.
 """
 
 from repro.solvers.result import SolverResult, StopReason
@@ -45,7 +45,7 @@ SOLVER_REGISTRY = {
 
 # Imported after the registry exists: the resilient solver's module
 # resolves its fallback chain through SOLVER_REGISTRY at solve time,
-# and the sharded solver imports the base/stopping machinery above.
+# and the sharded solver subclasses JacobiSolver.
 from repro.resilience.resilient import ResilientSolver  # noqa: E402
 from repro.distributed.sharded import ShardedJacobiSolver  # noqa: E402
 

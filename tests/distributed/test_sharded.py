@@ -1,37 +1,33 @@
 """The sharded (domain-decomposed) Jacobi solver.
 
-The load-bearing property is *barrier-mode bitwise parity*: with
-``sync="barrier"`` every iterate, residual and stop decision must equal
-the serial :class:`JacobiSolver`'s exactly — same partition-invariant
-floating-point operations in the same order (see DESIGN.md §14 for why
-the rectangular row-block product makes this possible).  Chaotic mode
-only promises *verified* convergence: whatever interleaving the workers
-ran, the reported residual is recomputed from a synchronized product.
+The load-bearing property is *bitwise parity*: every iterate, residual
+and stop decision must equal the serial :class:`JacobiSolver`'s exactly
+— same partition-invariant floating-point operations in the same order
+(see DESIGN.md §14 for why the rectangular row-block sweep makes this
+possible) — and a worker that dies mid-sweep must not change a bit.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
+import time
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.cme.models.brusselator import brusselator
-from repro.cme.models.phage_lambda import phage_lambda
-from repro.cme.models.schnakenberg import schnakenberg
+from repro import backends
 from repro.cme.models.toggle_switch import toggle_switch
 from repro.cme.ratematrix import build_rate_matrix
 from repro.cme.statespace import enumerate_state_space
 from repro.distributed import ShardedJacobiSolver
+from repro.distributed import shm as S
+from repro.distributed.sharded import WORKER_TIMEOUT_S, _ShardPool
 from repro.errors import ValidationError, WorkerCrashError
 from repro.resilience.faults import FaultPlan, FaultSpec, injecting
-from repro.resilience.guardrails import GuardrailPolicy
 from repro.solvers import SOLVER_REGISTRY, JacobiSolver, StopReason
-
-#: Pool width of the convergence tests — the CI sharded leg runs the
-#: suite at 2 and 4 workers via this knob; parity tests keep their own
-#: explicit shard counts (parity must hold at every width regardless).
-POOL = int(os.environ.get("REPRO_TEST_SHARDS", "2"))
 
 
 @pytest.fixture(scope="module")
@@ -99,40 +95,6 @@ class TestBarrierParity:
         assert_identical(serial, sharded)
 
 
-class TestChaotic:
-    @pytest.mark.parametrize("build", [
-        lambda: toggle_switch(max_protein=8),
-        lambda: brusselator(max_x=10, max_y=5),
-        lambda: schnakenberg(max_x=10, max_y=5),
-        lambda: phage_lambda(max_monomer=4, max_dimer=2),
-    ], ids=["toggle_switch", "brusselator", "schnakenberg", "phage_lambda"])
-    def test_converges_on_paper_models(self, build):
-        A = build_rate_matrix(enumerate_state_space(build()))
-        tol = 1e-8
-        result = ShardedJacobiSolver(
-            A, shards=POOL, sync="chaotic", tol=tol,
-            max_iterations=100_000, check_interval=100,
-            damping=0.8).solve()
-        assert result.stop_reason is StopReason.CONVERGED
-        # The residual is *verified*: recomputed from a synchronized
-        # product after the pause, never the workers' stale estimate.
-        assert result.residual <= tol
-        assert result.x.min() >= 0.0
-        assert np.isclose(result.x.sum(), 1.0)
-
-    def test_reports_staleness_and_traffic(self, toggle_matrix):
-        result = ShardedJacobiSolver(
-            toggle_matrix, shards=POOL, sync="chaotic", tol=1e-8,
-            max_iterations=100_000, check_interval=100,
-            damping=0.8).solve()
-        info = result.sharding
-        assert info["sync"] == "chaotic"
-        assert len(info["sweeps"]) == POOL
-        assert all(s > 0 for s in info["sweeps"])
-        assert all(b >= 0 for b in info["halo_bytes"])
-        assert all(s >= 0 for s in info["staleness"])
-
-
 class TestShardingDiagnostics:
     def test_result_carries_partition_and_traffic(self, toggle_matrix):
         result = ShardedJacobiSolver(toggle_matrix, shards=2,
@@ -159,36 +121,81 @@ class TestShardingDiagnostics:
         names = [e["name"] for e in rec.events]
         assert "sharded.solve" in names
         assert "shard.sweep" in names
-        assert "shard.halo_exchange" in names
 
 
 class TestFaults:
+    KW = dict(tol=1e-10, max_iterations=5000, check_interval=50,
+              damping=0.9)
+
     def test_worker_kill_is_recovered(self, toggle_matrix):
+        """Both shards die at their sweep 20; each is respawned and the
+        sweep re-run from its unchanged input, so no bit moves."""
         plan = FaultPlan([FaultSpec(site="shard.worker", kind="kill",
                                     at=20)])
-        kw = dict(tol=1e-10, max_iterations=5000, check_interval=50,
-                  damping=0.9)
-        serial = JacobiSolver(toggle_matrix, **kw).solve()
+        serial = JacobiSolver(toggle_matrix, **self.KW).solve()
         with injecting(plan):
             result = ShardedJacobiSolver(
-                toggle_matrix, shards=2, sync="barrier", **kw).solve(
-                    guardrails=GuardrailPolicy(max_recoveries=4))
-        assert result.stop_reason is StopReason.CONVERGED
-        assert result.recovery is not None
-        assert result.recovery.rollbacks >= 1
-        assert result.sharding["respawns"] >= 1
-        # Recovery rolls back to a checkpoint but lands on the same
-        # fixed point.
-        np.testing.assert_allclose(result.x, serial.x, atol=1e-9)
+                toggle_matrix, shards=2, **self.KW).solve()
+        assert_identical(serial, result)
+        assert result.sharding["respawns"] == 2
 
-    def test_kill_without_guardrails_raises(self, toggle_matrix):
+    @pytest.mark.parametrize("backend", [
+        name for name in ("numpy", "native")
+        if name in backends.available_backends()])
+    def test_worker_killed_during_bootstrap_is_respawned(
+            self, backend, toggle_matrix, monkeypatch):
+        """SIGKILL shard 1 right after ``proc.start()``, before it has
+        acknowledged any epoch (fork under numpy, spawn under native):
+        the parent respawns it at once instead of waiting on it."""
+        spawn = _ShardPool._spawn
+        killed = []
+
+        def spawn_then_kill(pool, spec):
+            proc = spawn(pool, spec)
+            if spec.shard == 1 and not killed:
+                os.kill(proc.pid, signal.SIGKILL)
+                killed.append(proc.pid)
+            return proc
+
+        monkeypatch.setattr(_ShardPool, "_spawn", spawn_then_kill)
+        serial = JacobiSolver(toggle_matrix, backend=backend,
+                              **self.KW).solve()
+        t0 = time.perf_counter()
+        result = ShardedJacobiSolver(toggle_matrix, shards=2,
+                                     backend=backend, **self.KW).solve()
+        elapsed = time.perf_counter() - t0
+        assert killed
+        assert_identical(serial, result)
+        assert result.sharding["respawns"] >= 1
+        assert elapsed < WORKER_TIMEOUT_S / 4
+
+    def test_shard_dying_twice_in_one_sweep_raises_and_cleans_up(
+            self, toggle_matrix, monkeypatch):
+        """``every=1`` kills each reincarnation at its first sweep, so a
+        shard dies twice in one sweep: the solve raises, and neither a
+        worker process nor a shared-memory segment outlives it."""
+        created = []
+        create = S.SharedState.create
+
+        def recording_create(n, shards):
+            state = create(n, shards)
+            created.append(state.names)
+            return state
+
+        monkeypatch.setattr(S.SharedState, "create",
+                            staticmethod(recording_create))
+        before = set(multiprocessing.active_children())
         plan = FaultPlan([FaultSpec(site="shard.worker", kind="kill",
-                                    at=5)])
+                                    at=5, every=1)])
         with injecting(plan):
-            with pytest.raises(WorkerCrashError):
+            with pytest.raises(WorkerCrashError, match="twice"):
                 ShardedJacobiSolver(toggle_matrix, shards=2,
-                                    tol=1e-10, damping=0.9).solve(
-                                        guardrails=False)
+                                    **self.KW).solve()
+        assert set(multiprocessing.active_children()) <= before
+        assert len(created) == 1
+        for name in created[0]:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_stall_only_delays(self, toggle_matrix):
         plan = FaultPlan([FaultSpec(site="shard.worker", kind="stall",
@@ -213,8 +220,6 @@ class TestValidationAndWiring:
             ShardedJacobiSolver(toggle_matrix,
                                 shards=toggle_matrix.shape[0] + 1)
         with pytest.raises(ValidationError):
-            ShardedJacobiSolver(toggle_matrix, start_method="threads")
-        with pytest.raises(ValidationError):
             ShardedJacobiSolver(toggle_matrix, damping=0.0)
 
     def test_registered_as_sharded(self):
@@ -229,65 +234,8 @@ class TestValidationAndWiring:
         assert result.landscape is not None
 
 
-class TestElasticDegradation:
-    """Respawn budget exhaustion re-partitions onto fewer shards."""
-
-    KW = dict(tol=1e-10, max_iterations=5000, check_interval=50,
-              damping=0.9)
-
-    def test_exhausted_budget_degrades_and_converges(self, toggle_matrix):
-        plan = FaultPlan([FaultSpec(site="shard.worker", kind="kill",
-                                    at=30, count=1)], seed=0)
-        serial = JacobiSolver(toggle_matrix, **self.KW).solve()
-        solver = ShardedJacobiSolver(toggle_matrix, shards=2,
-                                     sync="barrier", respawn_budget=0,
-                                     **self.KW)
-        with injecting(plan):
-            result = solver.solve(
-                guardrails=GuardrailPolicy(max_recoveries=4))
-        assert result.stop_reason is StopReason.CONVERGED
-        assert result.sharding["shards"] == 1
-        assert result.sharding["requested_shards"] == 2
-        assert len(result.sharding["degradations"]) == 1
-        # Degradation is per-solve: the solver asks for 2 shards again.
-        assert solver.shards == 2
-        # The degraded run rolled back to a guardrail checkpoint, so
-        # its trajectory differs from serial — but the fixed point
-        # does not.
-        np.testing.assert_allclose(result.x, serial.x, atol=1e-9)
-
-    def test_chaotic_mode_degrades_too(self, toggle_matrix):
-        plan = FaultPlan([FaultSpec(site="shard.worker", kind="kill",
-                                    at=30, count=1)], seed=0)
-        serial = JacobiSolver(toggle_matrix, **self.KW).solve()
-        with injecting(plan):
-            result = ShardedJacobiSolver(
-                toggle_matrix, shards=2, sync="chaotic",
-                respawn_budget=0, **self.KW).solve(
-                    guardrails=GuardrailPolicy(max_recoveries=4))
-        assert result.stop_reason is StopReason.CONVERGED
-        assert len(result.sharding["degradations"]) == 1
-        np.testing.assert_allclose(result.x, serial.x, atol=1e-7)
-
-    def test_min_shards_floor_raises(self, toggle_matrix):
-        plan = FaultPlan([FaultSpec(site="shard.worker", kind="kill",
-                                    at=30, count=1)], seed=0)
-        with injecting(plan):
-            with pytest.raises(WorkerCrashError, match="min_shards"):
-                ShardedJacobiSolver(
-                    toggle_matrix, shards=2, sync="barrier",
-                    respawn_budget=0, min_shards=2, **self.KW).solve(
-                        guardrails=GuardrailPolicy(max_recoveries=4))
-
-    def test_rejects_bad_degradation_options(self, toggle_matrix):
-        with pytest.raises(ValidationError):
-            ShardedJacobiSolver(toggle_matrix, respawn_budget=-1)
-        with pytest.raises(ValidationError):
-            ShardedJacobiSolver(toggle_matrix, shards=2, min_shards=3)
-
-
 class TestDurableResume:
-    """Parent-side epoch checkpoints resume bitwise in barrier mode."""
+    """Checkpoints resume bitwise, whatever the shard count."""
 
     KW = dict(tol=1e-10, check_interval=50, damping=0.9)
 
@@ -322,16 +270,3 @@ class TestDurableResume:
             checkpointer=ck2)
         assert ck2.resumed_from is not None
         assert_identical(reference, resumed)
-
-    def test_checkpoint_meta_carries_topology(self, toggle_matrix,
-                                              tmp_path):
-        ck = self.make_ck(tmp_path, toggle_matrix)
-        ShardedJacobiSolver(toggle_matrix, shards=2, sync="barrier",
-                            max_iterations=200, **self.KW).solve(
-            checkpointer=ck)
-        data = self.make_ck(tmp_path, toggle_matrix,
-                            resume=True).load_latest(kind="solver")
-        sharding = data.meta["sharding"]
-        assert sharding["shards"] == 2
-        assert sharding["sync"] == "barrier"
-        assert len(sharding["rows"]) == 2

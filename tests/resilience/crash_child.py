@@ -8,10 +8,6 @@ with ``PYTHONPATH`` pointing at ``src``.  Environment knobs:
   fsynced and renamed when the signal fires).  ``0`` disables.
 - ``CRASH_RESUME=1`` — resume from the newest intact checkpoint.
 
-The sharded mode kills through the ``shard.parent`` fault site instead,
-which fires *after* the parent's durable epoch snapshot — same
-guarantee, exercised through the injector path the chaos CI uses.
-
 The batched mode solves three ``degA`` conditions stacked; they stop
 at 200, 400 (an extrapolated stop) and 500 sweeps, so a kill after the
 third save (at 300) leaves one column retired before the checkpoint and
@@ -122,21 +118,11 @@ def run_fsp(ck, network):
                       "converged": result.converged}
 
 
-def run_sharded(ck, A, *, kill):
+def run_sharded(ck, A):
     from repro.distributed import ShardedJacobiSolver
-    from repro.resilience.faults import FaultPlan, injecting
 
-    solver = ShardedJacobiSolver(A, shards=2, sync="barrier", tol=TOL,
-                                 check_interval=50, damping=0.9)
-    if kill:
-        # The second durable_save visit: one epoch snapshot is already
-        # on disk when the parent dies.
-        plan = FaultPlan([{"site": "shard.parent", "kind": "kill",
-                           "at": 1, "count": 1}], seed=0)
-        with injecting(plan):
-            result = solver.solve(checkpointer=ck)
-    else:
-        result = solver.solve(checkpointer=ck)
+    result = ShardedJacobiSolver(A, shards=2, tol=TOL, check_interval=50,
+                                 damping=0.9).solve(checkpointer=ck)
     return result.x, {"iterations": result.iterations,
                       "residual": result.residual,
                       "sharding": {"shards": result.sharding["shards"]}}
@@ -150,7 +136,7 @@ def main(argv):
     network = toggle_switch(max_protein=12 if mode == "fsp" else 10)
     A = None if mode == "fsp" else build_matrix()
     ck = make_ck(mode, ckdir, A, network, resume=resume,
-                 kill_after=0 if mode == "sharded" else kill_after)
+                 kill_after=kill_after)
 
     if mode == "serial":
         x, diag = run_serial(ck, A)
@@ -159,7 +145,7 @@ def main(argv):
     elif mode == "fsp":
         x, diag = run_fsp(ck, network)
     elif mode == "sharded":
-        x, diag = run_sharded(ck, A, kill=kill_after > 0)
+        x, diag = run_sharded(ck, A)
     else:
         raise SystemExit(f"unknown mode {mode!r}")
 
